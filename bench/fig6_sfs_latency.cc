@@ -60,12 +60,12 @@ void RunFig6(bool smoke) {
               smoke ? "[400, 800]" : "[400..9600]");
   run_line("NFS", [](double o) { return RunBaselinePoint(o); });
   if (smoke) {
-    run_line("Slice-2", [](double o) { return RunSlicePoint(2, o); });
+    run_line("Slice-2", [](double o) { return RunSlicePoint(2, o).point; });
   } else {
-    run_line("Slice-1", [](double o) { return RunSlicePoint(1, o); });
-    run_line("Slice-2", [](double o) { return RunSlicePoint(2, o); });
-    run_line("Slice-4", [](double o) { return RunSlicePoint(4, o); });
-    run_line("Slice-8", [](double o) { return RunSlicePoint(8, o); });
+    run_line("Slice-1", [](double o) { return RunSlicePoint(1, o).point; });
+    run_line("Slice-2", [](double o) { return RunSlicePoint(2, o).point; });
+    run_line("Slice-4", [](double o) { return RunSlicePoint(4, o).point; });
+    run_line("Slice-8", [](double o) { return RunSlicePoint(8, o).point; });
   }
 
   std::printf(
@@ -108,14 +108,13 @@ void RunFig6(bool smoke) {
 
 void RunFig6Trace() {
   std::printf("\n--trace: Slice-4 @ 1600 ops/s with end-to-end tracing enabled\n\n");
-  obs::CriticalPathReport report;
-  std::string json;
-  const SfsPoint point = RunSlicePointTraced(4, 1600, &report, &json);
-  std::printf("delivered %.0f IOPS, mean %.1f ms; %llu ops traced\n\n", point.delivered,
-              point.latency_ms, static_cast<unsigned long long>(report.traces_analyzed));
-  std::printf("%s", obs::CriticalPath::Format(report).c_str());
+  const SliceRun run = RunSlicePoint(4, 1600, {.trace = true});
+  std::printf("delivered %.0f IOPS, mean %.1f ms; %llu ops traced\n\n", run.point.delivered,
+              run.point.latency_ms,
+              static_cast<unsigned long long>(run.critical_path.traces_analyzed));
+  std::printf("%s", obs::CriticalPath::Format(run.critical_path).c_str());
   std::ofstream out("fig6_trace.json", std::ios::binary | std::ios::trunc);
-  out << json;
+  out << run.trace_json;
   std::printf("\nfull trace written to fig6_trace.json (load in chrome://tracing)\n");
 }
 
@@ -124,11 +123,10 @@ void RunFig6Flight(bool smoke, const char* path) {
   const double offered = smoke ? 800 : 1600;
   std::printf("\n--flight-dump: Slice-%zu @ %.0f ops/s with the event log enabled\n", nodes,
               offered);
-  std::string flight_json;
-  RunSlicePointFlight(nodes, offered, &flight_json);
-  obs::WriteFlightDump(path, flight_json);
+  const SliceRun run = RunSlicePoint(nodes, offered, {.metrics = true, .eventlog = true});
+  obs::WriteFlightDump(path, run.flight_json);
   std::printf("flight dump written to %s (hash %016llx)\n", path,
-              static_cast<unsigned long long>(obs::FlightContentHash(flight_json)));
+              static_cast<unsigned long long>(obs::FlightContentHash(run.flight_json)));
 }
 
 }  // namespace

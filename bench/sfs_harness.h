@@ -71,126 +71,6 @@ inline SfsPoint PointFromReport(double offered, const SfsReport& report) {
   return point;
 }
 
-inline SfsPoint RunSlicePoint(size_t storage_nodes, double offered, bool proxy_cache = false) {
-  EventQueue queue;
-  EnsembleConfig config;
-  config.mgmt.enabled = false;  // static healthy ensemble; no heartbeat traffic
-  config.num_storage_nodes = storage_nodes;
-  config.num_small_file_servers = 2;
-  config.num_dir_servers = 1;
-  config.num_clients = 4;
-  config.cal.storage_cache_mb = kSfsStorageCacheMb;
-  config.cal.sfs_cache_mb = kSfsSmallFileCacheMb;
-  config.storage_extra_meta_ios = kSfsMetaIos;
-  config.proxy_cache = proxy_cache;
-  Ensemble ensemble(queue, config);
-  SfsParams params = ScaledSfsParams(offered);
-  SfsBenchmark bench(ensemble.client_host(0), queue, ensemble.virtual_server(),
-                     ensemble.root(), params);
-  SLICE_CHECK(bench.Setup().ok());
-  const SfsReport report = bench.Run();
-  return PointFromReport(offered, report);
-}
-
-// Same Slice point with the metrics plane on: returns the delivered numbers
-// and optionally the canonical metrics JSON snapshot, the Prometheus text
-// exposition, and ensemble-wide counter totals (summed across hosts)
-// captured at end of run.
-inline SfsPoint RunSlicePointMetered(size_t storage_nodes, double offered,
-                                     std::string* metrics_json_out,
-                                     std::string* prom_out = nullptr,
-                                     std::map<std::string, uint64_t>* counter_totals_out =
-                                         nullptr,
-                                     bool proxy_cache = false, uint32_t tenants = 0,
-                                     std::map<std::string, uint64_t>* tenant_totals_out =
-                                         nullptr) {
-  EventQueue queue;
-  EnsembleConfig config;
-  config.mgmt.enabled = false;
-  config.num_storage_nodes = storage_nodes;
-  config.num_small_file_servers = 2;
-  config.num_dir_servers = 1;
-  config.num_clients = 4;
-  config.cal.storage_cache_mb = kSfsStorageCacheMb;
-  config.cal.sfs_cache_mb = kSfsSmallFileCacheMb;
-  config.storage_extra_meta_ios = kSfsMetaIos;
-  config.proxy_cache = proxy_cache;
-  config.metrics.enabled = true;
-  if (tenants > 0) {
-    // Tenant/QoS plane on: generator processes split round-robin across
-    // `tenants` AUTH_SYS identities, and the SLO engine rides the scraper.
-    config.num_tenants = tenants;
-    config.slo.enabled = true;
-  }
-  Ensemble ensemble(queue, config);
-  SfsParams params = ScaledSfsParams(offered);
-  params.num_tenants = tenants;
-  SfsBenchmark bench(ensemble.client_host(0), queue, ensemble.virtual_server(),
-                     ensemble.root(), params);
-  SLICE_CHECK(bench.Setup().ok());
-  const SfsReport report = bench.Run();
-  if (metrics_json_out != nullptr) {
-    *metrics_json_out = ensemble.ExportMetricsJson();
-  }
-  if (prom_out != nullptr) {
-    *prom_out = ensemble.ExportMetricsText();
-  }
-  if (counter_totals_out != nullptr) {
-    for (const auto& [host, reg] : ensemble.metrics()->registries()) {
-      for (const auto& [name, counter] : reg.counters()) {
-        (*counter_totals_out)[name] += counter->Value();
-      }
-    }
-  }
-  if (tenant_totals_out != nullptr) {
-    // Flat integer totals per tenant — deterministic, so the fig5_tenants
-    // golden can pin the attribution split exactly.
-    for (const obs::TenantInstruments& ti : ensemble.metrics()->tenants()) {
-      const std::string prefix = "tenant" + std::to_string(ti.tenant) + "_";
-      for (size_t c = 0; c < obs::kTenantOpClassCount; ++c) {
-        (*tenant_totals_out)[prefix + "ops_" +
-                             obs::TenantOpClassName(static_cast<obs::TenantOpClass>(c))] =
-            ti.ops[c].Value();
-      }
-      (*tenant_totals_out)[prefix + "bad_ops"] = ti.bad_ops.Value();
-      (*tenant_totals_out)[prefix + "errors"] = ti.errors.Value();
-    }
-  }
-  return PointFromReport(offered, report);
-}
-
-// Same Slice point with the event log (plus the metrics plane, for the
-// embedded snapshot) enabled — the benches' --flight-dump flag. Returns the
-// delivered numbers and the canonical flight-recorder dump: the bounded
-// per-host rings keep the tail of the run's routing decisions, exactly what
-// a black-box recorder should retain.
-inline SfsPoint RunSlicePointFlight(size_t storage_nodes, double offered,
-                                    std::string* flight_json_out, bool proxy_cache = false) {
-  EventQueue queue;
-  EnsembleConfig config;
-  config.mgmt.enabled = false;
-  config.num_storage_nodes = storage_nodes;
-  config.num_small_file_servers = 2;
-  config.num_dir_servers = 1;
-  config.num_clients = 4;
-  config.cal.storage_cache_mb = kSfsStorageCacheMb;
-  config.cal.sfs_cache_mb = kSfsSmallFileCacheMb;
-  config.storage_extra_meta_ios = kSfsMetaIos;
-  config.proxy_cache = proxy_cache;
-  config.metrics.enabled = true;
-  config.eventlog.enabled = true;
-  Ensemble ensemble(queue, config);
-  SfsParams params = ScaledSfsParams(offered);
-  SfsBenchmark bench(ensemble.client_host(0), queue, ensemble.virtual_server(),
-                     ensemble.root(), params);
-  SLICE_CHECK(bench.Setup().ok());
-  const SfsReport report = bench.Run();
-  if (flight_json_out != nullptr) {
-    *flight_json_out = ensemble.ExportFlightJson("bench");
-  }
-  return PointFromReport(offered, report);
-}
-
 // Everything a profiled run exports: the canonical profile JSON, the
 // collapsed-stack rendering, the sim-section hash (byte-stable same-seed),
 // and the worst per-host ledger coverage in basis points.
@@ -201,54 +81,42 @@ struct SfsProfile {
   uint64_t min_coverage_bp = 0;
 };
 
-// Same Slice point with the profiler on (plus metrics + event log so the
-// ledger rides the time series and the flight dump carries the profile
-// section) — the benches' --profile flag.
-inline SfsPoint RunSlicePointProfiled(size_t storage_nodes, double offered,
-                                      SfsProfile* profile_out,
-                                      std::string* flight_json_out = nullptr,
-                                      bool proxy_cache = false) {
-  EventQueue queue;
-  EnsembleConfig config;
-  config.mgmt.enabled = false;
-  config.num_storage_nodes = storage_nodes;
-  config.num_small_file_servers = 2;
-  config.num_dir_servers = 1;
-  config.num_clients = 4;
-  config.cal.storage_cache_mb = kSfsStorageCacheMb;
-  config.cal.sfs_cache_mb = kSfsSmallFileCacheMb;
-  config.storage_extra_meta_ios = kSfsMetaIos;
-  config.proxy_cache = proxy_cache;
-  config.metrics.enabled = true;
-  config.eventlog.enabled = true;
-  config.profiler.enabled = true;
-  Ensemble ensemble(queue, config);
-  SfsParams params = ScaledSfsParams(offered);
-  SfsBenchmark bench(ensemble.client_host(0), queue, ensemble.virtual_server(),
-                     ensemble.root(), params);
-  SLICE_CHECK(bench.Setup().ok());
-  const SfsReport report = bench.Run();
-  if (profile_out != nullptr) {
-    profile_out->profile_json = ensemble.ExportProfileJson();
-    profile_out->folded = ensemble.ExportProfileFolded();
-    profile_out->sim_hash = ensemble.ProfileSimHash();
-    profile_out->min_coverage_bp = ensemble.profiler()->MinCoverageBp();
-  }
-  if (flight_json_out != nullptr) {
-    *flight_json_out = ensemble.ExportFlightJson("bench");
-  }
-  return PointFromReport(offered, report);
-}
+// The observability pillars a Slice point runs with, plus the two ensemble
+// knobs the benches vary. Every pillar is off by default.
+struct SliceRunOptions {
+  bool metrics = false;
+  bool eventlog = false;
+  bool profiler = false;
+  bool trace = false;
+  bool proxy_cache = false;
+  // > 0: generator processes split round-robin across this many AUTH_SYS
+  // identities, with the SLO engine riding the scraper (needs metrics).
+  uint32_t tenants = 0;
+};
 
-// Same Slice point with end-to-end tracing enabled (--trace in the benches):
-// returns the delivered numbers plus the critical-path latency breakdown,
-// and optionally the full chrome://tracing JSON.
-inline SfsPoint RunSlicePointTraced(size_t storage_nodes, double offered,
-                                    obs::CriticalPathReport* report_out,
-                                    std::string* json_out = nullptr) {
+// A Slice point's delivered numbers plus the exports of the pillars it ran
+// with; the fields of a pillar that was off stay empty.
+struct SliceRun {
+  SfsPoint point;
+  // metrics: the canonical JSON snapshot, ensemble-wide counter totals
+  // (summed across hosts) and, with tenants, flat per-tenant totals.
+  std::string metrics_json;
+  std::map<std::string, uint64_t> counter_totals;
+  std::map<std::string, uint64_t> tenant_totals;
+  // eventlog: the canonical flight-recorder dump.
+  std::string flight_json;
+  // profiler
+  SfsProfile profile;
+  // trace: the critical-path latency breakdown and the chrome://tracing JSON.
+  obs::CriticalPathReport critical_path;
+  std::string trace_json;
+};
+
+inline SliceRun RunSlicePoint(size_t storage_nodes, double offered,
+                              const SliceRunOptions& options = {}) {
   EventQueue queue;
   EnsembleConfig config;
-  config.mgmt.enabled = false;
+  config.mgmt.enabled = false;  // static healthy ensemble; no heartbeat traffic
   config.num_storage_nodes = storage_nodes;
   config.num_small_file_servers = 2;
   config.num_dir_servers = 1;
@@ -256,20 +124,59 @@ inline SfsPoint RunSlicePointTraced(size_t storage_nodes, double offered,
   config.cal.storage_cache_mb = kSfsStorageCacheMb;
   config.cal.sfs_cache_mb = kSfsSmallFileCacheMb;
   config.storage_extra_meta_ios = kSfsMetaIos;
-  config.trace.enabled = true;
+  config.proxy_cache = options.proxy_cache;
+  config.metrics.enabled = options.metrics;
+  config.eventlog.enabled = options.eventlog;
+  config.profiler.enabled = options.profiler;
+  config.trace.enabled = options.trace;
+  if (options.tenants > 0) {
+    config.num_tenants = options.tenants;
+    config.slo.enabled = true;
+  }
   Ensemble ensemble(queue, config);
   SfsParams params = ScaledSfsParams(offered);
+  params.num_tenants = options.tenants;
   SfsBenchmark bench(ensemble.client_host(0), queue, ensemble.virtual_server(),
                      ensemble.root(), params);
   SLICE_CHECK(bench.Setup().ok());
   const SfsReport report = bench.Run();
-  if (report_out != nullptr) {
-    *report_out = ensemble.AnalyzeCriticalPath();
+
+  SliceRun run;
+  run.point = PointFromReport(offered, report);
+  if (const obs::Metrics* metrics = ensemble.metrics()) {
+    run.metrics_json = ensemble.ExportMetricsJson();
+    for (const auto& [host, reg] : metrics->registries()) {
+      for (const auto& [name, counter] : reg.counters()) {
+        run.counter_totals[name] += counter->Value();
+      }
+    }
+    // Flat integer totals per tenant — deterministic, so the fig5_tenants
+    // golden can pin the attribution split exactly.
+    for (const obs::TenantInstruments& ti : metrics->tenants()) {
+      const std::string prefix = "tenant" + std::to_string(ti.tenant) + "_";
+      for (size_t c = 0; c < obs::kTenantOpClassCount; ++c) {
+        run.tenant_totals[prefix + "ops_" +
+                          obs::TenantOpClassName(static_cast<obs::TenantOpClass>(c))] =
+            ti.ops[c].Value();
+      }
+      run.tenant_totals[prefix + "bad_ops"] = ti.bad_ops.Value();
+      run.tenant_totals[prefix + "errors"] = ti.errors.Value();
+    }
   }
-  if (json_out != nullptr) {
-    *json_out = ensemble.ExportTraceJson();
+  if (ensemble.eventlog() != nullptr) {
+    run.flight_json = ensemble.ExportFlightJson("bench");
   }
-  return PointFromReport(offered, report);
+  if (const obs::Profiler* profiler = ensemble.profiler()) {
+    run.profile.profile_json = ensemble.ExportProfileJson();
+    run.profile.folded = ensemble.ExportProfileFolded();
+    run.profile.sim_hash = ensemble.ProfileSimHash();
+    run.profile.min_coverage_bp = profiler->MinCoverageBp();
+  }
+  if (ensemble.tracer() != nullptr) {
+    run.critical_path = ensemble.AnalyzeCriticalPath();
+    run.trace_json = ensemble.ExportTraceJson();
+  }
+  return run;
 }
 
 inline SfsPoint RunBaselinePoint(double offered) {

@@ -126,25 +126,10 @@ void BM_Stage1_Interception(benchmark::State& state) {
 BENCHMARK(BM_Stage1_Interception);
 
 // Stage 2: packet decode — the ONC RPC header walk (variable-length
-// credential) plus extraction of the routed NFS fields.
-void BM_Stage2_Decode(benchmark::State& state) {
-  const std::vector<Packet> mix = UntarPacketMix();
-  size_t i = 0;
-  for (auto _ : state) {
-    const Packet& pkt = mix[i++ % mix.size()];
-    DecodedRequest req;
-    Status st = DecodeNfsRequest(pkt.payload(), &req);
-    benchmark::DoNotOptimize(st);
-    benchmark::DoNotOptimize(req.fh);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Stage2_Decode);
-
-// Stage 2 (fast path): the same header walk through the single-pass
-// DecodedView — no name materialization, no handle copies into owned
-// storage. This is what the µproxy actually runs (and caches on the packet
-// so later stages never re-parse).
+// credential) plus extraction of the routed NFS fields, through the
+// single-pass DecodedView: no name materialization, no handle copies into
+// owned storage. This is what the µproxy runs (and caches on the packet so
+// later stages never re-parse).
 void BM_Stage2_DecodeView(benchmark::State& state) {
   const std::vector<Packet> mix = UntarPacketMix();
   size_t i = 0;
@@ -163,9 +148,9 @@ BENCHMARK(BM_Stage2_DecodeView);
 // with incremental checksum adjustment.
 void BM_Stage3_RedirectRewrite(benchmark::State& state) {
   std::vector<Packet> mix = UntarPacketMix();
-  std::vector<DecodedRequest> reqs(mix.size());
+  std::vector<DecodedView> reqs(mix.size());
   for (size_t i = 0; i < mix.size(); ++i) {
-    SLICE_CHECK(DecodeNfsRequest(mix[i].payload(), &reqs[i]).ok());
+    SLICE_CHECK(DecodeNfsRequestView(mix[i].payload(), &reqs[i]).ok());
   }
   RoutingTable table(64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}});
   size_t i = 0;
@@ -180,36 +165,8 @@ void BM_Stage3_RedirectRewrite(benchmark::State& state) {
 BENCHMARK(BM_Stage3_RedirectRewrite);
 
 // Stage 4: soft-state logic — pending-record insert/erase and response
-// pairing bookkeeping.
-void BM_Stage4_SoftState(benchmark::State& state) {
-  const std::vector<Packet> mix = UntarPacketMix();
-  std::vector<DecodedRequest> reqs(mix.size());
-  for (size_t i = 0; i < mix.size(); ++i) {
-    SLICE_CHECK(DecodeNfsRequest(mix[i].payload(), &reqs[i]).ok());
-  }
-  struct Pending {
-    NfsProc proc;
-    FileHandle fh;
-    uint64_t offset;
-    uint32_t count;
-  };
-  std::unordered_map<uint64_t, Pending> pending;
-  size_t i = 0;
-  uint32_t xid = 0;
-  for (auto _ : state) {
-    const DecodedRequest& req = reqs[i++ % mix.size()];
-    const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-    pending.emplace(key, Pending{req.proc, req.fh, req.offset, req.count});
-    auto it = pending.find(key);  // response pairing
-    benchmark::DoNotOptimize(it->second.proc);
-    pending.erase(it);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Stage4_SoftState);
-
-// Stage 4 (fast path): the flat open-addressing pending table the µproxy
-// switched to — insert/find/erase with no per-node allocation.
+// pairing bookkeeping, on the flat open-addressing pending table the µproxy
+// uses (no per-node allocation).
 void BM_Stage4_SoftStateFlat(benchmark::State& state) {
   const std::vector<Packet> mix = UntarPacketMix();
   std::vector<DecodedView> reqs(mix.size());
@@ -313,32 +270,6 @@ void BM_Total_RequestPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Total_RequestPath);
-
-// Whole-packet request path, pre-rework form (materializing decode +
-// node-based hash map) — kept as the in-binary baseline the speedup in
-// BENCH_table3_uproxy_cpu.json is computed against.
-void BM_Total_RequestPath_Legacy(benchmark::State& state) {
-  std::vector<Packet> mix = UntarPacketMix();
-  RoutingTable table(64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}});
-  std::unordered_map<uint64_t, NfsProc> pending;
-  size_t i = 0;
-  uint32_t xid = 0;
-  for (auto _ : state) {
-    Packet& pkt = mix[i++ % mix.size()];
-    bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-    benchmark::DoNotOptimize(ours);
-    DecodedRequest req;
-    if (DecodeNfsRequest(pkt.payload(), &req).ok()) {
-      const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-      pkt.RewriteDst(target);
-      const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-      pending.emplace(key, req.proc);
-      pending.erase(key);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Total_RequestPath_Legacy);
 
 // Server-side dispatch fixture: a warm object store + block cache + DRC plus
 // four preconstructed small READ calls at distinct offsets. The Serve() body
@@ -481,20 +412,18 @@ BENCHMARK(BM_Total_ServerPath);
 
 // Machine-readable baseline: wall-clock-times the whole request path per
 // packet (the BM_Total_RequestPath body, outside google-benchmark so we can
-// keep per-packet samples) and writes BENCH_table3_uproxy_cpu.json. Both the
-// fast path (view decode + flat table) and the pre-rework legacy path
-// (materializing decode + node-based map) are measured, so the speedup and
-// the allocs/pkt invariant are recorded per run. Absolute ns are
-// host-dependent; the golden pins only the structural fields (bench name,
-// packet count, allocs_per_pkt == 0).
+// keep per-packet samples) and writes BENCH_table3_uproxy_cpu.json, with the
+// allocs/pkt invariant recorded per run. Absolute ns are host-dependent; the
+// golden pins only the structural fields (bench name, packet count,
+// allocs_per_pkt == 0).
 void WriteTable3Bench() {
   std::vector<Packet> mix = UntarPacketMix();
   RoutingTable table(64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}});
   constexpr int kWarmup = 20000;
   constexpr int kMeasured = 200000;
 
-  // Fast path: single-pass view decode, flat pending table. Steady-state
-  // allocation count across the measured window must be exactly zero.
+  // Single-pass view decode, flat pending table. Steady-state allocation
+  // count across the measured window must be exactly zero.
   FlatU64Map<NfsProc> pending;
   LatencyStats per_packet;  // values are wall-clock ns, not sim time
   uint32_t xid = 0;
@@ -522,29 +451,6 @@ void WriteTable3Bench() {
     }
   }
   allocs_measured = g_allocs - allocs_measured;
-
-  // Legacy path, same packets: what every forwarded packet cost before.
-  std::unordered_map<uint64_t, NfsProc> legacy_pending;
-  uint64_t legacy_total_ns = 0;
-  for (int iter = 0; iter < kWarmup + kMeasured; ++iter) {
-    Packet& pkt = mix[static_cast<size_t>(iter) % mix.size()];
-    const auto t0 = std::chrono::steady_clock::now();
-    bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-    benchmark::DoNotOptimize(ours);
-    DecodedRequest req;
-    if (DecodeNfsRequest(pkt.payload(), &req).ok()) {
-      const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-      pkt.RewriteDst(target);
-      const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-      legacy_pending.emplace(key, req.proc);
-      legacy_pending.erase(key);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    if (iter >= kWarmup) {
-      legacy_total_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    }
-  }
 
   // Profiled fast path, three interleaved accounts of the identical body:
   //
@@ -664,10 +570,6 @@ void WriteTable3Bench() {
 
   const double total_ns = static_cast<double>(per_packet.sum());
   const double sampled_mean_ns = total_ns / kMeasured;
-  const double legacy_mean_ns = static_cast<double>(legacy_total_ns) / kMeasured;
-  // Speedup compares like with like: both paths carry the same per-packet
-  // clock-pair overhead in the sampled account.
-  const double speedup = sampled_mean_ns > 0 ? legacy_mean_ns / sampled_mean_ns : 0;
   const double allocs_per_pkt = static_cast<double>(allocs_measured) / kMeasured;
 
   // Reporting. B = bulk (uninstrumented) mean, C = coarse profiler total
@@ -793,8 +695,6 @@ void WriteTable3Bench() {
   w.Key("request_path_pkts_per_sec").Fixed(pkts_per_sec, 0);
   w.Key("mean_ns_per_pkt").Fixed(mean_ns, 1);
   w.Key("sampled_mean_ns_per_pkt").Fixed(sampled_mean_ns, 1);
-  w.Key("legacy_mean_ns_per_pkt").Fixed(legacy_mean_ns, 1);
-  w.Key("speedup_vs_legacy").Fixed(speedup, 2);
   w.Key("allocs_per_pkt").Fixed(allocs_per_pkt, 6);
   w.Key("p50_ns").UInt(per_packet.Percentile(50));
   w.Key("p95_ns").UInt(per_packet.Percentile(95));
@@ -833,12 +733,12 @@ void WriteTable3Bench() {
   w.EndObject();
   WriteBenchFile("table3_uproxy_cpu", w.str());
   std::printf("request path: %.0f pkts/s, mean %.0f ns (sampled %.0f, p50 %llu, p99 %llu),\n"
-              "%.2fx vs the legacy decode+map path (%.0f ns), %.6f allocs/pkt; %.3f%% CPU at\n"
-              "the paper's 6250 pkt/s point (paper: 6.1%% on a 500MHz Alpha)\n",
+              "%.6f allocs/pkt; %.3f%% CPU at the paper's 6250 pkt/s point (paper: 6.1%% on\n"
+              "a 500MHz Alpha)\n",
               pkts_per_sec, mean_ns, sampled_mean_ns,
               static_cast<unsigned long long>(per_packet.Percentile(50)),
-              static_cast<unsigned long long>(per_packet.Percentile(99)), speedup,
-              legacy_mean_ns, allocs_per_pkt, cpu_pct_at_6250);
+              static_cast<unsigned long long>(per_packet.Percentile(99)), allocs_per_pkt,
+              cpu_pct_at_6250);
   std::printf("\nprofiled stage attribution (ns/pkt):\n");
   for (const StageRow& row : stages) {
     std::printf("  %-20s %8.1f\n", row.name, row.ns_per_pkt);

@@ -19,20 +19,22 @@ constexpr NetPort kCoordPort = 3049;
 
 Coordinator::Coordinator(Network& net, EventQueue& queue, NetAddr addr,
                          CoordinatorParams params, std::vector<Endpoint> storage_nodes,
-                         std::vector<Endpoint> small_file_servers)
-    : RpcServerNode(net, queue, addr, kCoordPort),
+                         std::vector<Endpoint> small_file_servers, const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kCoordPort, {}, sinks),
       params_(params),
       storage_nodes_(std::move(storage_nodes)),
       small_file_servers_(std::move(small_file_servers)) {
   for (const Endpoint& node : storage_nodes_) {
-    node_clients_.push_back(std::make_unique<NfsClient>(host(), queue, node));
+    node_clients_.push_back(
+        std::make_unique<NfsClient>(host(), queue, node, RpcClientParams{}, sinks.TracerOnly()));
   }
   for (const Endpoint& node : small_file_servers_) {
-    node_clients_.push_back(std::make_unique<NfsClient>(host(), queue, node));
+    node_clients_.push_back(
+        std::make_unique<NfsClient>(host(), queue, node, RpcClientParams{}, sinks.TracerOnly()));
   }
   if (params_.backing_node.addr != 0) {
     wal_ = std::make_unique<WriteAheadLog>(host(), queue, params_.backing_node,
-                                           params_.backing_object);
+                                           params_.backing_object, WalParams{}, sinks);
   }
 }
 

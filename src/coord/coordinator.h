@@ -42,8 +42,11 @@ class Coordinator : public RpcServerNode {
  public:
   // `storage_nodes` and `small_file_servers` are the recovery fan-out
   // targets for orphaned intentions.
+  // Intent-log appends and recovery fan-outs join the requesting trace (its
+  // internal clients and WAL see the tracer only of `sinks`).
   Coordinator(Network& net, EventQueue& queue, NetAddr addr, CoordinatorParams params,
-              std::vector<Endpoint> storage_nodes, std::vector<Endpoint> small_file_servers);
+              std::vector<Endpoint> storage_nodes, std::vector<Endpoint> small_file_servers,
+              const obs::Sinks& sinks = {});
 
   size_t pending_intents() const { return intents_.size(); }
   uint64_t recoveries_run() const { return recoveries_run_; }
@@ -64,17 +67,6 @@ class Coordinator : public RpcServerNode {
   void FlushLog() {
     if (wal_) {
       wal_->Flush();
-    }
-  }
-
-  // Intent-log appends and recovery fan-outs join the requesting trace.
-  void set_tracer(obs::Tracer* tracer) override {
-    RpcServerNode::set_tracer(tracer);
-    for (auto& client : node_clients_) {
-      client->set_tracer(tracer);
-    }
-    if (wal_) {
-      wal_->set_tracer(tracer);
     }
   }
 

@@ -117,23 +117,6 @@ Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
   return Status(StatusCode::kCorrupt, "uproxy: unknown procedure");
 }
 
-Status DecodeNfsRequest(ByteSpan payload, DecodedRequest* out) {
-  DecodedView view;
-  SLICE_RETURN_IF_ERROR(DecodeNfsRequestView(payload, &view));
-  out->xid = view.xid;
-  out->proc = view.proc;
-  out->fh = view.fh;
-  out->has_fh = view.has_fh != 0;
-  out->name.assign(view.name(payload));
-  out->fh2 = view.fh2;
-  out->name2.assign(view.name2(payload));
-  out->offset = view.offset;
-  out->count = view.count;
-  out->stable = view.stable;
-  out->body_offset = view.body_offset;
-  return OkStatus();
-}
-
 Status DecodeNfsReply(ByteSpan payload, DecodedReply* out) {
   Result<RpcPeek> peek = PeekRpcMessage(payload);
   if (!peek.ok()) {

@@ -6,7 +6,6 @@
 #ifndef SLICE_CORE_REQUEST_DECODE_H_
 #define SLICE_CORE_REQUEST_DECODE_H_
 
-#include <string>
 #include <string_view>
 
 #include "src/nfs/nfs_xdr.h"
@@ -59,29 +58,6 @@ constexpr uint32_t kDecodedViewTag = 0x44563031;  // "DV01"
 // Returns kCorrupt for non-NFS-call traffic (which the µproxy passes
 // through untouched).
 Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out);
-
-struct DecodedRequest {
-  uint32_t xid = 0;
-  NfsProc proc = NfsProc::kNull;
-  // Primary handle: the target file for I/O and attribute ops, the parent
-  // directory for name ops.
-  FileHandle fh;
-  bool has_fh = false;
-  std::string name;   // name component for name ops
-  // Secondary pair (rename target, link directory).
-  FileHandle fh2;
-  std::string name2;
-  // I/O fields.
-  uint64_t offset = 0;
-  uint32_t count = 0;
-  StableHow stable = StableHow::kUnstable;
-  // Byte offset of the procedure body within the RPC payload.
-  size_t body_offset = 0;
-};
-
-// Materializing wrapper over DecodeNfsRequestView (owned std::string names);
-// used by tests, benches and slow paths that outlive the packet buffer.
-Status DecodeNfsRequest(ByteSpan payload, DecodedRequest* out);
 
 // Reply-side peek: (xid, accept_stat, body offset) for attribute patching.
 struct DecodedReply {

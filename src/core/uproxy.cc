@@ -47,13 +47,18 @@ obs::TenantOpClass ClassOfProc(NfsProc proc) {
 
 }  // namespace
 
-Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config)
+Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config,
+               const obs::Sinks& sinks)
     : net_(net),
       queue_(queue),
       client_host_(client_host),
       config_(std::move(config)),
       attr_cache_(config_.attr_cache_entries),
-      lookup_cache_(config_.lookup_cache_entries) {
+      lookup_cache_(config_.lookup_cache_entries),
+      tracer_(sinks.tracer),
+      eventlog_(sinks.eventlog),
+      profiler_(sinks.profiler),
+      prof_ledger_(profiler_ != nullptr ? profiler_->LedgerFor(client_host_.addr()) : nullptr) {
   SLICE_CHECK(!config_.dir_servers.empty());
   SLICE_CHECK(!config_.storage_nodes.empty());
   dir_table_ = RoutingTable(config_.logical_name_slots, config_.dir_servers);
@@ -68,16 +73,15 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
                                config_.small_file_servers.size()));
     }
   }
-  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params);
+  own_rpc_ =
+      std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params, OwnRpcSinks());
   net_.InstallTap(client_host_.addr(), this);
-}
-
-Uproxy::~Uproxy() {
-  *alive_ = false;
-  net_.RemoveTap(client_host_.addr());
-}
-
-void Uproxy::set_metrics(obs::Metrics* metrics) {
+  if (profiler_ != nullptr) {
+    profiler_->AddBusyProvider([this](std::map<uint32_t, uint64_t>* out) {
+      (*out)[client_host_.addr()] += static_cast<uint64_t>(cpu_.total_busy_time());
+    });
+  }
+  obs::Metrics* metrics = sinks.metrics;
   if (metrics == nullptr || !metrics->enabled()) {
     return;
   }
@@ -137,6 +141,11 @@ void Uproxy::set_metrics(obs::Metrics* metrics) {
   // path is one bounds check and an array index (no map, no allocation).
   tenant_data_ = metrics->TenantData();
   tenant_count_ = metrics->num_tenants();
+}
+
+Uproxy::~Uproxy() {
+  *alive_ = false;
+  net_.RemoveTap(client_host_.addr());
 }
 
 void Uproxy::AccountTenant(uint32_t tenant, NfsProc proc, uint32_t nbytes, SimTime latency,
@@ -221,9 +230,8 @@ void Uproxy::DropSoftState() {
   // "It is free to discard its state and/or pending packets without
   // compromising correctness" (§2.1): in-flight µproxy-originated calls die
   // too; coordinators finish any orphaned multi-site operations.
-  own_rpc_ = std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params);
-  own_rpc_->set_tracer(tracer_);
-  own_rpc_->set_eventlog(eventlog_);
+  own_rpc_ =
+      std::make_unique<RpcClient>(client_host_, queue_, config_.own_rpc_params, OwnRpcSinks());
   table_fetch_inflight_ = false;
   counters_.Add("soft_state_drops");
   obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
@@ -239,16 +247,10 @@ uint32_t Uproxy::StripeSite(const FileHandle& fh, uint64_t offset, uint32_t repl
                        static_cast<uint32_t>(config_.storage_nodes.size()), replica);
 }
 
-Uproxy::RouteDecision Uproxy::SelectRoute(const DecodedRequest& req) {
-  return SelectRouteImpl(req.proc, req.fh, req.name, req.offset);
-}
-
 Uproxy::RouteDecision Uproxy::SelectRoute(const DecodedView& req, ByteSpan payload) {
-  return SelectRouteImpl(req.proc, req.fh, req.name(payload), req.offset);
-}
-
-Uproxy::RouteDecision Uproxy::SelectRouteImpl(NfsProc proc, const FileHandle& fh,
-                                              std::string_view name, uint64_t offset) {
+  const NfsProc proc = req.proc;
+  const FileHandle& fh = req.fh;
+  const uint64_t offset = req.offset;
   RouteDecision out;
   switch (proc) {
     case NfsProc::kNull:
@@ -279,7 +281,7 @@ Uproxy::RouteDecision Uproxy::SelectRouteImpl(NfsProc proc, const FileHandle& fh
     case NfsProc::kRename: {
       out.cls = RouteClass::kDirServer;
       if (config_.name_policy == NamePolicy::kNameHashing) {
-        out.target = dir_table_.Lookup(NameFingerprint(fh, name));
+        out.target = dir_table_.Lookup(NameFingerprint(fh, req.name(payload)));
       } else {
         out.target = DirServerForSite(SiteOfFileid(fh.fileid()));
       }
@@ -288,7 +290,7 @@ Uproxy::RouteDecision Uproxy::SelectRouteImpl(NfsProc proc, const FileHandle& fh
 
     case NfsProc::kMkdir: {
       out.cls = RouteClass::kDirServer;
-      const uint64_t fingerprint = NameFingerprint(fh, name);
+      const uint64_t fingerprint = NameFingerprint(fh, req.name(payload));
       if (config_.name_policy == NamePolicy::kNameHashing) {
         out.target = dir_table_.Lookup(fingerprint);
       } else if (RedirectCoin(fingerprint) < config_.mkdir_redirect_probability) {

@@ -35,6 +35,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_client.h"
 #include "src/sim/stats.h"
@@ -91,7 +92,20 @@ struct UproxyConfig {
 class Uproxy : public PacketTap {
  public:
   // Installs itself as the tap on `client_host`'s network path.
-  Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config);
+  //
+  // Observability (`sinks`, all four pillars; its own RpcClient gets the
+  // tracer and the event log). The µproxy is where traces begin: each
+  // intercepted client request is assigned a trace id, its root span spans
+  // intercept to reply delivery, and the context is attached to every
+  // forwarded packet. Routing decisions, misdirect-driven reloads, table
+  // installs and soft-state drops are logged with the request's trace id.
+  // Route-mix and soft-state counters are provider-backed over the
+  // OpCounters the µproxy already keeps; only the per-request CPU histogram
+  // and the cache hit/miss counters touch the hot path. The profiler gets
+  // per-stage wall scopes plus cpu/queue ledger charges at the interposition
+  // CPU, through a ledger pointer cached here.
+  Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config,
+         const obs::Sinks& sinks = {});
   ~Uproxy() override;
 
   void HandleOutbound(Packet&& pkt) override;
@@ -140,22 +154,6 @@ class Uproxy : public PacketTap {
   const LookupCache& lookup_cache() const { return lookup_cache_; }
   size_t pending_count() const { return pending_.size(); }
 
-  // Observability: the µproxy is where traces begin — each intercepted
-  // client request is assigned a trace id, its root span spans intercept to
-  // reply delivery, and the context is attached to every forwarded packet.
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    own_rpc_->set_tracer(tracer);
-  }
-
-  // Event log: routing decisions, misdirect-driven reloads, table installs
-  // and soft-state drops are recorded with the request's trace id — the
-  // audit trail for the interposed decision points.
-  void set_eventlog(obs::EventLog* log) {
-    eventlog_ = log;
-    own_rpc_->set_eventlog(log);
-  }
-
   // Appends the trace ids of requests currently pending at this proxy
   // (deduped and sorted by the caller); the flight recorder snapshots these
   // so a dump names the requests that never completed.
@@ -165,20 +163,6 @@ class Uproxy : public PacketTap {
         out.push_back(pending.trace_id);
       }
     });
-  }
-
-  // Metrics plane: route-mix and soft-state counters are provider-backed
-  // over the OpCounters the µproxy already maintains; only the per-request
-  // CPU histogram and attr-cache hit/miss counters touch the hot path.
-  void set_metrics(obs::Metrics* metrics);
-
-  // Profiler: per-stage wall scopes (decode / route / soft-state / trace /
-  // rewrite / attr-patch / metrics under outbound / inbound) plus cpu+queue
-  // sim-time charges at the interposition CPU. The ledger pointer is cached
-  // here so steady-state charges never do a map lookup.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_ = profiler;
-    prof_ledger_ = profiler != nullptr ? profiler->LedgerFor(client_host_.addr()) : nullptr;
   }
 
   // --- routing decisions, exposed for tests and the Table 3 bench ---
@@ -201,9 +185,8 @@ class Uproxy : public PacketTap {
     Nfsstat3 error = Nfsstat3::kOk;  // synthesized status (kUnavailable)
   };
 
-  RouteDecision SelectRoute(const DecodedRequest& req);
-  // Fast-path variant over the cached single-pass view: `payload` is the UDP
-  // payload the view was decoded from (names are payload offsets).
+  // `payload` is the UDP payload the view was decoded from (names are
+  // payload offsets).
   RouteDecision SelectRoute(const DecodedView& req, ByteSpan payload);
 
   // Storage-node index for (file, byte offset) under static striping;
@@ -239,6 +222,8 @@ class Uproxy : public PacketTap {
   }
 
   NfsTime Now() const;
+  // What the µproxy-originated RpcClient sees of the pillars.
+  obs::Sinks OwnRpcSinks() const { return obs::Sinks{.tracer = tracer_, .eventlog = eventlog_}; }
   SimTime ChargeCpu();
   // Traced variant: records queue + cpu spans for the charge under `ctx`.
   SimTime ChargeCpu(const obs::TraceContext& ctx);
@@ -248,11 +233,6 @@ class Uproxy : public PacketTap {
   obs::TraceContext BeginTrace(Pending& pending, const char* route);
   // Records the root span for a completed operation ending at `end`.
   void FinishTrace(const Pending& pending, SimTime end);
-
-  // Routing core shared by both SelectRoute overloads; `name` views into
-  // whichever representation the caller holds.
-  RouteDecision SelectRouteImpl(NfsProc proc, const FileHandle& fh, std::string_view name,
-                                uint64_t offset);
 
   // Simple rewrite-and-forward path (allocation-free in steady state).
   void ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint target,

@@ -24,17 +24,21 @@ void EncodeAttrForLog(XdrEncoder& enc, const Fattr3& attr, const std::string& sy
 
 }  // namespace
 
-DirServer::DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params)
-    : RpcServerNode(net, queue, addr, kNfsPort),
+DirServer::DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params,
+                     const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
       params_(params),
       next_counter_(params.site == 0 ? kRootFileid + 1 : 1) {
   if (params_.backing_node.addr != 0) {
     wal_ = std::make_unique<WriteAheadLog>(host(), queue, params_.backing_node,
-                                           params_.backing_object);
+                                           params_.backing_object, WalParams{}, sinks);
   }
   if (params_.site == 0) {
     Fattr3 root = NewAttr(kRootFileid, FileType3::kDir);
     ApplyUpsertAttr(kRootFileid, root, "", /*log=*/true);
+  }
+  if (sinks.metrics != nullptr && sinks.metrics->enabled()) {
+    RegisterDirInstruments(*sinks.metrics);
   }
 }
 
@@ -989,12 +993,8 @@ void DirServer::NoteSlotOp(const FileHandle& dir, std::string_view name, uint32_
   }
 }
 
-void DirServer::set_metrics(obs::Metrics* metrics) {
-  RpcServerNode::set_metrics(metrics);
-  if (metrics == nullptr || !metrics->enabled()) {
-    return;
-  }
-  obs::MetricsRegistry& reg = metrics->Registry(addr());
+void DirServer::RegisterDirInstruments(obs::Metrics& metrics) {
+  obs::MetricsRegistry& reg = metrics.Registry(addr());
   reg.GetCounter("dir_local_ops")->SetProvider([this]() { return local_ops_; });
   reg.GetCounter("dir_cross_site_ops")->SetProvider([this]() { return cross_site_ops_; });
   reg.GetCounter("dir_misdirects")->SetProvider([this]() { return misdirects_answered_; });
@@ -1021,7 +1021,7 @@ void DirServer::set_metrics(obs::Metrics* metrics) {
       std::snprintf(name, sizeof(name), "dir_slot%02u_ops", s);
       reg.GetCounter(name)->SetProvider([this, s]() { return slot_ops_[s]; });
     }
-    if (const uint32_t tenants = metrics->num_tenants(); tenants > 0) {
+    if (const uint32_t tenants = metrics.num_tenants(); tenants > 0) {
       slot_tenants_ = tenants;
       slot_tenant_ops_.assign(static_cast<size_t>(kDefaultLogicalSlots) * tenants, 0);
       for (uint32_t s = 0; s < kDefaultLogicalSlots; ++s) {

@@ -69,7 +69,11 @@ struct DirServerParams {
 
 class DirServer : public RpcServerNode {
  public:
-  DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params);
+  // Beyond the base server's observability (`sinks`), registers name-space
+  // op-mix (per NFS procedure), misdirect and WAL instruments, and the WAL's
+  // appends join the request's trace.
+  DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params,
+            const obs::Sinks& sinks = {});
 
   // Wires up the peer-protocol targets; peers[i] owns logical site i.
   void SetPeers(std::vector<DirServer*> peers) { peers_ = std::move(peers); }
@@ -87,18 +91,6 @@ class DirServer : public RpcServerNode {
       wal_->Flush();
     }
   }
-
-  // WAL appends issued by a traced mutation join the request's trace.
-  void set_tracer(obs::Tracer* tracer) override {
-    RpcServerNode::set_tracer(tracer);
-    if (wal_) {
-      wal_->set_tracer(tracer);
-    }
-  }
-
-  // Adds name-space op mix (per NFS procedure), misdirect, and WAL
-  // instruments on top of the base server metrics.
-  void set_metrics(obs::Metrics* metrics) override;
 
   // --- ensemble control-plane integration (src/mgmt) ---
 
@@ -153,6 +145,10 @@ class DirServer : public RpcServerNode {
   void OnRestart() override;
 
  private:
+  // Name-space op mix (per NFS procedure), misdirect, WAL and (opt-in)
+  // per-slot instruments, on top of the base server's.
+  void RegisterDirInstruments(obs::Metrics& metrics);
+
   // --- logged primitive mutations (replayed on recovery) ---
   void ApplyInsertEntry(uint64_t parent, const std::string& name, const FileHandle& child,
                         bool log);
@@ -237,7 +233,7 @@ class DirServer : public RpcServerNode {
   // Op mix indexed by NfsProc (always maintained — one array increment).
   uint64_t proc_counts_[kNfsProcCount] = {};
   // Per-logical-slot name-op counts (always maintained — one array add) and
-  // the slot×tenant joint counts. The joint vector is sized by set_metrics
+  // the slot×tenant joint counts. The joint vector is sized at construction
   // only when params_.slot_metrics is on and the hub has tenants; empty
   // otherwise, so the common path pays one empty() check.
   uint64_t slot_ops_[kDefaultLogicalSlots] = {};

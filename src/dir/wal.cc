@@ -5,9 +5,10 @@
 namespace slice {
 
 WriteAheadLog::WriteAheadLog(Host& host, EventQueue& queue, Endpoint backing_node,
-                             FileHandle backing_object, WalParams params)
-    : queue_(queue), client_(host, queue, backing_node), object_(backing_object),
-      params_(params) {}
+                             FileHandle backing_object, WalParams params,
+                             const obs::Sinks& sinks)
+    : queue_(queue), client_(host, queue, backing_node, {}, sinks.TracerOnly()),
+      object_(backing_object), params_(params) {}
 
 void WriteAheadLog::Append(ByteSpan record) {
   uint8_t len[4];

@@ -24,9 +24,12 @@ struct WalParams {
 class WriteAheadLog {
  public:
   // `backing_node` + `backing_object` name the log object in the storage
-  // array. The log issues its own RPC traffic from `host`.
+  // array. The log issues its own RPC traffic from `host`. Of `sinks` it
+  // keeps the tracer only: log appends issued while a traced request is in
+  // scope join its trace.
   WriteAheadLog(Host& host, EventQueue& queue, Endpoint backing_node,
-                FileHandle backing_object, WalParams params = {});
+                FileHandle backing_object, WalParams params = {},
+                const obs::Sinks& sinks = {});
 
   // Appends one record (durable after the next flush).
   void Append(ByteSpan record);
@@ -44,9 +47,6 @@ class WriteAheadLog {
   uint64_t bytes_logged() const { return log_offset_ + buffer_.size(); }
   uint64_t records_logged() const { return records_; }
   uint64_t flushes() const { return flushes_; }
-
-  // Log appends issued while a traced request is in scope join its trace.
-  void set_tracer(obs::Tracer* tracer) { client_.set_tracer(tracer); }
 
  private:
   void ArmFlushTimer();

@@ -13,22 +13,20 @@ RpcClientParams OneShotParams() {
 }
 }  // namespace
 
-HeartbeatAgent::HeartbeatAgent(Host& host, EventQueue& queue,
-                               HeartbeatAgentParams params)
-    : queue_(queue), params_(params), addr_(host.addr()), rpc_(host, queue, OneShotParams()) {}
-
-HeartbeatAgent::~HeartbeatAgent() { *alive_ = false; }
-
-void HeartbeatAgent::RegisterMetrics(obs::Metrics* metrics) {
-  if (metrics == nullptr || !metrics->enabled()) {
+HeartbeatAgent::HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentParams params,
+                               const obs::Sinks& sinks)
+    : queue_(queue), params_(params), addr_(host.addr()), rpc_(host, queue, OneShotParams()) {
+  if (sinks.metrics == nullptr || !sinks.metrics->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics->Registry(addr_);
+  obs::MetricsRegistry& reg = sinks.metrics->Registry(addr_);
   reg.GetCounter("hb_beats_sent")->SetProvider([this]() { return beats_sent_; });
   reg.GetCounter("hb_beats_acked")->SetProvider([this]() { return beats_acked_; });
   reg.GetGauge("hb_known_epoch")->SetProvider(
       [this]() { return static_cast<int64_t>(known_epoch_); });
 }
+
+HeartbeatAgent::~HeartbeatAgent() { *alive_ = false; }
 
 void HeartbeatAgent::Start() {
   std::shared_ptr<bool> alive = alive_;

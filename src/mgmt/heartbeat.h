@@ -25,7 +25,10 @@ struct HeartbeatAgentParams {
 
 class HeartbeatAgent {
  public:
-  HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentParams params);
+  // Of `sinks` the agent uses metrics only: beat counters against its host's
+  // registry.
+  HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentParams params,
+                 const obs::Sinks& sinks = {});
   ~HeartbeatAgent();
 
   HeartbeatAgent(const HeartbeatAgent&) = delete;
@@ -33,9 +36,6 @@ class HeartbeatAgent {
 
   // Sends the first beat immediately and arms the background timer.
   void Start();
-
-  // Registers this agent's beat counters against its host's registry.
-  void RegisterMetrics(obs::Metrics* metrics);
 
   uint64_t beats_sent() const { return beats_sent_; }
   uint64_t beats_acked() const { return beats_acked_; }

@@ -29,18 +29,15 @@ const char* NodeClassName(NodeClass cls) {
 }  // namespace
 
 EnsembleManager::EnsembleManager(Network& net, EventQueue& queue, NetAddr addr,
-                                 ClusterView view, MgmtParams params)
-    : RpcServerNode(net, queue, addr, kMgmtPort),
+                                 ClusterView view, MgmtParams params, const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kMgmtPort, {}, sinks),
       view_(std::move(view)),
       params_(params),
-      detector_(FailureDetectorParams{params.failure_timeout}) {}
-
-void EnsembleManager::set_metrics(obs::Metrics* metrics) {
-  RpcServerNode::set_metrics(metrics);
-  if (metrics == nullptr || !metrics->enabled()) {
+      detector_(FailureDetectorParams{params.failure_timeout}) {
+  if (metrics() == nullptr || !metrics()->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics->Registry(addr());
+  obs::MetricsRegistry& reg = metrics()->Registry(addr);
   reg.GetCounter("mgmt_heartbeats_rx")->SetProvider([this]() { return heartbeats_received_; });
   reg.GetCounter("mgmt_reconfigurations")->SetProvider([this]() { return reconfigurations_; });
   reg.GetCounter("mgmt_rebalances")->SetProvider([this]() { return rebalances_; });
@@ -52,7 +49,7 @@ void EnsembleManager::set_metrics(obs::Metrics* metrics) {
   // intervals or more (the heartbeat_miss watchdog's input).
   reg.GetGauge("mgmt_silent_nodes")->SetProvider([this]() {
     return static_cast<int64_t>(
-        detector_.SilentCount(queue().now(), 2 * params_.heartbeat_interval));
+        detector_.SilentCount(now(), 2 * params_.heartbeat_interval));
   });
 }
 

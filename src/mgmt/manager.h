@@ -79,8 +79,12 @@ class EnsembleManager : public RpcServerNode {
   using RebalanceHook =
       std::function<void(uint32_t slot, uint32_t num_slots, uint32_t from, uint32_t to)>;
 
+  // Beyond the base server's observability (`sinks`), registers
+  // control-plane instruments: heartbeat totals, epoch, declared-dead count,
+  // and the silent-node gauge the heartbeat_miss watchdog watches (silence
+  // >= 2 heartbeat intervals). The tracer carries the failure episodes below.
   EnsembleManager(Network& net, EventQueue& queue, NetAddr addr,
-                  ClusterView view, MgmtParams params = {});
+                  ClusterView view, MgmtParams params = {}, const obs::Sinks& sinks = {});
   ~EnsembleManager() override { *alive_ = false; }
 
   // Registers all members as alive now and arms the background sweep.
@@ -103,11 +107,6 @@ class EnsembleManager : public RpcServerNode {
   const std::map<uint32_t, uint32_t>& slot_overrides() const {
     return slot_overrides_;
   }
-
-  // Adds control-plane instruments on top of the base server metrics:
-  // heartbeat totals, epoch, declared-dead count, and the silent-node gauge
-  // the heartbeat_miss watchdog watches (silence >= 2 heartbeat intervals).
-  void set_metrics(obs::Metrics* metrics) override;
 
   // Cross-pillar correlation: the first heartbeat miss for a node opens a
   // "failure episode" — a trace context whose instants (hb_miss, node_dead,

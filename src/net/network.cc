@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "src/common/logging.h"
 
@@ -10,14 +9,28 @@ namespace slice {
 
 bool Network::batching_enabled_ = true;
 
-Network::Network(EventQueue& queue, NetworkParams params)
+Network::Network(EventQueue& queue, NetworkParams params, const obs::Sinks& sinks)
     : queue_(queue),
       params_(params),
+      tracer_(sinks.tracer),
+      metrics_(sinks.metrics),
+      eventlog_(sinks.eventlog),
+      profiler_(sinks.profiler),
       ns_per_byte_(8.0 / params.link_gbit_per_s),
       loss_rng_(params.loss_seed),
       // Dedicated stream: chaos draws must not advance the base loss model's
       // sequence (same seed with chaos off stays byte-identical).
-      chaos_rng_(params.loss_seed ^ 0x9e3779b97f4a7c15ULL) {}
+      chaos_rng_(params.loss_seed ^ 0x9e3779b97f4a7c15ULL) {
+  if (profiler_ != nullptr) {
+    // Coverage reference: every host's NIC busy time (tx+rx).
+    profiler_->AddBusyProvider([this](std::map<uint32_t, uint64_t>* out) {
+      for (const auto& [addr, host] : hosts_) {
+        (*out)[addr] += static_cast<uint64_t>(host.tx.total_busy_time()) +
+                        static_cast<uint64_t>(host.rx.total_busy_time());
+      }
+    });
+  }
+}
 
 void Network::SetLinkShape(NetAddr src, NetAddr dst, const LinkShape& shape) {
   link_shapes_[LinkKey(src, dst)] = shape;
@@ -74,40 +87,17 @@ const char* Network::ApplyChaosShaping(NetAddr src, NetAddr dst, SimTime* extra)
 
 void Network::Attach(NetAddr addr, Handler handler) {
   SLICE_CHECK(!hosts_.contains(addr));
-  hosts_[addr].handler = std::move(handler);
-  RegisterHostMetrics(addr);
-  RegisterHostProfiler(addr);
+  Host& host = hosts_[addr];
+  host.handler = std::move(handler);
+  host.prof_ledger = profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr;
+  RegisterHostMetrics(addr, host);
 }
 
-void Network::set_metrics(obs::Metrics* metrics) {
-  metrics_ = metrics;
+void Network::RegisterHostMetrics(NetAddr addr, Host& host) {
   if (metrics_ == nullptr || !metrics_->enabled()) {
-    return;
-  }
-  // Back-fill hosts attached before the metrics hub arrived, in address
-  // order (registry creation order is irrelevant to the sorted exports, but
-  // deterministic iteration costs nothing).
-  std::vector<NetAddr> addrs;
-  addrs.reserve(hosts_.size());
-  for (const auto& [addr, host] : hosts_) {
-    addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  for (const NetAddr addr : addrs) {
-    RegisterHostMetrics(addr);
-  }
-}
-
-void Network::RegisterHostMetrics(NetAddr addr) {
-  if (metrics_ == nullptr || !metrics_->enabled()) {
-    return;
-  }
-  auto it = hosts_.find(addr);
-  if (it == hosts_.end()) {
     return;
   }
   obs::MetricsRegistry& reg = metrics_->Registry(addr);
-  Host& host = it->second;
   host.m_pkts_tx = reg.GetCounter("net_pkts_tx");
   host.m_bytes_tx = reg.GetCounter("net_bytes_tx");
   host.m_pkts_rx = reg.GetCounter("net_pkts_rx");
@@ -137,33 +127,15 @@ void Network::RegisterHostMetrics(NetAddr addr) {
                          static_cast<int64_t>(queue_.now());
     return backlog > 0 ? backlog : 0;
   });
-}
-
-void Network::set_profiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  std::vector<NetAddr> addrs;
-  addrs.reserve(hosts_.size());
-  for (const auto& [addr, host] : hosts_) {
-    addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  for (const NetAddr addr : addrs) {
-    RegisterHostProfiler(addr);
-  }
-}
-
-void Network::RegisterHostProfiler(NetAddr addr) {
-  auto it = hosts_.find(addr);
-  if (it == hosts_.end()) {
-    return;
-  }
-  it->second.prof_ledger = profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr;
-}
-
-void Network::CollectNicBusy(std::map<uint32_t, uint64_t>* out) const {
-  for (const auto& [addr, host] : hosts_) {
-    (*out)[addr] += static_cast<uint64_t>(host.tx.total_busy_time()) +
-                    static_cast<uint64_t>(host.rx.total_busy_time());
+  if (uint64_t* ledger = host.prof_ledger) {
+    // The host's utilization ledger as provider-backed counters, so the
+    // scraper samples it into the same time series as every other
+    // instrument.
+    static constexpr const char* kNames[obs::kNumLedgerCats] = {
+        "profile_cpu_ns", "profile_queue_ns", "profile_disk_ns", "profile_wire_ns"};
+    for (size_t cat = 0; cat < obs::kNumLedgerCats; ++cat) {
+      reg.GetCounter(kNames[cat])->SetProvider([ledger, cat] { return ledger[cat]; });
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
@@ -80,7 +81,14 @@ class Network {
  public:
   using Handler = std::function<void(Packet&&)>;
 
-  Network(EventQueue& queue, NetworkParams params);
+  // Observability (`sinks`, all four pillars): packets carrying a trace
+  // trailer get per-hop wire/queue spans and drop markers; every dropped
+  // packet is logged with its trace id; each attached host gets NIC
+  // instruments (packet/byte counters on the hot path, busy-time and backlog
+  // providers) and, when profiling, a cached ledger pointer charged at the
+  // NIC serialization points (one branch + one add per charge) plus its
+  // ledger categories as metrics counters.
+  Network(EventQueue& queue, NetworkParams params, const obs::Sinks& sinks = {});
 
   // Attaches a host. `handler` receives packets addressed to `addr`.
   void Attach(NetAddr addr, Handler handler);
@@ -140,32 +148,6 @@ class Network {
   // Gray NIC: every packet to or from `addr` pays `delay` extra wire
   // latency (slow-but-alive NIC). delay == 0 clears.
   void SetHostExtraDelay(NetAddr addr, SimTime delay);
-
-  // Observability: when set, packets carrying a trace trailer get per-hop
-  // wire/queue spans and drop markers recorded (src/obs).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() { return tracer_; }
-
-  // Metrics plane: registers per-host NIC instruments (packet/byte counters
-  // on the hot path, busy-time and backlog providers polled at scrape time)
-  // for every currently attached host and every host attached afterwards.
-  void set_metrics(obs::Metrics* metrics);
-  obs::Metrics* metrics() { return metrics_; }
-
-  // Event log: every dropped packet (loss model or dead endpoint) is
-  // recorded with its trace id, so the flight recorder can explain lost
-  // requests.
-  void set_eventlog(obs::EventLog* log) { eventlog_ = log; }
-  obs::EventLog* eventlog() { return eventlog_; }
-
-  // Profiler: per-host wire/queue sim-time charges at the NIC serialization
-  // points. Each host caches its ledger pointer, so a steady-state charge is
-  // one branch + one add (no map lookup on the packet path).
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() { return profiler_; }
-  // Busy-provider support: adds every host's NIC busy time (tx+rx) into
-  // `out`, the independent reference the ledger coverage is checked against.
-  void CollectNicBusy(std::map<uint32_t, uint64_t>* out) const;
 
   EventQueue& queue() { return queue_; }
   uint64_t packets_sent() const { return packets_sent_; }
@@ -229,8 +211,7 @@ class Network {
   void PushFlight(Flight&& f);
 
   void Transmit(Packet&& pkt);
-  void RegisterHostMetrics(NetAddr addr);
-  void RegisterHostProfiler(NetAddr addr);
+  void RegisterHostMetrics(NetAddr addr, Host& host);
 
   static uint64_t LinkKey(NetAddr src, NetAddr dst) {
     return (static_cast<uint64_t>(src) << 32) | dst;

@@ -2,8 +2,9 @@
 
 namespace slice {
 
-NfsClient::NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientParams rpc_params)
-    : rpc_(host, queue, rpc_params), server_(server) {}
+NfsClient::NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientParams rpc_params,
+                     const obs::Sinks& sinks)
+    : rpc_(host, queue, rpc_params, sinks), server_(server) {}
 
 template <typename Res>
 void NfsClient::CallTyped(NfsProc proc, Bytes args, Callback<Res> cb) {

@@ -23,7 +23,9 @@ class NfsClient {
 
   // `server` is the (possibly virtual) NFS service endpoint. The mount-style
   // root file handle is obtained out of band via the volume configuration.
-  NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientParams rpc_params = {});
+  // `sinks` go to the underlying RpcClient.
+  NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientParams rpc_params = {},
+            const obs::Sinks& sinks = {});
 
   void Null(std::function<void(Status)> cb);
   void Getattr(const FileHandle& object, Callback<GetattrRes> cb);
@@ -53,7 +55,6 @@ class NfsClient {
 
   Endpoint server() const { return server_; }
   RpcClient& rpc() { return rpc_; }
-  void set_tracer(obs::Tracer* tracer) { rpc_.set_tracer(tracer); }
 
  private:
   template <typename Res>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
+
 namespace slice::obs {
 namespace {
 
@@ -16,15 +18,10 @@ void AppendMicros(std::string& out, SimTime ns) {
   out += static_cast<char>('0' + frac % 10);
 }
 
-void HashBytes(uint64_t& h, const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;  // FNV-1a prime
-  }
+// Incremental FNV-1a: folds the value's in-memory bytes into `h`.
+void HashU64(uint64_t& h, uint64_t v) {
+  h = Fnv1a64(ByteSpan(reinterpret_cast<const uint8_t*>(&v), sizeof(v)), h);
 }
-
-void HashU64(uint64_t& h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
 
 }  // namespace
 
@@ -91,7 +88,7 @@ std::string ExportChromeTrace(const std::vector<Span>& spans) {
 
 uint64_t TraceContentHash(const std::vector<Span>& spans) {
   const std::vector<Span> ordered = CanonicalOrder(spans);
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  uint64_t h = kFnvOffsetBasis;
   for (const Span& span : ordered) {
     HashU64(h, span.trace_id);
     HashU64(h, span.span_id);
@@ -102,7 +99,7 @@ uint64_t TraceContentHash(const std::vector<Span>& spans) {
     HashU64(h, static_cast<uint64_t>(span.cat));
     HashU64(h, (span.root ? 2u : 0u) | (span.instant ? 1u : 0u));
     const std::string_view name = span.name_view();
-    HashBytes(h, name.data(), name.size());
+    h = Fnv1a64(name, h);
     HashU64(h, name.size());
   }
   HashU64(h, ordered.size());

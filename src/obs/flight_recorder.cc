@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "src/common/hash.h"
 #include "src/obs/metrics_export.h"
 
 namespace slice::obs {
@@ -132,14 +133,7 @@ std::string ExportFlightJson(const EventLog& log, SimTime at, const char* reason
   return out;
 }
 
-uint64_t FlightContentHash(std::string_view canonical_json) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (unsigned char c : canonical_json) {
-    h ^= c;
-    h *= 0x100000001b3ull;  // FNV-1a prime
-  }
-  return h;
-}
+uint64_t FlightContentHash(std::string_view canonical_json) { return Fnv1a64(canonical_json); }
 
 bool WriteFlightDump(const std::string& path, std::string_view json) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -240,8 +240,8 @@ struct TenantInstruments {
 };
 
 // The per-ensemble metrics hub: one registry per host address, in address
-// order. Components receive a Metrics* via set_metrics() and register their
-// instruments/providers against their own host's registry.
+// order. Components receive it through obs::Sinks at construction and
+// register their instruments/providers against their own host's registry.
 class Metrics {
  public:
   explicit Metrics(MetricsParams params = {}) : params_(params) {}

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
+
 namespace slice::obs {
 namespace {
 
@@ -22,14 +24,6 @@ void AppendHistogramQuantiles(std::string& out, const LatencyStats& stats) {
   out += std::to_string(stats.Percentile(95));
   out += ",\"p99\":";
   out += std::to_string(stats.Percentile(99));
-}
-
-void HashBytes(uint64_t& h, const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;  // FNV-1a prime
-  }
 }
 
 }  // namespace
@@ -414,10 +408,6 @@ std::string ExportMetricsJson(const Metrics& metrics, const Scraper* scraper,
   return out;
 }
 
-uint64_t MetricsContentHash(std::string_view canonical_json) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  HashBytes(h, canonical_json.data(), canonical_json.size());
-  return h;
-}
+uint64_t MetricsContentHash(std::string_view canonical_json) { return Fnv1a64(canonical_json); }
 
 }  // namespace slice::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/obs/metrics_export.h"
 
 namespace slice::obs {
@@ -156,10 +157,7 @@ std::string Profiler::ExportProfileSimJson() const {
   // Union of charged hosts and busy-reference hosts, ordered by address: a
   // host the provider knows about but the ledger never charged must still
   // show up (with coverage 0), or the coverage bar could be gamed.
-  std::map<uint32_t, uint64_t> busy;
-  if (busy_provider_) {
-    busy_provider_(&busy);
-  }
+  const std::map<uint32_t, uint64_t> busy = CollectBusy();
   std::map<uint32_t, std::array<uint64_t, kNumLedgerCats>> hosts;
   for (const auto& [host, cats] : ledger_) {
     hosts[host] = cats;
@@ -340,13 +338,17 @@ std::string Profiler::ExportProfileFolded() const {
   return out;
 }
 
-uint64_t Profiler::MinCoverageBp() const {
+std::map<uint32_t, uint64_t> Profiler::CollectBusy() const {
   std::map<uint32_t, uint64_t> busy;
-  if (busy_provider_) {
-    busy_provider_(&busy);
+  for (const BusyProvider& provider : busy_providers_) {
+    provider(&busy);
   }
+  return busy;
+}
+
+uint64_t Profiler::MinCoverageBp() const {
   uint64_t min_bp = 10000;
-  for (const auto& [host, busy_ns] : busy) {
+  for (const auto& [host, busy_ns] : CollectBusy()) {
     if (busy_ns == 0) {
       continue;
     }
@@ -362,14 +364,6 @@ uint64_t Profiler::MinCoverageBp() const {
   return min_bp;
 }
 
-uint64_t Profiler::ProfileSimHash() const {
-  const std::string json = ExportProfileSimJson();
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (unsigned char c : json) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+uint64_t Profiler::ProfileSimHash() const { return Fnv1a64(ExportProfileSimJson()); }
 
 }  // namespace slice::obs

@@ -34,6 +34,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/sim/event_queue.h"
 
@@ -103,14 +104,18 @@ class Profiler {
   //
   // LedgerFor returns a stable pointer to the host's 4-slot nanosecond
   // ledger (created on first use; std::map nodes never move). Components
-  // cache it once in set_profiler, so a steady-state charge is one add.
+  // cache it once at construction, so a steady-state charge is one add.
   uint64_t* LedgerFor(uint32_t host);
 
-  // The coverage reference: fills per-host *independent* busy-time totals
-  // (BusyResource accounting), installed by the ensemble. Coverage =
-  // (cpu+disk+wire attributed) / busy must be >= 99% in profiled runs.
+  // The coverage reference: per-host *independent* busy-time totals
+  // (BusyResource accounting). Every component that owns busy resources
+  // (NICs, server and proxy CPUs, storage arms + channel) adds a provider at
+  // construction; each adds its hosts' busy nanoseconds into the map.
+  // Coverage = (cpu+disk+wire attributed) / busy must be >= 99% in profiled
+  // runs. Providers capture their component, so export only while every
+  // provider's owner is alive (the ensemble destroys the profiler last).
   using BusyProvider = std::function<void(std::map<uint32_t, uint64_t>*)>;
-  void SetBusyProvider(BusyProvider provider) { busy_provider_ = std::move(provider); }
+  void AddBusyProvider(BusyProvider provider) { busy_providers_.push_back(std::move(provider)); }
 
   // --- wall-clock scope engine -----------------------------------------
   //
@@ -260,6 +265,7 @@ class Profiler {
 
   void Calibrate();
   void AppendWallJson(std::string& out) const;
+  std::map<uint32_t, uint64_t> CollectBusy() const;
 
   Node nodes_[kMaxNodes];
   uint32_t node_count_ = 1;  // node 0 is the synthetic root
@@ -275,7 +281,7 @@ class Profiler {
   uint64_t ovh_nested_ticks_ = 0;
 
   std::map<uint32_t, std::array<uint64_t, kNumLedgerCats>> ledger_;
-  BusyProvider busy_provider_;
+  std::vector<BusyProvider> busy_providers_;
 };
 
 // Null-safe ledger charge: `ledger` is the pointer cached from LedgerFor

@@ -27,6 +27,7 @@
 
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -70,12 +71,13 @@ struct SloAlert {
 
 class SloEngine {
  public:
-  SloEngine(Metrics& metrics, SloParams params) : metrics_(metrics), params_(params) {}
+  // Of `sinks` the engine uses the event log, which receives every
+  // slo_burn / slo_ok edge.
+  SloEngine(Metrics& metrics, SloParams params, const Sinks& sinks = {})
+      : metrics_(metrics), params_(params), eventlog_(sinks.eventlog) {}
 
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
-
-  void set_eventlog(EventLog* log) { eventlog_ = log; }
   const SloParams& params() const { return params_; }
 
   // Scrape-hook entry point: snapshot every tenant's cumulative (ops, bad)

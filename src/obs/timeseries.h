@@ -18,6 +18,7 @@
 
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -60,7 +61,11 @@ class TimeSeries {
 
 class Scraper {
  public:
-  Scraper(EventQueue& queue, Metrics& metrics) : queue_(queue), metrics_(metrics) {}
+  // Of `sinks` the scraper uses the event log: every Alert edge is mirrored
+  // into it (kAlertRaise / kAlertClear with the rule name and triggering
+  // value), so dumps and alerts can never disagree.
+  Scraper(EventQueue& queue, Metrics& metrics, const Sinks& sinks = {})
+      : queue_(queue), metrics_(metrics), eventlog_(sinks.eventlog) {}
   ~Scraper() { *alive_ = false; }
 
   Scraper(const Scraper&) = delete;
@@ -69,10 +74,6 @@ class Scraper {
   void AddRule(WatchdogRule rule) { rules_.push_back(std::move(rule)); }
   const std::vector<WatchdogRule>& rules() const { return rules_; }
 
-  // Every Alert edge is mirrored into the event log (kAlertRaise /
-  // kAlertClear with the rule name and triggering value), so dumps and
-  // alerts can never disagree.
-  void set_eventlog(EventLog* log) { eventlog_ = log; }
   // Called on every Alert edge after it is recorded; the ensemble uses this
   // to cut a flight-recorder dump the moment a watchdog fires.
   void SetAlertHook(std::function<void(const Alert&)> hook) { alert_hook_ = std::move(hook); }

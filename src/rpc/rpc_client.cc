@@ -6,8 +6,10 @@
 
 namespace slice {
 
-RpcClient::RpcClient(Host& host, EventQueue& queue, RpcClientParams params)
-    : host_(host), queue_(queue), params_(params) {
+RpcClient::RpcClient(Host& host, EventQueue& queue, RpcClientParams params,
+                     const obs::Sinks& sinks)
+    : host_(host), queue_(queue), params_(params), tracer_(sinks.tracer),
+      eventlog_(sinks.eventlog) {
   port_ = host_.Bind(0, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
 }
 

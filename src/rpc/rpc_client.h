@@ -12,6 +12,7 @@
 
 #include "src/net/host.h"
 #include "src/obs/eventlog.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_message.h"
 #include "src/sim/event_queue.h"
@@ -35,7 +36,14 @@ class RpcClient {
   // kTimedOut / kUnavailable on failure.
   using ResponseHandler = std::function<void(Status, const RpcMessageView&)>;
 
-  RpcClient(Host& host, EventQueue& queue, RpcClientParams params = {});
+  // Observability (`sinks`: the tracer and the event log). Calls issued
+  // while the tracer has a current context carry that context on every
+  // (re)transmission, and response handlers run with it restored — so nested
+  // calls chain into the same trace. Retransmissions and give-ups are logged
+  // with the call's trace id so a timed-out request explains itself in the
+  // flight dump.
+  RpcClient(Host& host, EventQueue& queue, RpcClientParams params = {},
+            const obs::Sinks& sinks = {});
   ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
@@ -48,15 +56,6 @@ class RpcClient {
   uint64_t calls_sent() const { return calls_sent_; }
   uint64_t retransmissions() const { return retransmissions_; }
   size_t pending() const { return pending_.size(); }
-
-  // Observability: calls issued while the tracer has a current context carry
-  // that context on every (re)transmission, and response handlers run with
-  // it restored — so nested calls chain into the same trace.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  // Event log: retransmissions and give-ups are recorded with the call's
-  // trace id so a timed-out request explains itself in the flight dump.
-  void set_eventlog(obs::EventLog* log) { eventlog_ = log; }
 
   // Tenant tag: stamped into the AUTH_SYS uid of every subsequent call, so
   // the µproxy and servers can attribute the request end-to-end. 0 (the

@@ -8,20 +8,22 @@
 namespace slice {
 
 RpcServerNode::RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                             RpcServerParams params)
+                             RpcServerParams params, const obs::Sinks& sinks)
     : net_(net), queue_(queue), host_(std::make_unique<Host>(net, addr)), port_(port),
-      params_(params), drc_(params_.duplicate_cache_entries) {
+      params_(params), tracer_(sinks.tracer), metrics_(sinks.metrics),
+      eventlog_(sinks.eventlog), profiler_(sinks.profiler),
+      prof_ledger_(profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr),
+      drc_(params_.duplicate_cache_entries) {
   host_->Bind(port_, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
-}
-
-RpcServerNode::~RpcServerNode() = default;
-
-void RpcServerNode::set_metrics(obs::Metrics* metrics) {
-  metrics_ = metrics;
+  if (profiler_ != nullptr) {
+    profiler_->AddBusyProvider([this, addr](std::map<uint32_t, uint64_t>* out) {
+      (*out)[addr] += static_cast<uint64_t>(cpu_.total_busy_time());
+    });
+  }
   if (metrics_ == nullptr || !metrics_->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics_->Registry(addr());
+  obs::MetricsRegistry& reg = metrics_->Registry(addr);
   reg.GetCounter("srv_requests")->SetProvider([this]() { return requests_served_; });
   reg.GetCounter("srv_drc_replays")->SetProvider([this]() { return duplicates_answered_; });
   reg.GetCounter("srv_cpu_busy_ns")->SetProvider([this]() {
@@ -45,6 +47,8 @@ void RpcServerNode::set_metrics(obs::Metrics* metrics) {
     }
   }
 }
+
+RpcServerNode::~RpcServerNode() = default;
 
 void RpcServerNode::Fail() {
   failed_ = true;

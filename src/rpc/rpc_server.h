@@ -23,6 +23,7 @@
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/obs/sinks.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_message.h"
 #include "src/sim/event_queue.h"
@@ -143,8 +144,15 @@ class DuplicateRequestCache {
 
 class RpcServerNode {
  public:
+  // Observability (`sinks`, all four pillars): requests carrying a trace
+  // trailer get queue/CPU/service spans and their replies carry the context
+  // back; node kill/recover and DRC replays are logged; the node registers
+  // its provider-backed request/DRC/CPU instruments (nothing on the request
+  // hot path); and the profiler gets the rpc.dispatch wall scope around
+  // every served call plus cpu/queue ledger charges at the CPU acquire
+  // point. Subclasses register their own instruments in their constructors.
   RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                RpcServerParams params = {});
+                RpcServerParams params = {}, const obs::Sinks& sinks = {});
   virtual ~RpcServerNode();
 
   RpcServerNode(const RpcServerNode&) = delete;
@@ -166,32 +174,6 @@ class RpcServerNode {
   uint64_t requests_served() const { return requests_served_; }
   uint64_t duplicates_answered() const { return duplicates_answered_; }
   const BusyResource& cpu() const { return cpu_; }
-
-  // Observability: requests carrying a trace trailer get queue/CPU/service
-  // spans, and their replies carry the context back. Virtual so servers with
-  // internal clients (small-file server, WAL-backed managers) can forward
-  // the tracer to them; overrides must call the base.
-  virtual void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  // Metrics plane: registers this node's request/DRC/CPU instruments against
-  // its host registry, all provider-backed (nothing added to the request hot
-  // path). Virtual so subclasses can register their own instruments on top;
-  // overrides must call the base.
-  virtual void set_metrics(obs::Metrics* metrics);
-
-  // Event log: node kill/recover and DRC duplicate replays are recorded so
-  // crash-driven failovers have a causal trail. Subclasses may override to
-  // wire nested components (e.g. the dir WAL).
-  virtual void set_eventlog(obs::EventLog* log) { eventlog_ = log; }
-
-  // Profiler: the rpc.dispatch wall scope around every served call plus
-  // cpu/queue sim-time charges at the CPU acquire point. Virtual so
-  // subclasses with nested scopes (storage cache/disk, dir name ops) can
-  // hook the same call; overrides must call the base.
-  virtual void set_profiler(obs::Profiler* profiler) {
-    profiler_ = profiler;
-    prof_ledger_ = profiler != nullptr ? profiler->LedgerFor(addr()) : nullptr;
-  }
 
  protected:
   obs::Tracer* tracer() const { return tracer_; }
@@ -267,7 +249,7 @@ class RpcServerNode {
   uint64_t requests_served_ = 0;
   uint64_t duplicates_answered_ = 0;
   // Per-tenant request counts (index j = tenant j+1, from the AUTH_SYS uid).
-  // Sized once by set_metrics when the hub has tenants configured; empty
+  // Sized once at construction when the hub has tenants configured; empty
   // otherwise, so the untenanted hot path pays one empty() check.
   std::vector<uint64_t> tenant_requests_;
 

@@ -25,8 +25,8 @@ uint64_t MapSlotFor(uint64_t fileid) {
 
 SmallFileServer::SmallFileServer(Network& net, EventQueue& queue, NetAddr addr,
                                  SmallFileServerParams params,
-                                 std::vector<Endpoint> storage_nodes)
-    : RpcServerNode(net, queue, addr, kNfsPort),
+                                 std::vector<Endpoint> storage_nodes, const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
       params_(params),
       storage_nodes_(std::move(storage_nodes)),
       zone_handle_(FileHandle::Make(1, (0xfeull << 48) | params.server_index, 1,
@@ -34,7 +34,8 @@ SmallFileServer::SmallFileServer(Network& net, EventQueue& queue, NetAddr addr,
       cache_(params.cache_bytes) {
   SLICE_CHECK(!storage_nodes_.empty());
   for (const Endpoint& node : storage_nodes_) {
-    node_clients_.push_back(std::make_unique<NfsClient>(host(), queue, node));
+    node_clients_.push_back(
+        std::make_unique<NfsClient>(host(), queue, node, RpcClientParams{}, sinks.TracerOnly()));
   }
   cache_.SetEvictionHook([this](PhysBlock block) {
     if (!dirty_.contains(block)) {
@@ -43,7 +44,21 @@ SmallFileServer::SmallFileServer(Network& net, EventQueue& queue, NetAddr addr,
   });
   if (params_.backing_node.addr != 0) {
     wal_ = std::make_unique<WriteAheadLog>(host(), queue, params_.backing_node,
-                                           params_.backing_object);
+                                           params_.backing_object, WalParams{}, sinks);
+  }
+  if (sinks.metrics == nullptr || !sinks.metrics->enabled()) {
+    return;
+  }
+  obs::MetricsRegistry& reg = sinks.metrics->Registry(addr);
+  reg.GetCounter("sfs_backing_fetches")->SetProvider([this]() { return backing_fetches_; });
+  reg.GetCounter("sfs_backing_flushes")->SetProvider([this]() { return backing_flushes_; });
+  reg.GetCounter("sfs_cache_hits")->SetProvider([this]() { return cache_.hits(); });
+  reg.GetCounter("sfs_cache_misses")->SetProvider([this]() { return cache_.misses(); });
+  reg.GetGauge("sfs_files")->SetProvider([this]() { return static_cast<int64_t>(maps_.size()); });
+  if (wal_) {
+    reg.GetCounter("sfs_wal_bytes")->SetProvider([this]() { return wal_->bytes_logged(); });
+    reg.GetCounter("sfs_wal_records")->SetProvider([this]() { return wal_->records_logged(); });
+    reg.GetCounter("sfs_wal_flushes")->SetProvider([this]() { return wal_->flushes(); });
   }
 }
 

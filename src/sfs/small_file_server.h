@@ -43,8 +43,11 @@ class SmallFileServer : public RpcServerNode {
  public:
   // `storage_nodes` back the data zones; the backing object is striped over
   // them by 8KB block index.
+  // Beyond the base server's observability (`sinks`), registers file-cache,
+  // backing-store traffic and WAL instruments; backing fetches/flushes and
+  // WAL appends ride the requesting trace (tracer only).
   SmallFileServer(Network& net, EventQueue& queue, NetAddr addr, SmallFileServerParams params,
-                  std::vector<Endpoint> storage_nodes);
+                  std::vector<Endpoint> storage_nodes, const obs::Sinks& sinks = {});
   ~SmallFileServer() override { *alive_ = false; }
 
   size_t file_count() const { return maps_.size(); }
@@ -59,39 +62,6 @@ class SmallFileServer : public RpcServerNode {
     FlushDirty([] {});
     if (wal_) {
       wal_->Flush();
-    }
-  }
-
-  // Backing fetches/flushes and WAL appends ride the requesting trace.
-  void set_tracer(obs::Tracer* tracer) override {
-    RpcServerNode::set_tracer(tracer);
-    for (auto& client : node_clients_) {
-      client->set_tracer(tracer);
-    }
-    if (wal_) {
-      wal_->set_tracer(tracer);
-    }
-  }
-
-  // Adds file-cache, backing-store traffic, and WAL instruments on top of
-  // the base server metrics.
-  void set_metrics(obs::Metrics* metrics) override {
-    RpcServerNode::set_metrics(metrics);
-    if (metrics == nullptr || !metrics->enabled()) {
-      return;
-    }
-    obs::MetricsRegistry& reg = metrics->Registry(addr());
-    reg.GetCounter("sfs_backing_fetches")->SetProvider([this]() { return backing_fetches_; });
-    reg.GetCounter("sfs_backing_flushes")->SetProvider([this]() { return backing_flushes_; });
-    reg.GetCounter("sfs_cache_hits")->SetProvider([this]() { return cache_.hits(); });
-    reg.GetCounter("sfs_cache_misses")->SetProvider([this]() { return cache_.misses(); });
-    reg.GetGauge("sfs_files")->SetProvider(
-        [this]() { return static_cast<int64_t>(maps_.size()); });
-    if (wal_) {
-      reg.GetCounter("sfs_wal_bytes")->SetProvider([this]() { return wal_->bytes_logged(); });
-      reg.GetCounter("sfs_wal_records")->SetProvider(
-          [this]() { return wal_->records_logged(); });
-      reg.GetCounter("sfs_wal_flushes")->SetProvider([this]() { return wal_->flushes(); });
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/hash.h"
+#include "src/obs/sinks.h"
 
 namespace slice {
 namespace {
@@ -56,17 +57,20 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     metrics_ = std::make_unique<obs::Metrics>(config_.metrics);
     if (config_.num_tenants > 0) {
       // Before any component registers: servers and µproxies size their
-      // tenant-indexed state off num_tenants() in set_metrics.
+      // tenant-indexed state off num_tenants() at construction.
       metrics_->ConfigureTenants(config_.num_tenants, config_.slo.latency_threshold);
     }
-    scraper_ = std::make_unique<obs::Scraper>(queue_, *metrics_);
+  }
+  // The one wiring path: every component below takes this handle at
+  // construction and keeps the pillars it uses.
+  const obs::Sinks sinks{tracer_.get(), metrics_.get(), eventlog_.get(), profiler_.get()};
+  if (metrics_) {
+    scraper_ = std::make_unique<obs::Scraper>(queue_, *metrics_, sinks);
     for (obs::WatchdogRule& rule : obs::DefaultWatchdogRules(config_.metrics.scrape_interval)) {
       scraper_->AddRule(std::move(rule));
     }
-    scraper_->set_eventlog(eventlog_.get());
     if (config_.num_tenants > 0 && config_.slo.enabled) {
-      slo_engine_ = std::make_unique<obs::SloEngine>(*metrics_, config_.slo);
-      slo_engine_->set_eventlog(eventlog_.get());
+      slo_engine_ = std::make_unique<obs::SloEngine>(*metrics_, config_.slo, sinks);
       scraper_->SetScrapeHook(
           [engine = slo_engine_.get()](SimTime now) { engine->OnScrape(now); });
     }
@@ -91,11 +95,7 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     // touching the workload seed. Chaos-off ensembles are bit-unchanged.
     net_params.loss_seed ^= MixU64(config_.chaos.seed);
   }
-  network_ = std::make_unique<Network>(queue_, net_params);
-  network_->set_tracer(tracer_.get());
-  network_->set_metrics(metrics_.get());
-  network_->set_eventlog(eventlog_.get());
-  network_->set_profiler(profiler_.get());
+  network_ = std::make_unique<Network>(queue_, net_params, sinks);
 
   // --- storage nodes ---
   std::vector<Endpoint> storage_endpoints;
@@ -111,7 +111,8 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     params.volume_secret = config_.volume_secret;
     params.extra_meta_ios = config_.storage_extra_meta_ios;
     storage_nodes_.push_back(std::make_unique<StorageNode>(
-        *network_, queue_, kStorageBase + static_cast<NetAddr>(i), params, /*seed=*/i + 1));
+        *network_, queue_, kStorageBase + static_cast<NetAddr>(i), params, /*seed=*/i + 1,
+        sinks));
     storage_endpoints.push_back(storage_nodes_.back()->endpoint());
   }
 
@@ -129,7 +130,7 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     params.backing_object =
         BackingObject(0xfd, static_cast<uint32_t>(i), 1, config_.volume_secret);
     small_file_servers_.push_back(std::make_unique<SmallFileServer>(
-        *network_, queue_, kSfsBase + static_cast<NetAddr>(i), params, storage_endpoints));
+        *network_, queue_, kSfsBase + static_cast<NetAddr>(i), params, storage_endpoints, sinks));
     sfs_endpoints.push_back(small_file_servers_.back()->endpoint());
   }
 
@@ -144,7 +145,7 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
         BackingObject(0xfc, static_cast<uint32_t>(i), 1, config_.volume_secret);
     coordinators_.push_back(std::make_unique<Coordinator>(
         *network_, queue_, kCoordBase + static_cast<NetAddr>(i), params, storage_endpoints,
-        sfs_endpoints));
+        sfs_endpoints, sinks));
     coord_endpoints.push_back(coordinators_.back()->endpoint());
   }
 
@@ -168,7 +169,7 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
           BackingObject(0xff, static_cast<uint32_t>(i), 1, config_.volume_secret);
     }
     dir_servers_.push_back(std::make_unique<DirServer>(
-        *network_, queue_, kDirBase + static_cast<NetAddr>(i), params));
+        *network_, queue_, kDirBase + static_cast<NetAddr>(i), params, sinks));
     dir_endpoints.push_back(dir_servers_.back()->endpoint());
     dir_peers.push_back(dir_servers_.back().get());
   }
@@ -185,8 +186,10 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     view.storage_nodes = storage_endpoints;
     view.coordinators = coord_endpoints;
     view.logical_slots = kDefaultLogicalSlots;
+    // The manager mints failure-episode traces (hb_miss / node_dead /
+    // node_rejoin instants) so eventlog records resolve in the trace export.
     manager_ = std::make_unique<EnsembleManager>(*network_, queue_, kMgmtAddr,
-                                                 std::move(view), config_.mgmt);
+                                                 std::move(view), config_.mgmt, sinks);
     manager_->SetReconfigureHook(
         [this](const MgmtTableSet& tables, const std::vector<uint64_t>& died,
                const std::vector<uint64_t>& revived) { OnReconfigure(tables, died, revived); });
@@ -208,7 +211,7 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
       hb.index = index;
       hb.manager = manager_->endpoint();
       hb.interval = config_.mgmt.heartbeat_interval;
-      heartbeat_agents_.push_back(std::make_unique<HeartbeatAgent>(host, queue_, hb));
+      heartbeat_agents_.push_back(std::make_unique<HeartbeatAgent>(host, queue_, hb, sinks));
     };
     for (size_t i = 0; i < storage_nodes_.size(); ++i) {
       add_agent(storage_nodes_[i]->host(), NodeClass::kStorage, static_cast<uint32_t>(i));
@@ -257,163 +260,16 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
       up.own_rpc_params.max_transmissions = 3;
     }
     uproxies_.push_back(
-        std::make_unique<Uproxy>(*network_, queue_, *client_hosts_.back(), up));
+        std::make_unique<Uproxy>(*network_, queue_, *client_hosts_.back(), up, sinks));
     if (manager_) {
       manager_->Subscribe(Endpoint{client_hosts_.back()->addr(), kMgmtClientPort});
     }
   }
 
-  if (tracer_) {
-    for (auto& node : storage_nodes_) {
-      node->set_tracer(tracer_.get());
-    }
-    for (auto& server : small_file_servers_) {
-      server->set_tracer(tracer_.get());
-    }
-    for (auto& coord : coordinators_) {
-      coord->set_tracer(tracer_.get());
-    }
-    for (auto& server : dir_servers_) {
-      server->set_tracer(tracer_.get());
-    }
-    if (manager_) {
-      // The manager mints failure-episode traces (hb_miss / node_dead /
-      // node_rejoin instants) so eventlog records resolve in the trace
-      // export.
-      manager_->set_tracer(tracer_.get());
-    }
-    for (auto& proxy : uproxies_) {
-      proxy->set_tracer(tracer_.get());
-    }
-  }
-
-  if (eventlog_) {
-    for (auto& node : storage_nodes_) {
-      node->set_eventlog(eventlog_.get());
-    }
-    for (auto& server : small_file_servers_) {
-      server->set_eventlog(eventlog_.get());
-    }
-    for (auto& coord : coordinators_) {
-      coord->set_eventlog(eventlog_.get());
-    }
-    for (auto& server : dir_servers_) {
-      server->set_eventlog(eventlog_.get());
-    }
-    if (manager_) {
-      manager_->set_eventlog(eventlog_.get());
-    }
-    for (auto& proxy : uproxies_) {
-      proxy->set_eventlog(eventlog_.get());
-    }
-  }
-
-  if (metrics_) {
-    for (auto& node : storage_nodes_) {
-      node->set_metrics(metrics_.get());
-    }
-    for (auto& server : small_file_servers_) {
-      server->set_metrics(metrics_.get());
-    }
-    for (auto& coord : coordinators_) {
-      coord->set_metrics(metrics_.get());
-    }
-    for (auto& server : dir_servers_) {
-      server->set_metrics(metrics_.get());
-    }
-    if (manager_) {
-      manager_->set_metrics(metrics_.get());
-    }
-    for (auto& agent : heartbeat_agents_) {
-      agent->RegisterMetrics(metrics_.get());
-    }
-    for (auto& proxy : uproxies_) {
-      proxy->set_metrics(metrics_.get());
-    }
+  if (scraper_) {
+    // Armed after every component's own timers, which keeps the order of
+    // same-instant events (a scrape and a heartbeat, say) fixed.
     scraper_->Start();
-  }
-
-  if (profiler_) {
-    for (auto& node : storage_nodes_) {
-      node->set_profiler(profiler_.get());
-    }
-    for (auto& server : small_file_servers_) {
-      server->set_profiler(profiler_.get());
-    }
-    for (auto& coord : coordinators_) {
-      coord->set_profiler(profiler_.get());
-    }
-    for (auto& server : dir_servers_) {
-      server->set_profiler(profiler_.get());
-    }
-    if (manager_) {
-      manager_->set_profiler(profiler_.get());
-    }
-    for (auto& proxy : uproxies_) {
-      proxy->set_profiler(profiler_.get());
-    }
-
-    // Coverage reference: per-host *independent* busy-time totals from the
-    // BusyResource accounting — NIC tx+rx on every host, server/proxy CPU,
-    // and the storage arms + channel. The ledger must attribute >= 99% of
-    // this in profiled runs.
-    profiler_->SetBusyProvider([this](std::map<uint32_t, uint64_t>* out) {
-      network_->CollectNicBusy(out);
-      for (const auto& node : storage_nodes_) {
-        (*out)[node->addr()] += static_cast<uint64_t>(node->cpu().total_busy_time()) +
-                                static_cast<uint64_t>(node->disks().TotalBusy()) +
-                                static_cast<uint64_t>(node->disks().channel().total_busy_time());
-      }
-      for (const auto& server : small_file_servers_) {
-        (*out)[server->addr()] += static_cast<uint64_t>(server->cpu().total_busy_time());
-      }
-      for (const auto& coord : coordinators_) {
-        (*out)[coord->addr()] += static_cast<uint64_t>(coord->cpu().total_busy_time());
-      }
-      for (const auto& server : dir_servers_) {
-        (*out)[server->addr()] += static_cast<uint64_t>(server->cpu().total_busy_time());
-      }
-      if (manager_) {
-        (*out)[manager_->addr()] += static_cast<uint64_t>(manager_->cpu().total_busy_time());
-      }
-      for (size_t i = 0; i < uproxies_.size(); ++i) {
-        (*out)[client_hosts_[i]->addr()] +=
-            static_cast<uint64_t>(uproxies_[i]->cpu().total_busy_time());
-      }
-    });
-
-    if (metrics_) {
-      // Ledger categories as provider-backed counters in every host's
-      // registry, so the scraper samples utilization attribution into the
-      // same time-series rings as every other instrument.
-      auto add_ledger_counters = [this](uint32_t addr) {
-        uint64_t* ledger = profiler_->LedgerFor(addr);
-        obs::MetricsRegistry& reg = metrics_->Registry(addr);
-        static constexpr const char* kNames[obs::kNumLedgerCats] = {
-            "profile_cpu_ns", "profile_queue_ns", "profile_disk_ns", "profile_wire_ns"};
-        for (size_t cat = 0; cat < obs::kNumLedgerCats; ++cat) {
-          reg.GetCounter(kNames[cat])->SetProvider([ledger, cat] { return ledger[cat]; });
-        }
-      };
-      for (const auto& node : storage_nodes_) {
-        add_ledger_counters(node->addr());
-      }
-      for (const auto& server : small_file_servers_) {
-        add_ledger_counters(server->addr());
-      }
-      for (const auto& coord : coordinators_) {
-        add_ledger_counters(coord->addr());
-      }
-      for (const auto& server : dir_servers_) {
-        add_ledger_counters(server->addr());
-      }
-      if (manager_) {
-        add_ledger_counters(manager_->addr());
-      }
-      for (const auto& host : client_hosts_) {
-        add_ledger_counters(host->addr());
-      }
-    }
   }
 
   // --- chaos engine (src/chaos) ---

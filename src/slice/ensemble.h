@@ -241,7 +241,7 @@ class Ensemble {
   // a still-live log, so the log outlives everything below.
   std::unique_ptr<obs::EventLog> eventlog_;
   // Before network_/components: they cache raw ledger pointers from
-  // LedgerFor in set_profiler, so the profiler must be destroyed last.
+  // LedgerFor at construction, so the profiler must be destroyed last.
   std::unique_ptr<obs::Profiler> profiler_;
   // Hub before network_/components: providers registered by components are
   // destroyed with their registries only after every pollster is gone. The

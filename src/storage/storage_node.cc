@@ -17,8 +17,8 @@ ObjectId ObjectIdFor(const FileHandle& fh) {
 }  // namespace
 
 StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
-                         StorageNodeParams params, uint64_t seed)
-    : RpcServerNode(net, queue, addr, kNfsPort),
+                         StorageNodeParams params, uint64_t seed, const obs::Sinks& sinks)
+    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
       params_(params),
       store_(params.capacity_bytes),
       cache_(params.cache_bytes),
@@ -31,14 +31,16 @@ StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
   // stamp. Tying the lifetime to eviction also bounds the table by the cache
   // size (this replaces an episodic size-triggered clear).
   cache_.SetEvictionHook([this](PhysBlock block) { pending_ready_.Erase(block); });
-}
-
-void StorageNode::set_metrics(obs::Metrics* metrics) {
-  RpcServerNode::set_metrics(metrics);
-  if (metrics == nullptr || !metrics->enabled()) {
+  if (sinks.profiler != nullptr) {
+    sinks.profiler->AddBusyProvider([this, addr](std::map<uint32_t, uint64_t>* out) {
+      (*out)[addr] += static_cast<uint64_t>(disks_.TotalBusy()) +
+                      static_cast<uint64_t>(disks_.channel().total_busy_time());
+    });
+  }
+  if (sinks.metrics == nullptr || !sinks.metrics->enabled()) {
     return;
   }
-  obs::MetricsRegistry& reg = metrics->Registry(addr());
+  obs::MetricsRegistry& reg = sinks.metrics->Registry(addr);
   reg.GetCounter("storage_disk_ios")->SetProvider([this]() { return disks_.TotalIos(); });
   reg.GetCounter("storage_disk_busy_ns")->SetProvider([this]() {
     return static_cast<uint64_t>(disks_.TotalBusy());

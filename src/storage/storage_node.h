@@ -46,8 +46,11 @@ struct StorageNodeParams {
 
 class StorageNode : public RpcServerNode {
  public:
+  // Beyond the base server's observability (`sinks`), registers disk-array
+  // and block-cache instruments (all provider-backed) and adds the arms +
+  // channel busy time to the profiler's coverage reference.
   StorageNode(Network& net, EventQueue& queue, NetAddr addr, StorageNodeParams params,
-              uint64_t seed = 1);
+              uint64_t seed = 1, const obs::Sinks& sinks = {});
 
   const ObjectStore& store() const { return store_; }
   ObjectStore& mutable_store() { return store_; }
@@ -60,10 +63,6 @@ class StorageNode : public RpcServerNode {
   void SetDiskLatencyMultiplier(double multiplier) { disks_.SetLatencyMultiplier(multiplier); }
   uint64_t write_verifier() const { return write_verifier_; }
   uint64_t prefetches_issued() const { return prefetches_issued_; }
-
-  // Adds disk-array and block-cache instruments on top of the base server
-  // metrics (all provider-backed).
-  void set_metrics(obs::Metrics* metrics) override;
 
  protected:
   RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,

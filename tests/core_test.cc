@@ -91,12 +91,18 @@ Bytes EncodeCall(NfsProc proc, const std::function<void(XdrEncoder&)>& args) {
   return call.Encode();
 }
 
+// Decodes `wire` into a view, failing the test on a decode error.
+DecodedView DecodeView(const Bytes& wire) {
+  DecodedView view;
+  EXPECT_TRUE(DecodeNfsRequestView(wire, &view).ok());
+  return view;
+}
+
 TEST(RequestDecodeTest, ReadFields) {
   const Bytes wire = EncodeCall(NfsProc::kRead, [](XdrEncoder& enc) {
     ReadArgs{RegFh(7), 65536, 32768}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  const DecodedView req = DecodeView(wire);
   EXPECT_EQ(req.proc, NfsProc::kRead);
   EXPECT_EQ(req.fh.fileid(), 7u);
   EXPECT_EQ(req.offset, 65536u);
@@ -114,8 +120,7 @@ TEST(RequestDecodeTest, WriteCarriesStability) {
     args.data = {1, 2, 3};
     args.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  const DecodedView req = DecodeView(wire);
   EXPECT_EQ(req.stable, StableHow::kFileSync);
   EXPECT_EQ(req.count, 3u);
 }
@@ -124,9 +129,8 @@ TEST(RequestDecodeTest, LookupName) {
   const Bytes wire = EncodeCall(NfsProc::kLookup, [](XdrEncoder& enc) {
     DirOpArgs{DirFh(1), "target"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
-  EXPECT_EQ(req.name, "target");
+  const DecodedView req = DecodeView(wire);
+  EXPECT_EQ(req.name(wire), "target");
   EXPECT_TRUE(req.fh.IsDir());
 }
 
@@ -134,10 +138,9 @@ TEST(RequestDecodeTest, RenameBothPairs) {
   const Bytes wire = EncodeCall(NfsProc::kRename, [](XdrEncoder& enc) {
     RenameArgs{DirFh(1), "a", DirFh(2), "b"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
-  EXPECT_EQ(req.name, "a");
-  EXPECT_EQ(req.name2, "b");
+  const DecodedView req = DecodeView(wire);
+  EXPECT_EQ(req.name(wire), "a");
+  EXPECT_EQ(req.name2(wire), "b");
   EXPECT_EQ(req.fh2.fileid(), 2u);
 }
 
@@ -145,11 +148,10 @@ TEST(RequestDecodeTest, LinkRoutesByDirEntry) {
   const Bytes wire = EncodeCall(NfsProc::kLink, [](XdrEncoder& enc) {
     LinkArgs{RegFh(9), DirFh(1), "alias"}.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  const DecodedView req = DecodeView(wire);
   EXPECT_EQ(req.fh.fileid(), 1u);   // the directory
   EXPECT_EQ(req.fh2.fileid(), 9u);  // the file
-  EXPECT_EQ(req.name, "alias");
+  EXPECT_EQ(req.name(wire), "alias");
 }
 
 TEST(RequestDecodeTest, SetattrSizeExtraction) {
@@ -159,8 +161,7 @@ TEST(RequestDecodeTest, SetattrSizeExtraction) {
     args.new_attributes.size = 777;
     args.Encode(enc);
   });
-  DecodedRequest req;
-  ASSERT_TRUE(DecodeNfsRequest(wire, &req).ok());
+  const DecodedView req = DecodeView(wire);
   EXPECT_EQ(req.offset, 777u);
   EXPECT_EQ(req.count, 1u);
 }
@@ -168,8 +169,8 @@ TEST(RequestDecodeTest, SetattrSizeExtraction) {
 TEST(RequestDecodeTest, NonNfsRejected) {
   RpcCall call;
   call.prog = 200001;  // not NFS
-  DecodedRequest req;
-  EXPECT_FALSE(DecodeNfsRequest(call.Encode(), &req).ok());
+  DecodedView req;
+  EXPECT_FALSE(DecodeNfsRequestView(call.Encode(), &req).ok());
 }
 
 TEST(RequestDecodeTest, ReplyPeek) {
@@ -258,8 +259,15 @@ class RouteSelectionTest : public ::testing::Test {
     ensemble_ = std::make_unique<Ensemble>(queue_, config);
   }
 
-  Uproxy::RouteDecision Route(const DecodedRequest& req) {
-    return ensemble_->uproxy(0).SelectRoute(req);
+  // Routes one encoded call the way the µproxy does: single-pass view
+  // decode, then route selection over the view and its payload.
+  Uproxy::RouteDecision Route(const Bytes& wire) {
+    return ensemble_->uproxy(0).SelectRoute(DecodeView(wire), wire);
+  }
+
+  static Bytes Read(const FileHandle& fh, uint64_t offset) {
+    return EncodeCall(NfsProc::kRead,
+                      [&](XdrEncoder& enc) { ReadArgs{fh, offset, 8192}.Encode(enc); });
   }
 
   EventQueue queue_;
@@ -267,79 +275,64 @@ class RouteSelectionTest : public ::testing::Test {
 };
 
 TEST_F(RouteSelectionTest, SmallIoBelowThreshold) {
-  DecodedRequest req;
-  req.proc = NfsProc::kRead;
-  req.fh = RegFh(MakeFileid(0, 5));
-  req.offset = 0;
-  req.count = 8192;
-  EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kSmallFile);
-  req.offset = 65535;
-  EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kSmallFile);
+  EXPECT_EQ(Route(Read(RegFh(MakeFileid(0, 5)), 0)).cls, Uproxy::RouteClass::kSmallFile);
+  EXPECT_EQ(Route(Read(RegFh(MakeFileid(0, 5)), 65535)).cls, Uproxy::RouteClass::kSmallFile);
 }
 
 TEST_F(RouteSelectionTest, BulkIoAboveThreshold) {
-  DecodedRequest req;
-  req.proc = NfsProc::kRead;
-  req.fh = RegFh(MakeFileid(0, 5));
-  req.offset = 65536;
-  EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kStorage);
+  EXPECT_EQ(Route(Read(RegFh(MakeFileid(0, 5)), 65536)).cls, Uproxy::RouteClass::kStorage);
 }
 
 TEST_F(RouteSelectionTest, StripingSpreadsBlocks) {
-  DecodedRequest req;
-  req.proc = NfsProc::kRead;
-  req.fh = RegFh(MakeFileid(0, 5));
   std::set<uint32_t> nodes;
   for (uint64_t off = 65536; off < 65536 + 8ull * 32768; off += 32768) {
-    req.offset = off;
-    nodes.insert(Route(req).storage_index);
+    nodes.insert(Route(Read(RegFh(MakeFileid(0, 5)), off)).storage_index);
   }
   EXPECT_EQ(nodes.size(), 4u);  // all four storage nodes hit
 }
 
 TEST_F(RouteSelectionTest, MirroredWritesAbsorb) {
-  DecodedRequest req;
-  req.proc = NfsProc::kWrite;
-  req.fh = RegFh(MakeFileid(0, 5), /*replication=*/2);
-  req.offset = 1 << 20;
-  EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kMirrorWrite);
+  const Bytes wire = EncodeCall(NfsProc::kWrite, [](XdrEncoder& enc) {
+    WriteArgs args;
+    args.file = RegFh(MakeFileid(0, 5), /*replication=*/2);
+    args.offset = 1 << 20;
+    args.Encode(enc);
+  });
+  EXPECT_EQ(Route(wire).cls, Uproxy::RouteClass::kMirrorWrite);
 }
 
 TEST_F(RouteSelectionTest, MirroredReadsAlternateReplicas) {
-  DecodedRequest req;
-  req.proc = NfsProc::kRead;
-  req.fh = RegFh(MakeFileid(0, 5), /*replication=*/2);
-  req.offset = 1 << 20;
-  const uint32_t a = Route(req).storage_index;
-  req.offset += 32768;
-  const uint32_t b = Route(req).storage_index;
+  const FileHandle fh = RegFh(MakeFileid(0, 5), /*replication=*/2);
+  const uint32_t a = Route(Read(fh, 1 << 20)).storage_index;
+  const uint32_t b = Route(Read(fh, (1 << 20) + 32768)).storage_index;
   EXPECT_NE(a, b);
 }
 
 TEST_F(RouteSelectionTest, NameOpsFollowParentSite) {
-  DecodedRequest req;
-  req.proc = NfsProc::kLookup;
-  req.fh = DirFh(MakeFileid(2, 9));
-  req.name = "x";
-  EXPECT_TRUE(Route(req).target == ensemble_->dir_server(2).endpoint());
+  const Bytes wire = EncodeCall(NfsProc::kLookup, [](XdrEncoder& enc) {
+    DirOpArgs{DirFh(MakeFileid(2, 9)), "x"}.Encode(enc);
+  });
+  EXPECT_TRUE(Route(wire).target == ensemble_->dir_server(2).endpoint());
 }
 
 TEST_F(RouteSelectionTest, GetattrFollowsEmbeddedSite) {
-  DecodedRequest req;
-  req.proc = NfsProc::kGetattr;
-  req.fh = RegFh(MakeFileid(1, 3));
-  EXPECT_TRUE(Route(req).target == ensemble_->dir_server(1).endpoint());
+  const Bytes wire = EncodeCall(NfsProc::kGetattr, [](XdrEncoder& enc) {
+    GetattrArgs{RegFh(MakeFileid(1, 3))}.Encode(enc);
+  });
+  EXPECT_TRUE(Route(wire).target == ensemble_->dir_server(1).endpoint());
 }
 
 TEST_F(RouteSelectionTest, MkdirSwitchingRedirectsSome) {
-  DecodedRequest req;
-  req.proc = NfsProc::kMkdir;
-  req.fh = DirFh(MakeFileid(0, 1));
   int redirected = 0;
   constexpr int kTrials = 400;
   for (int i = 0; i < kTrials; ++i) {
-    req.name = "dir" + std::to_string(i);
-    if (!(Route(req).target == ensemble_->dir_server(0).endpoint())) {
+    const Bytes wire = EncodeCall(NfsProc::kMkdir, [i](XdrEncoder& enc) {
+      MkdirArgs args;
+      args.dir = DirFh(MakeFileid(0, 1));
+      args.name = "dir" + std::to_string(i);
+      args.Encode(enc);
+    });
+    if (!(Route(wire).target == ensemble_->dir_server(0).endpoint())) {
       ++redirected;
     }
   }
@@ -350,20 +343,17 @@ TEST_F(RouteSelectionTest, MkdirSwitchingRedirectsSome) {
 }
 
 TEST_F(RouteSelectionTest, CommitFansOut) {
-  DecodedRequest req;
-  req.proc = NfsProc::kCommit;
-  req.fh = RegFh(MakeFileid(0, 5));
-  EXPECT_EQ(Route(req).cls, Uproxy::RouteClass::kMultiCommit);
+  const Bytes wire = EncodeCall(NfsProc::kCommit, [](XdrEncoder& enc) {
+    CommitArgs{RegFh(MakeFileid(0, 5)), 0, 0}.Encode(enc);
+  });
+  EXPECT_EQ(Route(wire).cls, Uproxy::RouteClass::kMultiCommit);
 }
 
 TEST_F(RouteSelectionTest, DeterministicAcrossCalls) {
-  DecodedRequest req;
-  req.proc = NfsProc::kRead;
-  req.fh = RegFh(MakeFileid(0, 123));
-  req.offset = 1 << 20;
-  const auto first = Route(req);
+  const Bytes wire = Read(RegFh(MakeFileid(0, 123)), 1 << 20);
+  const auto first = Route(wire);
   for (int i = 0; i < 10; ++i) {
-    const auto again = Route(req);
+    const auto again = Route(wire);
     EXPECT_EQ(again.storage_index, first.storage_index);
     EXPECT_TRUE(again.target == first.target);
   }

@@ -55,14 +55,13 @@ TEST(FastPathAllocTest, SteadyStateForwardAndReplyDoNotAllocate) {
   config.virtual_server = Endpoint{0x0a0000fe, kNfsPort};
   config.dir_servers = {Endpoint{kDirAddr, kNfsPort}};
   config.storage_nodes = {Endpoint{kStorageAddr, kNfsPort}};
-  Uproxy uproxy(net, queue, client_host, config);
 
   // Tenant plane ON: the zero-allocation claim must hold with per-tenant
   // accounting live (preallocated hub instruments + the cached LUT, no map
   // lookups). The request below carries tenant 1 in its AUTH_SYS uid.
   obs::Metrics metrics;
   metrics.ConfigureTenants(2, FromMillis(50));
-  uproxy.set_metrics(&metrics);
+  Uproxy uproxy(net, queue, client_host, config, obs::Sinks{.metrics = &metrics});
 
   uint64_t replies = 0;
   client_host.Bind(kClientPort, [&replies](Packet&&) { ++replies; });
@@ -145,25 +144,24 @@ TEST(FastPathAllocTest, SteadyStateForwardAndReplyDoNotAllocate) {
 // (outbound/decode/route/soft-state/rewrite/metrics/inbound/attr-patch) and
 // every ledger charge runs on the fast path, and none of it may touch the
 // heap — the scope engine is a fixed node pool + fixed stack, and the ledger
-// pointer is cached at set_profiler time.
+// pointer is cached at construction.
 TEST(FastPathAllocTest, SteadyStateWithProfilerEnabledDoesNotAllocate) {
   ASSERT_TRUE(PacketPool::Enabled());
 
+  // Profiler live: ledger pointers cached at construction, scope tree grown
+  // during warm-up (FindOrAddChild only ever indexes into the fixed pool).
+  obs::Profiler profiler(obs::ProfilerParams{.enabled = true});
+  const obs::Sinks sinks{.profiler = &profiler};
+
   EventQueue queue;
-  Network net(queue, NetworkParams{});
+  Network net(queue, NetworkParams{}, sinks);
   Host client_host(net, kClientAddr);
 
   UproxyConfig config;
   config.virtual_server = Endpoint{0x0a0000fe, kNfsPort};
   config.dir_servers = {Endpoint{kDirAddr, kNfsPort}};
   config.storage_nodes = {Endpoint{kStorageAddr, kNfsPort}};
-  Uproxy uproxy(net, queue, client_host, config);
-
-  // Profiler live: ledger pointer cached now, scope tree grown during
-  // warm-up (FindOrAddChild only ever indexes into the fixed pool).
-  obs::Profiler profiler(obs::ProfilerParams{.enabled = true});
-  net.set_profiler(&profiler);
-  uproxy.set_profiler(&profiler);
+  Uproxy uproxy(net, queue, client_host, config, sinks);
 
   uint64_t replies = 0;
   client_host.Bind(kClientPort, [&replies](Packet&&) { ++replies; });

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -37,9 +38,14 @@ TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
     (void)DecodeRpcMessage(data);
     (void)PeekRpcMessage(data);
 
-    // µproxy fast path.
-    DecodedRequest req;
-    (void)DecodeNfsRequest(data, &req);
+    // µproxy fast path. A view that decodes must keep its name offsets
+    // inside the payload: materializing both names reads every byte they
+    // claim (the sanitizer build turns an over-read into a failure).
+    DecodedView view;
+    if (DecodeNfsRequestView(data, &view).ok()) {
+      EXPECT_LE(std::string(view.name(data)).size() + view.name_off, data.size());
+      EXPECT_LE(std::string(view.name2(data)).size() + view.name2_off, data.size());
+    }
     DecodedReply rep;
     (void)DecodeNfsReply(data, &rep);
 
@@ -119,12 +125,15 @@ TEST_P(FuzzSeedTest, BitFlippedValidCallsNeverCrashTheDecoder) {
       mutated[rng.NextBelow(mutated.size())] ^=
           static_cast<uint8_t>(1u << rng.NextBelow(8));
     }
-    DecodedRequest req;
-    const Status st = DecodeNfsRequest(mutated, &req);
+    DecodedView req;
+    const Status st = DecodeNfsRequestView(mutated, &req);
     if (st.ok()) {
       // If it still parses, the parsed fields must at least be internally
-      // sane (proc in range, fh length respected by construction).
+      // sane (proc in range, fh length respected by construction, names
+      // inside the payload).
       EXPECT_LE(static_cast<uint32_t>(req.proc), 21u);
+      EXPECT_LE(std::string(req.name(mutated)).size() + req.name_off, mutated.size());
+      EXPECT_LE(std::string(req.name2(mutated)).size() + req.name2_off, mutated.size());
     }
   }
 }

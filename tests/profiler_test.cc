@@ -32,7 +32,7 @@ TEST(ProfilerTest, LedgerChargesAccumulateAndPointerIsStable) {
   uint64_t* ledger = profiler.LedgerFor(0x0a000001);
   ASSERT_NE(ledger, nullptr);
   // std::map nodes never move: creating more hosts must not invalidate the
-  // pointer components cached at set_profiler time.
+  // pointer components cached at construction.
   profiler.LedgerFor(0x0a000002);
   profiler.LedgerFor(0x01020304);
   EXPECT_EQ(ledger, profiler.LedgerFor(0x0a000001));
@@ -57,9 +57,10 @@ TEST(ProfilerTest, SimExportIsCanonicalWithCoverage) {
   ChargeSim(ledger, LedgerCat::kQueue, 25);  // waiting: excluded from coverage
   ChargeSim(ledger, LedgerCat::kDisk, 300);
   ChargeSim(ledger, LedgerCat::kWire, 90);
-  profiler.SetBusyProvider([](std::map<uint32_t, uint64_t>* busy) {
-    (*busy)[0x0a000001] = 1000;  // attributed 990 of 1000 busy -> 9900 bp
-  });
+  // Providers add up per host, like the NIC and CPU of one server host:
+  // attributed 990 of 600 + 400 busy -> 9900 bp.
+  profiler.AddBusyProvider([](std::map<uint32_t, uint64_t>* busy) { (*busy)[0x0a000001] += 600; });
+  profiler.AddBusyProvider([](std::map<uint32_t, uint64_t>* busy) { (*busy)[0x0a000001] += 400; });
 
   EXPECT_EQ(profiler.ExportProfileSimJson(),
             "{\"hosts\":[{\"host\":\"10.0.0.1\",\"cpu\":600,\"queue\":25,\"disk\":300,"
@@ -83,7 +84,7 @@ TEST(ProfilerTest, BusyOnlyHostsSurfaceWithZeroCoverage) {
   // otherwise the >=99% acceptance bar could be gamed by not charging.
   Profiler profiler = MakeProfiler();
   ChargeSim(profiler.LedgerFor(0x0a000001), LedgerCat::kCpu, 1000);
-  profiler.SetBusyProvider([](std::map<uint32_t, uint64_t>* busy) {
+  profiler.AddBusyProvider([](std::map<uint32_t, uint64_t>* busy) {
     (*busy)[0x0a000001] = 1000;
     (*busy)[0x0a000002] = 500;  // busy but unattributed
     (*busy)[0x0a000003] = 0;    // idle hosts don't count against coverage

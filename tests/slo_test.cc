@@ -140,11 +140,10 @@ TEST(SloEngineTest, MinOpsGuardSuppressesThinWindows) {
 TEST(SloEngineTest, BurnEdgesLandInEventLog) {
   Metrics metrics;
   metrics.ConfigureTenants(1, FromMillis(25));
-  SloEngine engine(metrics, TestParams());
   obs::EventLogParams log_params;
   log_params.enabled = true;
   obs::EventLog log(log_params);
-  engine.set_eventlog(&log);
+  SloEngine engine(metrics, TestParams(), obs::Sinks{.eventlog = &log});
   SimTime now = 0;
 
   Tick(metrics, engine, now, 1, 10, 0);
