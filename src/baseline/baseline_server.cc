@@ -261,7 +261,7 @@ void BaselineServer::DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   const FileHandle fh = MintHandle(fileid, FileType3::kReg);
   attrs_[fileid] = NewAttr(fileid, FileType3::kReg);
   entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  dir_entries_[args->dir.fileid()][args->name] = fh;
   TouchDir(args->dir.fileid(), +1, 0);
   res.object = fh;
   res.obj_attributes = attrs_[fileid];
@@ -287,7 +287,7 @@ void BaselineServer::DoMkdir(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& co
   const FileHandle fh = MintHandle(fileid, FileType3::kDir);
   attrs_[fileid] = NewAttr(fileid, FileType3::kDir);
   entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  dir_entries_[args->dir.fileid()][args->name] = fh;
   TouchDir(args->dir.fileid(), +1, +1);
   res.object = fh;
   res.obj_attributes = attrs_[fileid];
@@ -316,7 +316,7 @@ void BaselineServer::DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
   attrs_[fileid] = attr;
   symlinks_[fileid] = args->target;
   entries_[key] = fh;
-  dir_index_[args->dir.fileid()][args->name] = fh;
+  dir_entries_[args->dir.fileid()][args->name] = fh;
   TouchDir(args->dir.fileid(), +1, 0);
   res.object = fh;
   res.obj_attributes = attr;
@@ -347,13 +347,13 @@ void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
     return;
   }
   if (rmdir) {
-    const auto dit = dir_index_.find(child.fileid());
-    if (dit != dir_index_.end() && !dit->second.empty()) {
+    const auto dit = dir_entries_.find(child.fileid());
+    if (dit != dir_entries_.end() && !dit->second.empty()) {
       res.status = Nfsstat3::kErrNotempty;
       res.Encode(reply);
       return;
     }
-    dir_index_.erase(child.fileid());
+    dir_entries_.erase(child.fileid());
     attrs_.erase(child.fileid());
     TouchDir(args->dir.fileid(), -1, -1);
   } else {
@@ -366,8 +366,8 @@ void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
     TouchDir(args->dir.fileid(), -1, 0);
   }
   entries_.erase(it);
-  auto dir_it = dir_index_.find(args->dir.fileid());
-  if (dir_it != dir_index_.end()) {
+  auto dir_it = dir_entries_.find(args->dir.fileid());
+  if (dir_it != dir_entries_.end()) {
     dir_it->second.erase(args->name);
   }
   if (Fattr3* dir_attr = FindAttr(args->dir.fileid()); dir_attr != nullptr) {
@@ -396,8 +396,8 @@ void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   const EntryKey to_key{args->to_dir.fileid(), args->to_name};
   if (const auto target = entries_.find(to_key); target != entries_.end()) {
     if (target->second.IsDir()) {
-      const auto dit = dir_index_.find(target->second.fileid());
-      if (dit != dir_index_.end() && !dit->second.empty()) {
+      const auto dit = dir_entries_.find(target->second.fileid());
+      if (dit != dir_entries_.end() && !dit->second.empty()) {
         res.status = Nfsstat3::kErrNotempty;
         res.Encode(reply);
         return;
@@ -409,12 +409,12 @@ void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
       (void)data_.Remove(target->second.fileid());
     }
     entries_.erase(target);
-    dir_index_[args->to_dir.fileid()].erase(args->to_name);
+    dir_entries_[args->to_dir.fileid()].erase(args->to_name);
   }
   entries_.erase(from_key);
-  dir_index_[args->from_dir.fileid()].erase(args->from_name);
+  dir_entries_[args->from_dir.fileid()].erase(args->from_name);
   entries_[to_key] = child;
-  dir_index_[args->to_dir.fileid()][args->to_name] = child;
+  dir_entries_[args->to_dir.fileid()][args->to_name] = child;
   const bool cross = args->from_dir.fileid() != args->to_dir.fileid();
   TouchDir(args->from_dir.fileid(), -1, child.IsDir() && cross ? -1 : 0);
   TouchDir(args->to_dir.fileid(), +1, child.IsDir() && cross ? +1 : 0);
@@ -437,7 +437,7 @@ void BaselineServer::DoLink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cos
     return;
   }
   entries_[key] = args->file;
-  dir_index_[args->dir.fileid()][args->name] = args->file;
+  dir_entries_[args->dir.fileid()][args->name] = args->file;
   Fattr3* attr = FindAttr(args->file.fileid());
   ++attr->nlink;
   TouchDir(args->dir.fileid(), +1, 0);
@@ -459,10 +459,10 @@ void BaselineServer::DoReaddir(XdrDecoder& dec, bool plus, XdrEncoder& reply,
   if (Fattr3* attr = FindAttr(args->dir.fileid()); attr != nullptr) {
     res.dir_attributes = *attr;
   }
-  const auto dit = dir_index_.find(args->dir.fileid());
+  const auto dit = dir_entries_.find(args->dir.fileid());
   res.eof = true;
   res.cookieverf = 1;
-  if (dit != dir_index_.end()) {
+  if (dit != dir_entries_.end()) {
     const uint32_t budget = std::max<uint32_t>(plus ? args->maxcount : args->count, 512);
     uint32_t used = 0;
     uint64_t index = 0;

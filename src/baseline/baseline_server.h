@@ -96,7 +96,7 @@ class BaselineServer : public RpcServerNode {
   std::unordered_map<EntryKey, FileHandle, EntryKeyHash> entries_;
   std::unordered_map<uint64_t, Fattr3> attrs_;
   std::unordered_map<uint64_t, std::string> symlinks_;
-  std::unordered_map<uint64_t, std::map<std::string, FileHandle>> dir_index_;
+  std::unordered_map<uint64_t, std::map<std::string, FileHandle>> dir_entries_;
   uint64_t next_fileid_ = kRootBaselineFileid + 1;
   uint64_t write_verifier_;
   Rng rng_{0xba5e};

@@ -289,14 +289,14 @@ void DirServer::HandoffSite(uint32_t site, DirServer& target) {
   // Drop the target's stale pre-crash copy first: mutations during the
   // outage — including deletions — exist only in the adopter's store/log,
   // so anything the rejoined server replayed from its own log is stale.
-  std::vector<NameCell> stale_entries;
-  target.store_.ForEachEntry([&](const NameCell& cell) {
-    if (target.EntrySiteById(cell.parent_id, cell.name) == site) {
-      stale_entries.push_back(cell);
+  std::vector<std::pair<uint64_t, NameCell>> stale_entries;
+  target.store_.ForEachEntry([&](uint64_t dir_id, const NameCell& cell) {
+    if (target.EntrySiteById(dir_id, cell.name) == site) {
+      stale_entries.emplace_back(dir_id, cell);
     }
   });
-  for (const NameCell& cell : stale_entries) {
-    target.ApplyEraseEntry(cell.parent_id, cell.name, /*log=*/true);
+  for (const auto& [dir_id, cell] : stale_entries) {
+    target.ApplyEraseEntry(dir_id, cell.name, /*log=*/true);
   }
   std::vector<uint64_t> stale_attrs;
   target.store_.ForEachAttr([&](uint64_t fileid, const AttrCell& cell) {
@@ -309,10 +309,10 @@ void DirServer::HandoffSite(uint32_t site, DirServer& target) {
     target.ApplyEraseAttr(fileid, /*log=*/true);
   }
 
-  std::vector<NameCell> entries;
-  store_.ForEachEntry([&](const NameCell& cell) {
-    if (EntrySiteById(cell.parent_id, cell.name) == site) {
-      entries.push_back(cell);
+  std::vector<std::pair<uint64_t, NameCell>> entries;
+  store_.ForEachEntry([&](uint64_t dir_id, const NameCell& cell) {
+    if (EntrySiteById(dir_id, cell.name) == site) {
+      entries.emplace_back(dir_id, cell);
     }
   });
   std::vector<std::pair<uint64_t, AttrCell>> attrs;
@@ -321,9 +321,9 @@ void DirServer::HandoffSite(uint32_t site, DirServer& target) {
       attrs.emplace_back(fileid, cell);
     }
   });
-  for (const NameCell& cell : entries) {
-    target.ApplyInsertEntry(cell.parent_id, cell.name, cell.child, /*log=*/true);
-    ApplyEraseEntry(cell.parent_id, cell.name, /*log=*/true);
+  for (const auto& [dir_id, cell] : entries) {
+    target.ApplyInsertEntry(dir_id, cell.name, cell.child, /*log=*/true);
+    ApplyEraseEntry(dir_id, cell.name, /*log=*/true);
   }
   for (const auto& [fileid, cell] : attrs) {
     target.ApplyUpsertAttr(fileid, cell.attr, cell.symlink_target, /*log=*/true);
@@ -337,17 +337,17 @@ void DirServer::MigrateSlot(uint32_t slot, uint32_t num_slots, DirServer& target
   if (params_.policy != NamePolicy::kNameHashing || num_slots == 0 || &target == this) {
     return;
   }
-  std::vector<NameCell> moved;
-  store_.ForEachEntry([&](const NameCell& cell) {
-    const FileHandle parent = FileHandle::Make(params_.volume, cell.parent_id, 1,
-                                               FileType3::kDir, 1, params_.volume_secret);
+  std::vector<std::pair<uint64_t, NameCell>> moved;
+  store_.ForEachEntry([&](uint64_t dir_id, const NameCell& cell) {
+    const FileHandle parent = FileHandle::Make(params_.volume, dir_id, 1, FileType3::kDir, 1,
+                                               params_.volume_secret);
     if (NameFingerprint(parent, cell.name) % num_slots == slot) {
-      moved.push_back(cell);
+      moved.emplace_back(dir_id, cell);
     }
   });
-  for (const NameCell& cell : moved) {
-    target.ApplyInsertEntry(cell.parent_id, cell.name, cell.child, /*log=*/true);
-    ApplyEraseEntry(cell.parent_id, cell.name, /*log=*/true);
+  for (const auto& [dir_id, cell] : moved) {
+    target.ApplyInsertEntry(dir_id, cell.name, cell.child, /*log=*/true);
+    ApplyEraseEntry(dir_id, cell.name, /*log=*/true);
   }
   SLICE_ILOG << "dir site " << params_.site << ": migrated slot " << slot << " ("
              << moved.size() << " entries) to site " << target.params_.site;
@@ -439,6 +439,19 @@ uint32_t DirServer::AdjustNlink(uint64_t fileid, int delta, ServiceCost& cost) {
     owner->ApplyUpsertAttr(fileid, cell->attr, cell->symlink_target, /*log=*/true);
   }
   return static_cast<uint32_t>(nlink);
+}
+
+std::span<const DirStore* const> DirServer::NameSpaceStores(ServiceCost& cost) {
+  stores_.assign(1, &store_);
+  if (params_.policy == NamePolicy::kNameHashing) {
+    for (const DirServer* peer : peers_) {
+      if (std::find(stores_.begin(), stores_.end(), &peer->store_) == stores_.end()) {
+        ChargePeer(cost);
+        stores_.push_back(&peer->store_);
+      }
+    }
+  }
+  return stores_;
 }
 
 std::optional<Fattr3> DirServer::GetAttrAnywhere(uint64_t fileid, ServiceCost& cost) {
@@ -694,12 +707,9 @@ void DirServer::HandleRemove(const DirOpArgs& args, bool rmdir, XdrEncoder& repl
     // Empty check: under mkdir switching a directory's entries live at its
     // own site; under name hashing they are scattered across every site.
     size_t entries = 0;
-    if (params_.policy == NamePolicy::kNameHashing && !peers_.empty()) {
-      for (DirServer* peer : peers_) {
-        if (peer != this) {
-          ChargePeer(cost);
-        }
-        entries += peer->store_.CountDir(child->fileid());
+    if (params_.policy == NamePolicy::kNameHashing) {
+      for (const DirStore* store : NameSpaceStores(cost)) {
+        entries += store->CountDir(child->fileid());
       }
     } else {
       const uint32_t dir_site = SiteOfFileid(child->fileid());
@@ -726,7 +736,6 @@ void DirServer::HandleRemove(const DirOpArgs& args, bool rmdir, XdrEncoder& repl
       owner = &Peer(dir_site);
     }
     owner->ApplyEraseAttr(child->fileid(), /*log=*/true);
-    owner->store_.DropDirIndex(child->fileid());
     TouchDirAttr(args.dir.fileid(), -1, -1, cost);
   } else {
     AdjustNlink(child->fileid(), -1, cost);
@@ -821,46 +830,22 @@ void DirServer::HandleReaddir(const ReaddirArgs& args, XdrEncoder& reply, Servic
     res.dir_attributes = cell->attr;
   }
 
-  // Gather entries. Under name hashing a directory's entries are scattered
-  // across every site ("readdir operations span multiple sites", §3.2).
-  std::vector<NameCell> all = store_.ListDir(dir_id);
-  if (params_.policy == NamePolicy::kNameHashing && !peers_.empty()) {
-    for (DirServer* peer : peers_) {
-      if (peer == this) {
-        continue;
-      }
-      ChargePeer(cost);
-      std::vector<NameCell> part = peer->store_.ListDir(dir_id);
-      all.insert(all.end(), part.begin(), part.end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](const NameCell& a, const NameCell& b) { return a.name < b.name; });
-  }
-
-  const uint32_t budget = std::max<uint32_t>(args.plus ? args.maxcount : args.count, 512);
-  uint32_t used = 0;
-  uint64_t cookie = 0;
-  res.eof = true;
-  for (size_t i = args.cookie; i < all.size(); ++i) {
-    const NameCell& cell = all[i];
-    const uint32_t entry_size = static_cast<uint32_t>(24 + cell.name.size()) +
-                                (args.plus ? kFattr3WireSize + FileHandle::kSize + 12 : 0);
-    if (used + entry_size > budget) {
-      res.eof = false;
-      break;
-    }
-    used += entry_size;
-    cookie = i + 1;
-    DirEntry entry;
-    entry.fileid = cell.child.fileid();
-    entry.name = cell.name;
-    entry.cookie = cookie;
-    if (args.plus) {
-      entry.handle = cell.child;
-      entry.attr = GetAttrAnywhere(cell.child.fileid(), cost);
-    }
-    res.entries.push_back(std::move(entry));
-  }
+  // Under name hashing a directory's entries are scattered across every
+  // site ("readdir operations span multiple sites", §3.2): the page comes
+  // from a merge of each server's table, seeked to the cookie's rank.
+  res.eof = ReaddirPage(NameSpaceStores(cost), dir_id, args.cookie,
+                        args.plus ? args.maxcount : args.count, args.plus,
+                        [&](const NameCell& cell, uint64_t cookie) {
+                          DirEntry entry;
+                          entry.fileid = cell.child.fileid();
+                          entry.name = cell.name;
+                          entry.cookie = cookie;
+                          if (args.plus) {
+                            entry.handle = cell.child;
+                            entry.attr = GetAttrAnywhere(cell.child.fileid(), cost);
+                          }
+                          res.entries.push_back(std::move(entry));
+                        });
   res.cookieverf = 1;
   res.Encode(reply);
 }

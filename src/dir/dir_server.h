@@ -190,6 +190,11 @@ class DirServer : public RpcServerNode {
   // Returns the resulting nlink.
   uint32_t AdjustNlink(uint64_t fileid, int delta, ServiceCost& cost);
   std::optional<Fattr3> GetAttrAnywhere(uint64_t fileid, ServiceCost& cost);
+  // The stores holding a share of a directory: this server's alone under
+  // mkdir switching; under name hashing this server's first, then each
+  // other server's once, charging one peer leg apiece (a third-party adopter
+  // serves two sites but is visited once). Valid until the next call.
+  std::span<const DirStore* const> NameSpaceStores(ServiceCost& cost);
 
   // Entry-owning site for (parent, name) under the configured policy.
   uint32_t EntrySite(const FileHandle& parent, const std::string& name) const;
@@ -225,6 +230,7 @@ class DirServer : public RpcServerNode {
   DirServerParams params_;
   DirStore store_;
   std::vector<DirServer*> peers_;
+  std::vector<const DirStore*> stores_;  // NameSpaceStores' result, reused
   std::unique_ptr<WriteAheadLog> wal_;
   uint64_t next_counter_;
   bool recovering_ = false;

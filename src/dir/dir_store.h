@@ -1,7 +1,10 @@
-// Directory cell store: name entries and attribute cells on MD5-fingerprint
-// hash chains (paper §4.3: "webs of linked fixed-size cells ... indexed by
-// hash chains keyed by an MD5 hash fingerprint on the parent file handle and
-// name").
+// Directory cell store: one server's resident name entries and attribute
+// cells. The paper's prototype keeps "webs of linked fixed-size cells ...
+// indexed by hash chains keyed by an MD5 hash fingerprint on the parent file
+// handle and name" (§4.3). Here the MD5 fingerprint decides only placement
+// (NameFingerprint -> NameHashSite, in the µproxy and DirServer); in memory
+// each directory's resident entries form one name-ordered table, so a lookup
+// is a binary search and a READDIR page is a merge of the sites' tables.
 //
 // Name entries and attribute cells for a directory may live on different
 // servers (cross-site links); this store only manages one server's resident
@@ -9,24 +12,25 @@
 #ifndef SLICE_DIR_DIR_STORE_H_
 #define SLICE_DIR_DIR_STORE_H_
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/md5.h"
 #include "src/common/status.h"
 #include "src/nfs/nfs_types.h"
 
 namespace slice {
 
-// Fingerprint for a (parent directory, name) pair: the hash-chain key and
-// the name-hashing routing key. Shared by µproxy and directory servers.
+// Fingerprint for a (parent directory, name) pair: the name-hashing routing
+// key. Shared by µproxy and directory servers.
 uint64_t NameFingerprint(const FileHandle& parent, std::string_view name);
-uint64_t NameFingerprintById(uint64_t parent_fileid, std::string_view name);
 
 struct NameCell {
-  uint64_t parent_id = 0;
   std::string name;
   FileHandle child;
 };
@@ -43,10 +47,8 @@ class DirStore {
   Result<FileHandle> FindEntry(uint64_t parent_id, const std::string& name) const;
   Status EraseEntry(uint64_t parent_id, const std::string& name);
   // Entries of `dir_id` resident on this server, name-ordered.
-  std::vector<NameCell> ListDir(uint64_t dir_id) const;
-  size_t CountDir(uint64_t dir_id) const;
-  // Removes the per-directory index for an (empty) directory.
-  void DropDirIndex(uint64_t dir_id);
+  std::span<const NameCell> Entries(uint64_t dir_id) const;
+  size_t CountDir(uint64_t dir_id) const { return Entries(dir_id).size(); }
 
   // --- attribute cells ---
   Status InsertAttr(uint64_t fileid, const Fattr3& attr);
@@ -54,15 +56,19 @@ class DirStore {
   const AttrCell* FindAttr(uint64_t fileid) const;
   Status EraseAttr(uint64_t fileid);
 
-  size_t entry_count() const { return chains_.size(); }
+  size_t entry_count() const { return entry_count_; }
   size_t attr_count() const { return attrs_.size(); }
   void Clear();
 
-  // Full scans, used by failover handoff to find cells owned by a site.
+  // Full scans, used by failover handoff and slot re-striping to find the
+  // cells a site or slot owns. Entries come in (directory, name) order as
+  // fn(dir_id, cell).
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    for (const auto& [key, cell] : chains_) {
-      fn(cell);
+    for (const auto& [dir_id, table] : tables_) {
+      for (const NameCell& cell : table) {
+        fn(dir_id, cell);
+      }
     }
   }
   template <typename Fn>
@@ -73,22 +79,74 @@ class DirStore {
   }
 
  private:
-  struct ChainKey {
-    uint64_t parent_id;
-    std::string name;
-    bool operator==(const ChainKey&) const = default;
-  };
-  struct ChainKeyHash {
-    size_t operator()(const ChainKey& k) const {
-      return static_cast<size_t>(NameFingerprintById(k.parent_id, k.name));
-    }
-  };
-
-  std::unordered_map<ChainKey, NameCell, ChainKeyHash> chains_;
+  // Directory fileid -> its resident entries sorted by name. Erasing a
+  // directory's last entry drops its table, so no table is empty.
+  std::map<uint64_t, std::vector<NameCell>> tables_;
+  size_t entry_count_ = 0;
   std::unordered_map<uint64_t, AttrCell> attrs_;
-  // Per-directory name index for readdir (cookie = rank within this map).
-  std::unordered_map<uint64_t, std::map<std::string, bool>> dir_index_;
 };
+
+// The global name order of one directory over its tables on several stores:
+// under name hashing a directory is scattered across every site (§3.2). An
+// entry's rank is its position in the union of the tables sorted by name;
+// equal names, which only a transient duplicate can make, order by store.
+// READDIR cookies are ranks: cookie c resumes at rank c. It points into the
+// stores' tables, so they must not change while it is in use.
+class MergedDir {
+ public:
+  // Positioned at rank `start`, or done if the directory has no more
+  // entries. Seeks by binary search, then walks the few ranks left.
+  MergedDir(std::span<const DirStore* const> stores, uint64_t dir_id, uint64_t start);
+  MergedDir(const MergedDir&) = delete;
+  MergedDir& operator=(const MergedDir&) = delete;
+
+  bool done() const { return rank_ >= total_; }
+  uint64_t rank() const { return rank_; }
+  // The entry at rank(); valid only while !done().
+  const NameCell& cell() const { return *cursors_[min_].pos; }
+  void Next();
+
+ private:
+  struct Cursor {
+    const NameCell* pos = nullptr;
+    const NameCell* end = nullptr;
+  };
+  // Points min_ at the cursor holding the next entry in merged order.
+  void FindMin();
+
+  // One cursor per store; up to kInline stay in place, more spill to the
+  // heap, so a READDIR page over a few sites allocates nothing.
+  static constexpr size_t kInline = 8;
+  std::array<Cursor, kInline> inline_;
+  std::vector<Cursor> spill_;
+  std::span<Cursor> cursors_;
+  size_t min_ = 0;
+  uint64_t rank_ = 0;
+  uint64_t total_ = 0;
+};
+
+// One READDIR page of `dir_id` over `stores`, from rank `cookie`: entries in
+// merged order while they fit the reply budget of `count` bytes (512 at
+// least). An entry costs its XDR size, plus attributes and a handle for
+// READDIRPLUS. Calls emit(cell, cookie) for each entry, where `cookie`
+// resumes after it. Returns eof: true if no entry was left out.
+template <typename Emit>
+bool ReaddirPage(std::span<const DirStore* const> stores, uint64_t dir_id, uint64_t cookie,
+                 uint32_t count, bool plus, Emit&& emit) {
+  const uint32_t budget = std::max<uint32_t>(count, 512);
+  uint32_t used = 0;
+  for (MergedDir merged(stores, dir_id, cookie); !merged.done(); merged.Next()) {
+    const NameCell& cell = merged.cell();
+    const uint32_t entry_size = static_cast<uint32_t>(24 + cell.name.size()) +
+                                (plus ? kFattr3WireSize + FileHandle::kSize + 12 : 0);
+    if (used + entry_size > budget) {
+      return false;
+    }
+    used += entry_size;
+    emit(cell, merged.rank() + 1);
+  }
+  return true;
+}
 
 }  // namespace slice
 

@@ -1,8 +1,14 @@
-// Unit tests for the directory service: name/attr cell store, NFS name-space
-// semantics, cross-site peer operations under both placement policies, and
+// Unit tests for the directory service: name/attr cell store, READDIR paging
+// over several stores, NFS name-space semantics, cross-site peer operations
+// under both placement policies, failover handoff and slot re-striping, and
 // WAL-based crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "src/common/rng.h"
 #include "src/dir/dir_server.h"
 #include "src/nfs/nfs_client.h"
 #include "src/storage/storage_node.h"
@@ -34,12 +40,150 @@ TEST(DirStoreTest, ListDirIsNameOrdered) {
     ASSERT_TRUE(
         store.InsertEntry(1, name, FileHandle::Make(1, 2, 1, FileType3::kReg, 1, kSecret)).ok());
   }
-  std::vector<NameCell> list = store.ListDir(1);
+  std::span<const NameCell> list = store.Entries(1);
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list[0].name, "alpha");
   EXPECT_EQ(list[2].name, "zeta");
   EXPECT_EQ(store.CountDir(1), 3u);
   EXPECT_EQ(store.CountDir(99), 0u);
+  EXPECT_TRUE(store.Entries(99).empty());
+}
+
+TEST(DirStoreTest, EmptiedDirectoryDropsItsTable) {
+  DirStore store;
+  const FileHandle child = FileHandle::Make(1, 2, 1, FileType3::kReg, 1, kSecret);
+  ASSERT_TRUE(store.InsertEntry(7, "only", child).ok());
+  ASSERT_TRUE(store.InsertEntry(8, "other", child).ok());
+  EXPECT_EQ(store.entry_count(), 2u);
+  ASSERT_TRUE(store.EraseEntry(7, "only").ok());
+  EXPECT_EQ(store.EraseEntry(7, "only").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.entry_count(), 1u);
+  std::vector<uint64_t> dirs;
+  store.ForEachEntry([&](uint64_t dir_id, const NameCell&) { dirs.push_back(dir_id); });
+  EXPECT_EQ(dirs, std::vector<uint64_t>{8});
+}
+
+// --- READDIR paging over several stores, against the pre-merge reference ---
+
+struct PageEntry {
+  std::string name;
+  uint64_t fileid = 0;
+  uint64_t cookie = 0;
+  bool operator==(const PageEntry&) const = default;
+};
+
+struct Page {
+  std::vector<PageEntry> entries;
+  bool eof = true;
+  bool operator==(const Page&) const = default;
+};
+
+uint32_t ReaddirEntrySize(const std::string& name, bool plus) {
+  return static_cast<uint32_t>(24 + name.size()) +
+         (plus ? kFattr3WireSize + FileHandle::kSize + 12 : 0);
+}
+
+// The listing READDIR paged before the merge: every store's entries of the
+// directory, concatenated in store order and stable-sorted by name.
+std::vector<NameCell> ReferenceListing(const std::vector<const DirStore*>& stores,
+                                       uint64_t dir_id) {
+  std::vector<NameCell> all;
+  for (const DirStore* store : stores) {
+    const std::span<const NameCell> table = store->Entries(dir_id);
+    all.insert(all.end(), table.begin(), table.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const NameCell& a, const NameCell& b) { return a.name < b.name; });
+  return all;
+}
+
+// Slices the reference listing from the rank cookie under the budget rule.
+Page ReferencePage(const std::vector<NameCell>& all, uint64_t cookie, uint32_t count, bool plus) {
+  Page page;
+  const uint32_t budget = std::max<uint32_t>(count, 512);
+  uint32_t used = 0;
+  for (size_t i = cookie; i < all.size(); ++i) {
+    const uint32_t size = ReaddirEntrySize(all[i].name, plus);
+    if (used + size > budget) {
+      page.eof = false;
+      break;
+    }
+    used += size;
+    page.entries.push_back({all[i].name, all[i].child.fileid(), i + 1});
+  }
+  return page;
+}
+
+Page MergedPage(const std::vector<const DirStore*>& stores, uint64_t dir_id, uint64_t cookie,
+                uint32_t count, bool plus) {
+  Page page;
+  page.eof = ReaddirPage(stores, dir_id, cookie, count, plus,
+                         [&](const NameCell& cell, uint64_t next) {
+                           page.entries.push_back({cell.name, cell.child.fileid(), next});
+                         });
+  return page;
+}
+
+TEST(ReaddirPageTest, SeekAndMergeMatchSortedUnionReference) {
+  uint64_t pages_checked = 0;
+  for (uint64_t trial = 1; trial <= 120; ++trial) {
+    Rng rng(trial);
+    // Mostly 1-4 stores; every tenth trial has more stores than the merge
+    // keeps cursors for in place.
+    std::vector<DirStore> stores(trial % 10 == 0 ? 9 + rng.NextBelow(3) : 1 + rng.NextBelow(4));
+    std::vector<const DirStore*> views;
+    for (const DirStore& store : stores) {
+      views.push_back(&store);
+    }
+    // Random inserts and erases over a shared name pool, so a name can sit
+    // in two stores at once. One name in five is 300-600 bytes long, so a
+    // single entry can overflow the 512-byte budget floor.
+    const uint64_t ops = rng.NextBelow(400);
+    for (uint64_t op = 0; op < ops; ++op) {
+      DirStore& store = stores[rng.NextBelow(stores.size())];
+      const uint64_t dir_id = 1 + rng.NextBelow(2);
+      const uint64_t pick = rng.NextBelow(150);
+      std::string name = "n" + std::to_string(pick);
+      if (pick % 5 == 0) {
+        name += std::string(300 + 2 * pick, 'x');
+      }
+      if (rng.NextBool(0.7)) {
+        (void)store.InsertEntry(
+            dir_id, name, FileHandle::Make(1, 1000 + op, 1, FileType3::kReg, 1, kSecret));
+      } else {
+        (void)store.EraseEntry(dir_id, name);
+      }
+    }
+    for (uint64_t dir_id : {1, 2, 3}) {
+      const std::vector<NameCell> all = ReferenceListing(views, dir_id);
+      const uint64_t total = all.size();
+      std::set<uint64_t> cookies = {0, total, total + 3};
+      if (total > 0) {
+        cookies.insert({1, total / 2, total - 1, rng.NextBelow(total)});
+      }
+      for (const uint64_t cookie : cookies) {
+        for (const bool plus : {false, true}) {
+          std::set<uint32_t> counts = {0, 100, 511, 512, 1u << 30};
+          if (cookie < total) {
+            const uint32_t first = ReaddirEntrySize(all[cookie].name, plus);
+            counts.insert({first - 1, first, first + 1});
+            if (cookie + 1 < total) {
+              counts.insert(first + ReaddirEntrySize(all[cookie + 1].name, plus));
+            }
+          }
+          for (const uint32_t count : counts) {
+            ASSERT_EQ(MergedPage(views, dir_id, cookie, count, plus),
+                      ReferencePage(all, cookie, count, plus))
+                << "trial " << trial << " stores " << stores.size() << " dir " << dir_id
+                << " cookie " << cookie << "/" << total << " count " << count << " plus "
+                << plus;
+            ++pages_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pages_checked, 10000u);
 }
 
 TEST(DirStoreTest, AttrCells) {
@@ -371,6 +515,69 @@ TEST_F(DirServerTest, UnflushedTailLostOnCrash) {
 class NameHashingTest : public DirServerTest {
  protected:
   NameHashingTest() : DirServerTest(NamePolicy::kNameHashing) {}
+
+  static uint32_t HashSite(const FileHandle& dir, const std::string& name) {
+    return NameHashSite(NameFingerprint(dir, name), kSites);
+  }
+
+  // Creates prefix0..prefix<count-1> in `dir`, each at its hash site;
+  // returns the names sorted.
+  std::vector<std::string> CreateHashed(const FileHandle& dir, const std::string& prefix,
+                                        int count) {
+    std::vector<std::string> names;
+    for (int i = 0; i < count; ++i) {
+      names.push_back(prefix + std::to_string(i));
+      EXPECT_EQ(AtNameHash(dir, names.back()).Create(dir, names.back()).value().status,
+                Nfsstat3::kOk);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  // The first prefix<i> in `dir` that hashes to `site`.
+  static std::string NameAtSite(const FileHandle& dir, const std::string& prefix,
+                                uint32_t site) {
+    for (int i = 0;; ++i) {
+      const std::string name = prefix + std::to_string(i);
+      if (HashSite(dir, name) == site) {
+        return name;
+      }
+    }
+  }
+
+  // The servers among `candidates` holding a (dir, name) entry.
+  std::vector<uint32_t> Residents(const FileHandle& dir, const std::string& name,
+                                  std::vector<uint32_t> candidates = {0, 1, 2}) const {
+    std::vector<uint32_t> out;
+    for (uint32_t s : candidates) {
+      if (servers_[s]->store().FindEntry(dir.fileid(), name).ok()) {
+        out.push_back(s);
+      }
+    }
+    return out;
+  }
+
+  // Names a full READDIR of `dir` at its own site returns, in order.
+  std::vector<std::string> Listed(const FileHandle& dir) {
+    const std::vector<DirEntry> entries = At(dir).ReadWholeDir(dir).value();
+    std::vector<std::string> names;
+    for (const DirEntry& entry : entries) {
+      names.push_back(entry.name);
+    }
+    return names;
+  }
+
+  // Points every server's peer table at `owners` (peers[site] serves site),
+  // as the ensemble does on a table install.
+  void Remap(const std::vector<uint32_t>& owners) {
+    std::vector<DirServer*> peers;
+    for (uint32_t owner : owners) {
+      peers.push_back(servers_[owner].get());
+    }
+    for (auto& server : servers_) {
+      server->SetPeers(peers);
+    }
+  }
 };
 
 TEST_F(NameHashingTest, EntriesScatterAcrossSites) {
@@ -430,6 +637,103 @@ TEST_F(NameHashingTest, RenameAcrossHashSites) {
   ASSERT_EQ(renamed.status, Nfsstat3::kOk);
   EXPECT_EQ(AtNameHash(root_, from).Lookup(root_, from).value().status, Nfsstat3::kErrNoent);
   EXPECT_EQ(AtNameHash(root_, to).Lookup(root_, to).value().status, Nfsstat3::kOk);
+}
+
+TEST_F(NameHashingTest, MigrateSlotMovesExactlyTheSlotsEntries) {
+  CreateRes made = AtNameHash(root_, "sub").Mkdir(root_, "sub").value();
+  ASSERT_EQ(made.status, Nfsstat3::kOk);
+  const FileHandle sub = *made.object;
+  std::vector<std::pair<FileHandle, std::string>> created = {{root_, "sub"}};
+  for (const FileHandle& dir : {root_, sub}) {
+    for (const std::string& name : CreateHashed(dir, "m", 60)) {
+      created.emplace_back(dir, name);
+    }
+  }
+  const std::vector<std::string> root_before = Listed(root_);
+  const std::vector<std::string> sub_before = Listed(sub);
+  ASSERT_EQ(root_before.size(), 61u);
+  ASSERT_EQ(sub_before.size(), 60u);
+
+  // Re-stripe the slot that holds the most of server 0's names (across
+  // both directories) onto server 1.
+  std::map<uint32_t, int> per_slot;
+  for (const auto& [dir, name] : created) {
+    if (HashSite(dir, name) == 0) {
+      ++per_slot[NameFingerprint(dir, name) % kDefaultLogicalSlots];
+    }
+  }
+  const uint32_t slot = std::max_element(per_slot.begin(), per_slot.end(), [](const auto& a,
+                                                                           const auto& b) {
+                          return a.second < b.second;
+                        })->first;
+  ASSERT_GE(per_slot[slot], 2);
+  servers_[0]->MigrateSlot(slot, kDefaultLogicalSlots, *servers_[1]);
+
+  // Exactly the slot's entries moved; every name is on exactly one server.
+  for (const auto& [dir, name] : created) {
+    const uint32_t home = HashSite(dir, name);
+    const bool moved = home == 0 && NameFingerprint(dir, name) % kDefaultLogicalSlots == slot;
+    EXPECT_EQ(Residents(dir, name), std::vector<uint32_t>{moved ? 1u : home}) << name;
+  }
+  EXPECT_EQ(Listed(root_), root_before);
+  EXPECT_EQ(Listed(sub), sub_before);
+}
+
+TEST_F(NameHashingTest, AdoptionAndHandoffKeepEachNameOnOneServer) {
+  std::vector<std::string> names = CreateHashed(root_, "h", 45);
+  servers_[1]->FlushLog();
+  queue_.RunUntilIdle();
+
+  // Server 1 dies and server 2 adopts its site from the log. The peer table
+  // then names the adopter for both sites it serves.
+  servers_[1]->Fail();
+  Status adopted(StatusCode::kInternal, "pending");
+  servers_[2]->AdoptSite(1, storage_->endpoint(), BackingObjectFor(1),
+                         [&](Status st) { adopted = st; });
+  queue_.RunUntilIdle();
+  ASSERT_TRUE(adopted.ok()) << adopted.ToString();
+  Remap({0, 2, 2});
+
+  // Outage mutations land on the adopter: a new site-1 name, and a site-1
+  // name removed (the rejoining server's log still holds it).
+  const std::string fresh = NameAtSite(root_, "fresh", 1);
+  ASSERT_EQ(AtSite(2).Create(root_, fresh).value().status, Nfsstat3::kOk);
+  const auto gone_it = std::find_if(names.begin(), names.end(), [&](const std::string& name) {
+    return HashSite(root_, name) == 1;
+  });
+  ASSERT_NE(gone_it, names.end());
+  const std::string gone = *gone_it;
+  names.erase(gone_it);
+  ASSERT_EQ(AtSite(2).Remove(root_, gone).value().status, Nfsstat3::kOk);
+  names.push_back(fresh);
+  std::sort(names.begin(), names.end());
+
+  // READDIR visits the adopter once, so each name is listed exactly once.
+  EXPECT_EQ(Listed(root_), names);
+  for (const std::string& name : names) {
+    const uint32_t home = HashSite(root_, name);
+    EXPECT_EQ(Residents(root_, name, {0, 2}), std::vector<uint32_t>{home == 1 ? 2u : home})
+        << name;
+  }
+  // The rmdir emptiness check charges one peer leg for the adopter, not two.
+  const std::string empty_dir = NameAtSite(root_, "empty", 0);
+  ASSERT_EQ(AtSite(0).Mkdir(root_, empty_dir).value().status, Nfsstat3::kOk);
+  const uint64_t cross_before = servers_[0]->cross_site_ops();
+  ASSERT_EQ(AtSite(0).Rmdir(root_, empty_dir).value().status, Nfsstat3::kOk);
+  EXPECT_EQ(servers_[0]->cross_site_ops(), cross_before + 1);
+
+  // Rejoin: server 1 recovers its own stale log, then the adopter hands the
+  // site back, moving exactly the site's entries.
+  servers_[1]->Restart();
+  queue_.RunUntilIdle();
+  ASSERT_FALSE(servers_[1]->recovering());
+  servers_[2]->HandoffSite(1, *servers_[1]);
+  Remap({0, 1, 2});
+  for (const std::string& name : names) {
+    EXPECT_EQ(Residents(root_, name), std::vector<uint32_t>{HashSite(root_, name)}) << name;
+  }
+  EXPECT_TRUE(Residents(root_, gone).empty());
+  EXPECT_EQ(Listed(root_), names);
 }
 
 TEST_F(NameHashingTest, RmdirChecksAllSitesForEmptiness) {

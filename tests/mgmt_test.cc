@@ -3,6 +3,8 @@
 // scenarios on a full simulated ensemble.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/chaos/invariants.h"
 #include "src/mgmt/failure_detector.h"
 #include "src/mgmt/mgmt_proto.h"
@@ -293,6 +295,47 @@ TEST_F(MgmtTest, DirFailoverAdoptsSiteAndRebalancesOnRejoin) {
   }
   EXPECT_EQ(RetryJukebox([&] { return client_->Lookup(root_, "during-outage").value(); }).status,
             Nfsstat3::kOk);
+}
+
+TEST_F(MgmtTest, ReaddirAfterThirdPartyAdoptionListsEachNameOnce) {
+  // Regression: with three dir servers, dead dir1's site is bound to the
+  // next live server, dir2, so the peer table reads [dir0, dir2, dir2].
+  // READDIR must visit the adopter once, not once per site it serves.
+  EnsembleConfig config;
+  config.num_dir_servers = 3;
+  config.num_storage_nodes = 4;
+  config.num_small_file_servers = 1;
+  config.name_policy = NamePolicy::kNameHashing;
+  Build(config);
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 30; ++i) {
+    names.push_back("adopt" + std::to_string(i));
+    ASSERT_EQ(client_->Create(root_, names.back()).value().status, Nfsstat3::kOk);
+  }
+  ensemble_->dir_server(1).FlushLog();
+  queue_.RunUntilIdle();
+  ASSERT_GT(ensemble_->dir_server(1).store().entry_count(), 0u);
+
+  ensemble_->dir_server(1).Fail();
+  RunFor(FromMillis(1000));  // declare dir1 dead, let dir2 replay its log
+  ASSERT_FALSE(ensemble_->manager()->NodeAlive(NodeClass::kDir, 1));
+  ASSERT_TRUE(ensemble_->dir_server(2).adopted_sites().count(1) > 0);
+
+  Result<std::vector<DirEntry>> listed = client_->ReadWholeDir(root_);
+  for (int attempt = 0; !listed.ok() && attempt < 50; ++attempt) {
+    RunFor(FromMillis(10));  // jukebox while a table install is in flight
+    listed = client_->ReadWholeDir(root_);
+  }
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  std::map<std::string, int> seen;
+  for (const DirEntry& entry : *listed) {
+    ++seen[entry.name];
+  }
+  EXPECT_EQ(listed->size(), names.size());
+  for (const std::string& name : names) {
+    EXPECT_EQ(seen[name], 1) << name;
+  }
 }
 
 TEST_F(MgmtTest, StaleEpochMisdirectTriggersTableReload) {
