@@ -16,9 +16,6 @@
 //                     fig5_cache so the A/B artifacts get their own golden
 //   --no-pool         disable the packet pool (A/B determinism check: same
 //                     seed must produce byte-identical artifacts either way)
-//   --no-batch        disable flight-at-a-time delivery batching (same A/B
-//                     contract: batching is a cost optimization, never a
-//                     behavior change)
 //   --assert-zero-alloc  after the sweep, run the end-to-end fast-path probe
 //                     (µproxy + real storage node round trips under a
 //                     counting operator-new) and exit nonzero if the
@@ -400,8 +397,6 @@ int main(int argc, char** argv) {
       assert_zero_alloc = true;
     } else if (std::strcmp(argv[i], "--no-pool") == 0) {
       slice::PacketPool::SetEnabled(false);
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      slice::Network::SetDeliveryBatching(false);
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-dump") == 0 && i + 1 < argc) {

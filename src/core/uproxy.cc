@@ -738,18 +738,6 @@ void Uproxy::HandleInbound(Packet&& pkt) {
   net_.DeliverLocalAt(client_addr, std::move(pkt), ready, alive_);
 }
 
-void Uproxy::HandleInboundBatch(std::span<Packet> pkts) {
-  // One wall scope covers the whole delivery flight; the per-packet scopes
-  // inside HandleInbound nest beneath it, so the stage report can show how
-  // much of the inbound wall time batching amortized. Processing stays
-  // strictly in flight order — behavior and same-seed artifacts are
-  // identical to per-packet delivery.
-  obs::Profiler::Scope prof(profiler_, obs::ProfScope::kUproxyInboundBatch);
-  for (Packet& pkt : pkts) {
-    HandleInbound(std::move(pkt));
-  }
-}
-
 std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& pending,
                                                const DecodedReply& reply) const {
   ByteSpan body = payload.subspan(reply.body_offset);

@@ -110,12 +110,6 @@ class Uproxy : public PacketTap {
 
   void HandleOutbound(Packet&& pkt) override;
   void HandleInbound(Packet&& pkt) override;
-  // Flight-at-a-time inbound: the network hands over a whole same-instant
-  // delivery flight in one call. Per-packet processing is identical to
-  // HandleInbound (order preserved, so same-seed artifacts match); the
-  // batch exists to amortize per-dispatch overhead and is attributed to its
-  // own wall scope.
-  void HandleInboundBatch(std::span<Packet> pkts) override;
 
   // Discards all soft state (pending records, attribute cache, block-map
   // cache). Correctness must survive this (paper §2.1).

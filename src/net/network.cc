@@ -7,8 +7,6 @@
 
 namespace slice {
 
-bool Network::batching_enabled_ = true;
-
 Network::Network(EventQueue& queue, NetworkParams params, const obs::Sinks& sinks)
     : queue_(queue),
       params_(params),
@@ -251,8 +249,8 @@ void Network::Transmit(Packet&& pkt) {
     tracer_->RecordSpan(src, ctx, obs::SpanCat::kWire, "wire_tx", tx_start, arrival);
   }
 
-  // Receiver-side serialization is applied at arrival time; the packet rides
-  // the flight heap instead of a heap-allocated closure capture.
+  // Receiver-side serialization is applied at arrival time; until then the
+  // packet waits in the flight table.
   Flight f;
   f.due = arrival;
   f.stage = FlightStage::kArrive;
@@ -264,28 +262,26 @@ void Network::Transmit(Packet&& pkt) {
 
 void Network::PushFlight(Flight&& f) {
   if (f.due < queue_.now()) {
-    f.due = queue_.now();  // mirror the queue's clamp so pairing stays exact
+    f.due = queue_.now();  // the queue clamps the same way; RunFlight checks it
   }
-  f.seq = flight_seq_++;
-  queue_.ScheduleDrainAt(f.due, &Network::DrainThunk, this);
-  flights_.push(std::move(f));
+  const SimTime due = f.due;
+  uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(flights_.size());
+    flights_.push_back(std::move(f));
+  } else {
+    free_head_ = flights_[slot].next_free;
+    flights_[slot] = std::move(f);
+  }
+  queue_.ScheduleAt(due, [this, slot] { RunFlight(slot); });
 }
 
-void Network::DrainThunk(void* sink) { static_cast<Network*>(sink)->DrainFlights(); }
-
-void Network::DrainFlights() {
-  // One flight per paired drain; absorbing consumes further same-instant
-  // drains for this network so a burst of simultaneous arrivals costs one
-  // event dispatch instead of one each.
-  do {
-    ProcessOneFlight();
-  } while (queue_.AbsorbNextDrain(this));
-}
-
-void Network::ProcessOneFlight() {
-  SLICE_CHECK(!flights_.empty());
-  Flight f = std::move(const_cast<Flight&>(flights_.top()));
-  flights_.pop();
+void Network::RunFlight(uint32_t slot) {
+  // Move out first: the stage below may push flights, which can grow the
+  // table and reuse this slot.
+  Flight f = std::move(flights_[slot]);
+  flights_[slot].next_free = free_head_;
+  free_head_ = slot;
   SLICE_CHECK(f.due == queue_.now());
 
   switch (f.stage) {
@@ -337,36 +333,7 @@ void Network::ProcessOneFlight() {
       }
       obs::Inc(host_it->second.m_pkts_rx);
       if (host_it->second.tap != nullptr) {
-        if (batching_enabled_) {
-          // Flight-at-a-time delivery: extend this dispatch over the run of
-          // same-instant deliveries to the same tapped host. Each extension
-          // first absorbs the flight's paired drain (keeping flights and
-          // drains 1:1) and only then pops the flight; an interleaved
-          // foreign event makes AbsorbNextDrain fail and ends the batch, so
-          // global ordering is exactly what per-flight dispatch produced.
-          // No handler runs during collection, so the host/failed state
-          // checked above cannot change mid-batch.
-          batch_.clear();
-          batch_.push_back(std::move(f.pkt));
-          while (!flights_.empty()) {
-            const Flight& top = flights_.top();
-            if (top.stage != FlightStage::kDeliver || top.due != queue_.now() ||
-                top.pkt.dst_addr() != addr) {
-              break;
-            }
-            if (!queue_.AbsorbNextDrain(this)) {
-              break;
-            }
-            Flight g = std::move(const_cast<Flight&>(flights_.top()));
-            flights_.pop();
-            obs::Inc(host_it->second.m_pkts_rx);
-            batch_.push_back(std::move(g.pkt));
-          }
-          host_it->second.tap->HandleInboundBatch(std::span<Packet>(batch_));
-          batch_.clear();
-        } else {
-          host_it->second.tap->HandleInbound(std::move(f.pkt));
-        }
+        host_it->second.tap->HandleInbound(std::move(f.pkt));
       } else {
         host_it->second.handler(std::move(f.pkt));
       }

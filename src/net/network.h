@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -64,12 +63,9 @@ class PacketTap {
   // Called for packets arriving for the host. Implementations call
   // Network::DeliverLocal to pass packets up to the host.
   virtual void HandleInbound(Packet&& pkt) = 0;
-  // Called with a whole delivery flight: every packet in `pkts` arrived for
-  // this host at the same instant (their drains coalesced into one event
-  // dispatch). The default peels them one at a time, so taps that don't
-  // batch behave exactly as before; the µproxy overrides this to hoist
-  // per-dispatch work out of the per-packet loop. Overrides must consume
-  // every packet and must preserve in-order processing.
+  // The network never calls this: it delivers every packet on its own
+  // through HandleInbound. The default per-packet loop remains for taps
+  // that still override it or forward to it.
   virtual void HandleInboundBatch(std::span<Packet> pkts) {
     for (Packet& p : pkts) {
       HandleInbound(std::move(p));
@@ -109,7 +105,7 @@ class Network {
   // tap. Used by taps to hand accepted packets to their host.
   void DeliverLocal(NetAddr addr, Packet&& pkt);
 
-  // Deferred tap API (allocation-free): the packet rides the flight heap
+  // Deferred tap API (allocation-free): the packet waits in the flight table
   // until `ready` (e.g. the µproxy's CPU-done time) and then enters the wire
   // / the local host, replacing the make_shared<Packet>+closure idiom. A
   // `guard` that reads false at dispatch drops the packet silently — the
@@ -120,14 +116,9 @@ class Network {
   // Deferred host send (allocation-free): at `ready` the packet enters the
   // normal Send path — outbound tap first, then the wire. This is the RPC
   // server's deferred reply: the encoded reply moves into a pooled packet
-  // buffer immediately and rides the flight heap to its service-done
-  // instant, replacing a heap-allocated ScheduleAt closure.
+  // buffer immediately and waits in the flight table until its service-done
+  // instant.
   void SendAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard = nullptr);
-
-  // A/B switch for flight-batched tap delivery (determinism harness: runs
-  // with batching on and off must produce byte-identical artifacts).
-  static void SetDeliveryBatching(bool enabled) { batching_enabled_ = enabled; }
-  static bool delivery_batching() { return batching_enabled_; }
 
   // Marks a host failed: its packets are dropped silently until revived.
   // Models server crashes for failover experiments.
@@ -170,14 +161,10 @@ class Network {
     uint64_t* prof_ledger = nullptr;
   };
 
-  // In-flight packets, ordered exactly like the event queue orders their
-  // paired drain events. Every PushFlight schedules one drain for this
-  // network at the flight's due time; every drain dispatch (or absorption)
-  // processes exactly one flight. The two sequences are order-isomorphic —
-  // (due, seq) here, (when, seq) in the queue, both seq counters assigned at
-  // the same call site — so the k-th drain always finds its own flight on
-  // top of this heap. Same-instant arrivals therefore coalesce into one
-  // event dispatch (AbsorbNextDrain) without any observable reordering.
+  // An in-flight packet and the stage it runs next. Flights live in a slot
+  // table; each stage is one ordinary event-queue event at the flight's due
+  // time whose closure carries only {this, slot}, so the queue alone orders
+  // them and scheduling allocates nothing.
   enum class FlightStage : uint8_t {
     kArrive,   // switch hop done; acquire receiver NIC
     kDeliver,  // receiver serialization done; hand to tap/handler
@@ -187,28 +174,19 @@ class Network {
   };
   struct Flight {
     SimTime due = 0;
-    uint64_t seq = 0;
     FlightStage stage = FlightStage::kArrive;
     SimTime wire = 0;        // serialization time, reused for the rx side
     NetAddr local_addr = 0;  // kLocal destination
     obs::TraceContext ctx;
-    std::shared_ptr<const bool> guard;  // kInject/kLocal liveness
+    std::shared_ptr<const bool> guard;  // kInject/kLocal/kSend liveness
     Packet pkt;
+    uint32_t next_free = 0;  // while the slot is free: the next free slot
   };
-  struct FlightLater {
-    bool operator()(const Flight& a, const Flight& b) const {
-      if (a.due != b.due) {
-        return a.due > b.due;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  static void DrainThunk(void* sink);
-  void DrainFlights();
-  void ProcessOneFlight();
-  // Assigns the flight's seq, schedules its paired drain, and enqueues it.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  // Parks the flight in a free slot and schedules its stage at `f.due`.
   void PushFlight(Flight&& f);
+  // Runs the stage of the flight parked in `slot` and frees the slot.
+  void RunFlight(uint32_t slot);
 
   void Transmit(Packet&& pkt);
   void RegisterHostMetrics(NetAddr addr, Host& host);
@@ -231,13 +209,10 @@ class Network {
   std::unordered_map<NetAddr, bool> failed_;
   std::unordered_map<uint64_t, LinkShape> link_shapes_;  // LinkKey(src,dst)
   std::unordered_map<NetAddr, SimTime> host_extra_delay_;
-  std::priority_queue<Flight, std::vector<Flight>, FlightLater> flights_;
-  uint64_t flight_seq_ = 0;
-  // Scratch for flight-batched tap delivery (capacity reused across
-  // dispatches; never touched re-entrantly — tap handlers only push new
-  // flights, they cannot re-enter the drain).
-  std::vector<Packet> batch_;
-  static bool batching_enabled_;
+  // Slot table. Free slots form a list threaded through next_free, so the
+  // table's own growth is the only allocation it makes.
+  std::vector<Flight> flights_;
+  uint32_t free_head_ = kNoSlot;
   Rng loss_rng_;
   Rng chaos_rng_;
   uint64_t packets_sent_ = 0;

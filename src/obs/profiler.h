@@ -53,7 +53,6 @@ namespace slice::obs {
   X(kUproxyAttrPatch, "uproxy.attr_patch") \
   X(kUproxyMetrics, "uproxy.metrics")   \
   X(kUproxyInbound, "uproxy.inbound")   \
-  X(kUproxyInboundBatch, "uproxy.inbound_batch") \
   X(kRpcDispatch, "rpc.dispatch")       \
   X(kStorageCache, "storage.cache")     \
   X(kStorageDisk, "storage.disk")       \

@@ -104,6 +104,8 @@ struct RpcMessageView {
 };
 
 Result<RpcMessageView> DecodeRpcMessage(ByteSpan data);
+// A view of a temporary would dangle as soon as the call returns.
+Result<RpcMessageView> DecodeRpcMessage(Bytes&&) = delete;
 
 // Fast-path peek used by the µproxy: extracts (xid, msg type) and, for calls,
 // (prog, vers, proc) plus the byte offset where the procedure arguments

@@ -177,9 +177,8 @@ void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
 
   // The reply is a deferred send flight, not a heap-allocated closure: the
   // wire bytes move into a pooled packet buffer now, and the network sends
-  // it at the service-done instant. Ordering is identical to the old
-  // ScheduleAt closure — a flight's paired drain draws from the same event
-  // sequence the closure would have.
+  // it at the service-done instant from an ordinary, allocation-free queue
+  // event.
   Packet out = Packet::MakeUdp(endpoint(), client, ByteSpan(reply_enc_.bytes()));
   if (tracer_ != nullptr && trace.valid()) {
     out.AttachTrace(trace.trace_id, trace.span_id);

@@ -20,47 +20,6 @@ void EventQueue::ScheduleBackgroundAt(SimTime when, Action action) {
   Push(when, std::move(action), true);
 }
 
-void EventQueue::ScheduleDrainAt(SimTime when, DrainFn fn, void* sink,
-                                 std::shared_ptr<const bool> guard) {
-  if (when < now_) {
-    when = now_;
-  }
-  if (!in_background_) {
-    ++foreground_pending_;
-  }
-  Event ev;
-  ev.when = when;
-  ev.seq = next_seq_++;
-  ev.background = in_background_;
-  ev.drain_fn = fn;
-  ev.drain_sink = sink;
-  ev.guard = std::move(guard);
-  heap_.push(std::move(ev));
-}
-
-bool EventQueue::AbsorbNextDrain(void* sink) {
-  if (heap_.empty()) {
-    return false;
-  }
-  const Event& top = heap_.top();
-  if (top.drain_fn == nullptr || top.drain_sink != sink || top.when != now_) {
-    return false;
-  }
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
-  heap_.pop();
-  ++executed_;
-  if (!ev.background) {
-    SLICE_CHECK(foreground_pending_ > 0);
-    --foreground_pending_;
-  }
-  // The caller keeps processing inside the current dispatch; anything it
-  // schedules while handling this unit inherits the absorbed event's
-  // background status, exactly as if the drain had fired on its own. RunOne
-  // restores the pre-dispatch status afterwards.
-  in_background_ = ev.background;
-  return true;
-}
-
 bool EventQueue::RunOne() {
   if (heap_.empty()) {
     return false;
@@ -82,13 +41,7 @@ bool EventQueue::RunOne() {
   if (dispatch_hook_ != nullptr) {
     dispatch_hook_(dispatch_hook_ctx_, /*begin=*/true);
   }
-  if (ev.drain_fn != nullptr) {
-    if (ev.guard == nullptr || *ev.guard) {
-      ev.drain_fn(ev.drain_sink);
-    }
-  } else {
-    ev.action();
-  }
+  ev.action();
   if (dispatch_hook_ != nullptr) {
     dispatch_hook_(dispatch_hook_ctx_, /*begin=*/false);
   }

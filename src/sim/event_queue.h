@@ -2,13 +2,15 @@
 //
 // All timing-sensitive Slice experiments (directory scaling, SFS throughput,
 // bulk bandwidth) run on this clock; wall-clock benchmarks (µproxy CPU cost)
-// use google-benchmark instead and never touch the simulator.
+// use google-benchmark instead and never touch the simulator. The queue is
+// the only thing that orders simulated time: components that keep their own
+// pending work (the network's in-flight packets) schedule one ordinary event
+// per unit of it here rather than keeping a second ordered structure.
 #ifndef SLICE_SIM_EVENT_QUEUE_H_
 #define SLICE_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -48,6 +50,9 @@ class EventQueue {
   // experiments deterministic. Events scheduled while a background event is
   // executing inherit background status, so the whole causal chain of a
   // background timer (RPC sends, network hops, replies) stays background.
+  // With libstdc++, a closure of at most 16 trivially-copyable bytes (e.g. a
+  // `this` pointer plus an index) fits std::function's inline buffer, so
+  // scheduling it does not allocate.
   void ScheduleAt(SimTime when, Action action);
   void ScheduleAfter(SimTime delay, Action action) { ScheduleAt(now_ + delay, std::move(action)); }
 
@@ -59,27 +64,6 @@ class EventQueue {
   void ScheduleBackgroundAfter(SimTime delay, Action action) {
     ScheduleBackgroundAt(now_ + delay, std::move(action));
   }
-
-  // --- batched drains (allocation-free scheduling) ---
-  //
-  // A drain event carries a plain function pointer and a sink instead of a
-  // std::function, so scheduling one never allocates a closure. Drains obey
-  // the same (time, seq) FIFO order as ordinary events. `guard`, when set, is
-  // checked at dispatch: a false guard turns the drain into a no-op (the
-  // owner died), mirroring the shared-alive-flag idiom used by closures.
-  using DrainFn = void (*)(void* sink);
-  void ScheduleDrainAt(SimTime when, DrainFn fn, void* sink,
-                       std::shared_ptr<const bool> guard = nullptr);
-
-  // Callable only from inside a running drain: if the queue's next event is
-  // another drain for the same `sink` at the current time, consume it and
-  // return true — the caller then processes one more unit of its own backlog
-  // in this dispatch. Because absorption only ever takes the queue's *top*
-  // event, it cannot reorder anything: any interleaved event (same time,
-  // smaller seq) blocks absorption and runs first, exactly as if each drain
-  // had fired separately. This is how same-instant packet arrivals at a host
-  // coalesce into one event dispatch without perturbing determinism.
-  bool AbsorbNextDrain(void* sink);
 
   // Runs the earliest event; returns false if the queue is empty.
   bool RunOne();
@@ -110,10 +94,7 @@ class EventQueue {
     SimTime when;
     uint64_t seq;
     bool background;
-    Action action;                 // empty for drain events
-    DrainFn drain_fn = nullptr;    // non-null marks a drain event
-    void* drain_sink = nullptr;
-    std::shared_ptr<const bool> guard;
+    Action action;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {

@@ -4,31 +4,12 @@
 // serialization (shape, omitted-when-empty fields, content hashing).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "src/obs/eventlog.h"
 #include "src/obs/flight_recorder.h"
-
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// obs_test.cc): counts every operator-new in the process, tests measure
-// deltas around the calls under scrutiny.
-static uint64_t g_news = 0;
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -139,30 +120,30 @@ TEST(EventLogTest, DisabledPathDoesNotAllocate) {
   params.enabled = false;
   EventLog log(params);
 
-  const uint64_t before = g_news;
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 64; ++i) {
     obs::LogEvent(&log, 1, i, EventSev::kError, EventCat::kMgmt, EventCode::kNodeDead,
                   /*trace_id=*/42, "detail", {{"k", i}});
   }
-  EXPECT_EQ(g_news, before) << "disabled event logging must not allocate";
+  EXPECT_EQ(AllocCount(), before) << "disabled event logging must not allocate";
   EXPECT_EQ(log.total_recorded(), 0u);
   EXPECT_EQ(log.num_rings(), 0u);
 
   // The unwired case (null log) is the same single branch.
-  const uint64_t before_null = g_news;
+  const uint64_t before_null = AllocCount();
   obs::LogEvent(nullptr, 1, 0, EventSev::kError, EventCat::kMgmt, EventCode::kNodeDead);
-  EXPECT_EQ(g_news, before_null);
+  EXPECT_EQ(AllocCount(), before_null);
 
   // Severity-filtered records on an enabled log are equally allocation-free.
   EventLogParams warn_params;
   warn_params.min_severity = EventSev::kWarn;
   EventLog warn_log(warn_params);
-  const uint64_t before_filtered = g_news;
+  const uint64_t before_filtered = AllocCount();
   for (int i = 0; i < 64; ++i) {
     obs::LogEvent(&warn_log, 1, i, EventSev::kDebug, EventCat::kRoute,
                   EventCode::kRouteDecision, 0, "route:dir", {{"dst", i}});
   }
-  EXPECT_EQ(g_news, before_filtered);
+  EXPECT_EQ(AllocCount(), before_filtered);
 }
 
 TEST(EventLogTest, NamesAreStable) {

@@ -1,15 +1,12 @@
 // Steady-state allocation test for the µproxy forwarding fast path.
 //
 // The zero-allocation claim (DESIGN.md §7) is structural: pooled packet
-// buffers, the flat pending table, the cached decode view and drain-based
-// delivery mean that once every freelist and hash table has warmed up, a
+// buffers, the flat pending table, the cached decode view and slot-table
+// flights mean that once every freelist and hash table has warmed up, a
 // forwarded request and its reply touch the heap zero times. This test pins
 // that down with a process-wide operator-new counter: warm up, then assert
 // the delta over a measurement window is exactly zero.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <new>
 
 #include "src/core/uproxy.h"
 #include "src/net/packet_pool.h"
@@ -18,22 +15,7 @@
 #include "src/obs/profiler.h"
 #include "src/rpc/rpc_message.h"
 #include "src/storage/storage_node.h"
-
-// Counts every operator-new in the process; the test measures deltas.
-static uint64_t g_news = 0;
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -120,11 +102,11 @@ TEST(FastPathAllocTest, SteadyStateForwardAndReplyDoNotAllocate) {
   ASSERT_EQ(replies, 64u);
 
   const uint64_t pool_hits_before = PacketPool::Default().recycle_hits();
-  const uint64_t news_before = g_news;
+  const uint64_t news_before = AllocCount();
   for (int i = 0; i < 256; ++i) {
     round_trip();
   }
-  const uint64_t news_after = g_news;
+  const uint64_t news_after = AllocCount();
   const uint64_t pool_hits_after = PacketPool::Default().recycle_hits();
 
   EXPECT_EQ(news_after - news_before, 0u)
@@ -208,11 +190,11 @@ TEST(FastPathAllocTest, SteadyStateWithProfilerEnabledDoesNotAllocate) {
   }
   ASSERT_EQ(replies, 64u);
 
-  const uint64_t news_before = g_news;
+  const uint64_t news_before = AllocCount();
   for (int i = 0; i < 256; ++i) {
     round_trip();
   }
-  const uint64_t news_after = g_news;
+  const uint64_t news_after = AllocCount();
 
   EXPECT_EQ(news_after - news_before, 0u)
       << "profiled steady-state forwarding allocated " << (news_after - news_before)
@@ -301,11 +283,11 @@ TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
   ASSERT_EQ(replies, static_cast<uint64_t>(kWarmup));
 
   const uint64_t pool_hits_before = PacketPool::Default().recycle_hits();
-  const uint64_t news_before = g_news;
+  const uint64_t news_before = AllocCount();
   for (int i = 0; i < 256; ++i) {
     round_trip();
   }
-  const uint64_t news_after = g_news;
+  const uint64_t news_after = AllocCount();
 
   EXPECT_EQ(news_after - news_before, 0u)
       << "steady-state full path (uproxy -> rpc dispatch -> storage cache hit -> "

@@ -5,8 +5,6 @@
 // disabled fast path.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -14,24 +12,7 @@
 #include "src/obs/metrics_export.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/event_queue.h"
-
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// obs_test.cc): counts every operator-new in the process; tests measure
-// deltas around the calls under scrutiny.
-static uint64_t g_news = 0;
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -107,22 +88,22 @@ TEST(InstrumentTest, DisabledHotPathDoesNotAllocate) {
   Counter* counter = nullptr;
   Gauge* gauge = nullptr;
   Histogram* histogram = nullptr;
-  const uint64_t before = g_news;
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 1000; ++i) {
     obs::Inc(counter);
     obs::Inc(counter, 64);
     obs::Set(gauge, i);
     obs::Observe(histogram, static_cast<SimTime>(i));
   }
-  EXPECT_EQ(g_news, before) << "disabled metrics hot path must not allocate";
+  EXPECT_EQ(AllocCount(), before) << "disabled metrics hot path must not allocate";
 
   // The enabled push path is allocation-free too once the instrument exists.
   Counter real;
-  const uint64_t before_real = g_news;
+  const uint64_t before_real = AllocCount();
   for (int i = 0; i < 1000; ++i) {
     obs::Inc(&real);
   }
-  EXPECT_EQ(g_news, before_real);
+  EXPECT_EQ(AllocCount(), before_real);
   EXPECT_EQ(real.Value(), 1000u);
 }
 

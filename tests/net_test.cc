@@ -1,6 +1,10 @@
 // Unit tests for packets (header layout, checksum rewriting) and the
-// simulated network (delivery, timing, taps, loss, failure).
+// simulated network (delivery, timing, taps, loss, failure, and the
+// in-flight slot table's ordering, guards and growth).
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "src/net/network.h"
 #include "src/net/packet.h"
@@ -203,6 +207,100 @@ TEST_F(NetworkTest, CountsBytes) {
   queue_.RunUntilIdle();
   EXPECT_EQ(net_.bytes_sent(), kPacketHeaderSize + 72);
   EXPECT_EQ(net_.packets_sent(), 1u);
+}
+
+// In-flight packets sit in the network's slot table and each stage is one
+// ordinary event-queue event, so flights and other events share one order.
+Packet PortPacket(NetAddr src, NetAddr dst, NetPort src_port) {
+  Bytes payload(16, 0x5a);
+  return Packet::MakeUdp(Endpoint{src, src_port}, Endpoint{dst, 2049}, payload);
+}
+
+TEST_F(NetworkTest, SameInstantFlightsAndEventsRunInScheduleOrder) {
+  const SimTime at = FromMicros(50);
+  size_t delivered_before_event = 99;
+  net_.DeliverLocalAt(kHostB, PortPacket(kHostA, kHostB, 1), at);
+  queue_.ScheduleAt(at, [&] { delivered_before_event = b_inbox_.size(); });
+  net_.DeliverLocalAt(kHostB, PortPacket(kHostA, kHostB, 2), at);
+  queue_.RunUntilIdle();
+  EXPECT_EQ(queue_.now(), at);
+  EXPECT_EQ(delivered_before_event, 1u);
+  ASSERT_EQ(b_inbox_.size(), 2u);
+  EXPECT_EQ(b_inbox_[0].src_port(), 1);
+  EXPECT_EQ(b_inbox_[1].src_port(), 2);
+}
+
+// Issues one InjectAt, one DeliverLocalAt and one SendAt flight, all bound
+// for host B and all guarded by `guard`.
+void DeferAllKinds(Network& net, const std::shared_ptr<const bool>& guard) {
+  const SimTime at = FromMicros(10);
+  net.InjectAt(PortPacket(kHostA, kHostB, 1), at, guard);
+  net.DeliverLocalAt(kHostB, PortPacket(kHostA, kHostB, 2), at, guard);
+  net.SendAt(PortPacket(kHostA, kHostB, 3), at, guard);
+}
+
+TEST_F(NetworkTest, DeadGuardDropsDeferredFlightsSilently) {
+  auto alive = std::make_shared<bool>(true);
+  DeferAllKinds(net_, alive);
+  *alive = false;  // the originator dies before the flights are due
+  queue_.RunUntilIdle();
+  EXPECT_TRUE(b_inbox_.empty());
+  EXPECT_EQ(net_.packets_sent(), 0u);
+  EXPECT_EQ(net_.packets_dropped(), 0u);
+}
+
+TEST_F(NetworkTest, LiveGuardDeliversDeferredFlights) {
+  auto alive = std::make_shared<bool>(true);
+  DeferAllKinds(net_, alive);
+  queue_.RunUntilIdle();
+  ASSERT_EQ(b_inbox_.size(), 3u);
+  // The local delivery skips the wire; the other two cross it in issue order.
+  EXPECT_EQ(b_inbox_[0].src_port(), 2);
+  EXPECT_EQ(b_inbox_[1].src_port(), 1);
+  EXPECT_EQ(b_inbox_[2].src_port(), 3);
+  EXPECT_EQ(net_.packets_sent(), 2u);
+}
+
+// On each inbound packet, sends a burst of packets back to the sender.
+class BurstTap : public PacketTap {
+ public:
+  BurstTap(Network& net, int burst) : net_(net), burst_(burst) {}
+
+  void HandleOutbound(Packet&& pkt) override { net_.Inject(std::move(pkt)); }
+  void HandleInbound(Packet&& pkt) override {
+    for (int i = 0; i < burst_; ++i) {
+      net_.Inject(PortPacket(pkt.dst_addr(), pkt.src_addr(), static_cast<NetPort>(i)));
+    }
+    net_.DeliverLocal(pkt.dst_addr(), std::move(pkt));
+  }
+
+ private:
+  Network& net_;
+  int burst_;
+};
+
+TEST_F(NetworkTest, TapBurstGrowsFlightTableMidDispatch) {
+  constexpr int kBurst = 64;
+  BurstTap tap(net_, kBurst);
+  net_.InstallTap(kHostB, &tap);
+  net_.Send(TestPacket());
+  queue_.RunUntilIdle();
+  ASSERT_EQ(b_inbox_.size(), 1u);
+  ASSERT_EQ(a_inbox_.size(), static_cast<size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(a_inbox_[i].src_port(), i) << "delivery " << i;
+    EXPECT_TRUE(a_inbox_[i].VerifyChecksums());
+  }
+}
+
+// Simulation digests hash executed(), so a delivered packet must stay
+// exactly two events: arrival at the receiver's NIC, then delivery.
+TEST_F(NetworkTest, DeliveredPacketCostsTwoEvents) {
+  const uint64_t before = queue_.executed();
+  net_.Send(TestPacket());
+  queue_.RunUntilIdle();
+  ASSERT_EQ(b_inbox_.size(), 1u);
+  EXPECT_EQ(queue_.executed() - before, 2u);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 // fast path.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,24 +13,7 @@
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/slice/ensemble.h"
-
-// Global allocation counter for the disabled-fast-path test. Counts every
-// operator-new in the process; tests measure deltas around the calls under
-// scrutiny (the harness itself allocates, so absolute values mean nothing).
-static uint64_t g_news = 0;
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -308,7 +289,7 @@ TEST(TracerTest, DisabledFastPathAllocatesNothing) {
   Tracer off(TracerParams{.enabled = false});
   const TraceContext ctx{12, 34};
 
-  const uint64_t before = g_news;
+  const uint64_t before = AllocCount();
   for (int i = 0; i < 1000; ++i) {
     (void)off.NewTraceId();
     (void)off.NewSpanId();
@@ -317,15 +298,15 @@ TEST(TracerTest, DisabledFastPathAllocatesNothing) {
     obs::ScopedContext scope(&off, ctx);
     obs::ScopedContext null_scope(nullptr, ctx);
   }
-  EXPECT_EQ(g_news, before) << "disabled tracing must not allocate";
+  EXPECT_EQ(AllocCount(), before) << "disabled tracing must not allocate";
 
   // An enabled tracer recording into an untraced context is equally free.
   Tracer on;
-  const uint64_t before_untraced = g_news;
+  const uint64_t before_untraced = AllocCount();
   for (int i = 0; i < 1000; ++i) {
     on.RecordSpan(1, TraceContext{}, SpanCat::kCpu, "x", 0, 1);
   }
-  EXPECT_EQ(g_news, before_untraced);
+  EXPECT_EQ(AllocCount(), before_untraced);
 }
 
 }  // namespace

@@ -6,13 +6,11 @@
 //  * epoch invalidation is *exact*: an epoch bump that rebinds slots flushes
 //    precisely the entries resolved through those slots and nothing else;
 //  * the cache-served hit path is zero-allocation at steady state, pinned
-//    with the same process-wide operator-new counter as the forwarding fast
-//    path (tests/fastpath_alloc_test.cc).
+//    with the process-wide operator-new counter (tests/alloc_counter.h)
+//    that also pins the forwarding fast path.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <list>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -25,22 +23,7 @@
 #include "src/net/packet_pool.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/rpc/rpc_message.h"
-
-// Counts every operator-new in the process; the alloc test measures deltas.
-static uint64_t g_news = 0;
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -441,11 +424,11 @@ TEST(ProxyCacheTest, SteadyStateLookupHitDoesNotAllocate) {
   }
   ASSERT_EQ(uproxy.counters().Get("cache_lookup_hits"), 64u);
 
-  const uint64_t news_before = g_news;
+  const uint64_t news_before = AllocCount();
   for (int i = 0; i < 256; ++i) {
     hit();
   }
-  const uint64_t news_after = g_news;
+  const uint64_t news_after = AllocCount();
   EXPECT_EQ(news_after - news_before, 0u)
       << "cache-served lookup allocated " << (news_after - news_before)
       << " times over 256 hits";

@@ -28,7 +28,8 @@ TEST(RpcMessageTest, CallRoundTrip) {
   args.PutUint64(0xfeedface);
   call.args = args.bytes();
 
-  Result<RpcMessageView> view = DecodeRpcMessage(call.Encode());
+  const Bytes wire = call.Encode();
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->type, RpcMsgType::kCall);
   EXPECT_EQ(view->xid, 77u);
@@ -49,7 +50,8 @@ TEST(RpcMessageTest, ReplyRoundTrip) {
   result.PutUint32(123);
   reply.result = result.bytes();
 
-  Result<RpcMessageView> view = DecodeRpcMessage(reply.Encode());
+  const Bytes wire = reply.Encode();
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->type, RpcMsgType::kReply);
   EXPECT_EQ(view->xid, 88u);
@@ -62,7 +64,8 @@ TEST(RpcMessageTest, ErrorReplyHasNoBody) {
   RpcReply reply;
   reply.xid = 9;
   reply.stat = RpcAcceptStat::kProcUnavail;
-  Result<RpcMessageView> view = DecodeRpcMessage(reply.Encode());
+  const Bytes wire = reply.Encode();
+  Result<RpcMessageView> view = DecodeRpcMessage(wire);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->accept_stat, RpcAcceptStat::kProcUnavail);
   EXPECT_TRUE(view->body.empty());
