@@ -275,11 +275,11 @@ BENCHMARK(BM_Total_RequestPath);
 // four preconstructed small READ calls at distinct offsets. The Serve() body
 // replicates the shape of RpcServerNode::OnPacket + StorageNode::HandleRead
 // after the zero-allocation rework: view decode of the RPC envelope and args,
-// flat-index duplicate-request cache, cache-hit read into reusable scratch,
-// span-spliced ReadRes encode, the reply envelope into a member scratch
-// encoder, and the DRC reply ring recording the wire bytes. In steady state
-// none of it touches the heap — the same claim the full-path alloc test pins
-// against the real nodes; here we put a ns/pkt number on it.
+// flat-index duplicate-request cache, cache-hit read gathered as views of the
+// store's pages, ReadRes encoded from those views, the reply envelope into a
+// member scratch encoder, and the DRC reply ring recording the wire bytes. In
+// steady state none of it touches the heap — the same claim the full-path
+// alloc test pins against the real nodes; here we put a ns/pkt number on it.
 struct ServerPathFixture {
   static constexpr ObjectId kObject = 42;
   static constexpr uint32_t kReadBytes = 512;
@@ -290,8 +290,9 @@ struct ServerPathFixture {
   std::vector<Bytes> wires;
   Fattr3 attr;
   // Per-request scratch, mirroring the node members it models.
-  Bytes read_data;
+  std::vector<ByteSpan> read_segments;
   std::vector<PhysBlock> read_blocks;
+  StoreReadExtent read_extent;
   XdrEncoder result_enc;
   XdrEncoder reply_enc;
   uint32_t next_xid = 1;
@@ -351,9 +352,9 @@ struct ServerPathFixture {
   }
 
   void ReadStage(const ReadArgs& args) {
+    read_segments.clear();
     read_blocks.clear();
-    Result<bool> eof = store.ReadInto(kObject, args.offset, args.count, &read_data, &read_blocks);
-    SLICE_CHECK(eof.ok());
+    read_extent = store.ReadGather(kObject, args.offset, args.count, &read_segments, &read_blocks);
     for (PhysBlock b : read_blocks) {
       cache.Access(b);  // warm: every block is a hit
     }
@@ -364,9 +365,9 @@ struct ServerPathFixture {
     ReadRes res;
     res.status = Nfsstat3::kOk;
     res.file_attributes = attr;
-    res.count = static_cast<uint32_t>(read_data.size());
+    res.count = read_extent.length;
     res.eof = false;
-    res.Encode(result_enc, ByteSpan(read_data));
+    res.Encode(result_enc, read_segments);
     reply_enc.Clear();
     reply_enc.PutUint32(xid);
     reply_enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));

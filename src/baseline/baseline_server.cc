@@ -186,27 +186,23 @@ void BaselineServer::DoRead(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cos
     res.Encode(reply);
     return;
   }
-  Result<StoreReadResult> read = data_.Read(args->file.fileid(), args->offset, args->count);
-  if (!read.ok()) {
-    res.status = Nfsstat3::kErrIo;
-    res.Encode(reply);
-    return;
-  }
-  ChargeDisk(read->blocks_read, /*write=*/false, cost);
-  cost.AddCpu(static_cast<SimTime>(static_cast<double>(read->data.size()) *
-                                   params_.cpu_ns_per_byte));
+  read_segments_.clear();
+  io_blocks_.clear();
+  const StoreReadExtent read = data_.ReadGather(args->file.fileid(), args->offset, args->count,
+                                                &read_segments_, &io_blocks_);
+  ChargeDisk(io_blocks_, /*write=*/false, cost);
+  cost.AddCpu(static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));
   attr->atime = Now();
   res.file_attributes = *attr;
-  res.count = static_cast<uint32_t>(read->data.size());
+  res.count = read.length;
   // eof reflects the attribute size (data_ may be sparse/short).
   res.eof = args->offset + res.count >= attr->size;
-  res.data = std::move(read->data);
-  res.Encode(reply);
+  res.Encode(reply, read_segments_);
 }
 
 void BaselineServer::DoWrite(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
   WriteRes res;
-  Result<WriteArgs> args = WriteArgs::Decode(dec);
+  Result<WriteArgsView> args = WriteArgsView::Decode(dec);
   Fattr3* attr = args.ok() ? FindAttr(args->file.fileid()) : nullptr;
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
@@ -214,15 +210,14 @@ void BaselineServer::DoWrite(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& co
     return;
   }
   const bool stable = args->stable != StableHow::kUnstable;
-  Result<StoreWriteResult> write =
-      data_.Write(args->file.fileid(), args->offset, args->data, stable);
-  if (!write.ok()) {
+  io_blocks_.clear();
+  if (!data_.Write(args->file.fileid(), args->offset, args->data, stable, &io_blocks_).ok()) {
     res.status = Nfsstat3::kErrNospc;
     res.Encode(reply);
     return;
   }
   if (stable) {
-    ChargeDisk(write->blocks_written, /*write=*/true, cost);
+    ChargeDisk(io_blocks_, /*write=*/true, cost);
   }
   cost.AddCpu(static_cast<SimTime>(static_cast<double>(args->data.size()) *
                                    params_.cpu_ns_per_byte));
@@ -502,8 +497,13 @@ void BaselineServer::DoCommit(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
     res.Encode(reply);
     return;
   }
-  const std::vector<PhysBlock> written = data_.Commit(args->file.fileid());
-  ChargeDisk(written, /*write=*/true, cost);
+  io_blocks_.clear();
+  if (!data_.Commit(args->file.fileid(), &io_blocks_).ok()) {
+    // Out of space: the unplaced blocks stay dirty, so the data is not
+    // durable yet.
+    res.status = Nfsstat3::kErrNospc;
+  }
+  ChargeDisk(io_blocks_, /*write=*/true, cost);
   res.verf = write_verifier_;
   if (Fattr3* attr = FindAttr(args->file.fileid()); attr != nullptr) {
     res.wcc.after = *attr;

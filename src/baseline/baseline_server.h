@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/nfs/nfs_xdr.h"
@@ -101,6 +102,11 @@ class BaselineServer : public RpcServerNode {
   uint64_t write_verifier_;
   Rng rng_{0xba5e};
   double meta_debt_ = 0.0;
+  // Per-request scratch (capacities reused): the READ payload as views of
+  // the store's pages, and the physical blocks a READ, WRITE or COMMIT
+  // touches.
+  std::vector<ByteSpan> read_segments_;
+  std::vector<PhysBlock> io_blocks_;
 };
 
 }  // namespace slice

@@ -277,7 +277,18 @@ void WriteArgs::Encode(XdrEncoder& enc) const {
 }
 
 Result<WriteArgs> WriteArgs::Decode(XdrDecoder& dec) {
+  SLICE_ASSIGN_OR_RETURN(const WriteArgsView view, WriteArgsView::Decode(dec));
   WriteArgs args;
+  args.file = view.file;
+  args.offset = view.offset;
+  args.count = view.count;
+  args.stable = view.stable;
+  args.data.assign(view.data.begin(), view.data.end());
+  return args;
+}
+
+Result<WriteArgsView> WriteArgsView::Decode(XdrDecoder& dec) {
+  WriteArgsView args;
   SLICE_ASSIGN_OR_RETURN(args.file, DecodeFileHandle(dec));
   SLICE_ASSIGN_OR_RETURN(args.offset, dec.GetUint64());
   SLICE_ASSIGN_OR_RETURN(args.count, dec.GetUint32());
@@ -286,7 +297,7 @@ Result<WriteArgs> WriteArgs::Decode(XdrDecoder& dec) {
     return Status(StatusCode::kCorrupt, "nfs: bad stable_how");
   }
   args.stable = static_cast<StableHow>(stable);
-  SLICE_ASSIGN_OR_RETURN(args.data, dec.GetOpaqueVar(1 << 20));
+  SLICE_ASSIGN_OR_RETURN(args.data, dec.GetOpaqueVarView(1 << 20));
   return args;
 }
 
@@ -504,9 +515,12 @@ Result<ReadlinkRes> ReadlinkRes::Decode(XdrDecoder& dec) {
   return res;
 }
 
-void ReadRes::Encode(XdrEncoder& enc) const { Encode(enc, ByteSpan(data)); }
+void ReadRes::Encode(XdrEncoder& enc) const {
+  const ByteSpan whole(data);
+  Encode(enc, std::span<const ByteSpan>(&whole, 1));
+}
 
-void ReadRes::Encode(XdrEncoder& enc, ByteSpan payload) const {
+void ReadRes::Encode(XdrEncoder& enc, std::span<const ByteSpan> payload) const {
   enc.PutEnum(static_cast<uint32_t>(status));
   EncodePostOpAttr(enc, file_attributes);
   if (status == Nfsstat3::kOk) {

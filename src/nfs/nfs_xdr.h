@@ -83,6 +83,19 @@ struct WriteArgs {
   static Result<WriteArgs> Decode(XdrDecoder& dec);
 };
 
+// WRITE args whose data is a view into the decoder's buffer (the request
+// packet), valid only while that buffer lives. A server that applies the
+// write before its handler returns decodes this and copies the data once,
+// into its own store; WriteArgs::Decode materializes the same decode.
+struct WriteArgsView {
+  FileHandle file;
+  uint64_t offset = 0;
+  uint32_t count = 0;
+  StableHow stable = StableHow::kUnstable;
+  ByteSpan data;
+  static Result<WriteArgsView> Decode(XdrDecoder& dec);
+};
+
 struct CreateArgs {
   FileHandle dir;
   std::string name;
@@ -195,11 +208,11 @@ struct ReadRes {
   bool eof = false;
   Bytes data;
   void Encode(XdrEncoder& enc) const;
-  // Encodes with `payload` as the data body instead of `data`, so the
-  // storage node's READ path can splice its reusable scratch buffer into the
-  // reply without materializing a Bytes copy per request. Byte-identical to
-  // Encode(enc) when payload == data.
-  void Encode(XdrEncoder& enc, ByteSpan payload) const;
+  // Encodes with the concatenation of `payload` as the data body instead of
+  // `data`, so the storage node's READ path copies straight from its store's
+  // pages into the reply without materializing a Bytes per request.
+  // Byte-identical to Encode(enc) when the pieces join to `data`.
+  void Encode(XdrEncoder& enc, std::span<const ByteSpan> payload) const;
   static Result<ReadRes> Decode(XdrDecoder& dec);
 };
 

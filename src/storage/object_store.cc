@@ -2,8 +2,50 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+
+#include "src/common/logging.h"
 
 namespace slice {
+namespace {
+
+// Holes read as views of this page.
+constexpr uint8_t kZeroPage[kStoreBlockSize] = {};
+
+// The first entry of a block-sorted table at or past `block`.
+template <typename Table>
+auto LowerBound(Table& table, BlockIndex block) {
+  return std::lower_bound(table.begin(), table.end(), block,
+                          [](const auto& entry, BlockIndex b) { return entry.block < b; });
+}
+
+// The entry for `block`, or nullptr.
+template <typename Table>
+auto* FindBlock(Table& table, BlockIndex block) {
+  const auto it = LowerBound(table, block);
+  return it != table.end() && it->block == block ? &*it : nullptr;
+}
+
+// Zeroes a fresh page outside [within, within + len), the range a write is
+// about to fill; a page the write covers fully is not touched.
+void ZeroAround(uint8_t* page, size_t within, size_t len) {
+  std::memset(page, 0, within);
+  std::memset(page + within + len, 0, kStoreBlockSize - within - len);
+}
+
+}  // namespace
+
+PageId ObjectStore::PageSlab::Allocate() {
+  if (!free_.empty()) {
+    const PageId page = free_.back();
+    free_.pop_back();
+    return page;
+  }
+  if (next_ % kPagesPerChunk == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(kPagesPerChunk * kStoreBlockSize));
+  }
+  return next_++;
+}
 
 ObjectStore::ObjectStore(uint64_t capacity_bytes)
     : capacity_blocks_(capacity_bytes / kStoreBlockSize),
@@ -32,75 +74,63 @@ Result<PhysBlock> ObjectStore::AllocBlock(PhysBlock hint) {
   return Status(StatusCode::kResourceExhausted, "store: out of blocks");
 }
 
-void ObjectStore::FreeBlock(PhysBlock block) {
-  SLICE_CHECK(block < capacity_blocks_ && allocated_[block]);
-  allocated_[block] = false;
-  disk_.erase(block);
+void ObjectStore::Release(const StoreBlock& block) {
+  SLICE_CHECK(block.phys < capacity_blocks_ && allocated_[block.phys]);
+  allocated_[block.phys] = false;
   --used_blocks_;
+  pages_.Free(block.page);
 }
 
-Result<uint8_t*> ObjectStore::StableBlockData(Object& obj, BlockIndex block, PhysBlock hint,
-                                              std::vector<PhysBlock>* newly_written) {
-  auto it = obj.blocks.find(block);
-  PhysBlock phys;
-  if (it == obj.blocks.end()) {
-    SLICE_ASSIGN_OR_RETURN(phys, AllocBlock(hint));
-    obj.blocks[block] = phys;
-  } else {
-    phys = it->second;
+PhysBlock ObjectStore::HintFor(const Object& obj, std::vector<StoreBlock>::const_iterator pos,
+                               BlockIndex block) const {
+  if (block > 0 && pos != obj.blocks.begin() && std::prev(pos)->block == block - 1) {
+    return std::prev(pos)->phys + 1;
   }
-  if (newly_written != nullptr) {
-    newly_written->push_back(phys);
-  }
-  Bytes& payload = disk_[phys];
-  if (payload.size() != kStoreBlockSize) {
-    payload.assign(kStoreBlockSize, 0);
-  }
-  return payload.data();
+  return alloc_cursor_;
 }
 
-Result<StoreWriteResult> ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data,
-                                            bool stable) {
+Status ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data, bool stable,
+                          std::vector<PhysBlock>* blocks_written) {
   Object& obj = objects_[id];
-  StoreWriteResult result;
-
   size_t consumed = 0;
   while (consumed < data.size()) {
     const uint64_t abs = offset + consumed;
     const BlockIndex block = abs / kStoreBlockSize;
     const size_t within = abs % kStoreBlockSize;
     const size_t take = std::min(data.size() - consumed, kStoreBlockSize - within);
+    const uint8_t* src = data.data() + consumed;
 
     if (stable) {
-      // Contiguity hint: one past the previous logical block's physical slot.
-      PhysBlock hint = alloc_cursor_;
-      if (auto prev = obj.blocks.find(block == 0 ? 0 : block - 1);
-          block > 0 && prev != obj.blocks.end()) {
-        hint = prev->second + 1;
+      auto it = LowerBound(obj.blocks, block);
+      if (it == obj.blocks.end() || it->block != block) {
+        SLICE_ASSIGN_OR_RETURN(const PhysBlock phys, AllocBlock(HintFor(obj, it, block)));
+        it = obj.blocks.insert(it, StoreBlock{block, phys, pages_.Allocate()});
+        ZeroAround(pages_.data(it->page), within, take);
       }
-      SLICE_ASSIGN_OR_RETURN(uint8_t * dst,
-                             StableBlockData(obj, block, hint, &result.blocks_written));
-      std::memcpy(dst + within, data.data() + consumed, take);
+      if (blocks_written != nullptr) {
+        blocks_written->push_back(it->phys);
+      }
+      std::memcpy(pages_.data(it->page) + within, src, take);
       // If a dirty overlay exists for this block, the stable write supersedes
       // the overlapped range; fold the stable bytes into the overlay so reads
       // stay coherent.
-      if (auto dirty_it = obj.dirty.find(block); dirty_it != obj.dirty.end()) {
-        std::memcpy(dirty_it->second.data() + within, data.data() + consumed, take);
+      if (const DirtyBlock* dirty = FindBlock(obj.dirty, block); dirty != nullptr) {
+        std::memcpy(pages_.data(dirty->page) + within, src, take);
       }
     } else {
-      Bytes& overlay = obj.dirty[block];
-      if (overlay.size() != kStoreBlockSize) {
-        overlay.assign(kStoreBlockSize, 0);
+      auto it = LowerBound(obj.dirty, block);
+      if (it == obj.dirty.end() || it->block != block) {
+        const PageId page = pages_.Allocate();
         // Seed the overlay with the stable image so partial dirty writes do
         // not clobber surrounding stable bytes at commit time.
-        if (auto sit = obj.blocks.find(block); sit != obj.blocks.end()) {
-          const auto disk_it = disk_.find(sit->second);
-          if (disk_it != disk_.end()) {
-            overlay = disk_it->second;
-          }
+        if (const StoreBlock* base = FindBlock(obj.blocks, block); base == nullptr) {
+          ZeroAround(pages_.data(page), within, take);
+        } else if (take < kStoreBlockSize) {
+          std::memcpy(pages_.data(page), pages_.data(base->page), kStoreBlockSize);
         }
+        it = obj.dirty.insert(it, DirtyBlock{block, page});
       }
-      std::memcpy(overlay.data() + within, data.data() + consumed, take);
+      std::memcpy(pages_.data(it->page) + within, src, take);
     }
     consumed += take;
   }
@@ -110,86 +140,98 @@ Result<StoreWriteResult> ObjectStore::Write(ObjectId id, uint64_t offset, ByteSp
     obj.size = std::max(obj.size, end);
   }
   obj.unstable_size = std::max({obj.unstable_size, obj.size, end});
-  result.new_size = obj.unstable_size;
-  return result;
+  return OkStatus();
 }
 
-Result<bool> ObjectStore::ReadInto(ObjectId id, uint64_t offset, uint32_t count, Bytes* data,
-                                   std::vector<PhysBlock>* blocks_read) const {
-  data->clear();
+StoreReadExtent ObjectStore::ReadGather(ObjectId id, uint64_t offset, uint32_t count,
+                                        std::vector<ByteSpan>* segments,
+                                        std::vector<PhysBlock>* blocks_read) const {
   const auto obj_it = objects_.find(id);
   if (obj_it == objects_.end()) {
-    return true;
+    return {0, true};
   }
   const Object& obj = obj_it->second;
   const uint64_t size = std::max(obj.size, obj.unstable_size);
   if (offset >= size) {
-    return true;
+    return {0, true};
   }
   const uint64_t n = std::min<uint64_t>(count, size - offset);
-  data->resize(n, 0);
 
+  // The blocks ascend one at a time, so each table is walked by a cursor
+  // instead of searched per block.
+  const BlockIndex first = offset / kStoreBlockSize;
+  auto dirty = LowerBound(obj.dirty, first);
+  auto stable = LowerBound(obj.blocks, first);
   uint64_t produced = 0;
   while (produced < n) {
     const uint64_t abs = offset + produced;
     const BlockIndex block = abs / kStoreBlockSize;
     const size_t within = abs % kStoreBlockSize;
     const size_t take = std::min<uint64_t>(n - produced, kStoreBlockSize - within);
-
-    if (auto dirty_it = obj.dirty.find(block); dirty_it != obj.dirty.end()) {
-      std::memcpy(data->data() + produced, dirty_it->second.data() + within, take);
-    } else if (auto sit = obj.blocks.find(block); sit != obj.blocks.end()) {
-      blocks_read->push_back(sit->second);
-      const auto disk_it = disk_.find(sit->second);
-      if (disk_it != disk_.end()) {
-        std::memcpy(data->data() + produced, disk_it->second.data() + within, take);
-      }
+    while (dirty != obj.dirty.end() && dirty->block < block) {
+      ++dirty;
     }
-    // else: hole — zeros already there.
+    while (stable != obj.blocks.end() && stable->block < block) {
+      ++stable;
+    }
+    const uint8_t* page = kZeroPage;
+    if (dirty != obj.dirty.end() && dirty->block == block) {
+      page = pages_.data(dirty->page);
+    } else if (stable != obj.blocks.end() && stable->block == block) {
+      blocks_read->push_back(stable->phys);
+      page = pages_.data(stable->page);
+    }
+    segments->push_back(ByteSpan(page + within, take));
     produced += take;
   }
-  return offset + n >= size;
+  return {static_cast<uint32_t>(n), offset + n >= size};
 }
 
-Result<StoreReadResult> ObjectStore::Read(ObjectId id, uint64_t offset, uint32_t count) const {
+StoreReadResult ObjectStore::Read(ObjectId id, uint64_t offset, uint32_t count) const {
   StoreReadResult result;
-  SLICE_ASSIGN_OR_RETURN(result.eof,
-                         ReadInto(id, offset, count, &result.data, &result.blocks_read));
+  std::vector<ByteSpan> segments;
+  result.eof = ReadGather(id, offset, count, &segments, &result.blocks_read).eof;
+  for (ByteSpan segment : segments) {
+    result.data.insert(result.data.end(), segment.begin(), segment.end());
+  }
   return result;
 }
 
-std::vector<PhysBlock> ObjectStore::Commit(ObjectId id) {
-  std::vector<PhysBlock> written;
-  auto obj_it = objects_.find(id);
+Status ObjectStore::Commit(ObjectId id, std::vector<PhysBlock>* written) {
+  const auto obj_it = objects_.find(id);
   if (obj_it == objects_.end()) {
-    return written;
+    return OkStatus();
   }
   Object& obj = obj_it->second;
-  for (auto& [block, payload] : obj.dirty) {
-    PhysBlock hint = alloc_cursor_;
-    if (auto prev = obj.blocks.find(block == 0 ? 0 : block - 1);
-        block > 0 && prev != obj.blocks.end()) {
-      hint = prev->second + 1;
+  Status status = OkStatus();
+  size_t placed = 0;
+  for (; placed < obj.dirty.size(); ++placed) {
+    const DirtyBlock& dirty = obj.dirty[placed];
+    auto it = LowerBound(obj.blocks, dirty.block);
+    if (it != obj.blocks.end() && it->block == dirty.block) {
+      // Committed over: the dirty page becomes the stable one.
+      pages_.Free(it->page);
+      it->page = dirty.page;
+    } else {
+      Result<PhysBlock> phys = AllocBlock(HintFor(obj, it, dirty.block));
+      if (!phys.ok()) {
+        status = phys.status();
+        break;  // out of space: this block and the ones after it stay dirty
+      }
+      it = obj.blocks.insert(it, StoreBlock{dirty.block, *phys, dirty.page});
     }
-    Result<uint8_t*> dst = StableBlockData(obj, block, hint, &written);
-    if (!dst.ok()) {
-      break;  // out of space mid-commit; remaining blocks stay dirty
+    if (written != nullptr) {
+      written->push_back(it->phys);
     }
-    std::memcpy(*dst, payload.data(), kStoreBlockSize);
   }
-  obj.dirty.clear();
-  obj.size = std::max(obj.size, obj.unstable_size);
-  return written;
-}
-
-std::vector<PhysBlock> ObjectStore::CommitAll() {
-  std::vector<PhysBlock> written;
-  for (auto& [id, obj] : objects_) {
-    (void)obj;
-    std::vector<PhysBlock> w = Commit(id);
-    written.insert(written.end(), w.begin(), w.end());
-  }
-  return written;
+  obj.dirty.erase(obj.dirty.begin(), obj.dirty.begin() + static_cast<ptrdiff_t>(placed));
+  // The stable size covers what reached the disk: all of it, or up to the
+  // first block still dirty.
+  const uint64_t durable =
+      obj.dirty.empty() ? obj.unstable_size
+                        : std::min(obj.unstable_size, obj.dirty.front().block * kStoreBlockSize);
+  obj.size = std::max(obj.size, durable);
+  return status;
 }
 
 Status ObjectStore::Truncate(ObjectId id, uint64_t size) {
@@ -198,41 +240,33 @@ Status ObjectStore::Truncate(ObjectId id, uint64_t size) {
     if (size == 0) {
       return OkStatus();
     }
-    objects_[id].size = size;
-    objects_[id].unstable_size = size;
+    Object& obj = objects_[id];
+    obj.size = size;
+    obj.unstable_size = size;
     return OkStatus();
   }
   Object& obj = obj_it->second;
   const BlockIndex keep = (size + kStoreBlockSize - 1) / kStoreBlockSize;
-  for (auto it = obj.blocks.begin(); it != obj.blocks.end();) {
-    if (it->first >= keep) {
-      FreeBlock(it->second);
-      it = obj.blocks.erase(it);
-    } else {
-      ++it;
-    }
+  const auto stable_cut = LowerBound(obj.blocks, keep);
+  for (auto it = stable_cut; it != obj.blocks.end(); ++it) {
+    Release(*it);
   }
-  for (auto it = obj.dirty.begin(); it != obj.dirty.end();) {
-    if (it->first >= keep) {
-      it = obj.dirty.erase(it);
-    } else {
-      ++it;
-    }
+  obj.blocks.erase(stable_cut, obj.blocks.end());
+  const auto dirty_cut = LowerBound(obj.dirty, keep);
+  for (auto it = dirty_cut; it != obj.dirty.end(); ++it) {
+    pages_.Free(it->page);
   }
+  obj.dirty.erase(dirty_cut, obj.dirty.end());
   // Zero the tail of the boundary block so a later size extension exposes
   // zeros, not resurrected bytes (POSIX truncate semantics).
   const size_t tail = size % kStoreBlockSize;
   if (tail != 0 && size < std::max(obj.size, obj.unstable_size)) {
     const BlockIndex boundary = size / kStoreBlockSize;
-    if (auto bit = obj.blocks.find(boundary); bit != obj.blocks.end()) {
-      auto disk_it = disk_.find(bit->second);
-      if (disk_it != disk_.end()) {
-        std::fill(disk_it->second.begin() + static_cast<ptrdiff_t>(tail),
-                  disk_it->second.end(), 0);
-      }
+    if (const StoreBlock* stable = FindBlock(obj.blocks, boundary); stable != nullptr) {
+      std::memset(pages_.data(stable->page) + tail, 0, kStoreBlockSize - tail);
     }
-    if (auto dit = obj.dirty.find(boundary); dit != obj.dirty.end()) {
-      std::fill(dit->second.begin() + static_cast<ptrdiff_t>(tail), dit->second.end(), 0);
+    if (const DirtyBlock* dirty = FindBlock(obj.dirty, boundary); dirty != nullptr) {
+      std::memset(pages_.data(dirty->page) + tail, 0, kStoreBlockSize - tail);
     }
   }
   // setattr(size) is durable metadata: both shrink and extension survive a
@@ -247,9 +281,11 @@ Status ObjectStore::Remove(ObjectId id) {
   if (obj_it == objects_.end()) {
     return Status(StatusCode::kNotFound, "store: no such object");
   }
-  for (const auto& [block, phys] : obj_it->second.blocks) {
-    (void)block;
-    FreeBlock(phys);
+  for (const StoreBlock& block : obj_it->second.blocks) {
+    Release(block);
+  }
+  for (const DirtyBlock& dirty : obj_it->second.dirty) {
+    pages_.Free(dirty.page);
   }
   objects_.erase(obj_it);
   return OkStatus();
@@ -258,6 +294,9 @@ Status ObjectStore::Remove(ObjectId id) {
 void ObjectStore::CrashDiscardDirty() {
   for (auto& [id, obj] : objects_) {
     (void)id;
+    for (const DirtyBlock& dirty : obj.dirty) {
+      pages_.Free(dirty.page);
+    }
     obj.dirty.clear();
     obj.unstable_size = obj.size;
   }
@@ -295,11 +334,21 @@ std::optional<PhysBlock> ObjectStore::PhysicalFor(ObjectId id, BlockIndex block)
   if (it == objects_.end()) {
     return std::nullopt;
   }
-  const auto bit = it->second.blocks.find(block);
-  if (bit == it->second.blocks.end()) {
+  const StoreBlock* stable = FindBlock(it->second.blocks, block);
+  if (stable == nullptr) {
     return std::nullopt;
   }
-  return bit->second;
+  return stable->phys;
+}
+
+std::span<const StoreBlock> ObjectStore::BlocksFrom(ObjectId id, BlockIndex first) const {
+  const auto it = objects_.find(id);
+  if (it == objects_.end()) {
+    return {};
+  }
+  const std::vector<StoreBlock>& blocks = it->second.blocks;
+  return std::span<const StoreBlock>(blocks).subspan(
+      static_cast<size_t>(LowerBound(blocks, first) - blocks.begin()));
 }
 
 }  // namespace slice

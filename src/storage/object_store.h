@@ -9,12 +9,24 @@
 // implemented with a dirty-block overlay: unstable data lives in memory until
 // Commit() pushes it to "disk" (the stable image); CrashDiscardDirty() models
 // a power failure, dropping uncommitted data exactly as a real server would.
+//
+// Block contents live in one slab of 8KB pages with a free list, so a freed
+// page is reused by the next allocation. Each object keeps two flat tables
+// sorted by logical block: the stable image as {logical, physical, page} and
+// the dirty overlay as {logical, page}. Commit moves a dirty page into its
+// stable entry instead of copying it, and reads hand out views of the pages.
+//
+// Ownership: a table-entry pointer or span (BlocksFrom) is valid until the
+// next insert into or erase from that object's table; a page id, and a view
+// of its bytes (ReadGather), until its block is freed, truncated away or
+// committed over.
 #ifndef SLICE_STORAGE_OBJECT_STORE_H_
 #define SLICE_STORAGE_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,20 +40,27 @@ constexpr size_t kStoreBlockSize = 8192;
 using ObjectId = uint64_t;
 using BlockIndex = uint64_t;   // logical block within an object
 using PhysBlock = uint64_t;    // physical block within the node's disk space
+using PageId = uint32_t;       // a page of the store's slab
 
-struct StoreWriteResult {
-  // Physical blocks whose stable image was written by this call (empty for
-  // unstable writes); the caller charges disk time for them.
-  std::vector<PhysBlock> blocks_written;
-  uint64_t new_size = 0;
+// One block of an object's stable image.
+struct StoreBlock {
+  BlockIndex block = 0;
+  PhysBlock phys = 0;
+  PageId page = 0;
+};
+
+// What a read covers: its length (short at the end of the object) and
+// whether it reached that end.
+struct StoreReadExtent {
+  uint32_t length = 0;
+  bool eof = false;
 };
 
 struct StoreReadResult {
   Bytes data;
   bool eof = false;
   // Physical blocks backing the read (for cache/disk accounting). Blocks
-  // served from the dirty overlay report their physical slot too (already
-  // allocated) but a caller that tracks the overlay may treat them as hits.
+  // served from the dirty overlay are not reported.
   std::vector<PhysBlock> blocks_read;
 };
 
@@ -50,28 +69,30 @@ class ObjectStore {
   explicit ObjectStore(uint64_t capacity_bytes);
 
   // Writes data at `offset`. If `stable`, the data goes straight to the
-  // stable image (and physical blocks are reported); otherwise it lands in
-  // the dirty overlay awaiting Commit.
-  Result<StoreWriteResult> Write(ObjectId id, uint64_t offset, ByteSpan data, bool stable);
+  // stable image and the physical blocks written are appended to
+  // `blocks_written` (when given); otherwise it lands in the dirty overlay
+  // awaiting Commit. Out of space is kResourceExhausted, with the blocks
+  // before the one that failed already written.
+  Status Write(ObjectId id, uint64_t offset, ByteSpan data, bool stable,
+               std::vector<PhysBlock>* blocks_written = nullptr);
 
   // Reads up to `count` bytes at `offset`, merging the dirty overlay over
-  // the stable image. Short reads indicate end-of-object.
-  Result<StoreReadResult> Read(ObjectId id, uint64_t offset, uint32_t count) const;
+  // the stable image, without copying: the read's bytes are appended to
+  // `segments` in order as views of the store's pages (holes as views of a
+  // shared zero page), and the stable blocks backing it to `blocks_read`.
+  // The storage node's READ path encodes the views straight into its reply.
+  StoreReadExtent ReadGather(ObjectId id, uint64_t offset, uint32_t count,
+                             std::vector<ByteSpan>* segments,
+                             std::vector<PhysBlock>* blocks_read) const;
+  // ReadGather copied into one buffer.
+  StoreReadResult Read(ObjectId id, uint64_t offset, uint32_t count) const;
 
-  // Allocation-free read into caller-owned scratch: `data` is resized to the
-  // read length (capacity reused across calls) and the stable blocks backing
-  // the read are appended to `blocks_read`. Returns eof. The storage node's
-  // READ fast path uses this so a steady-state cache-hit read never touches
-  // the heap; Read() above is a convenience wrapper.
-  Result<bool> ReadInto(ObjectId id, uint64_t offset, uint32_t count, Bytes* data,
-                        std::vector<PhysBlock>* blocks_read) const;
-
-  // Flushes the object's dirty overlay to the stable image; returns the
-  // physical blocks written so the caller can charge (clustered) disk time.
-  // Committing a missing/clean object succeeds with no blocks.
-  std::vector<PhysBlock> Commit(ObjectId id);
-  // Commits every object (periodic syncer / clean shutdown).
-  std::vector<PhysBlock> CommitAll();
+  // Flushes the object's dirty overlay to the stable image, appending the
+  // physical blocks written to `written` (when given) so the caller can
+  // charge (clustered) disk time. Committing a missing or clean object
+  // succeeds with no blocks. Out of space is kResourceExhausted: the blocks
+  // placed so far are stable, the rest stay dirty and readable.
+  Status Commit(ObjectId id, std::vector<PhysBlock>* written = nullptr);
 
   // Truncates to `size` (frees whole blocks beyond it).
   Status Truncate(ObjectId id, uint64_t size);
@@ -93,29 +114,56 @@ class ObjectStore {
   uint64_t dirty_blocks() const;
 
   // The physical block that backs (id, logical block), or nullopt if
-  // unallocated. Exposed for tests and the storage node's cache keying.
+  // unallocated.
   std::optional<PhysBlock> PhysicalFor(ObjectId id, BlockIndex block) const;
+  // The object's stable blocks from logical block `first` on, in logical
+  // order; empty for a missing object. The storage node's prefetcher walks
+  // this instead of probing block by block.
+  std::span<const StoreBlock> BlocksFrom(ObjectId id, BlockIndex first) const;
 
  private:
+  struct DirtyBlock {
+    BlockIndex block = 0;
+    PageId page = 0;
+  };
   struct Object {
-    uint64_t size = 0;                              // stable size
-    uint64_t unstable_size = 0;                     // size including overlay
-    std::map<BlockIndex, PhysBlock> blocks;         // stable image, sparse
-    std::map<BlockIndex, Bytes> dirty;              // overlay, 8KB buffers
+    uint64_t size = 0;               // stable size
+    uint64_t unstable_size = 0;      // size including overlay
+    std::vector<StoreBlock> blocks;  // stable image, sorted by block
+    std::vector<DirtyBlock> dirty;   // overlay, sorted by block
+  };
+
+  // 8KB pages in fixed chunks that never move. Allocate() prefers the most
+  // recently freed page; a fresh page's contents are unspecified.
+  class PageSlab {
+   public:
+    PageId Allocate();
+    void Free(PageId page) { free_.push_back(page); }
+    uint8_t* data(PageId page) {
+      return chunks_[page / kPagesPerChunk].get() + (page % kPagesPerChunk) * kStoreBlockSize;
+    }
+    const uint8_t* data(PageId page) const { return const_cast<PageSlab*>(this)->data(page); }
+
+   private:
+    static constexpr PageId kPagesPerChunk = 64;
+    std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+    std::vector<PageId> free_;
+    PageId next_ = 0;  // first page never handed out
   };
 
   Result<PhysBlock> AllocBlock(PhysBlock hint);
-  void FreeBlock(PhysBlock block);
-  // Stable-image block data pointer (allocating if needed).
-  Result<uint8_t*> StableBlockData(Object& obj, BlockIndex block, PhysBlock hint,
-                                   std::vector<PhysBlock>* newly_written);
+  // Frees a stable block: its physical slot and its page.
+  void Release(const StoreBlock& block);
+  // Contiguity hint for a new stable block inserted at `pos` in `obj`'s
+  // table: one past the previous logical block's physical slot.
+  PhysBlock HintFor(const Object& obj, std::vector<StoreBlock>::const_iterator pos,
+                    BlockIndex block) const;
 
   uint64_t capacity_blocks_;
   uint64_t used_blocks_ = 0;
   PhysBlock alloc_cursor_ = 0;
   std::unordered_map<ObjectId, Object> objects_;
-  // Physical block payloads. Allocated lazily; indexed by PhysBlock.
-  std::unordered_map<PhysBlock, Bytes> disk_;
+  PageSlab pages_;
   std::vector<bool> allocated_;
 };
 

@@ -14,6 +14,11 @@ ObjectId ObjectIdFor(const FileHandle& fh) {
   return MixU64(fh.fileid() ^ (static_cast<uint64_t>(fh.volume()) << 48));
 }
 
+Nfsstat3 StoreErrorStatus(const Status& status) {
+  return status.code() == StatusCode::kResourceExhausted ? Nfsstat3::kErrNospc
+                                                         : Nfsstat3::kErrIo;
+}
+
 }  // namespace
 
 StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
@@ -195,19 +200,17 @@ void StorageNode::MaybePrefetch(ObjectId id, uint64_t offset, uint32_t count) {
   // files leave logical holes on each node, so skip gaps rather than stop —
   // the node's share of the file is physically contiguous regardless.
   const BlockIndex first = (offset + count + kStoreBlockSize - 1) / kStoreBlockSize;
+  const BlockIndex horizon = first + params_.prefetch_blocks * 16;
   size_t found = 0;
-  const size_t horizon = params_.prefetch_blocks * 16;
   prefetch_batch_.clear();
-  for (size_t i = 0; i < horizon && found < params_.prefetch_blocks; ++i) {
-    std::optional<PhysBlock> phys = store_.PhysicalFor(id, first + i);
-    if (!phys.has_value()) {
-      continue;
+  for (const StoreBlock& block : store_.BlocksFrom(id, first)) {
+    if (block.block >= horizon || found == params_.prefetch_blocks) {
+      break;
     }
     ++found;
-    if (cache_.Contains(*phys)) {
-      continue;
+    if (!cache_.Contains(block.phys)) {
+      prefetch_batch_.push_back(block.phys);
     }
-    prefetch_batch_.push_back(*phys);
   }
   // Hysteresis: refill in track-sized batches. Dribbling one block per
   // demand read would cost a full positioning delay per 8KB; waiting until
@@ -232,27 +235,23 @@ void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCos
     return;
   }
   const ObjectId id = ObjectIdFor(args.file);
-  read_blocks_.clear();
-  Result<bool> eof = store_.ReadInto(id, args.offset, args.count, &read_data_, &read_blocks_);
-  if (!eof.ok()) {
-    res.status = Nfsstat3::kErrIo;
-    res.Encode(reply);
-    return;
-  }
-  cost.MergeCompletion(ChargeReads(read_blocks_));
+  read_segments_.clear();
+  io_blocks_.clear();
+  const StoreReadExtent read =
+      store_.ReadGather(id, args.offset, args.count, &read_segments_, &io_blocks_);
+  cost.MergeCompletion(ChargeReads(io_blocks_));
   MaybePrefetch(id, args.offset, args.count);
   cost.AddCpu(FromMicros(params_.op_cpu_us) +
-              static_cast<SimTime>(static_cast<double>(read_data_.size()) *
-                                   params_.cpu_ns_per_byte));
+              static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));
   res.file_attributes = MakeAttr(args.file);
-  res.count = static_cast<uint32_t>(read_data_.size());
-  res.eof = *eof;
-  // Splice the scratch payload straight into the reply; res.data stays empty
-  // (no per-request Bytes materialization on the READ fast path).
-  res.Encode(reply, ByteSpan(read_data_));
+  res.count = read.length;
+  res.eof = read.eof;
+  // Copy straight from the store's pages into the reply; res.data stays
+  // empty (no per-request buffer on the READ fast path).
+  res.Encode(reply, read_segments_);
 }
 
-void StorageNode::HandleWrite(const WriteArgs& args, XdrEncoder& reply, ServiceCost& cost) {
+void StorageNode::HandleWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {
   WriteRes res;
   if (!CheckHandle(args.file)) {
     res.status = Nfsstat3::kErrBadhandle;
@@ -261,15 +260,15 @@ void StorageNode::HandleWrite(const WriteArgs& args, XdrEncoder& reply, ServiceC
   }
   const ObjectId id = ObjectIdFor(args.file);
   const bool stable = args.stable != StableHow::kUnstable;
-  Result<StoreWriteResult> write = store_.Write(id, args.offset, args.data, stable);
-  if (!write.ok()) {
-    res.status = write.status().code() == StatusCode::kResourceExhausted ? Nfsstat3::kErrNospc
-                                                                         : Nfsstat3::kErrIo;
+  io_blocks_.clear();
+  const Status written = store_.Write(id, args.offset, args.data, stable, &io_blocks_);
+  if (!written.ok()) {
+    res.status = StoreErrorStatus(written);
     res.Encode(reply);
     return;
   }
   if (stable) {
-    cost.MergeCompletion(ChargeWrites(write->blocks_written));
+    cost.MergeCompletion(ChargeWrites(io_blocks_));
   }
   cost.AddCpu(FromMicros(params_.op_cpu_us) +
               static_cast<SimTime>(static_cast<double>(args.data.size()) *
@@ -288,9 +287,15 @@ void StorageNode::HandleCommit(const CommitArgs& args, XdrEncoder& reply, Servic
     res.Encode(reply);
     return;
   }
-  std::vector<PhysBlock> written = store_.Commit(ObjectIdFor(args.file));
-  cost.MergeCompletion(ChargeWrites(written));
+  io_blocks_.clear();
+  const Status committed = store_.Commit(ObjectIdFor(args.file), &io_blocks_);
+  cost.MergeCompletion(ChargeWrites(io_blocks_));
   cost.AddCpu(FromMicros(params_.op_cpu_us));
+  if (!committed.ok()) {
+    // Out of space: the blocks placed are on disk, the rest stay dirty, and
+    // the client must not take its unstable data for durable.
+    res.status = StoreErrorStatus(committed);
+  }
   res.verf = write_verifier_;
   res.wcc.after = MakeAttr(args.file);
   res.Encode(reply);
@@ -381,7 +386,7 @@ RpcAcceptStat StorageNode::DispatchNfsCall(const RpcMessageView& call, XdrEncode
       return RpcAcceptStat::kSuccess;
     }
     case NfsProc::kWrite: {
-      Result<WriteArgs> args = WriteArgs::Decode(dec);
+      Result<WriteArgsView> args = WriteArgsView::Decode(dec);
       if (!args.ok()) {
         return RpcAcceptStat::kGarbageArgs;
       }

@@ -93,7 +93,7 @@ class StorageNode : public RpcServerNode {
   void MaybePrefetch(ObjectId id, uint64_t offset, uint32_t count);
 
   void HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost& cost);
-  void HandleWrite(const WriteArgs& args, XdrEncoder& reply, ServiceCost& cost);
+  void HandleWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost);
   void HandleCommit(const CommitArgs& args, XdrEncoder& reply, ServiceCost& cost);
   void HandleGetattr(const GetattrArgs& args, XdrEncoder& reply, ServiceCost& cost);
   void HandleSetattr(const SetattrArgs& args, XdrEncoder& reply, ServiceCost& cost);
@@ -119,10 +119,11 @@ class StorageNode : public RpcServerNode {
   // die with their block — the cache's eviction hook erases them — so the
   // table is bounded by the cache size, not by an episodic clear.
   FlatU64Map<SimTime> pending_ready_;
-  // Per-request scratch (capacities reused): READ payload + backing blocks,
+  // Per-request scratch (capacities reused): the READ payload as views of
+  // the store's pages, the physical blocks a READ, WRITE or COMMIT touches,
   // the miss list ChargeReads feeds to the disks, and the prefetch batch.
-  Bytes read_data_;
-  std::vector<PhysBlock> read_blocks_;
+  std::vector<ByteSpan> read_segments_;
+  std::vector<PhysBlock> io_blocks_;
   std::vector<PhysBlock> read_misses_;
   std::vector<PhysBlock> prefetch_batch_;
 };

@@ -9,8 +9,19 @@ void XdrEncoder::PutOpaqueFixed(ByteSpan data) {
 }
 
 void XdrEncoder::PutOpaqueVar(ByteSpan data) {
-  PutUint32(static_cast<uint32_t>(data.size()));
-  PutOpaqueFixed(data);
+  PutOpaqueVar(std::span<const ByteSpan>(&data, 1));
+}
+
+void XdrEncoder::PutOpaqueVar(std::span<const ByteSpan> pieces) {
+  size_t len = 0;
+  for (ByteSpan piece : pieces) {
+    len += piece.size();
+  }
+  PutUint32(static_cast<uint32_t>(len));
+  for (ByteSpan piece : pieces) {
+    buf_.insert(buf_.end(), piece.begin(), piece.end());
+  }
+  buf_.insert(buf_.end(), XdrPad(len), 0);
 }
 
 Result<uint32_t> XdrDecoder::GetUint32() {
@@ -45,11 +56,17 @@ Result<Bytes> XdrDecoder::GetOpaqueFixed(size_t len) {
 }
 
 Result<Bytes> XdrDecoder::GetOpaqueVar(size_t max_len) {
+  SLICE_ASSIGN_OR_RETURN(ByteSpan view, GetOpaqueVarView(max_len));
+  return Bytes(view.begin(), view.end());
+}
+
+Result<ByteSpan> XdrDecoder::GetOpaqueVarView(size_t max_len) {
   SLICE_ASSIGN_OR_RETURN(uint32_t len, GetUint32());
   if (len > max_len) {
     return Status(StatusCode::kCorrupt, "xdr: opaque too long");
   }
-  return GetOpaqueFixed(len);
+  SLICE_ASSIGN_OR_RETURN(ByteSpan padded, GetRawView(len + XdrPad(len)));
+  return padded.first(len);
 }
 
 Result<std::string> XdrDecoder::GetString(size_t max_len) {

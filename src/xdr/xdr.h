@@ -28,6 +28,10 @@ class XdrEncoder {
   void PutOpaqueFixed(ByteSpan data);
   // Variable-length opaque: length word + bytes + padding.
   void PutOpaqueVar(ByteSpan data);
+  // The same opaque gathered from pieces (their concatenation is the body),
+  // so a caller holding scattered buffers encodes them without joining them
+  // first.
+  void PutOpaqueVar(std::span<const ByteSpan> pieces);
   // Appends pre-encoded XDR verbatim — no length word, no padding. The
   // server reply path splices an already-encoded result body into the RPC
   // envelope through this without an intermediate Bytes copy.
@@ -68,6 +72,9 @@ class XdrDecoder {
   Result<Bytes> GetOpaqueFixed(size_t len);
   // Variable-length opaque with a sanity cap on the length word.
   Result<Bytes> GetOpaqueVar(size_t max_len = 1 << 22);
+  // The same opaque as a view into the underlying buffer, valid only while
+  // that buffer lives (zero-copy WRITE decode).
+  Result<ByteSpan> GetOpaqueVarView(size_t max_len = 1 << 22);
   Result<std::string> GetString(size_t max_len = 4096);
   // Zero-copy string read: a view into the underlying buffer, valid only
   // while that buffer lives. The single-pass decode path uses this to avoid

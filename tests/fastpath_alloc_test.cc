@@ -300,6 +300,107 @@ TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
   EXPECT_EQ(uproxy.pending_count(), 0u);
 }
 
+// The WRITE path against a REAL storage node: unstable WRITEs over blocks
+// already on disk, each followed by a COMMIT, sent straight from a client
+// host. The WRITE decodes its data as a view of the request packet and
+// copies it once into a page off the store's free list; the COMMIT moves
+// that page into the stable image and frees the page it replaces. Once the
+// DRC ring, the object's block tables, the page free list and the pool
+// freelists have warmed, a WRITE + COMMIT round trip touches the heap zero
+// times.
+TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate) {
+  ASSERT_TRUE(PacketPool::Enabled());
+
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  Host client_host(net, kClientAddr);
+  StorageNode storage(net, queue, kStorageAddr, StorageNodeParams{});
+
+  const FileHandle fh = FileHandle::Make(1, MakeFileid(0, 42), 1, FileType3::kReg, 1, 0);
+  const ObjectId object = MixU64(fh.fileid() ^ (static_cast<uint64_t>(fh.volume()) << 48));
+  constexpr uint64_t kOffset = 1 << 20;
+  constexpr uint32_t kCount = 32768;  // four whole 8 KB blocks
+  ASSERT_TRUE(
+      storage.mutable_store().Write(object, kOffset, ByteSpan(Bytes(kCount, 0x5a)), true).ok());
+  const uint64_t used_blocks = storage.store().used_blocks();
+
+  uint64_t replies = 0;
+  client_host.Bind(kClientPort, [&replies](Packet&&) { ++replies; });
+
+  auto make_call = [](NfsProc proc, const XdrEncoder& args) {
+    RpcCall call;
+    call.xid = 0;  // patched per request: a fixed xid would hit the DRC
+    call.prog = kNfsProgram;
+    call.vers = kNfsVersion;
+    call.proc = static_cast<uint32_t>(proc);
+    call.args = args.bytes();
+    return call.Encode();
+  };
+  Bytes write_wire;
+  {
+    XdrEncoder args;
+    WriteArgs wargs;
+    wargs.file = fh;
+    wargs.offset = kOffset;
+    wargs.count = kCount;
+    wargs.stable = StableHow::kUnstable;
+    wargs.data.assign(kCount, 0xc3);
+    wargs.Encode(args);
+    write_wire = make_call(NfsProc::kWrite, args);
+  }
+  Bytes commit_wire;
+  {
+    XdrEncoder args;
+    CommitArgs cargs;
+    cargs.file = fh;
+    cargs.Encode(args);
+    commit_wire = make_call(NfsProc::kCommit, args);
+  }
+
+  const Endpoint client_ep{kClientAddr, kClientPort};
+  const Endpoint storage_ep{kStorageAddr, kNfsPort};
+  uint32_t xid = 0;
+  auto send = [&](Bytes& wire) {
+    ++xid;
+    wire[0] = static_cast<uint8_t>(xid >> 24);
+    wire[1] = static_cast<uint8_t>(xid >> 16);
+    wire[2] = static_cast<uint8_t>(xid >> 8);
+    wire[3] = static_cast<uint8_t>(xid);
+    client_host.Send(Packet::MakeUdp(client_ep, storage_ep, wire));
+    queue.RunUntilIdle();
+  };
+  auto round_trip = [&]() {
+    send(write_wire);
+    send(commit_wire);
+  };
+
+  // Warm-up runs the DRC's reply ring (4096 entries, two per round trip) to
+  // its FIFO steady state and grows the dirty table and the page free list
+  // to their working size.
+  constexpr int kWarmup = 4096 / 2 + 128;
+  for (int i = 0; i < kWarmup; ++i) {
+    round_trip();
+  }
+  ASSERT_EQ(replies, 2u * kWarmup);
+
+  const uint64_t news_before = AllocCount();
+  for (int i = 0; i < 256; ++i) {
+    round_trip();
+  }
+  const uint64_t news_after = AllocCount();
+
+  EXPECT_EQ(news_after - news_before, 0u)
+      << "steady-state unstable WRITE + COMMIT through the storage node allocated "
+      << (news_after - news_before) << " times over 256 round trips";
+  EXPECT_EQ(replies, 2u * (kWarmup + 256u));
+  EXPECT_EQ(storage.requests_served(), 2u * (kWarmup + 256u));
+  // Every COMMIT landed over the same blocks: nothing dirty, nothing new
+  // allocated, and the stable image holds the written bytes.
+  EXPECT_EQ(storage.store().dirty_blocks(), 0u);
+  EXPECT_EQ(storage.store().used_blocks(), used_blocks);
+  EXPECT_EQ(storage.store().Read(object, kOffset, kCount).data, Bytes(kCount, 0xc3));
+}
+
 // With pooling disabled (the determinism A/B hook) the same traffic must
 // still be correct — it just pays the allocations the pool elides.
 TEST(FastPathAllocTest, DisabledPoolStillForwardsCorrectly) {

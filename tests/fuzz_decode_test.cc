@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -270,17 +271,20 @@ TEST_P(FuzzSeedTest, TruncationsOfValidMessagesFailCleanly) {
 }
 
 // Builds a READ reply wire exactly as the server's pooled encode path does:
-// the span-encoded ReadRes result spliced into a hand-built accepted-reply
-// envelope (rpc_server.cc CompleteCall), no intermediate Bytes copy.
-Bytes ServerShapedReadReply(uint32_t xid, const Fattr3& attr, ByteSpan payload,
-                            bool eof) {
+// the ReadRes result gathered from the payload's pieces (the storage node's
+// page views) and spliced into a hand-built accepted-reply envelope
+// (rpc_server.cc CompleteCall), no intermediate Bytes copy.
+Bytes ServerShapedReadReply(uint32_t xid, const Fattr3& attr,
+                            std::span<const ByteSpan> pieces, bool eof) {
   ReadRes res;
   res.status = Nfsstat3::kOk;
   res.file_attributes = attr;
-  res.count = static_cast<uint32_t>(payload.size());
+  for (ByteSpan piece : pieces) {
+    res.count += static_cast<uint32_t>(piece.size());
+  }
   res.eof = eof;
   XdrEncoder result;
-  res.Encode(result, payload);
+  res.Encode(result, pieces);
   XdrEncoder reply;
   reply.PutUint32(xid);
   reply.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
@@ -302,10 +306,20 @@ TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {
     attr.size = payload.size();
     const uint32_t xid = static_cast<uint32_t>(rng.NextU64());
     const bool eof = (trial & 1) != 0;
-    const Bytes wire = ServerShapedReadReply(xid, attr, ByteSpan(payload), eof);
+    // Cut the payload into up to three pieces at random points, empty
+    // pieces included, as page boundaries cut a read.
+    size_t cut1 = rng.NextBelow(payload.size() + 1);
+    size_t cut2 = rng.NextBelow(payload.size() + 1);
+    if (cut1 > cut2) {
+      std::swap(cut1, cut2);
+    }
+    const ByteSpan whole(payload);
+    const ByteSpan pieces[] = {whole.subspan(0, cut1), whole.subspan(cut1, cut2 - cut1),
+                               whole.subspan(cut2)};
+    const Bytes wire = ServerShapedReadReply(xid, attr, pieces, eof);
 
-    // The span overload must be byte-identical to the materializing encoder
-    // — this is the contract the zero-copy reply path stands on.
+    // The gather overload must be byte-identical to the materializing
+    // encoder — this is the contract the zero-copy reply path stands on.
     {
       ReadRes res;
       res.status = Nfsstat3::kOk;
@@ -316,7 +330,7 @@ TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {
       XdrEncoder materialized;
       res.Encode(materialized);
       XdrEncoder spanned;
-      res.Encode(spanned, ByteSpan(payload));
+      res.Encode(spanned, pieces);
       EXPECT_EQ(materialized.bytes().size(), spanned.bytes().size());
       EXPECT_TRUE(std::memcmp(materialized.bytes().data(), spanned.bytes().data(),
                               spanned.bytes().size()) == 0);
@@ -351,7 +365,8 @@ TEST_P(FuzzSeedTest, BitFlippedServerRepliesNeverCrashTheDecoders) {
   attr.fileid = 77;
   const Bytes payload = RandomBytes(rng, 512);
   attr.size = payload.size();
-  const Bytes valid = ServerShapedReadReply(4242, attr, ByteSpan(payload), true);
+  const ByteSpan whole(payload);
+  const Bytes valid = ServerShapedReadReply(4242, attr, {&whole, 1}, true);
 
   for (int trial = 0; trial < 400; ++trial) {
     Bytes mutated = valid;
@@ -382,7 +397,8 @@ TEST_P(FuzzSeedTest, TruncatedServerRepliesFailCleanly) {
   attr.fileid = 9;
   const Bytes payload = RandomBytes(rng, 300);
   attr.size = payload.size();
-  const Bytes valid = ServerShapedReadReply(600, attr, ByteSpan(payload), false);
+  const ByteSpan whole(payload);
+  const Bytes valid = ServerShapedReadReply(600, attr, {&whole, 1}, false);
 
   for (size_t keep = 0; keep < valid.size(); ++keep) {
     Result<RpcMessageView> view = DecodeRpcMessage(ByteSpan(valid.data(), keep));

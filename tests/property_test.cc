@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
+#include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/sfs/fragment_alloc.h"
 #include "src/slice/ensemble.h"
@@ -18,22 +23,57 @@ namespace {
 
 // --- ObjectStore vs flat-buffer reference model ---
 
+// Physical placement sets disk timing. Every physical-block list the store
+// returns over a seed's run, and its final block map, fold into one hash
+// pinned per seed, so a change to where blocks land fails here by name
+// rather than only as drift in the simulation digests. Recompute by running
+// this test after an intentional placement change; each failure message
+// prints the new value.
+struct PlacementPin {
+  uint64_t seed;
+  uint64_t hash;
+};
+constexpr PlacementPin kPinnedPlacement[] = {
+    {1, 0xb09b0b5f97fbc0f7ull},  {2, 0x436623fcd7aae89bull},  {3, 0xeb0694f9d16888f6ull},
+    {5, 0x76c999bc088c03ffull},  {8, 0x4b1b29788765bf15ull},  {13, 0xad59735a28572726ull},
+    {21, 0x707d3273eb17158bull}, {34, 0xe67e0845290b1d7eull},
+};
+
+// Folds a list of physical blocks, led by its length so list boundaries
+// count, into `hash`.
+uint64_t FoldBlocks(uint64_t hash, const std::vector<PhysBlock>& blocks) {
+  uint8_t word[8];
+  PutU64(word, blocks.size());
+  hash = Fnv1a64(ByteSpan(word, sizeof(word)), hash);
+  for (PhysBlock block : blocks) {
+    PutU64(word, block);
+    hash = Fnv1a64(ByteSpan(word, sizeof(word)), hash);
+  }
+  return hash;
+}
+
 class ObjectStoreModelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
   Rng rng(GetParam());
   ObjectStore store(16 << 20);
-  // Reference: per object, a simple byte vector (stable) + overlay vector.
+  // Reference: per object, a simple byte vector (stable) + overlay vector,
+  // and the logical blocks each image holds.
   struct Ref {
     Bytes stable;
     Bytes view;  // stable with uncommitted overlay applied
+    std::set<BlockIndex> stable_blocks;
+    std::set<BlockIndex> dirty_blocks;
   };
   std::map<ObjectId, Ref> model;
+  uint64_t placement = kFnvOffsetBasis;
+  std::vector<PhysBlock> blocks;
 
   for (int step = 0; step < 400; ++step) {
     const ObjectId id = 1 + rng.NextBelow(4);
     Ref& ref = model[id];
-    switch (rng.NextBelow(6)) {
+    blocks.clear();
+    switch (rng.NextBelow(7)) {
       case 0:
       case 1: {  // write (stable or unstable)
         const bool stable = rng.NextBool(0.5);
@@ -42,7 +82,7 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
         for (auto& b : data) {
           b = static_cast<uint8_t>(rng.NextU64());
         }
-        ASSERT_TRUE(store.Write(id, offset, data, stable).ok());
+        ASSERT_TRUE(store.Write(id, offset, data, stable, &blocks).ok());
         if (ref.view.size() < offset + data.size()) {
           ref.view.resize(offset + data.size(), 0);
         }
@@ -54,11 +94,18 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
           std::copy(data.begin(), data.end(),
                     ref.stable.begin() + static_cast<ptrdiff_t>(offset));
         }
+        std::set<BlockIndex>& image = stable ? ref.stable_blocks : ref.dirty_blocks;
+        for (BlockIndex b = offset / kStoreBlockSize;
+             b <= (offset + data.size() - 1) / kStoreBlockSize; ++b) {
+          image.insert(b);
+        }
         break;
       }
       case 2: {  // commit
-        store.Commit(id);
+        ASSERT_TRUE(store.Commit(id, &blocks).ok());
         ref.stable = ref.view;
+        ref.stable_blocks.insert(ref.dirty_blocks.begin(), ref.dirty_blocks.end());
+        ref.dirty_blocks.clear();
         break;
       }
       case 3: {  // crash: uncommitted data lost
@@ -66,6 +113,7 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
         for (auto& [oid, r] : model) {
           (void)oid;
           r.view = r.stable;
+          r.dirty_blocks.clear();
         }
         break;
       }
@@ -77,12 +125,22 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
         // range — that still dies in a crash.
         ref.view.resize(new_size, 0);
         ref.stable.resize(new_size, 0);
+        const BlockIndex keep = (new_size + kStoreBlockSize - 1) / kStoreBlockSize;
+        ref.stable_blocks.erase(ref.stable_blocks.lower_bound(keep), ref.stable_blocks.end());
+        ref.dirty_blocks.erase(ref.dirty_blocks.lower_bound(keep), ref.dirty_blocks.end());
+        break;
+      }
+      case 5: {  // remove: every block freed, the object gone
+        const bool existed = store.Exists(id);
+        EXPECT_EQ(store.Remove(id).ok(), existed);
+        EXPECT_FALSE(store.Exists(id));
+        model.erase(id);
         break;
       }
       default: {  // read and compare
         const uint64_t offset = rng.NextBelow(72 << 10);
         const uint32_t count = static_cast<uint32_t>(1 + rng.NextBelow(12000));
-        StoreReadResult got = store.Read(id, offset, count).value();
+        StoreReadResult got = store.Read(id, offset, count);
         Bytes expect;
         if (offset < ref.view.size()) {
           const size_t n = std::min<size_t>(count, ref.view.size() - offset);
@@ -90,10 +148,46 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
                         ref.view.begin() + static_cast<ptrdiff_t>(offset + n));
         }
         ASSERT_EQ(got.data, expect) << "step " << step << " id " << id << " off " << offset;
+        blocks = got.blocks_read;
         break;
       }
     }
+    placement = FoldBlocks(placement, blocks);
+
+    // Sizes and block accounting agree with the model.
+    uint64_t used = 0;
+    uint64_t dirty = 0;
+    for (const auto& [oid, r] : model) {
+      if (store.Exists(oid)) {
+        ASSERT_EQ(store.Size(oid).value(), r.view.size()) << "step " << step << " id " << oid;
+      } else {
+        ASSERT_TRUE(r.view.empty()) << "step " << step << " id " << oid;
+      }
+      ASSERT_EQ(store.AllocatedBytes(oid), r.stable_blocks.size() * kStoreBlockSize)
+          << "step " << step << " id " << oid;
+      used += r.stable_blocks.size();
+      dirty += r.dirty_blocks.size();
+    }
+    ASSERT_EQ(store.used_blocks(), used) << "step " << step;
+    ASSERT_EQ(store.dirty_blocks(), dirty) << "step " << step;
   }
+
+  // The final block map over a window covering every offset the run wrote.
+  for (ObjectId id = 1; id <= 4; ++id) {
+    for (BlockIndex block = 0; block < 12; ++block) {
+      blocks.clear();
+      if (const std::optional<PhysBlock> phys = store.PhysicalFor(id, block)) {
+        blocks.push_back(*phys);
+      }
+      placement = FoldBlocks(placement, blocks);
+    }
+  }
+  const uint64_t seed = GetParam();
+  const auto pin = std::find_if(std::begin(kPinnedPlacement), std::end(kPinnedPlacement),
+                                [seed](const PlacementPin& p) { return p.seed == seed; });
+  ASSERT_NE(pin, std::end(kPinnedPlacement)) << "no pinned placement for seed " << seed;
+  EXPECT_EQ(placement, pin->hash) << "seed " << seed << " placement hash is now 0x" << std::hex
+                                  << placement;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ObjectStoreModelTest,

@@ -29,7 +29,7 @@ TEST(ObjectStoreTest, WriteReadRoundTrip) {
   ObjectStore store(1 << 20);
   const Bytes data = Pattern(5000);
   ASSERT_TRUE(store.Write(1, 0, data, /*stable=*/true).ok());
-  StoreReadResult read = store.Read(1, 0, 5000).value();
+  StoreReadResult read = store.Read(1, 0, 5000);
   EXPECT_EQ(read.data, data);
   EXPECT_TRUE(read.eof);
 }
@@ -37,14 +37,14 @@ TEST(ObjectStoreTest, WriteReadRoundTrip) {
 TEST(ObjectStoreTest, ReadPastEndIsEof) {
   ObjectStore store(1 << 20);
   ASSERT_TRUE(store.Write(1, 0, Pattern(100), true).ok());
-  StoreReadResult read = store.Read(1, 100, 50).value();
+  StoreReadResult read = store.Read(1, 100, 50);
   EXPECT_TRUE(read.eof);
   EXPECT_TRUE(read.data.empty());
 }
 
 TEST(ObjectStoreTest, MissingObjectReadsAsEof) {
   ObjectStore store(1 << 20);
-  StoreReadResult read = store.Read(99, 0, 100).value();
+  StoreReadResult read = store.Read(99, 0, 100);
   EXPECT_TRUE(read.eof);
   EXPECT_TRUE(read.data.empty());
 }
@@ -52,7 +52,7 @@ TEST(ObjectStoreTest, MissingObjectReadsAsEof) {
 TEST(ObjectStoreTest, SparseHolesReadAsZeros) {
   ObjectStore store(1 << 20);
   ASSERT_TRUE(store.Write(1, 3 * kStoreBlockSize, Pattern(100), true).ok());
-  StoreReadResult read = store.Read(1, 0, 100).value();
+  StoreReadResult read = store.Read(1, 0, 100);
   EXPECT_EQ(read.data, Bytes(100, 0));
   EXPECT_FALSE(read.eof);
 }
@@ -61,9 +61,9 @@ TEST(ObjectStoreTest, UnalignedWritesSpanBlocks) {
   ObjectStore store(1 << 20);
   const Bytes data = Pattern(3 * kStoreBlockSize);
   ASSERT_TRUE(store.Write(1, 1000, data, true).ok());
-  EXPECT_EQ(store.Read(1, 1000, static_cast<uint32_t>(data.size())).value().data, data);
+  EXPECT_EQ(store.Read(1, 1000, static_cast<uint32_t>(data.size())).data, data);
   // First 1000 bytes are a hole.
-  EXPECT_EQ(store.Read(1, 0, 1000).value().data, Bytes(1000, 0));
+  EXPECT_EQ(store.Read(1, 0, 1000).data, Bytes(1000, 0));
 }
 
 TEST(ObjectStoreTest, SequentialWritesGetContiguousBlocks) {
@@ -81,20 +81,22 @@ TEST(ObjectStoreTest, SequentialWritesGetContiguousBlocks) {
 TEST(ObjectStoreTest, UnstableWriteVisibleToReadsButNotDisk) {
   ObjectStore store(1 << 20);
   const Bytes data = Pattern(4000);
-  StoreWriteResult w = store.Write(1, 0, data, /*stable=*/false).value();
-  EXPECT_TRUE(w.blocks_written.empty());  // nothing hit the disk
-  EXPECT_EQ(store.Read(1, 0, 4000).value().data, data);
+  std::vector<PhysBlock> written;
+  ASSERT_TRUE(store.Write(1, 0, data, /*stable=*/false, &written).ok());
+  EXPECT_TRUE(written.empty());  // nothing hit the disk
+  EXPECT_EQ(store.Read(1, 0, 4000).data, data);
   EXPECT_EQ(store.dirty_blocks(), 1u);
 }
 
 TEST(ObjectStoreTest, CommitFlushesDirtyBlocks) {
   ObjectStore store(1 << 20);
   ASSERT_TRUE(store.Write(1, 0, Pattern(2 * kStoreBlockSize), false).ok());
-  std::vector<PhysBlock> written = store.Commit(1);
+  std::vector<PhysBlock> written;
+  ASSERT_TRUE(store.Commit(1, &written).ok());
   EXPECT_EQ(written.size(), 2u);
   EXPECT_EQ(store.dirty_blocks(), 0u);
   const Bytes expect = Pattern(2 * kStoreBlockSize);
-  EXPECT_EQ(store.Read(1, 0, 100).value().data, Bytes(expect.begin(), expect.begin() + 100));
+  EXPECT_EQ(store.Read(1, 0, 100).data, Bytes(expect.begin(), expect.begin() + 100));
 }
 
 TEST(ObjectStoreTest, CrashDropsUncommittedData) {
@@ -103,26 +105,26 @@ TEST(ObjectStoreTest, CrashDropsUncommittedData) {
   const Bytes unstable = Pattern(1000, 2);
   ASSERT_TRUE(store.Write(1, 0, stable, true).ok());
   ASSERT_TRUE(store.Write(1, 0, unstable, false).ok());
-  EXPECT_EQ(store.Read(1, 0, 1000).value().data, unstable);
+  EXPECT_EQ(store.Read(1, 0, 1000).data, unstable);
   store.CrashDiscardDirty();
-  EXPECT_EQ(store.Read(1, 0, 1000).value().data, stable);
+  EXPECT_EQ(store.Read(1, 0, 1000).data, stable);
 }
 
 TEST(ObjectStoreTest, CommittedDataSurvivesCrash) {
   ObjectStore store(1 << 20);
   const Bytes data = Pattern(1000, 3);
   ASSERT_TRUE(store.Write(1, 0, data, false).ok());
-  store.Commit(1);
+  ASSERT_TRUE(store.Commit(1).ok());
   store.CrashDiscardDirty();
-  EXPECT_EQ(store.Read(1, 0, 1000).value().data, data);
+  EXPECT_EQ(store.Read(1, 0, 1000).data, data);
 }
 
 TEST(ObjectStoreTest, PartialDirtyBlockPreservesStableBytes) {
   ObjectStore store(1 << 20);
   ASSERT_TRUE(store.Write(1, 0, Bytes(kStoreBlockSize, 0xaa), true).ok());
   ASSERT_TRUE(store.Write(1, 100, Bytes(50, 0xbb), false).ok());
-  store.Commit(1);
-  Bytes got = store.Read(1, 0, kStoreBlockSize).value().data;
+  ASSERT_TRUE(store.Commit(1).ok());
+  Bytes got = store.Read(1, 0, kStoreBlockSize).data;
   EXPECT_EQ(got[0], 0xaa);
   EXPECT_EQ(got[100], 0xbb);
   EXPECT_EQ(got[149], 0xbb);
@@ -133,9 +135,9 @@ TEST(ObjectStoreTest, StableWriteSupersedesDirtyOverlay) {
   ObjectStore store(1 << 20);
   ASSERT_TRUE(store.Write(1, 0, Bytes(100, 0x11), false).ok());
   ASSERT_TRUE(store.Write(1, 0, Bytes(100, 0x22), true).ok());
-  EXPECT_EQ(store.Read(1, 0, 100).value().data, Bytes(100, 0x22));
-  store.Commit(1);
-  EXPECT_EQ(store.Read(1, 0, 100).value().data, Bytes(100, 0x22));
+  EXPECT_EQ(store.Read(1, 0, 100).data, Bytes(100, 0x22));
+  ASSERT_TRUE(store.Commit(1).ok());
+  EXPECT_EQ(store.Read(1, 0, 100).data, Bytes(100, 0x22));
 }
 
 TEST(ObjectStoreTest, TruncateFreesBlocks) {
@@ -145,7 +147,7 @@ TEST(ObjectStoreTest, TruncateFreesBlocks) {
   ASSERT_TRUE(store.Truncate(1, kStoreBlockSize).ok());
   EXPECT_EQ(store.used_blocks(), used_before - 3);
   EXPECT_EQ(store.SizeOrZero(1), kStoreBlockSize);
-  StoreReadResult read = store.Read(1, 0, 2 * kStoreBlockSize).value();
+  StoreReadResult read = store.Read(1, 0, 2 * kStoreBlockSize);
   EXPECT_EQ(read.data.size(), kStoreBlockSize);
   EXPECT_TRUE(read.eof);
 }
@@ -162,9 +164,37 @@ TEST(ObjectStoreTest, RemoveFreesEverything) {
 TEST(ObjectStoreTest, OutOfSpaceReported) {
   ObjectStore store(4 * kStoreBlockSize);
   EXPECT_TRUE(store.Write(1, 0, Pattern(4 * kStoreBlockSize), true).ok());
-  Result<StoreWriteResult> w = store.Write(2, 0, Pattern(kStoreBlockSize), true);
+  const Status w = store.Write(2, 0, Pattern(kStoreBlockSize), true);
   EXPECT_FALSE(w.ok());
-  EXPECT_EQ(w.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(w.code(), StatusCode::kResourceExhausted);
+}
+
+// Regression: a COMMIT that ran out of space used to drop the blocks it
+// could not place and raise the size anyway, so they read back as zeros.
+// They now stay dirty and readable, Commit reports the failure, and a retry
+// once space is freed places them.
+TEST(ObjectStoreTest, OutOfSpaceCommitKeepsUnplacedBlocksDirty) {
+  ObjectStore store(4 * kStoreBlockSize);
+  ASSERT_TRUE(store.Write(1, 0, Pattern(3 * kStoreBlockSize), /*stable=*/true).ok());
+  const Bytes unstable(2 * kStoreBlockSize, 0xcc);
+  ASSERT_TRUE(store.Write(2, 0, unstable, /*stable=*/false).ok());
+
+  std::vector<PhysBlock> written;
+  const Status committed = store.Commit(2, &written);
+  EXPECT_EQ(committed.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(written.size(), 1u);
+  EXPECT_EQ(store.dirty_blocks(), 1u);
+  EXPECT_EQ(store.used_blocks(), 4u);
+  EXPECT_EQ(store.SizeOrZero(2), 2 * kStoreBlockSize);
+  EXPECT_EQ(store.Read(2, 0, 2 * kStoreBlockSize).data, unstable);
+
+  ASSERT_TRUE(store.Remove(1).ok());
+  written.clear();
+  ASSERT_TRUE(store.Commit(2, &written).ok());
+  EXPECT_EQ(written.size(), 1u);
+  EXPECT_EQ(store.dirty_blocks(), 0u);
+  store.CrashDiscardDirty();
+  EXPECT_EQ(store.Read(2, 0, 2 * kStoreBlockSize).data, unstable);
 }
 
 TEST(ObjectStoreTest, ManyObjectsIndependent) {
@@ -174,7 +204,7 @@ TEST(ObjectStoreTest, ManyObjectsIndependent) {
   }
   EXPECT_EQ(store.object_count(), 100u);
   for (uint64_t id = 1; id <= 100; ++id) {
-    EXPECT_EQ(store.Read(id, 0, 100).value().data, Pattern(100, static_cast<uint8_t>(id)));
+    EXPECT_EQ(store.Read(id, 0, 100).data, Pattern(100, static_cast<uint8_t>(id)));
   }
 }
 
@@ -463,6 +493,36 @@ TEST_F(StorageNodeTest, SequentialReadTriggersPrefetch) {
   const uint64_t misses_before = node_.cache().misses();
   ASSERT_EQ(client_.Read(Fh(), 32768, 32768).value().status, Nfsstat3::kOk);
   EXPECT_EQ(node_.cache().misses(), misses_before);
+}
+
+// Regression: an out-of-space COMMIT used to reply NFS3_OK while the store
+// dropped the blocks it could not place. The node now replies NFS3ERR_NOSPC
+// and the unplaced data stays readable.
+TEST(StorageNodeNospcTest, OutOfSpaceCommitRepliesNospc) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  StorageNodeParams params;
+  params.volume_secret = kSecret;
+  params.capacity_bytes = 4 * kStoreBlockSize;
+  StorageNode node(net, queue, 0x0a000010, params);
+  Host client_host(net, 0x0a000001);
+  SyncNfsClient client(client_host, queue, Endpoint{0x0a000010, kNfsPort});
+  const FileHandle full = FileHandle::Make(1, 1, 1, FileType3::kReg, 1, kSecret);
+  const FileHandle pending = FileHandle::Make(1, 2, 1, FileType3::kReg, 1, kSecret);
+
+  ASSERT_EQ(client.Write(full, 0, Pattern(3 * kStoreBlockSize), StableHow::kFileSync)
+                .value()
+                .status,
+            Nfsstat3::kOk);
+  const Bytes unstable(2 * kStoreBlockSize, 0xcc);
+  ASSERT_EQ(client.Write(pending, 0, unstable, StableHow::kUnstable).value().status,
+            Nfsstat3::kOk);
+
+  EXPECT_EQ(client.Commit(pending).value().status, Nfsstat3::kErrNospc);
+  EXPECT_EQ(node.store().dirty_blocks(), 1u);
+  ReadRes read = client.Read(pending, 0, 2 * kStoreBlockSize).value();
+  ASSERT_EQ(read.status, Nfsstat3::kOk);
+  EXPECT_EQ(read.data, unstable);
 }
 
 TEST_F(StorageNodeTest, GetattrReportsSize) {
