@@ -45,7 +45,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -57,24 +56,7 @@
 #include "src/nfs/nfs_xdr.h"
 #include "src/rpc/rpc_message.h"
 #include "src/storage/storage_node.h"
-
-// Process-wide allocation counter for --assert-zero-alloc: the end-to-end
-// fast-path probe measures a steady-state delta, which must be exactly zero
-// (the same operator-new override the fastpath_alloc_test uses).
-static uint64_t g_allocs = 0;
-
-void* operator new(std::size_t size) {
-  ++g_allocs;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -84,7 +66,9 @@ namespace {
 // path (outbound decode/route/rewrite → rpc view decode + DRC → cache-hit
 // READ → span-spliced reply encode → deferred send flight → inbound pairing
 // + attr patch). After warming the DRC ring, caches and pool freelists, the
-// measured window must allocate exactly zero times. Returns true on success.
+// measured window must allocate exactly zero times, as counted by the
+// tests' counting operator new (tests/alloc_counter.cc). Returns true on
+// success.
 bool RunZeroAllocProbe() {
   constexpr NetAddr kClientAddr = 0x0a000001;
   constexpr NetAddr kStorageAddr = 0x0a000020;
@@ -148,11 +132,11 @@ bool RunZeroAllocProbe() {
   for (int i = 0; i < kWarmup; ++i) {
     round_trip();
   }
-  const uint64_t before = g_allocs;
+  const uint64_t before = AllocCount();
   for (int i = 0; i < kMeasured; ++i) {
     round_trip();
   }
-  const uint64_t delta = g_allocs - before;
+  const uint64_t delta = AllocCount() - before;
   const bool ok = delta == 0 && replies == static_cast<uint64_t>(kWarmup) + kMeasured;
   std::printf("\n--assert-zero-alloc: %llu allocations over %d served end-to-end requests "
               "(%llu replies) — %s\n",

@@ -16,9 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -35,24 +33,7 @@
 #include "src/sim/stats.h"
 #include "src/storage/block_cache.h"
 #include "src/storage/object_store.h"
-
-// Process-wide allocation counter: the fast-path measurement reports
-// allocs/pkt, which must be exactly zero in steady state (the same
-// operator-new override the fastpath_alloc_test uses).
-static uint64_t g_allocs = 0;
-
-void* operator new(std::size_t size) {
-  ++g_allocs;
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace slice {
 namespace {
@@ -432,7 +413,7 @@ void WriteTable3Bench() {
   for (int iter = 0; iter < kWarmup + kMeasured; ++iter) {
     Packet& pkt = mix[static_cast<size_t>(iter) % mix.size()];
     if (iter == kWarmup) {
-      allocs_measured = g_allocs;
+      allocs_measured = AllocCount();
     }
     const auto t0 = std::chrono::steady_clock::now();
     bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
@@ -451,7 +432,7 @@ void WriteTable3Bench() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
     }
   }
-  allocs_measured = g_allocs - allocs_measured;
+  allocs_measured = AllocCount() - allocs_measured;
 
   // Profiled fast path, three interleaved accounts of the identical body:
   //
@@ -651,11 +632,11 @@ void WriteTable3Bench() {
     return chunk_median(samples) / kChunk;
   };
   const double server_mean_ns = chunked_ns([&] { server.Serve(); });
-  uint64_t server_allocs = g_allocs;
+  uint64_t server_allocs = AllocCount();
   for (int i = 0; i < kMeasured; ++i) {
     server.Serve();
   }
-  server_allocs = g_allocs - server_allocs;
+  server_allocs = AllocCount() - server_allocs;
   const double server_allocs_per_pkt = static_cast<double>(server_allocs) / kMeasured;
   // Per-stage server accounts (each stage timed standalone; raw medians, so
   // the rows need not sum exactly to the whole-body mean — cross-stage

@@ -26,29 +26,24 @@ const char* FaultKindName(FaultKind kind) {
   return "?";
 }
 
-ChaosEngine::ChaosEngine(ChaosHooks hooks, ChaosConfig config)
-    : hooks_(std::move(hooks)), config_(std::move(config)) {
-  SLICE_CHECK(hooks_.queue != nullptr);
-  SLICE_CHECK(hooks_.net != nullptr);
+namespace {
+EventQueue& CheckedQueue(const ChaosHooks& hooks) {
+  SLICE_CHECK(hooks.queue != nullptr);
+  SLICE_CHECK(hooks.net != nullptr);
+  return *hooks.queue;
 }
+}  // namespace
 
-ChaosEngine::~ChaosEngine() { *alive_ = false; }
+ChaosEngine::ChaosEngine(ChaosHooks hooks, ChaosConfig config)
+    : hooks_(std::move(hooks)), config_(std::move(config)), owner_(CheckedQueue(hooks_)) {}
 
 void ChaosEngine::Arm() {
   for (size_t i = 0; i < config_.faults.size(); ++i) {
     const FaultSpec& spec = config_.faults[i];
-    std::shared_ptr<bool> alive = alive_;
-    hooks_.queue->ScheduleBackgroundAt(spec.at, [this, alive, i] {
-      if (*alive) {
-        Apply(i);
-      }
-    });
+    hooks_.queue->ScheduleBackgroundAt(spec.at, [this, i] { Apply(i); }, owner_.id());
     if (spec.duration > 0) {
-      hooks_.queue->ScheduleBackgroundAt(spec.at + spec.duration, [this, alive, i] {
-        if (*alive) {
-          Heal(i);
-        }
-      });
+      hooks_.queue->ScheduleBackgroundAt(spec.at + spec.duration, [this, i] { Heal(i); },
+                                         owner_.id());
     }
   }
 }

@@ -14,7 +14,6 @@
 #define SLICE_CHAOS_CHAOS_ENGINE_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/chaos/chaos.h"
@@ -48,7 +47,6 @@ struct ChaosHooks {
 class ChaosEngine {
  public:
   ChaosEngine(ChaosHooks hooks, ChaosConfig config);
-  ~ChaosEngine();
 
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
@@ -72,7 +70,7 @@ class ChaosEngine {
 
   ChaosHooks hooks_;
   ChaosConfig config_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // fault events queued past the engine's death never run
   uint64_t injections_ = 0;
   uint64_t clears_ = 0;
 };

@@ -58,7 +58,8 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
       tracer_(sinks.tracer),
       eventlog_(sinks.eventlog),
       profiler_(sinks.profiler),
-      prof_ledger_(profiler_ != nullptr ? profiler_->LedgerFor(client_host_.addr()) : nullptr) {
+      prof_ledger_(profiler_ != nullptr ? profiler_->LedgerFor(client_host_.addr()) : nullptr),
+      owner_(queue) {
   SLICE_CHECK(!config_.dir_servers.empty());
   SLICE_CHECK(!config_.storage_nodes.empty());
   dir_table_ = RoutingTable(config_.logical_name_slots, config_.dir_servers);
@@ -143,10 +144,7 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
   tenant_count_ = metrics->num_tenants();
 }
 
-Uproxy::~Uproxy() {
-  *alive_ = false;
-  net_.RemoveTap(client_host_.addr());
-}
+Uproxy::~Uproxy() { net_.RemoveTap(client_host_.addr()); }
 
 void Uproxy::AccountTenant(uint32_t tenant, NfsProc proc, uint32_t nbytes, SimTime latency,
                            uint64_t trace_id, bool error) {
@@ -616,7 +614,7 @@ void Uproxy::ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint targe
     obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
     ready = ChargeCpu(ctx);
   }
-  net_.InjectAt(std::move(pkt), ready, alive_);
+  net_.InjectAt(std::move(pkt), ready, owner_.id());
 }
 
 void Uproxy::HandleInbound(Packet&& pkt) {
@@ -735,7 +733,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
                   pending.trace_id, error);
   }
   const NetAddr client_addr = pkt.dst_addr();
-  net_.DeliverLocalAt(client_addr, std::move(pkt), ready, alive_);
+  net_.DeliverLocalAt(client_addr, std::move(pkt), ready, owner_.id());
 }
 
 std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& pending,
@@ -919,7 +917,7 @@ bool Uproxy::TryServeGetattr(const Packet& pkt, const DecodedView& req) {
 SimTime Uproxy::SendCachedReply(Endpoint client) {
   Packet out = Packet::MakeUdp(config_.virtual_server, client, reply_enc_.bytes());
   const SimTime ready = ChargeCpu();
-  net_.DeliverLocalAt(client.addr, std::move(out), ready, alive_);
+  net_.DeliverLocalAt(client.addr, std::move(out), ready, owner_.id());
   return ready;
 }
 
@@ -1076,11 +1074,11 @@ void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, const Bytes& result_bo
     const uint32_t nbytes =
         (p->proc == NfsProc::kRead || p->proc == NfsProc::kWrite) ? p->count : 0;
     AccountTenant(p->tenant, p->proc, nbytes, ready - p->issued_at, p->trace_id, error);
-    net_.DeliverLocalAt(client.addr, std::move(pkt), ready, alive_);
+    net_.DeliverLocalAt(client.addr, std::move(pkt), ready, owner_.id());
     return;
   }
   const SimTime ready = ChargeCpu();
-  net_.DeliverLocalAt(client.addr, std::move(pkt), ready, alive_);
+  net_.DeliverLocalAt(client.addr, std::move(pkt), ready, owner_.id());
 }
 
 void Uproxy::SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client,
@@ -1215,12 +1213,11 @@ void Uproxy::FetchTables() {
   obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kInfo,
                 obs::EventCat::kMgmt, obs::EventCode::kTableFetch, /*trace_id=*/0, nullptr,
                 {{"epoch", static_cast<int64_t>(table_epoch_)}});
+  // Safe to capture `this`: the handler lives in own_rpc_, which dies with
+  // the µproxy.
   own_rpc_->Call(config_.manager, kMgmtProgram, kMgmtVersion,
                  static_cast<uint32_t>(MgmtProc::kFetchTables), Bytes{},
-                 [this, alive = alive_](Status st, const RpcMessageView& reply) {
-                   if (!*alive) {
-                     return;
-                   }
+                 [this](Status st, const RpcMessageView& reply) {
                    table_fetch_inflight_ = false;
                    if (!st.ok()) {
                      return;
@@ -1599,16 +1596,14 @@ void Uproxy::ArmWritebackTimer() {
     return;
   }
   writeback_timer_armed_ = true;
-  queue_.ScheduleAfter(config_.attr_writeback_interval, [this, alive = alive_]() {
-    if (!*alive) {
-      return;
-    }
+  auto flush = [this] {
     writeback_timer_armed_ = false;
     FlushDirtyAttrs();
     if (!attr_cache_.DirtyFiles().empty()) {
       ArmWritebackTimer();
     }
-  });
+  };
+  queue_.ScheduleAfter(config_.attr_writeback_interval, flush, owner_.id());
 }
 
 }  // namespace slice

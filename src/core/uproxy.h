@@ -346,8 +346,9 @@ class Uproxy : public PacketTap {
   std::vector<uint8_t> sfs_alive_;
   bool table_fetch_inflight_ = false;
   bool writeback_timer_armed_ = false;
-  // Guards event-queue callbacks against running after destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Owns the writeback timer and the deferred packets this µproxy hands to
+  // the network: both are dropped if it dies first.
+  EventQueue::Owner owner_;
 };
 
 }  // namespace slice

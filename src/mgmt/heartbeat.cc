@@ -15,7 +15,8 @@ RpcClientParams OneShotParams() {
 
 HeartbeatAgent::HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentParams params,
                                const obs::Sinks& sinks)
-    : queue_(queue), params_(params), addr_(host.addr()), rpc_(host, queue, OneShotParams()) {
+    : queue_(queue), params_(params), addr_(host.addr()), rpc_(host, queue, OneShotParams()),
+      owner_(queue) {
   if (sinks.metrics == nullptr || !sinks.metrics->enabled()) {
     return;
   }
@@ -26,16 +27,7 @@ HeartbeatAgent::HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentPara
       [this]() { return static_cast<int64_t>(known_epoch_); });
 }
 
-HeartbeatAgent::~HeartbeatAgent() { *alive_ = false; }
-
-void HeartbeatAgent::Start() {
-  std::shared_ptr<bool> alive = alive_;
-  queue_.ScheduleBackgroundAfter(0, [this, alive] {
-    if (*alive) {
-      Tick();
-    }
-  });
-}
+void HeartbeatAgent::Start() { queue_.ScheduleBackgroundAfter(0, [this] { Tick(); }, owner_.id()); }
 
 void HeartbeatAgent::Tick() {
   HeartbeatArgs args;
@@ -45,11 +37,12 @@ void HeartbeatAgent::Tick() {
   XdrEncoder enc;
   args.Encode(enc);
   ++beats_sent_;
-  std::shared_ptr<bool> alive = alive_;
+  // Safe to capture `this`: the handler lives in rpc_, which dies with the
+  // agent.
   rpc_.Call(params_.manager, kMgmtProgram, kMgmtVersion,
             static_cast<uint32_t>(MgmtProc::kHeartbeat), enc.Take(),
-            [this, alive](Status status, const RpcMessageView& reply) {
-              if (!*alive || !status.ok()) {
+            [this](Status status, const RpcMessageView& reply) {
+              if (!status.ok()) {
                 return;
               }
               XdrDecoder dec(reply.body);
@@ -61,11 +54,7 @@ void HeartbeatAgent::Tick() {
             });
   const auto interval = static_cast<SimTime>(
       static_cast<double>(params_.interval) * interval_scale_);
-  queue_.ScheduleBackgroundAfter(interval, [this, alive] {
-    if (*alive) {
-      Tick();
-    }
-  });
+  queue_.ScheduleBackgroundAfter(interval, [this] { Tick(); }, owner_.id());
 }
 
 }  // namespace slice

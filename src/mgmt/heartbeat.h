@@ -8,8 +8,6 @@
 #ifndef SLICE_MGMT_HEARTBEAT_H_
 #define SLICE_MGMT_HEARTBEAT_H_
 
-#include <memory>
-
 #include "src/mgmt/mgmt_proto.h"
 #include "src/obs/metrics.h"
 #include "src/rpc/rpc_client.h"
@@ -29,7 +27,6 @@ class HeartbeatAgent {
   // registry.
   HeartbeatAgent(Host& host, EventQueue& queue, HeartbeatAgentParams params,
                  const obs::Sinks& sinks = {});
-  ~HeartbeatAgent();
 
   HeartbeatAgent(const HeartbeatAgent&) = delete;
   HeartbeatAgent& operator=(const HeartbeatAgent&) = delete;
@@ -64,7 +61,7 @@ class HeartbeatAgent {
   uint64_t beats_sent_ = 0;
   uint64_t beats_acked_ = 0;
   uint64_t known_epoch_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the tick timer
 };
 
 }  // namespace slice

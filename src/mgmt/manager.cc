@@ -33,7 +33,8 @@ EnsembleManager::EnsembleManager(Network& net, EventQueue& queue, NetAddr addr,
     : RpcServerNode(net, queue, addr, kMgmtPort, {}, sinks),
       view_(std::move(view)),
       params_(params),
-      detector_(FailureDetectorParams{params.failure_timeout}) {
+      detector_(FailureDetectorParams{params.failure_timeout}),
+      owner_(queue) {
   if (metrics() == nullptr || !metrics()->enabled()) {
     return;
   }
@@ -70,12 +71,7 @@ void EnsembleManager::Start() {
     detector_.Register(NodeId(NodeClass::kCoord, i), t);
   }
   RecomputeTables();
-  std::shared_ptr<bool> alive = alive_;
-  queue().ScheduleBackgroundAfter(params_.sweep_interval, [this, alive] {
-    if (*alive) {
-      Sweep();
-    }
-  });
+  queue().ScheduleBackgroundAfter(params_.sweep_interval, [this] { Sweep(); }, owner_.id());
   if (params_.hotspot_enabled && view_.dir_servers.size() >= 2) {
     hotspot_last_ops_.assign(view_.dir_servers.size(), 0);
     if (params_.hotspot_per_slot) {
@@ -86,13 +82,11 @@ void EnsembleManager::Start() {
 }
 
 void EnsembleManager::ArmHotspotCheck() {
-  std::shared_ptr<bool> alive = alive_;
-  queue().ScheduleBackgroundAfter(params_.hotspot_interval, [this, alive] {
-    if (*alive) {
-      CheckHotspots();
-      ArmHotspotCheck();
-    }
-  });
+  auto check = [this] {
+    CheckHotspots();
+    ArmHotspotCheck();
+  };
+  queue().ScheduleBackgroundAfter(params_.hotspot_interval, check, owner_.id());
 }
 
 void EnsembleManager::CheckHotspots() {
@@ -273,12 +267,7 @@ void EnsembleManager::Sweep() {
     }
     OnMembershipChange(std::move(died), {});
   }
-  std::shared_ptr<bool> alive = alive_;
-  queue().ScheduleBackgroundAfter(params_.sweep_interval, [this, alive] {
-    if (*alive) {
-      Sweep();
-    }
-  });
+  queue().ScheduleBackgroundAfter(params_.sweep_interval, [this] { Sweep(); }, owner_.id());
 }
 
 RpcAcceptStat EnsembleManager::HandleCall(const RpcMessageView& call,

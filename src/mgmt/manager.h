@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -85,7 +84,6 @@ class EnsembleManager : public RpcServerNode {
   // >= 2 heartbeat intervals). The tracer carries the failure episodes below.
   EnsembleManager(Network& net, EventQueue& queue, NetAddr addr,
                   ClusterView view, MgmtParams params = {}, const obs::Sinks& sinks = {});
-  ~EnsembleManager() override { *alive_ = false; }
 
   // Registers all members as alive now and arms the background sweep.
   void Start();
@@ -168,7 +166,7 @@ class EnsembleManager : public RpcServerNode {
   uint32_t hotspot_episodes_ = 0;
   uint64_t rebalances_ = 0;
   bool started_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the sweep and hotspot timers
 };
 
 }  // namespace slice

@@ -283,6 +283,9 @@ void Network::RunFlight(uint32_t slot) {
   flights_[slot].next_free = free_head_;
   free_head_ = slot;
   SLICE_CHECK(f.due == queue_.now());
+  if (!queue_.live(f.owner)) {
+    return;  // whoever deferred this flight died before it came due
+  }
 
   switch (f.stage) {
     case FlightStage::kArrive: {
@@ -339,52 +342,43 @@ void Network::RunFlight(uint32_t slot) {
       }
       return;
     }
-    case FlightStage::kInject: {
-      if (f.guard == nullptr || *f.guard) {
-        Transmit(std::move(f.pkt));
-      }
+    case FlightStage::kInject:
+      Transmit(std::move(f.pkt));
       return;
-    }
-    case FlightStage::kLocal: {
-      if (f.guard == nullptr || *f.guard) {
-        DeliverLocal(f.local_addr, std::move(f.pkt));
-      }
+    case FlightStage::kLocal:
+      DeliverLocal(f.local_addr, std::move(f.pkt));
       return;
-    }
-    case FlightStage::kSend: {
-      if (f.guard == nullptr || *f.guard) {
-        Send(std::move(f.pkt));
-      }
+    case FlightStage::kSend:
+      Send(std::move(f.pkt));
       return;
-    }
   }
 }
 
-void Network::InjectAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard) {
+void Network::InjectAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner) {
   Flight f;
   f.due = ready;
   f.stage = FlightStage::kInject;
-  f.guard = std::move(guard);
+  f.owner = owner;
   f.pkt = std::move(pkt);
   PushFlight(std::move(f));
 }
 
-void Network::SendAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard) {
+void Network::SendAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner) {
   Flight f;
   f.due = ready;
   f.stage = FlightStage::kSend;
-  f.guard = std::move(guard);
+  f.owner = owner;
   f.pkt = std::move(pkt);
   PushFlight(std::move(f));
 }
 
 void Network::DeliverLocalAt(NetAddr addr, Packet&& pkt, SimTime ready,
-                             std::shared_ptr<const bool> guard) {
+                             EventQueue::OwnerId owner) {
   Flight f;
   f.due = ready;
   f.stage = FlightStage::kLocal;
   f.local_addr = addr;
-  f.guard = std::move(guard);
+  f.owner = owner;
   f.pkt = std::move(pkt);
   PushFlight(std::move(f));
 }

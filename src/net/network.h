@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -107,18 +106,17 @@ class Network {
 
   // Deferred tap API (allocation-free): the packet waits in the flight table
   // until `ready` (e.g. the µproxy's CPU-done time) and then enters the wire
-  // / the local host, replacing the make_shared<Packet>+closure idiom. A
-  // `guard` that reads false at dispatch drops the packet silently — the
-  // originating tap died in the meantime.
-  void InjectAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard = nullptr);
+  // / the local host. If `owner` (an EventQueue::Owner id) is dead by then,
+  // the packet is dropped silently — the originating tap died meanwhile.
+  void InjectAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner = EventQueue::kNoOwner);
   void DeliverLocalAt(NetAddr addr, Packet&& pkt, SimTime ready,
-                      std::shared_ptr<const bool> guard = nullptr);
+                      EventQueue::OwnerId owner = EventQueue::kNoOwner);
   // Deferred host send (allocation-free): at `ready` the packet enters the
   // normal Send path — outbound tap first, then the wire. This is the RPC
   // server's deferred reply: the encoded reply moves into a pooled packet
   // buffer immediately and waits in the flight table until its service-done
   // instant.
-  void SendAt(Packet&& pkt, SimTime ready, std::shared_ptr<const bool> guard = nullptr);
+  void SendAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner = EventQueue::kNoOwner);
 
   // Marks a host failed: its packets are dropped silently until revived.
   // Models server crashes for failover experiments.
@@ -178,7 +176,7 @@ class Network {
     SimTime wire = 0;        // serialization time, reused for the rx side
     NetAddr local_addr = 0;  // kLocal destination
     obs::TraceContext ctx;
-    std::shared_ptr<const bool> guard;  // kInject/kLocal/kSend liveness
+    EventQueue::OwnerId owner = EventQueue::kNoOwner;  // dead: dropped silently
     Packet pkt;
     uint32_t next_free = 0;  // while the slot is free: the next free slot
   };

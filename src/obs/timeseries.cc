@@ -15,13 +15,11 @@ void Scraper::ScheduleNext() {
   // Next exact multiple of the interval strictly after now: scrapes are
   // window-aligned regardless of when the scraper was started.
   const SimTime next = (queue_.now() / interval + 1) * interval;
-  queue_.ScheduleBackgroundAt(next, [this, alive = alive_]() {
-    if (!*alive) {
-      return;
-    }
+  auto scrape = [this] {
     ScrapeOnce();
     ScheduleNext();
-  });
+  };
+  queue_.ScheduleBackgroundAt(next, scrape, owner_.id());
 }
 
 void Scraper::ScrapeOnce() {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,8 +64,7 @@ class Scraper {
   // into it (kAlertRaise / kAlertClear with the rule name and triggering
   // value), so dumps and alerts can never disagree.
   Scraper(EventQueue& queue, Metrics& metrics, const Sinks& sinks = {})
-      : queue_(queue), metrics_(metrics), eventlog_(sinks.eventlog) {}
-  ~Scraper() { *alive_ = false; }
+      : queue_(queue), metrics_(metrics), eventlog_(sinks.eventlog), owner_(queue) {}
 
   Scraper(const Scraper&) = delete;
   Scraper& operator=(const Scraper&) = delete;
@@ -136,7 +134,7 @@ class Scraper {
   std::vector<Alert> alerts_;
   uint64_t scrapes_ = 0;
   bool started_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the scrape timer
 };
 
 }  // namespace slice::obs

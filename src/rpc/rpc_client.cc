@@ -9,14 +9,11 @@ namespace slice {
 RpcClient::RpcClient(Host& host, EventQueue& queue, RpcClientParams params,
                      const obs::Sinks& sinks)
     : host_(host), queue_(queue), params_(params), tracer_(sinks.tracer),
-      eventlog_(sinks.eventlog) {
+      eventlog_(sinks.eventlog), owner_(queue) {
   port_ = host_.Bind(0, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
 }
 
-RpcClient::~RpcClient() {
-  *alive_ = false;
-  host_.Unbind(port_);
-}
+RpcClient::~RpcClient() { host_.Unbind(port_); }
 
 void RpcClient::Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, Bytes args,
                      ResponseHandler handler) {
@@ -95,23 +92,19 @@ void RpcClient::Transmit(uint32_t xid) {
   const double scaled = static_cast<double>(params_.retransmit_timeout) * scale;
   const double ceiling = static_cast<double>(params_.max_retransmit_timeout);
   const SimTime timeout = static_cast<SimTime>(scaled < ceiling ? scaled : ceiling);
-  ArmTimer(xid, timeout);
-}
-
-void RpcClient::ArmTimer(uint32_t xid, SimTime timeout) {
-  auto it = pending_.find(xid);
-  SLICE_CHECK(it != pending_.end());
-  const uint64_t generation = it->second.generation;
-  queue_.ScheduleAfter(timeout, [this, xid, generation, alive = alive_]() {
-    if (!*alive) {
-      return;
-    }
-    auto timer_it = pending_.find(xid);
-    if (timer_it == pending_.end() || timer_it->second.generation != generation) {
+  // {this, generation:xid} is 16 trivially-copyable bytes, so the timer
+  // closure sits in std::function's inline buffer and arming it allocates
+  // nothing.
+  const uint64_t key = (static_cast<uint64_t>(pc.generation) << 32) | xid;
+  auto expire = [this, key] {
+    const auto timer_xid = static_cast<uint32_t>(key);
+    auto timer_it = pending_.find(timer_xid);
+    if (timer_it == pending_.end() || timer_it->second.generation != key >> 32) {
       return;  // already answered (or replaced)
     }
-    Transmit(xid);
-  });
+    Transmit(timer_xid);
+  };
+  queue_.ScheduleAfter(timeout, expire, owner_.id());
 }
 
 void RpcClient::OnPacket(Packet&& pkt) {

@@ -7,7 +7,6 @@
 #define SLICE_RPC_RPC_CLIENT_H_
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "src/net/host.h"
@@ -44,6 +43,8 @@ class RpcClient {
   // flight dump.
   RpcClient(Host& host, EventQueue& queue, RpcClientParams params = {},
             const obs::Sinks& sinks = {});
+  // Pending calls die with the client: their handlers never run, and their
+  // queued retransmit timers dispatch as no-ops.
   ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
@@ -69,14 +70,12 @@ class RpcClient {
     Bytes wire;  // encoded RPC call, kept for retransmission
     ResponseHandler handler;
     int transmissions = 0;
-    SimTime next_timeout = 0;
-    uint64_t generation = 0;
+    uint32_t generation = 0;
     obs::TraceContext trace;  // context captured at Call() time
   };
 
   void OnPacket(Packet&& pkt);
   void Transmit(uint32_t xid);
-  void ArmTimer(uint32_t xid, SimTime timeout);
 
   Host& host_;
   EventQueue& queue_;
@@ -84,12 +83,10 @@ class RpcClient {
   obs::Tracer* tracer_ = nullptr;
   obs::EventLog* eventlog_ = nullptr;
   NetPort port_;
-  // Guards timer callbacks scheduled into the event queue against running
-  // after this client is destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the retransmit timers
   uint32_t next_xid_ = 1;
   uint32_t tenant_ = 0;
-  uint64_t next_generation_ = 1;
+  uint32_t next_generation_ = 1;
   std::unordered_map<uint32_t, PendingCall> pending_;
   uint64_t calls_sent_ = 0;
   uint64_t retransmissions_ = 0;

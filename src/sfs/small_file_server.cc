@@ -31,7 +31,8 @@ SmallFileServer::SmallFileServer(Network& net, EventQueue& queue, NetAddr addr,
       storage_nodes_(std::move(storage_nodes)),
       zone_handle_(FileHandle::Make(1, (0xfeull << 48) | params.server_index, 1,
                                     FileType3::kReg, 1, params.volume_secret)),
-      cache_(params.cache_bytes) {
+      cache_(params.cache_bytes),
+      owner_(queue) {
   SLICE_CHECK(!storage_nodes_.empty());
   for (const Endpoint& node : storage_nodes_) {
     node_clients_.push_back(
@@ -67,16 +68,14 @@ void SmallFileServer::ArmSyncer() {
     return;
   }
   syncer_armed_ = true;
-  queue().ScheduleAfter(params_.syncer_interval, [this, alive = alive_]() {
-    if (!*alive) {
-      return;
-    }
+  auto sync = [this] {
     syncer_armed_ = false;
     FlushDirty([] {});
     if (!dirty_.empty()) {
       ArmSyncer();
     }
-  });
+  };
+  queue().ScheduleAfter(params_.syncer_interval, sync, owner_.id());
 }
 
 uint64_t SmallFileServer::LocalSize(uint64_t fileid) const {

@@ -48,7 +48,6 @@ class SmallFileServer : public RpcServerNode {
   // WAL appends ride the requesting trace (tracer only).
   SmallFileServer(Network& net, EventQueue& queue, NetAddr addr, SmallFileServerParams params,
                   std::vector<Endpoint> storage_nodes, const obs::Sinks& sinks = {});
-  ~SmallFileServer() override { *alive_ = false; }
 
   size_t file_count() const { return maps_.size(); }
   const BlockCache& cache() const { return cache_; }
@@ -130,7 +129,7 @@ class SmallFileServer : public RpcServerNode {
   uint64_t backing_fetches_ = 0;
   uint64_t backing_flushes_ = 0;
   bool syncer_armed_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the syncer timer
 };
 
 }  // namespace slice

@@ -2,22 +2,35 @@
 
 namespace slice {
 
-void EventQueue::Push(SimTime when, Action action, bool background) {
+EventQueue::Owner::Owner(EventQueue& queue)
+    : queue_(queue), id_(static_cast<OwnerId>(queue.owner_live_.size())) {
+  queue_.owner_live_.push_back(true);
+  ++queue_.live_owners_;
+}
+
+EventQueue::Owner::~Owner() {
+  queue_.owner_live_[id_] = false;
+  --queue_.live_owners_;
+}
+
+EventQueue::~EventQueue() { SLICE_CHECK(live_owners_ == 0); }
+
+void EventQueue::Push(SimTime when, Action action, OwnerId owner, bool background) {
   if (when < now_) {
     when = now_;
   }
   if (!background) {
     ++foreground_pending_;
   }
-  heap_.push(Event{when, next_seq_++, background, std::move(action)});
+  heap_.push(Event{when, next_seq_++, owner, background, std::move(action)});
 }
 
-void EventQueue::ScheduleAt(SimTime when, Action action) {
-  Push(when, std::move(action), in_background_);
+void EventQueue::ScheduleAt(SimTime when, Action action, OwnerId owner) {
+  Push(when, std::move(action), owner, in_background_);
 }
 
-void EventQueue::ScheduleBackgroundAt(SimTime when, Action action) {
-  Push(when, std::move(action), true);
+void EventQueue::ScheduleBackgroundAt(SimTime when, Action action, OwnerId owner) {
+  Push(when, std::move(action), owner, true);
 }
 
 bool EventQueue::RunOne() {
@@ -41,7 +54,11 @@ bool EventQueue::RunOne() {
   if (dispatch_hook_ != nullptr) {
     dispatch_hook_(dispatch_hook_ctx_, /*begin=*/true);
   }
-  ev.action();
+  // A dead owner's event has already moved the clock and the counters, so
+  // the timeline is the same as if its action had run and done nothing.
+  if (owner_live_[ev.owner]) {
+    ev.action();
+  }
   if (dispatch_hook_ != nullptr) {
     dispatch_hook_(dispatch_hook_ctx_, /*begin=*/false);
   }

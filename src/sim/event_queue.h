@@ -35,7 +35,31 @@ class EventQueue {
  public:
   using Action = std::function<void()>;
 
+  // Owner tokens. A component that schedules work on itself holds one Owner
+  // and passes its id when scheduling. Once the Owner is destroyed, its
+  // events still pop, advance the clock and count in executed(), but their
+  // actions are skipped: a component may die with work queued and leave the
+  // simulated timeline unchanged. Ids are never reused. The queue must
+  // outlive every owner (~EventQueue checks).
+  using OwnerId = uint32_t;
+  static constexpr OwnerId kNoOwner = 0;  // always live
+
+  class Owner {
+   public:
+    explicit Owner(EventQueue& queue);
+    ~Owner();
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+
+    OwnerId id() const { return id_; }
+
+   private:
+    EventQueue& queue_;
+    OwnerId id_;
+  };
+
   EventQueue() = default;
+  ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -52,18 +76,25 @@ class EventQueue {
   // background timer (RPC sends, network hops, replies) stays background.
   // With libstdc++, a closure of at most 16 trivially-copyable bytes (e.g. a
   // `this` pointer plus an index) fits std::function's inline buffer, so
-  // scheduling it does not allocate.
-  void ScheduleAt(SimTime when, Action action);
-  void ScheduleAfter(SimTime delay, Action action) { ScheduleAt(now_ + delay, std::move(action)); }
+  // scheduling it does not allocate. `owner` ties the event to an Owner.
+  void ScheduleAt(SimTime when, Action action, OwnerId owner = kNoOwner);
+  void ScheduleAfter(SimTime delay, Action action, OwnerId owner = kNoOwner) {
+    ScheduleAt(now_ + delay, std::move(action), owner);
+  }
 
   // Background events model perpetual housekeeping (heartbeats, failure
   // sweeps). They run normally under RunOne/RunUntil, but RunUntilIdle does
   // not wait for them — otherwise a self-rearming timer would make it spin
   // forever.
-  void ScheduleBackgroundAt(SimTime when, Action action);
-  void ScheduleBackgroundAfter(SimTime delay, Action action) {
-    ScheduleBackgroundAt(now_ + delay, std::move(action));
+  void ScheduleBackgroundAt(SimTime when, Action action, OwnerId owner = kNoOwner);
+  void ScheduleBackgroundAfter(SimTime delay, Action action, OwnerId owner = kNoOwner) {
+    ScheduleBackgroundAt(now_ + delay, std::move(action), owner);
   }
+
+  // Whether `owner` is still alive (kNoOwner always is). For components
+  // that park work outside the queue (the network's deferred flights) and
+  // check its owner themselves when it comes due.
+  bool live(OwnerId owner) const { return owner_live_[owner]; }
 
   // Runs the earliest event; returns false if the queue is empty.
   bool RunOne();
@@ -93,6 +124,7 @@ class EventQueue {
   struct Event {
     SimTime when;
     uint64_t seq;
+    OwnerId owner;
     bool background;
     Action action;
   };
@@ -105,7 +137,7 @@ class EventQueue {
     }
   };
 
-  void Push(SimTime when, Action action, bool background);
+  void Push(SimTime when, Action action, OwnerId owner, bool background);
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   SimTime now_ = 0;
@@ -113,6 +145,9 @@ class EventQueue {
   uint64_t executed_ = 0;
   size_t foreground_pending_ = 0;
   bool in_background_ = false;
+  // Indexed by OwnerId; entry 0 is kNoOwner.
+  std::vector<bool> owner_live_{true};
+  size_t live_owners_ = 0;
   DispatchHook dispatch_hook_ = nullptr;
   void* dispatch_hook_ctx_ = nullptr;
 };

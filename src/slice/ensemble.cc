@@ -36,7 +36,7 @@ void ProfilerDispatchHook(void* ctx, bool begin) {
 }  // namespace
 
 Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
-    : queue_(queue), config_(std::move(config)) {
+    : queue_(queue), config_(std::move(config)), owner_(queue) {
   SLICE_CHECK(config_.num_dir_servers >= 1);
   SLICE_CHECK(config_.num_storage_nodes >= 1);
   SLICE_CHECK(config_.num_clients >= 1);
@@ -356,7 +356,6 @@ Ensemble::~Ensemble() {
     // The queue outlives the ensemble; detach before the profiler dies.
     queue_.SetDispatchHook(nullptr, nullptr);
   }
-  *alive_ = false;
 }
 
 void Ensemble::OnReconfigure(const MgmtTableSet& tables, const std::vector<uint64_t>& died,
@@ -451,10 +450,7 @@ void Ensemble::OnReconfigure(const MgmtTableSet& tables, const std::vector<uint6
 }
 
 void Ensemble::ScheduleHandoff(DirServer* adopter, uint32_t site, DirServer* target) {
-  queue_.ScheduleBackgroundAfter(FromMillis(1), [this, alive = alive_, adopter, site, target] {
-    if (!*alive) {
-      return;
-    }
+  auto handoff = [this, adopter, site, target] {
     if (adopter->failed() || target->failed()) {
       target->EndHandoffHold();  // abandoned; a later reconfiguration retries
       return;
@@ -465,7 +461,8 @@ void Ensemble::ScheduleHandoff(DirServer* adopter, uint32_t site, DirServer* tar
     }
     adopter->HandoffSite(site, *target);
     target->EndHandoffHold();
-  });
+  };
+  queue_.ScheduleBackgroundAfter(FromMillis(1), handoff, owner_.id());
 }
 
 std::unique_ptr<SyncNfsClient> Ensemble::MakeSyncClient(size_t i) {

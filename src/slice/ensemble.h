@@ -245,7 +245,7 @@ class Ensemble {
   std::unique_ptr<obs::Profiler> profiler_;
   // Hub before network_/components: providers registered by components are
   // destroyed with their registries only after every pollster is gone. The
-  // scraper's queued events are guarded by its own alive flag.
+  // scraper's queued events die with its own owner token.
   std::unique_ptr<obs::Metrics> metrics_;
   std::unique_ptr<obs::Scraper> scraper_;
   // After the scraper: destroyed first, and the scrape hook only fires while
@@ -261,12 +261,11 @@ class Ensemble {
   std::vector<Endpoint> storage_endpoints_;
   std::unique_ptr<EnsembleManager> manager_;
   std::vector<std::unique_ptr<HeartbeatAgent>> heartbeat_agents_;
-  // Last member: destroyed first, so the engine's hooks never observe a
-  // partially-torn-down ensemble (its own alive flag also guards the
-  // scheduled fault events).
+  // Destroyed before every component, so the engine's hooks never observe a
+  // partially-torn-down ensemble (its scheduled fault events die with its
+  // own owner token).
   std::unique_ptr<chaos::ChaosEngine> chaos_engine_;
-  // Guards deferred-handoff callbacks against outliving the ensemble.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  EventQueue::Owner owner_;  // owns the deferred dir-site handoffs
 };
 
 }  // namespace slice

@@ -13,6 +13,7 @@
 #include "src/nfs/nfs_xdr.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/rpc/rpc_client.h"
 #include "src/rpc/rpc_message.h"
 #include "src/storage/storage_node.h"
 #include "tests/alloc_counter.h"
@@ -403,6 +404,40 @@ TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate
 
 // With pooling disabled (the determinism A/B hook) the same traffic must
 // still be correct — it just pays the allocations the pool elides.
+// Each RpcClient transmission arms a retransmit timer. Its closure is
+// {this, generation:xid}, 16 trivially-copyable bytes that fit
+// std::function's inline buffer, so a call retransmitting into the void
+// allocates nothing once the packet pool and flight table are warm.
+TEST(FastPathAllocTest, SteadyStateRetransmissionsDoNotAllocate) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  Host client_host(net, kClientAddr);
+  RpcClientParams params;
+  params.retransmit_timeout = FromMillis(100);
+  params.backoff_factor = 1.0;
+  params.max_transmissions = 1000;
+  RpcClient client(client_host, queue, params);
+
+  int completions = 0;
+  // Nothing is attached at kDirAddr: every transmission is dropped.
+  client.Call(Endpoint{kDirAddr, kNfsPort}, kNfsProgram, kNfsVersion,
+              static_cast<uint32_t>(NfsProc::kGetattr), Bytes(64, 0),
+              [&completions](Status, const RpcMessageView&) { ++completions; });
+  queue.RunUntil(FromMillis(1050));  // warm-up: 11 transmissions
+
+  const uint64_t sent_before = client.calls_sent();
+  const uint64_t before = AllocCount();
+  queue.RunUntil(FromMillis(10050));
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t retransmissions = client.calls_sent() - sent_before;
+
+  EXPECT_EQ(retransmissions, 90u);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations over " << retransmissions
+                        << " retransmissions";
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(client.pending(), 1u);
+}
+
 TEST(FastPathAllocTest, DisabledPoolStillForwardsCorrectly) {
   PacketPool::SetEnabled(false);
   EventQueue queue;

@@ -1,9 +1,8 @@
 // Unit tests for packets (header layout, checksum rewriting) and the
 // simulated network (delivery, timing, taps, loss, failure, and the
-// in-flight slot table's ordering, guards and growth).
+// in-flight slot table's ordering, owner tokens and growth).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "src/net/network.h"
@@ -231,18 +230,19 @@ TEST_F(NetworkTest, SameInstantFlightsAndEventsRunInScheduleOrder) {
 }
 
 // Issues one InjectAt, one DeliverLocalAt and one SendAt flight, all bound
-// for host B and all guarded by `guard`.
-void DeferAllKinds(Network& net, const std::shared_ptr<const bool>& guard) {
+// for host B and all owned by `owner`.
+void DeferAllKinds(Network& net, const EventQueue::Owner& owner) {
   const SimTime at = FromMicros(10);
-  net.InjectAt(PortPacket(kHostA, kHostB, 1), at, guard);
-  net.DeliverLocalAt(kHostB, PortPacket(kHostA, kHostB, 2), at, guard);
-  net.SendAt(PortPacket(kHostA, kHostB, 3), at, guard);
+  net.InjectAt(PortPacket(kHostA, kHostB, 1), at, owner.id());
+  net.DeliverLocalAt(kHostB, PortPacket(kHostA, kHostB, 2), at, owner.id());
+  net.SendAt(PortPacket(kHostA, kHostB, 3), at, owner.id());
 }
 
 TEST_F(NetworkTest, DeadGuardDropsDeferredFlightsSilently) {
-  auto alive = std::make_shared<bool>(true);
-  DeferAllKinds(net_, alive);
-  *alive = false;  // the originator dies before the flights are due
+  {
+    EventQueue::Owner owner(queue_);
+    DeferAllKinds(net_, owner);
+  }  // the originator dies before the flights are due
   queue_.RunUntilIdle();
   EXPECT_TRUE(b_inbox_.empty());
   EXPECT_EQ(net_.packets_sent(), 0u);
@@ -250,8 +250,8 @@ TEST_F(NetworkTest, DeadGuardDropsDeferredFlightsSilently) {
 }
 
 TEST_F(NetworkTest, LiveGuardDeliversDeferredFlights) {
-  auto alive = std::make_shared<bool>(true);
-  DeferAllKinds(net_, alive);
+  EventQueue::Owner owner(queue_);
+  DeferAllKinds(net_, owner);
   queue_.RunUntilIdle();
   ASSERT_EQ(b_inbox_.size(), 3u);
   // The local delivery skips the wire; the other two cross it in issue order.

@@ -2,6 +2,8 @@
 // retransmission, server dispatch, duplicate request cache, cost charging.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/rpc/rpc_client.h"
 #include "src/rpc/rpc_message.h"
 #include "src/rpc/rpc_server.h"
@@ -237,6 +239,25 @@ TEST_F(RpcEndToEndTest, TimeoutWhenServerDown) {
                [&](Status st, const RpcMessageView&) { got_status = st; });
   queue_.RunUntilIdle();
   EXPECT_EQ(got_status.code(), StatusCode::kTimedOut);
+}
+
+TEST_F(RpcEndToEndTest, DestroyedClientNeverRunsItsHandlerAndItsTimerIsACountedNoOp) {
+  auto doomed = std::make_unique<RpcClient>(client_host_, queue_);
+  bool handler_ran = false;
+  doomed->Call(server_.endpoint(), kTestProg, kTestVers, 1, Bytes{},
+               [&](Status, const RpcMessageView&) { handler_ran = true; });
+  doomed.reset();  // the request is still on the wire
+  // The server answers; the reply finds the client's port unbound.
+  queue_.RunUntil(FromMillis(1));
+  EXPECT_EQ(server_.calls, 1);
+  EXPECT_EQ(client_host_.undeliverable(), 1u);
+  ASSERT_EQ(queue_.pending(), 1u);  // the dead client's retransmit timer
+  const uint64_t before = queue_.executed();
+  queue_.RunUntilIdle();
+  EXPECT_FALSE(handler_ran);
+  EXPECT_EQ(queue_.executed() - before, 1u);
+  EXPECT_EQ(queue_.now(), RpcClientParams{}.retransmit_timeout);
+  EXPECT_EQ(server_.calls, 1);  // and it retransmitted nothing
 }
 
 TEST_F(RpcEndToEndTest, TotalLossGivesUpInBoundedTime) {

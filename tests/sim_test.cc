@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/disk.h"
@@ -109,6 +111,82 @@ TEST(EventQueueTest, BackgroundChainsInheritBackgroundStatus) {
   EXPECT_FALSE(child_ran);  // background child at t=15 is past the last foreground event
   q.RunUntil(20);
   EXPECT_TRUE(child_ran);  // but RunUntil drives background chains normally
+}
+
+TEST(EventQueueTest, DeadOwnersEventDoesNotRunButStillCounts) {
+  EventQueue q;
+  bool ran = false;
+  {
+    EventQueue::Owner owner(q);
+    q.ScheduleAt(40, [&] { ran = true; }, owner.id());
+  }
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.foreground_pending(), 1u);
+  EXPECT_TRUE(q.RunOne());
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(q.executed(), 1u);
+  EXPECT_EQ(q.now(), 40u);
+  EXPECT_EQ(q.foreground_pending(), 0u);
+}
+
+// Schedules foreground events at 10 and 30 and a background tick every 4 ns,
+// all under one owner that dies before the run when `kill_owner`; returns
+// where RunUntilIdle stops and how many events it executed.
+std::pair<SimTime, uint64_t> IdleHorizon(bool kill_owner) {
+  EventQueue q;
+  auto owner = std::make_unique<EventQueue::Owner>(q);
+  const EventQueue::OwnerId id = owner->id();
+  std::function<void()> tick = [&] { q.ScheduleBackgroundAfter(4, tick, id); };
+  q.ScheduleBackgroundAfter(4, tick, id);
+  q.ScheduleAt(10, [] {}, id);
+  q.ScheduleAt(30, [] {}, id);
+  if (kill_owner) {
+    owner.reset();
+  }
+  q.RunUntilIdle();
+  owner.reset();
+  return {q.now(), q.executed()};
+}
+
+TEST(EventQueueTest, DeadOwnerLeavesRunUntilIdleEndingAtTheSameInstant) {
+  const auto [live_end, live_executed] = IdleHorizon(/*kill_owner=*/false);
+  const auto [dead_end, dead_executed] = IdleHorizon(/*kill_owner=*/true);
+  EXPECT_EQ(live_end, 30u);
+  EXPECT_EQ(dead_end, live_end);
+  // The dead owner's background tick fires once (at 4) and re-arms nothing;
+  // the live one keeps ticking up to the last foreground event.
+  EXPECT_EQ(dead_executed, 3u);
+  EXPECT_EQ(live_executed, 9u);
+}
+
+TEST(EventQueueTest, LaterOwnerNeverRevivesAnEarlierOwnersEvents) {
+  EventQueue q;
+  int early_runs = 0;
+  int late_runs = 0;
+  EventQueue::OwnerId early_id = EventQueue::kNoOwner;
+  {
+    EventQueue::Owner early(q);
+    early_id = early.id();
+    q.ScheduleAt(10, [&] { ++early_runs; }, early_id);
+  }
+  EventQueue::Owner late(q);
+  EXPECT_NE(late.id(), early_id);
+  EXPECT_FALSE(q.live(early_id));
+  q.ScheduleAt(10, [&] { ++late_runs; }, late.id());
+  q.RunUntilIdle();
+  EXPECT_EQ(early_runs, 0);
+  EXPECT_EQ(late_runs, 1);
+  EXPECT_EQ(q.executed(), 2u);
+}
+
+TEST(EventQueueTest, QueueMustOutliveItsOwners) {
+  EXPECT_DEATH(
+      {
+        auto* q = new EventQueue;
+        new EventQueue::Owner(*q);  // never destroyed
+        delete q;
+      },
+      "live_owners_");
 }
 
 TEST(BusyResourceTest, IdleResourceStartsImmediately) {
