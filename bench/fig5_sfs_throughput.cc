@@ -14,8 +14,6 @@
 //   --proxy-cache     run the Slice lines with the in-proxy metadata cache
 //                     (lookup + attribute) enabled; the bench renames itself
 //                     fig5_cache so the A/B artifacts get their own golden
-//   --no-pool         disable the packet pool (A/B determinism check: same
-//                     seed must produce byte-identical artifacts either way)
 //   --assert-zero-alloc  after the sweep, run the end-to-end fast-path probe
 //                     (µproxy + real storage node round trips under a
 //                     counting operator-new) and exit nonzero if the
@@ -44,16 +42,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "bench/sfs_harness.h"
 #include "src/common/hash.h"
 #include "src/core/uproxy.h"
 #include "src/net/network.h"
-#include "src/net/packet_pool.h"
 #include "src/nfs/nfs_xdr.h"
+#include "src/obs/json.h"
 #include "src/rpc/rpc_message.h"
 #include "src/storage/storage_node.h"
 #include "tests/alloc_counter.h"
@@ -151,7 +148,8 @@ struct BenchLine {
   std::vector<SfsPoint> points;
 };
 
-void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char* flight_path,
+// Returns false when an artifact could not be written.
+bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char* flight_path,
              const char* profile_path, uint32_t tenants) {
   std::printf("Figure 5: SFS97-like delivered throughput (IOPS) vs offered load%s%s\n\n",
               proxy_cache ? " [in-proxy metadata cache ON]" : "",
@@ -229,8 +227,9 @@ void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
         2, offered, {.metrics = true, .proxy_cache = proxy_cache, .tenants = tenants});
     counter_totals = std::move(run.counter_totals);
     tenant_totals = std::move(run.tenant_totals);
-    std::ofstream out(metrics_path, std::ios::binary | std::ios::trunc);
-    out << run.metrics_json << "\n";
+    if (!obs::WriteArtifact(metrics_path, run.metrics_json + "\n")) {
+      return false;
+    }
     std::printf("metrics snapshot written to %s (hash %016llx)\n", metrics_path,
                 static_cast<unsigned long long>(obs::MetricsContentHash(run.metrics_json)));
     if (proxy_cache) {
@@ -252,7 +251,9 @@ void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     std::printf("\n--flight-dump: Slice-2 @ %.0f ops/s with the event log enabled\n", offered);
     const SliceRun run = RunSlicePoint(
         2, offered, {.metrics = true, .eventlog = true, .proxy_cache = proxy_cache});
-    obs::WriteFlightDump(flight_path, run.flight_json);
+    if (!obs::WriteArtifact(flight_path, run.flight_json)) {
+      return false;
+    }
     std::printf("flight dump written to %s (hash %016llx)\n", flight_path,
                 static_cast<unsigned long long>(obs::FlightContentHash(run.flight_json)));
   }
@@ -269,14 +270,14 @@ void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
                              .profiler = true,
                              .proxy_cache = proxy_cache})
                   .profile;
-    std::ofstream out(profile_path, std::ios::binary | std::ios::trunc);
-    out << profile.profile_json << "\n";
     std::string folded_path(profile_path);
     const size_t dot = folded_path.rfind(".json");
     folded_path = (dot == std::string::npos ? folded_path : folded_path.substr(0, dot)) +
                   ".folded";
-    std::ofstream folded(folded_path, std::ios::binary | std::ios::trunc);
-    folded << profile.folded;
+    if (!obs::WriteArtifact(profile_path, profile.profile_json + "\n") ||
+        !obs::WriteArtifact(folded_path, profile.folded)) {
+      return false;
+    }
     std::printf("profile written to %s (+ %s), sim hash %016llx, "
                 "min host ledger coverage %.2f%%\n",
                 profile_path, folded_path.c_str(),
@@ -304,7 +305,7 @@ void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
                                ? "fig5_profile"
                                : (tenants > 0 ? "fig5_tenants"
                                               : (proxy_cache ? "fig5_cache" : "fig5"));
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String(bench_name);
   w.Key("smoke").Int(smoke ? 1 : 0);
@@ -358,7 +359,12 @@ void RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     w.EndObject();
   }
   w.EndObject();
-  WriteBenchFile(bench_name, w.str());
+  const std::string bench_file = std::string("BENCH_") + bench_name + ".json";
+  if (!obs::WriteArtifact(bench_file, w.str() + "\n")) {
+    return false;
+  }
+  std::printf("wrote %s\n", bench_file.c_str());
+  return true;
 }
 
 }  // namespace
@@ -379,8 +385,6 @@ int main(int argc, char** argv) {
       proxy_cache = true;
     } else if (std::strcmp(argv[i], "--assert-zero-alloc") == 0) {
       assert_zero_alloc = true;
-    } else if (std::strcmp(argv[i], "--no-pool") == 0) {
-      slice::PacketPool::SetEnabled(false);
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-dump") == 0 && i + 1 < argc) {
@@ -391,7 +395,9 @@ int main(int argc, char** argv) {
       tenants = static_cast<uint32_t>(std::atoi(argv[++i]));
     }
   }
-  slice::RunFig5(smoke, proxy_cache, metrics_path, flight_path, profile_path, tenants);
+  if (!slice::RunFig5(smoke, proxy_cache, metrics_path, flight_path, profile_path, tenants)) {
+    return 1;
+  }
   if (assert_zero_alloc && !slice::RunZeroAllocProbe()) {
     return 1;
   }

@@ -23,16 +23,16 @@
 //                     write the flight-recorder dump to <path>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "bench/sfs_harness.h"
+#include "src/obs/json.h"
 
 namespace slice {
 namespace {
 
-void RunFig6(bool smoke) {
+// Each step returns false when its artifact could not be written.
+bool RunFig6(bool smoke) {
   std::printf("Figure 6: SFS97-like mean latency (ms) vs delivered throughput (IOPS)\n\n");
   const std::vector<double> offered_loads =
       smoke ? std::vector<double>{400, 800}
@@ -74,7 +74,7 @@ void RunFig6(bool smoke) {
       "file set overflows the small-file-server caches; larger Slice\n"
       "configurations sustain acceptable latency to higher IOPS.\n");
 
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("fig6");
   w.Key("smoke").Int(smoke ? 1 : 0);
@@ -103,30 +103,39 @@ void RunFig6(bool smoke) {
   }
   w.EndArray();
   w.EndObject();
-  WriteBenchFile("fig6", w.str());
+  if (!obs::WriteArtifact("BENCH_fig6.json", w.str() + "\n")) {
+    return false;
+  }
+  std::printf("wrote BENCH_fig6.json\n");
+  return true;
 }
 
-void RunFig6Trace() {
+bool RunFig6Trace() {
   std::printf("\n--trace: Slice-4 @ 1600 ops/s with end-to-end tracing enabled\n\n");
   const SliceRun run = RunSlicePoint(4, 1600, {.trace = true});
   std::printf("delivered %.0f IOPS, mean %.1f ms; %llu ops traced\n\n", run.point.delivered,
               run.point.latency_ms,
               static_cast<unsigned long long>(run.critical_path.traces_analyzed));
   std::printf("%s", obs::CriticalPath::Format(run.critical_path).c_str());
-  std::ofstream out("fig6_trace.json", std::ios::binary | std::ios::trunc);
-  out << run.trace_json;
+  if (!obs::WriteArtifact("fig6_trace.json", run.trace_json)) {
+    return false;
+  }
   std::printf("\nfull trace written to fig6_trace.json (load in chrome://tracing)\n");
+  return true;
 }
 
-void RunFig6Flight(bool smoke, const char* path) {
+bool RunFig6Flight(bool smoke, const char* path) {
   const size_t nodes = smoke ? 2 : 4;
   const double offered = smoke ? 800 : 1600;
   std::printf("\n--flight-dump: Slice-%zu @ %.0f ops/s with the event log enabled\n", nodes,
               offered);
   const SliceRun run = RunSlicePoint(nodes, offered, {.metrics = true, .eventlog = true});
-  obs::WriteFlightDump(path, run.flight_json);
+  if (!obs::WriteArtifact(path, run.flight_json)) {
+    return false;
+  }
   std::printf("flight dump written to %s (hash %016llx)\n", path,
               static_cast<unsigned long long>(obs::FlightContentHash(run.flight_json)));
+  return true;
 }
 
 }  // namespace
@@ -145,12 +154,9 @@ int main(int argc, char** argv) {
       flight_path = argv[++i];
     }
   }
-  slice::RunFig6(smoke);
-  if (trace) {
-    slice::RunFig6Trace();
-  }
-  if (flight_path != nullptr) {
-    slice::RunFig6Flight(smoke, flight_path);
+  if (!slice::RunFig6(smoke) || (trace && !slice::RunFig6Trace()) ||
+      (flight_path != nullptr && !slice::RunFig6Flight(smoke, flight_path))) {
+    return 1;
   }
   return 0;
 }

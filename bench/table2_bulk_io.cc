@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "src/obs/json.h"
 #include "src/slice/ensemble.h"
 #include "src/workload/seqio.h"
 
@@ -109,7 +109,8 @@ RunResult RunStreams(bool write, bool mirrored, int num_clients, uint64_t bytes_
   return result;
 }
 
-void RunTable2() {
+// Returns false when BENCH_table2.json could not be written.
+bool RunTable2() {
   std::printf("Table 2: bulk I/O bandwidth (MB/s)\n");
   std::printf("%-18s %14s %14s %14s\n", "workload", "paper", "measured", "ratio");
 
@@ -131,7 +132,7 @@ void RunTable2() {
       {"read-mirror (8)", false, true, 8, 128ull << 20, 222.0},
       {"write-mirror (8)", true, true, 8, 128ull << 20, 251.0},
   };
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("table2");
   w.Key("rows").BeginArray();
@@ -152,16 +153,17 @@ void RunTable2() {
   }
   w.EndArray();
   w.EndObject();
-  WriteBenchFile("table2", w.str());
+  if (!obs::WriteArtifact("BENCH_table2.json", w.str() + "\n")) {
+    return false;
+  }
+  std::printf("wrote BENCH_table2.json\n");
   std::printf(
       "\nshape checks: writes client-CPU-bound near 40 MB/s; saturation >> single\n"
       "client; mirroring roughly halves saturation bandwidth.\n");
+  return true;
 }
 
 }  // namespace
 }  // namespace slice
 
-int main() {
-  slice::RunTable2();
-  return 0;
-}
+int main() { return slice::RunTable2() ? 0 : 1; }

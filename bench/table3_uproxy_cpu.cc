@@ -19,14 +19,14 @@
 #include <cstring>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "src/core/pending_map.h"
-#include "src/obs/profiler.h"
 #include "src/core/request_decode.h"
 #include "src/core/routing_table.h"
 #include "src/dir/dir_server.h"
 #include "src/net/packet.h"
 #include "src/nfs/nfs_xdr.h"
+#include "src/obs/json.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_message.h"
 #include "src/rpc/rpc_server.h"
@@ -226,27 +226,56 @@ void RegisterTraceStage() {
   benchmark::RegisterBenchmark("BM_Stage5_TraceDisabled", BM_Stage5_TraceDisabled);
 }
 
-// Whole-packet request path, fast-path form: single-pass view decode, flat
-// pending table, incremental-checksum rewrite. This is the shape of
-// Uproxy::HandleOutbound after the zero-allocation rework.
-void BM_Total_RequestPath(benchmark::State& state) {
+// The whole µproxy request path over the untar mix, fast-path form: single-
+// pass view decode, route, incremental-checksum rewrite and a flat pending
+// table — the shape of Uproxy::HandleOutbound after the zero-allocation
+// rework. Every account of the request path (google-benchmark, the per-packet
+// samples, the chunked and the profiled runs) forwards through ForwardOne.
+struct RequestPath {
   std::vector<Packet> mix = UntarPacketMix();
-  RoutingTable table(64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}});
+  RoutingTable table{64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}}};
   FlatU64Map<NfsProc> pending;
-  size_t i = 0;
-  uint32_t xid = 0;
-  for (auto _ : state) {
-    Packet& pkt = mix[i++ % mix.size()];
+  uint32_t forwarded = 0;
+
+  // With a profiler, each stage runs under the scope the live µproxy uses;
+  // without one, every scope is a single untaken branch, as in the µproxy.
+  void ForwardOne(obs::Profiler* profiler = nullptr) {
+    const uint32_t n = forwarded++;
+    Packet& pkt = mix[n % mix.size()];
+    obs::Profiler::Scope outbound(profiler, obs::ProfScope::kUproxyOutbound);
     bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
     benchmark::DoNotOptimize(ours);
     DecodedView req;
-    if (DecodeNfsRequestView(pkt.payload(), &req).ok()) {
-      const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
+    Status st;
+    {
+      obs::Profiler::Scope s(profiler, obs::ProfScope::kUproxyDecode);
+      st = DecodeNfsRequestView(pkt.payload(), &req);
+    }
+    if (!st.ok()) {
+      return;
+    }
+    Endpoint target;
+    {
+      obs::Profiler::Scope s(profiler, obs::ProfScope::kUproxyRoute);
+      target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
+    }
+    {
+      obs::Profiler::Scope s(profiler, obs::ProfScope::kUproxyRewrite);
       pkt.RewriteDst(target);
-      const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
+    }
+    {
+      obs::Profiler::Scope s(profiler, obs::ProfScope::kUproxySoftState);
+      const uint64_t key = (static_cast<uint64_t>(800) << 32) | n;
       *pending.Insert(key).first = req.proc;
       pending.Erase(key);
     }
+  }
+};
+
+void BM_Total_RequestPath(benchmark::State& state) {
+  RequestPath path;
+  for (auto _ : state) {
+    path.ForwardOne();
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -393,39 +422,26 @@ void BM_Total_ServerPath(benchmark::State& state) {
 BENCHMARK(BM_Total_ServerPath);
 
 // Machine-readable baseline: wall-clock-times the whole request path per
-// packet (the BM_Total_RequestPath body, outside google-benchmark so we can
-// keep per-packet samples) and writes BENCH_table3_uproxy_cpu.json, with the
-// allocs/pkt invariant recorded per run. Absolute ns are host-dependent; the
-// golden pins only the structural fields (bench name, packet count,
-// allocs_per_pkt == 0).
-void WriteTable3Bench() {
-  std::vector<Packet> mix = UntarPacketMix();
-  RoutingTable table(64, {{0x0a000100, 2049}, {0x0a000101, 2049}, {0x0a000102, 2049}});
+// packet (outside google-benchmark so we can keep per-packet samples) and
+// writes BENCH_table3_uproxy_cpu.json, with the allocs/pkt invariant recorded
+// per run. Absolute ns are host-dependent; the golden pins only the
+// structural fields (bench name, packet count, allocs_per_pkt == 0, stage
+// names and counts). Returns false when the file could not be written.
+bool WriteTable3Bench() {
+  RequestPath path;
   constexpr int kWarmup = 20000;
   constexpr int kMeasured = 200000;
 
-  // Single-pass view decode, flat pending table. Steady-state allocation
-  // count across the measured window must be exactly zero.
-  FlatU64Map<NfsProc> pending;
+  // Per-packet samples. Steady-state allocation count across the measured
+  // window must be exactly zero.
   LatencyStats per_packet;  // values are wall-clock ns, not sim time
-  uint32_t xid = 0;
   uint64_t allocs_measured = 0;
   for (int iter = 0; iter < kWarmup + kMeasured; ++iter) {
-    Packet& pkt = mix[static_cast<size_t>(iter) % mix.size()];
     if (iter == kWarmup) {
       allocs_measured = AllocCount();
     }
     const auto t0 = std::chrono::steady_clock::now();
-    bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-    benchmark::DoNotOptimize(ours);
-    DecodedView req;
-    if (DecodeNfsRequestView(pkt.payload(), &req).ok()) {
-      const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-      pkt.RewriteDst(target);
-      const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-      *pending.Insert(key).first = req.proc;
-      pending.Erase(key);
-    }
+    path.ForwardOne();
     const auto t1 = std::chrono::steady_clock::now();
     if (iter >= kWarmup) {
       per_packet.Record(static_cast<SimTime>(
@@ -434,133 +450,49 @@ void WriteTable3Bench() {
   }
   allocs_measured = AllocCount() - allocs_measured;
 
-  // Profiled fast path, three interleaved accounts of the identical body:
+  // Two interleaved accounts of the same ForwardOne body:
   //
-  //   bulk   — no instrumentation, one tick-pair per chunk: ground truth.
-  //   coarse — one compensated outbound scope per chunk: the profiler's
-  //            account of the whole path through its full pipeline
-  //            (scope tree, overhead compensation, tick→ns calibration).
-  //            The acceptance check is |coarse - bulk| / bulk <= 10% —
-  //            the profiler's total must track uninstrumented reality.
-  //            Per-chunk rather than per-packet because a cycle-counter
-  //            read costs ~18ns against a ~130ns body: per-packet pairs
-  //            leave an ILP-dependent residue that the xorshift-based
-  //            calibration cannot reproduce exactly, and the whole-path
-  //            total would then measure that residue, not the path.
-  //   fine   — the five per-stage scopes the live µproxy uses. Reads per
-  //            packet scale 5x, so the raw fine sum carries irreducible
-  //            measurement residue; the reported per-stage ns/pkt are the
-  //            fine run's attribution *shares* applied to the validated
-  //            coarse total (standard overhead normalization — the raw
-  //            fine sum and the normalization factor are both exported).
+  //   bulk — no profiler, one tick pair per chunk: the unprofiled ground
+  //          truth and the headline ns/pkt.
+  //   fine — the five per-stage scopes the live µproxy uses. Its cycle-
+  //          counter reads cost ~18ns each against a ~130ns body, so the raw
+  //          stage sum carries the scopes' own overhead; the reported
+  //          per-stage ns/pkt are the fine run's attribution *shares* applied
+  //          to the bulk median (the raw sum and the normalization factor are
+  //          both exported, so the overhead stays visible).
   //
-  // The three loops alternate in small chunks and share one clock, so
-  // frequency drift hits all accounts equally; the bulk/coarse comparison
-  // uses per-chunk *medians*, so a scheduler preemption landing inside one
-  // account's chunk (a ~1ms steal against a ~260us chunk) is discarded as
-  // an outlier instead of landing in the error term.
+  // The two alternate in small chunks and share one clock, so frequency drift
+  // hits both equally; the bulk account is a per-chunk *median*, so a
+  // scheduler preemption landing inside one chunk (a ~1ms steal against a
+  // ~260us chunk) is discarded as an outlier.
   obs::Profiler profiler(obs::ProfilerParams{.enabled = true});
-  obs::Profiler coarse(obs::ProfilerParams{.enabled = true});
-  FlatU64Map<NfsProc> prof_pending;
-  FlatU64Map<NfsProc> coarse_pending;
-  FlatU64Map<NfsProc> bulk_pending;
   std::vector<uint64_t> bulk_chunk_ns;
-  std::vector<uint64_t> coarse_chunk_ns;
   constexpr int kChunk = 2000;
-  auto bulk_chunk = [&] {
+  auto chunk = [&](obs::Profiler* p) {
     for (int i = 0; i < kChunk; ++i) {
-      Packet& pkt = mix[static_cast<size_t>(xid) % mix.size()];
-      bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-      benchmark::DoNotOptimize(ours);
-      DecodedView req;
-      if (DecodeNfsRequestView(pkt.payload(), &req).ok()) {
-        const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-        pkt.RewriteDst(target);
-        const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-        *bulk_pending.Insert(key).first = req.proc;
-        bulk_pending.Erase(key);
-      }
+      path.ForwardOne(p);
     }
   };
-  auto coarse_chunk = [&] {
-    obs::Profiler::Scope outbound(&coarse, obs::ProfScope::kUproxyOutbound);
-    for (int i = 0; i < kChunk; ++i) {
-      Packet& pkt = mix[static_cast<size_t>(xid) % mix.size()];
-      bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-      benchmark::DoNotOptimize(ours);
-      DecodedView req;
-      if (DecodeNfsRequestView(pkt.payload(), &req).ok()) {
-        const Endpoint target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-        pkt.RewriteDst(target);
-        const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-        *coarse_pending.Insert(key).first = req.proc;
-        coarse_pending.Erase(key);
-      }
-    }
-  };
-  auto fine_chunk = [&] {
-    for (int i = 0; i < kChunk; ++i) {
-      Packet& pkt = mix[static_cast<size_t>(xid) % mix.size()];
-      obs::Profiler::Scope outbound(&profiler, obs::ProfScope::kUproxyOutbound);
-      bool ours = pkt.IsValidUdp() && pkt.dst_port() == 2049;
-      benchmark::DoNotOptimize(ours);
-      DecodedView req;
-      Status st;
-      {
-        obs::Profiler::Scope s(&profiler, obs::ProfScope::kUproxyDecode);
-        st = DecodeNfsRequestView(pkt.payload(), &req);
-      }
-      if (st.ok()) {
-        Endpoint target;
-        {
-          obs::Profiler::Scope s(&profiler, obs::ProfScope::kUproxyRoute);
-          target = table.ByPhysical(SiteOfFileid(req.fh.fileid()));
-        }
-        {
-          obs::Profiler::Scope s(&profiler, obs::ProfScope::kUproxyRewrite);
-          pkt.RewriteDst(target);
-        }
-        {
-          obs::Profiler::Scope s(&profiler, obs::ProfScope::kUproxySoftState);
-          const uint64_t key = (static_cast<uint64_t>(800) << 32) | xid++;
-          *prof_pending.Insert(key).first = req.proc;
-          prof_pending.Erase(key);
-        }
-      }
-    }
-  };
-  for (int i = 0; i < kWarmup / kChunk; ++i) {  // warm all three bodies
-    bulk_chunk();
-    coarse_chunk();
-    fine_chunk();
+  for (int i = 0; i < kWarmup / kChunk; ++i) {  // warm both accounts
+    chunk(nullptr);
+    chunk(&profiler);
   }
   profiler.ResetWall();  // warm scope paths measured, then discarded
-  coarse.ResetWall();
   bulk_chunk_ns.reserve(static_cast<size_t>(kMeasured / kChunk));
-  coarse_chunk_ns.reserve(static_cast<size_t>(kMeasured / kChunk));
   for (int done = 0; done < kMeasured; done += kChunk) {
     const uint64_t t0 = obs::Profiler::Ticks();
-    bulk_chunk();
+    chunk(nullptr);
     bulk_chunk_ns.push_back(profiler.ns_from_ticks(obs::Profiler::Ticks() - t0));
-    const uint64_t coarse_before =
-        coarse.ScopeInclusiveNs(obs::ProfScope::kUproxyOutbound);
-    coarse_chunk();
-    coarse_chunk_ns.push_back(
-        coarse.ScopeInclusiveNs(obs::ProfScope::kUproxyOutbound) - coarse_before);
-    fine_chunk();
+    chunk(&profiler);
   }
 
   const double total_ns = static_cast<double>(per_packet.sum());
   const double sampled_mean_ns = total_ns / kMeasured;
   const double allocs_per_pkt = static_cast<double>(allocs_measured) / kMeasured;
 
-  // Reporting. B = bulk (uninstrumented) mean, C = coarse profiler total
-  // (one compensated pair/pkt), V = raw fine stage sum. The acceptance
-  // check is |C - B| / B <= 10%; reported stage values are the fine run's
-  // shares applied to the validated total: v_i * C / V. Raw V and the
-  // normalization factor are exported so the fine-instrumentation overhead
-  // is visible, not hidden. ns values are host-dependent — the golden pins
-  // structure, not numbers (out_of_hash).
+  // Reporting. B = bulk (unprofiled) median ns/pkt, V = raw fine stage sum;
+  // each stage reports v_i * B / V. ns values are host-dependent — the golden
+  // pins structure, not numbers (out_of_hash).
   struct StageRow {
     const char* name;
     uint64_t count;
@@ -590,15 +522,12 @@ void WriteTable3Bench() {
     return static_cast<double>(v[v.size() / 2]);
   };
   const double bulk_mean_ns = chunk_median(bulk_chunk_ns) / kChunk;
-  const double coarse_mean_ns = chunk_median(coarse_chunk_ns) / kChunk;
-  const double norm = fine_sum > 0 ? coarse_mean_ns / fine_sum : 0;
+  const double norm = fine_sum > 0 ? bulk_mean_ns / fine_sum : 0;
   double stage_sum = 0;
   for (StageRow& row : stages) {
     row.ns_per_pkt = row.raw_ns * norm;
     stage_sum += row.ns_per_pkt;
   }
-  const double attribution_err_pct =
-      bulk_mean_ns > 0 ? (coarse_mean_ns - bulk_mean_ns) / bulk_mean_ns * 100.0 : 0;
 
   // Headline per-packet cost: the chunk-timed bulk account. The sampled mean
   // above brackets every packet with two clock reads, which on a ~120ns body
@@ -670,7 +599,7 @@ void WriteTable3Bench() {
   };
   const double end_to_end_ns = mean_ns + server_mean_ns;
 
-  JsonWriter w;
+  obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("table3_uproxy_cpu");
   w.Key("packets_measured").Int(kMeasured);
@@ -708,12 +637,14 @@ void WriteTable3Bench() {
   w.EndArray();
   w.Key("stage_sum_ns_per_pkt").Fixed(stage_sum, 2);
   w.Key("unprofiled_mean_ns_per_pkt").Fixed(bulk_mean_ns, 2);
-  w.Key("attribution_error_pct").Fixed(attribution_err_pct, 2);
   w.Key("fine_sum_ns_per_pkt").Fixed(fine_sum, 2);
   w.Key("normalization").Fixed(norm, 4);
   w.EndObject();
   w.EndObject();
-  WriteBenchFile("table3_uproxy_cpu", w.str());
+  if (!obs::WriteArtifact("BENCH_table3_uproxy_cpu.json", w.str() + "\n")) {
+    return false;
+  }
+  std::printf("wrote BENCH_table3_uproxy_cpu.json\n");
   std::printf("request path: %.0f pkts/s, mean %.0f ns (sampled %.0f, p50 %llu, p99 %llu),\n"
               "%.6f allocs/pkt; %.3f%% CPU at the paper's 6250 pkt/s point (paper: 6.1%% on\n"
               "a 500MHz Alpha)\n",
@@ -725,10 +656,9 @@ void WriteTable3Bench() {
   for (const StageRow& row : stages) {
     std::printf("  %-20s %8.1f\n", row.name, row.ns_per_pkt);
   }
-  std::printf("  %-20s %8.1f  (unprofiled mean %.1f, error %+.1f%%)\n", "stage sum", stage_sum,
-              bulk_mean_ns, attribution_err_pct);
+  std::printf("  %-20s %8.1f  (unprofiled mean %.1f)\n", "stage sum", stage_sum, bulk_mean_ns);
   std::printf("  shares from the fine account (raw sum %.1f ns incl. per-stage scope\n"
-              "  overhead, normalized x%.3f to the validated whole-path total)\n",
+              "  overhead, normalized x%.3f to the unprofiled mean)\n",
               fine_sum, norm);
   std::printf("\nserver dispatch (ns/pkt, %.6f allocs/pkt):\n", server_allocs_per_pkt);
   for (const ServerStageRow& row : server_stages) {
@@ -736,6 +666,7 @@ void WriteTable3Bench() {
   }
   std::printf("  %-20s %8.1f\n", "whole dispatch", server_mean_ns);
   std::printf("\nend-to-end (uproxy forward + server dispatch): %.1f ns/pkt\n", end_to_end_ns);
+  return true;
 }
 
 }  // namespace
@@ -758,7 +689,9 @@ int main(int argc, char** argv) {
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  slice::WriteTable3Bench();
+  if (!slice::WriteTable3Bench()) {
+    return 1;
+  }
   std::printf(
       "\nTable 3 comparison (paper, 500MHz CPU @ 6250 pkt/s): interception 0.7%%,\n"
       "decode 4.1%%, redirect/rewrite 0.5%%, soft state 0.8%%. To compare shape,\n"

@@ -12,8 +12,8 @@
 // evaluates saturation watchdogs with hysteresis. The canonical JSON
 // snapshot (metrics_tour.json) is byte-identical across same-seed runs.
 #include <cstdio>
-#include <fstream>
 
+#include "src/obs/json.h"
 #include "src/obs/metrics_export.h"
 #include "src/slice/ensemble.h"
 #include "src/slice/volume_client.h"
@@ -53,7 +53,9 @@ int main() {
                 ensemble.ExportMetricsText().c_str());
 
     const std::string json = ensemble.ExportMetricsJson();
-    std::ofstream("metrics_tour.json", std::ios::binary | std::ios::trunc) << json;
+    if (!obs::WriteArtifact("metrics_tour.json", json)) {
+      return 1;
+    }
     std::printf("canonical snapshot written to metrics_tour.json (hash %016llx)\n\n",
                 static_cast<unsigned long long>(obs::MetricsContentHash(json)));
   }

@@ -11,10 +11,10 @@
 // chrome://tracing JSON (open trace_tour.json in a Chromium browser at
 // chrome://tracing, or in Perfetto).
 #include <cstdio>
-#include <fstream>
 
 #include "src/obs/critical_path.h"
 #include "src/obs/export.h"
+#include "src/obs/json.h"
 #include "src/slice/ensemble.h"
 #include "src/slice/volume_client.h"
 
@@ -55,7 +55,9 @@ int main() {
 
   // 4. Export the raw spans for interactive viewing.
   const std::string json = ensemble.ExportTraceJson();
-  std::ofstream("trace_tour.json", std::ios::binary | std::ios::trunc) << json;
+  if (!obs::WriteArtifact("trace_tour.json", json)) {
+    return 1;
+  }
   std::printf(
       "\n%llu spans (%llu evicted) written to trace_tour.json — load it in\n"
       "chrome://tracing to walk any single request hop by hop.\n",

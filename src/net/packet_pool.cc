@@ -1,15 +1,10 @@
 #include "src/net/packet_pool.h"
 
 namespace slice {
-namespace {
-
-bool g_pool_enabled = true;
-
-}  // namespace
 
 Bytes PacketPool::Acquire(size_t size) {
   ++acquires_;
-  if (g_pool_enabled && !free_.empty()) {
+  if (!free_.empty()) {
     Bytes buf = std::move(free_.back());
     free_.pop_back();
     if (buf.capacity() >= size) {
@@ -31,8 +26,8 @@ Bytes PacketPool::Acquire(size_t size) {
 
 void PacketPool::Release(Bytes&& buf) {
   ++releases_;
-  if (!g_pool_enabled || buf.capacity() < kBufferCapacity ||
-      buf.capacity() > kMaxRecycleCapacity || free_.size() >= kMaxFreeBuffers) {
+  if (buf.capacity() < kBufferCapacity || buf.capacity() > kMaxRecycleCapacity ||
+      free_.size() >= kMaxFreeBuffers) {
     return;  // Bytes destructor frees it
   }
   free_.push_back(std::move(buf));
@@ -42,9 +37,5 @@ PacketPool& PacketPool::Default() {
   static PacketPool pool;
   return pool;
 }
-
-void PacketPool::SetEnabled(bool enabled) { g_pool_enabled = enabled; }
-
-bool PacketPool::Enabled() { return g_pool_enabled; }
 
 }  // namespace slice

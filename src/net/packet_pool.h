@@ -8,8 +8,7 @@
 // touching the heap.
 //
 // The sim is single-threaded, so one process-wide pool serves every host; the
-// class itself carries no global state and per-host instances work too (the
-// Table 3 bench uses a private pool to isolate its counters).
+// class itself carries no global state, so per-host instances work too.
 //
 // Lifecycle contract (DESIGN.md §7): Packet owns its buffer and returns it to
 // the default pool on destruction; copies deep-copy (slow paths only), moves
@@ -40,7 +39,7 @@ class PacketPool {
   PacketPool() { free_.reserve(kMaxFreeBuffers); }
 
   // Returns a buffer resized to `size` with capacity >= max(size +
-  // trailer slack, kBufferCapacity). Recycles from the freelist when enabled.
+  // trailer slack, kBufferCapacity), recycled from the freelist when it can.
   Bytes Acquire(size_t size);
 
   // Takes ownership of a dead packet's buffer; recycles it when it meets the
@@ -54,13 +53,6 @@ class PacketPool {
 
   // Process-wide pool used by Packet's builders and destructor.
   static PacketPool& Default();
-
-  // Test hook: with pooling disabled, Acquire always allocates fresh and
-  // Release always frees — byte-for-byte the pre-pool allocation behavior.
-  // The determinism tests run the same seed both ways and require identical
-  // trace/metrics/flight hashes.
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
 
  private:
   std::vector<Bytes> free_;

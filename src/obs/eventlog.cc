@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/obs/json.h"
+
 namespace slice::obs {
 
 const char* EventSevName(EventSev sev) {
@@ -52,18 +54,14 @@ const char* EventCodeName(EventCode code) {
 }
 
 std::string EventCodeTableJson() {
-  std::string out = "{\"event_codes\":[";
-  bool first = true;
-#define SLICE_EVENT_CODE_JSON(sym, value, name)              \
-  if (!first) {                                              \
-    out += ",";                                              \
-  }                                                          \
-  first = false;                                             \
-  out += "{\"code\":" + std::to_string(value) + ",\"name\":\"" + name + "\"}";
+  JsonWriter w;
+  w.BeginObject().Key("event_codes").BeginArray();
+#define SLICE_EVENT_CODE_JSON(sym, value, name) \
+  w.BeginObject().Key("code").UInt(value).Key("name").String(name).EndObject();
   SLICE_EVENT_CODES(SLICE_EVENT_CODE_JSON)
 #undef SLICE_EVENT_CODE_JSON
-  out += "]}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take() + "\n";
 }
 
 void EventLog::Record(uint32_t host, SimTime at, EventSev sev, EventCat cat, EventCode code,

@@ -3,20 +3,10 @@
 #include <algorithm>
 
 #include "src/common/hash.h"
+#include "src/obs/json.h"
 
 namespace slice::obs {
 namespace {
-
-// Microsecond timestamp with nanosecond fraction, formatted from integers so
-// the output never depends on floating-point printing.
-void AppendMicros(std::string& out, SimTime ns) {
-  out += std::to_string(ns / 1000);
-  out += '.';
-  const uint64_t frac = ns % 1000;
-  out += static_cast<char>('0' + frac / 100);
-  out += static_cast<char>('0' + (frac / 10) % 10);
-  out += static_cast<char>('0' + frac % 10);
-}
 
 // Incremental FNV-1a: folds the value's in-memory bytes into `h`.
 void HashU64(uint64_t& h, uint64_t v) {
@@ -45,45 +35,32 @@ std::vector<Span> CanonicalOrder(std::vector<Span> spans) {
 }
 
 std::string ExportChromeTrace(const std::vector<Span>& spans) {
-  const std::vector<Span> ordered = CanonicalOrder(spans);
-  std::string out;
-  out.reserve(ordered.size() * 160 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (const Span& span : ordered) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"name\":\"";
-    out += span.name_view();
-    out += "\",\"cat\":\"";
-    out += SpanCatName(span.cat);
-    out += "\",\"ph\":\"";
-    out += span.instant ? 'i' : 'X';
-    out += "\",\"ts\":";
-    AppendMicros(out, span.start);
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const Span& span : CanonicalOrder(spans)) {
+    w.BeginObject();
+    w.Key("name").String(span.name_view());
+    w.Key("cat").String(SpanCatName(span.cat));
+    w.Key("ph").String(span.instant ? "i" : "X");
+    // Timestamps are microseconds with a nanosecond fraction.
+    w.Key("ts").Decimal(static_cast<int64_t>(span.start), 3);
     if (span.instant) {
-      out += ",\"s\":\"t\"";
+      w.Key("s").String("t");
     } else {
-      out += ",\"dur\":";
-      AppendMicros(out, span.end - span.start);
+      w.Key("dur").Decimal(static_cast<int64_t>(span.end - span.start), 3);
     }
-    out += ",\"pid\":";
-    out += std::to_string(span.host);
-    out += ",\"tid\":";
-    out += std::to_string(span.trace_id);
-    out += ",\"args\":{\"span\":";
-    out += std::to_string(span.span_id);
-    out += ",\"parent\":";
-    out += std::to_string(span.parent_id);
+    w.Key("pid").UInt(span.host);
+    w.Key("tid").UInt(span.trace_id);
+    w.Key("args").BeginObject();
+    w.Key("span").UInt(span.span_id);
+    w.Key("parent").UInt(span.parent_id);
     if (span.root) {
-      out += ",\"root\":1";
+      w.Key("root").Int(1);
     }
-    out += "}}";
+    w.EndObject().EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 uint64_t TraceContentHash(const std::vector<Span>& spans) {

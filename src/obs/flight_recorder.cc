@@ -1,83 +1,35 @@
 #include "src/obs/flight_recorder.h"
 
-#include <fstream>
-
 #include "src/common/hash.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics_export.h"
 
 namespace slice::obs {
 namespace {
 
-// JSON string escaping for the few free-text fields (reason, detail, arg
-// keys). Details are short ASCII tags in practice; escape defensively
-// anyway so the dump is always valid JSON.
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void AppendEvent(std::string& out, const Event& event) {
-  out += "{\"at\":";
-  out += std::to_string(event.at);
-  out += ",\"seq\":";
-  out += std::to_string(event.seq);
-  out += ",\"host\":\"";
-  out += FormatHostAddr(event.host);
-  out += "\",\"sev\":\"";
-  out += EventSevName(event.sev);
-  out += "\",\"cat\":\"";
-  out += EventCatName(event.cat);
-  out += "\",\"code\":";
-  out += std::to_string(static_cast<uint16_t>(event.code));
-  out += ",\"name\":\"";
-  out += EventCodeName(event.code);
-  out += '"';
+void WriteEvent(JsonWriter& w, const Event& event) {
+  w.BeginObject();
+  w.Key("at").UInt(event.at);
+  w.Key("seq").UInt(event.seq);
+  w.Key("host").String(FormatHostAddr(event.host));
+  w.Key("sev").String(EventSevName(event.sev));
+  w.Key("cat").String(EventCatName(event.cat));
+  w.Key("code").UInt(static_cast<uint16_t>(event.code));
+  w.Key("name").String(EventCodeName(event.code));
   if (event.detail[0] != '\0') {
-    out += ",\"detail\":\"";
-    AppendEscaped(out, event.detail_view());
-    out += '"';
+    w.Key("detail").String(event.detail_view());
   }
   if (event.trace_id != 0) {
-    out += ",\"trace\":";
-    out += std::to_string(event.trace_id);
+    w.Key("trace").UInt(event.trace_id);
   }
   if (event.nargs > 0) {
-    out += ",\"args\":{";
+    w.Key("args").BeginObject();
     for (uint8_t i = 0; i < event.nargs; ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      out += '"';
-      AppendEscaped(out, std::string_view(event.args[i].key));
-      out += "\":";
-      out += std::to_string(event.args[i].value);
+      w.Key(event.args[i].key).Int(event.args[i].value);
     }
-    out += '}';
+    w.EndObject();
   }
-  out += '}';
+  w.EndObject();
 }
 
 }  // namespace
@@ -86,62 +38,38 @@ std::string ExportFlightJson(const EventLog& log, SimTime at, const char* reason
                              const std::vector<uint64_t>& inflight_traces, const Metrics* metrics,
                              const Scraper* scraper, const SloEngine* slo,
                              const Profiler* profiler) {
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\"flight\":{\"reason\":\"";
-  AppendEscaped(out, reason != nullptr ? reason : "manual");
-  out += "\",\"at\":";
-  out += std::to_string(at);
-  out += ",\"recorded\":";
-  out += std::to_string(log.total_recorded());
-  out += ",\"evicted\":";
-  out += std::to_string(log.total_evicted());
-  out += ",\"events\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("flight").BeginObject();
+  w.Key("reason").String(reason != nullptr ? reason : "manual");
+  w.Key("at").UInt(at);
+  w.Key("recorded").UInt(log.total_recorded());
+  w.Key("evicted").UInt(log.total_evicted());
+  w.Key("events").BeginArray();
   for (const Event& event : log.Collect()) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendEvent(out, event);
+    WriteEvent(w, event);
   }
-  out += "]},\"inflight_traces\":[";
-  first = true;
+  w.EndArray().EndObject();
+  w.Key("inflight_traces").BeginArray();
   for (uint64_t trace_id : inflight_traces) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += std::to_string(trace_id);
+    w.UInt(trace_id);
   }
-  out += ']';
+  w.EndArray();
   if (metrics != nullptr) {
-    out += ",\"metrics\":";
-    out += ExportMetricsJson(*metrics, scraper, slo);
+    w.Key("metrics");
+    WriteMetricsJson(w, *metrics, scraper, slo);
   }
   if (profiler != nullptr) {
     // Strictly appended opt-in section (same rule as the tenant sections in
     // the metrics snapshot): unprofiled dumps stay byte-identical to older
-    // builds. ExportProfileJson wraps itself in {"profile":...} — splice the
-    // inner object under our own key.
-    const std::string profile = profiler->ExportProfileJson();
-    constexpr std::string_view kPrefix = "{\"profile\":";
-    out += ",\"profile\":";
-    out.append(profile, kPrefix.size(), profile.size() - kPrefix.size() - 1);
+    // builds.
+    w.Key("profile");
+    profiler->WriteProfileJson(w);
   }
-  out += '}';
-  return out;
+  w.EndObject();
+  return w.Take();
 }
 
 uint64_t FlightContentHash(std::string_view canonical_json) { return Fnv1a64(canonical_json); }
-
-bool WriteFlightDump(const std::string& path, std::string_view json) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << json;
-  return static_cast<bool>(out);
-}
 
 }  // namespace slice::obs

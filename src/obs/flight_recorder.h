@@ -38,9 +38,6 @@ std::string ExportFlightJson(const EventLog& log, SimTime at, const char* reason
 // metrics content hashes).
 uint64_t FlightContentHash(std::string_view canonical_json);
 
-// Writes `json` to `path` (binary, truncating). Returns false on IO error.
-bool WriteFlightDump(const std::string& path, std::string_view json);
-
 }  // namespace slice::obs
 
 #endif  // SLICE_OBS_FLIGHT_RECORDER_H_

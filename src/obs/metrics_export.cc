@@ -1,6 +1,5 @@
 #include "src/obs/metrics_export.h"
 
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -9,21 +8,36 @@
 namespace slice::obs {
 namespace {
 
-void AppendHistogramQuantiles(std::string& out, const LatencyStats& stats) {
-  out += "\"count\":";
-  out += std::to_string(stats.count());
-  out += ",\"sum\":";
-  out += std::to_string(stats.sum());
-  out += ",\"min\":";
-  out += std::to_string(stats.min());
-  out += ",\"max\":";
-  out += std::to_string(stats.max());
-  out += ",\"p50\":";
-  out += std::to_string(stats.Percentile(50));
-  out += ",\"p95\":";
-  out += std::to_string(stats.Percentile(95));
-  out += ",\"p99\":";
-  out += std::to_string(stats.Percentile(99));
+void WriteHistogram(JsonWriter& w, const LatencyStats& stats) {
+  w.BeginObject();
+  w.Key("count").UInt(stats.count());
+  w.Key("sum").UInt(stats.sum());
+  w.Key("min").UInt(stats.min());
+  w.Key("max").UInt(stats.max());
+  w.Key("p50").UInt(stats.Percentile(50));
+  w.Key("p95").UInt(stats.Percentile(95));
+  w.Key("p99").UInt(stats.Percentile(99));
+  w.EndObject();
+}
+
+// {"<key>":{"<metric>":[[at,value],...],...},...}: the scraper's per-host and
+// per-tenant rings, keyed by the host address or the tenant number.
+void WriteSeries(JsonWriter& w,
+                 const std::map<uint32_t, std::map<std::string, TimeSeries, std::less<>>>& series,
+                 std::string (*key_name)(uint32_t)) {
+  w.BeginObject();
+  for (const auto& [key, by_metric] : series) {
+    w.Key(key_name(key)).BeginObject();
+    for (const auto& [name, ring] : by_metric) {
+      w.Key(name).BeginArray();
+      for (size_t i = 0; i < ring.size(); ++i) {
+        w.BeginArray().UInt(ring.at(i).at).Int(ring.at(i).value).EndArray();
+      }
+      w.EndArray();
+    }
+    w.EndObject();
+  }
+  w.EndObject();
 }
 
 }  // namespace
@@ -38,34 +52,6 @@ std::string FormatHostAddr(uint32_t addr) {
   out += '.';
   out += std::to_string(addr & 0xff);
   return out;
-}
-
-void AppendFixed(std::string& out, double value, int decimals) {
-  // Render via integer fixed-point so the bytes never depend on locale or
-  // printf float behaviour. Good to 9 decimal places.
-  static constexpr int64_t kPow10[10] = {1,      10,      100,      1000,      10000,
-                                         100000, 1000000, 10000000, 100000000, 1000000000};
-  if (decimals < 0) {
-    decimals = 0;
-  }
-  if (decimals > 9) {
-    decimals = 9;
-  }
-  double v = value;
-  if (v < 0) {
-    out += '-';
-    v = -v;
-  }
-  const int64_t scale = kPow10[decimals];
-  const auto scaled = static_cast<int64_t>(std::llround(v * static_cast<double>(scale)));
-  out += std::to_string(scaled / scale);
-  if (decimals > 0) {
-    out += '.';
-    const int64_t frac = scaled % scale;
-    for (int d = decimals - 1; d >= 0; --d) {
-      out += static_cast<char>('0' + (frac / kPow10[d]) % 10);
-    }
-  }
 }
 
 std::string ExportPrometheus(const Metrics& metrics) {
@@ -88,34 +74,26 @@ std::string ExportPrometheus(const Metrics& metrics) {
       histogram_families[name].emplace_back(host, &histogram->stats());
     }
   }
-  for (const auto& [name, samples] : counter_families) {
-    out += "# TYPE slice_";
-    out += name;
-    out += " counter\n";
-    for (const auto& [host, value] : samples) {
-      out += "slice_";
+  const auto write_families = [&out](const auto& families, std::string_view type) {
+    for (const auto& [name, samples] : families) {
+      out += "# TYPE slice_";
       out += name;
-      out += "{host=\"";
-      out += FormatHostAddr(host);
-      out += "\"} ";
-      out += std::to_string(value);
+      out += ' ';
+      out += type;
       out += '\n';
+      for (const auto& [host, value] : samples) {
+        out += "slice_";
+        out += name;
+        out += "{host=\"";
+        out += FormatHostAddr(host);
+        out += "\"} ";
+        out += std::to_string(value);
+        out += '\n';
+      }
     }
-  }
-  for (const auto& [name, samples] : gauge_families) {
-    out += "# TYPE slice_";
-    out += name;
-    out += " gauge\n";
-    for (const auto& [host, value] : samples) {
-      out += "slice_";
-      out += name;
-      out += "{host=\"";
-      out += FormatHostAddr(host);
-      out += "\"} ";
-      out += std::to_string(value);
-      out += '\n';
-    }
-  }
+  };
+  write_families(counter_families, "counter");
+  write_families(gauge_families, "gauge");
   for (const auto& [name, samples] : histogram_families) {
     out += "# TYPE slice_";
     out += name;
@@ -154,258 +132,113 @@ std::string ExportPrometheus(const Metrics& metrics) {
   return out;
 }
 
-std::string ExportMetricsJson(const Metrics& metrics, const Scraper* scraper,
-                              const SloEngine* slo) {
-  std::string out;
-  out.reserve(8192);
-  out += "{\"hosts\":{";
-  bool first_host = true;
+void WriteMetricsJson(JsonWriter& w, const Metrics& metrics, const Scraper* scraper,
+                      const SloEngine* slo) {
+  w.BeginObject();
+  w.Key("hosts").BeginObject();
   for (const auto& [host, reg] : metrics.registries()) {
-    if (!first_host) {
-      out += ',';
-    }
-    first_host = false;
-    out += '"';
-    out += FormatHostAddr(host);
-    out += "\":{\"counters\":{";
-    bool first = true;
+    w.Key(FormatHostAddr(host)).BeginObject();
+    w.Key("counters").BeginObject();
     for (const auto& [name, counter] : reg.counters()) {
-      if (!first) {
-        out += ',';
-      }
-      first = false;
-      out += '"';
-      out += name;
-      out += "\":";
-      out += std::to_string(counter->Value());
+      w.Key(name).UInt(counter->Value());
     }
-    out += "},\"gauges\":{";
-    first = true;
+    w.EndObject();
+    w.Key("gauges").BeginObject();
     for (const auto& [name, gauge] : reg.gauges()) {
-      if (!first) {
-        out += ',';
-      }
-      first = false;
-      out += '"';
-      out += name;
-      out += "\":";
-      out += std::to_string(gauge->Value());
+      w.Key(name).Int(gauge->Value());
     }
-    out += "},\"histograms\":{";
-    first = true;
+    w.EndObject();
+    w.Key("histograms").BeginObject();
     for (const auto& [name, histogram] : reg.histograms()) {
-      if (!first) {
-        out += ',';
-      }
-      first = false;
-      out += '"';
-      out += name;
-      out += "\":{";
-      AppendHistogramQuantiles(out, histogram->stats());
-      out += '}';
+      w.Key(name);
+      WriteHistogram(w, histogram->stats());
     }
-    out += "}}";
+    w.EndObject().EndObject();
   }
-  out += '}';
+  w.EndObject();
   if (scraper != nullptr) {
-    out += ",\"scrapes\":";
-    out += std::to_string(scraper->scrapes());
-    out += ",\"alerts\":[";
-    bool first = true;
+    w.Key("scrapes").UInt(scraper->scrapes());
+    w.Key("alerts").BeginArray();
     for (const Alert& alert : scraper->alerts()) {
-      if (!first) {
-        out += ',';
-      }
-      first = false;
-      out += "{\"at\":";
-      out += std::to_string(alert.at);
-      out += ",\"rule\":\"";
-      out += alert.rule;
-      out += "\",\"host\":\"";
-      out += FormatHostAddr(alert.host);
-      out += "\",\"value\":";
-      out += std::to_string(alert.value);
-      out += ",\"raise\":";
-      out += alert.raise ? '1' : '0';
-      out += '}';
+      w.BeginObject();
+      w.Key("at").UInt(alert.at);
+      w.Key("rule").String(alert.rule);
+      w.Key("host").String(FormatHostAddr(alert.host));
+      w.Key("value").Int(alert.value);
+      w.Key("raise").Int(alert.raise ? 1 : 0);
+      w.EndObject();
     }
-    out += "],\"series\":{";
-    bool first_series_host = true;
-    for (const auto& [host, by_metric] : scraper->series()) {
-      if (!first_series_host) {
-        out += ',';
-      }
-      first_series_host = false;
-      out += '"';
-      out += FormatHostAddr(host);
-      out += "\":{";
-      bool first_metric = true;
-      for (const auto& [name, series] : by_metric) {
-        if (!first_metric) {
-          out += ',';
-        }
-        first_metric = false;
-        out += '"';
-        out += name;
-        out += "\":[";
-        for (size_t i = 0; i < series.size(); ++i) {
-          if (i > 0) {
-            out += ',';
-          }
-          out += '[';
-          out += std::to_string(series.at(i).at);
-          out += ',';
-          out += std::to_string(series.at(i).value);
-          out += ']';
-        }
-        out += ']';
-      }
-      out += '}';
-    }
-    out += '}';
+    w.EndArray();
+    w.Key("series");
+    WriteSeries(w, scraper->series(), FormatHostAddr);
   }
   // Tenant plane: strictly opt-in sections, so untenanted runs stay
   // byte-identical with pre-tenant exports (pinned goldens).
   if (metrics.num_tenants() > 0) {
-    out += ",\"tenants\":{";
-    bool first_tenant = true;
+    const auto per_class = [&w](std::string_view key, const auto& write_value) {
+      w.Key(key).BeginObject();
+      for (size_t i = 0; i < kTenantOpClassCount; ++i) {
+        w.Key(TenantOpClassName(static_cast<TenantOpClass>(i)));
+        write_value(i);
+      }
+      w.EndObject();
+    };
+    w.Key("tenants").BeginObject();
     for (const TenantInstruments& ti : metrics.tenants()) {
-      if (!first_tenant) {
-        out += ',';
-      }
-      first_tenant = false;
-      out += '"';
-      out += std::to_string(ti.tenant);
-      out += "\":{\"ops\":{";
-      for (size_t i = 0; i < kTenantOpClassCount; ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        out += '"';
-        out += TenantOpClassName(static_cast<TenantOpClass>(i));
-        out += "\":";
-        out += std::to_string(ti.ops[i].Value());
-      }
-      out += "},\"bytes\":{";
-      for (size_t i = 0; i < kTenantOpClassCount; ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        out += '"';
-        out += TenantOpClassName(static_cast<TenantOpClass>(i));
-        out += "\":";
-        out += std::to_string(ti.bytes[i].Value());
-      }
-      out += "},\"latency\":{";
-      for (size_t i = 0; i < kTenantOpClassCount; ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        out += '"';
-        out += TenantOpClassName(static_cast<TenantOpClass>(i));
-        out += "\":{";
-        AppendHistogramQuantiles(out, ti.latency[i].stats());
-        out += '}';
-      }
-      out += "},\"errors\":";
-      out += std::to_string(ti.errors.Value());
-      out += ",\"bad_ops\":";
-      out += std::to_string(ti.bad_ops.Value());
-      out += ",\"slow_threshold\":";
-      out += std::to_string(ti.slow_threshold);
-      out += ",\"exemplars\":[";
+      w.Key(std::to_string(ti.tenant)).BeginObject();
+      per_class("ops", [&](size_t i) { w.UInt(ti.ops[i].Value()); });
+      per_class("bytes", [&](size_t i) { w.UInt(ti.bytes[i].Value()); });
+      per_class("latency", [&](size_t i) { WriteHistogram(w, ti.latency[i].stats()); });
+      w.Key("errors").UInt(ti.errors.Value());
+      w.Key("bad_ops").UInt(ti.bad_ops.Value());
+      w.Key("slow_threshold").UInt(ti.slow_threshold);
+      w.Key("exemplars").BeginArray();
       for (size_t i = 0; i < ti.exemplars.size(); ++i) {
-        if (i > 0) {
-          out += ',';
-        }
         const TenantExemplar& ex = ti.exemplars.at(i);
-        out += "{\"at\":";
-        out += std::to_string(ex.at);
-        out += ",\"latency\":";
-        out += std::to_string(ex.latency);
-        out += ",\"trace_id\":";
-        out += std::to_string(ex.trace_id);
-        out += ",\"class\":\"";
-        out += TenantOpClassName(static_cast<TenantOpClass>(ex.opclass));
-        out += "\"}";
+        w.BeginObject();
+        w.Key("at").UInt(ex.at);
+        w.Key("latency").UInt(ex.latency);
+        w.Key("trace_id").UInt(ex.trace_id);
+        w.Key("class").String(TenantOpClassName(static_cast<TenantOpClass>(ex.opclass)));
+        w.EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += '}';
+    w.EndObject();
     if (scraper != nullptr) {
-      out += ",\"tenant_series\":{";
-      bool first_ts_tenant = true;
-      for (const auto& [tenant, by_metric] : scraper->tenant_series()) {
-        if (!first_ts_tenant) {
-          out += ',';
-        }
-        first_ts_tenant = false;
-        out += '"';
-        out += std::to_string(tenant);
-        out += "\":{";
-        bool first_metric = true;
-        for (const auto& [name, series] : by_metric) {
-          if (!first_metric) {
-            out += ',';
-          }
-          first_metric = false;
-          out += '"';
-          out += name;
-          out += "\":[";
-          for (size_t i = 0; i < series.size(); ++i) {
-            if (i > 0) {
-              out += ',';
-            }
-            out += '[';
-            out += std::to_string(series.at(i).at);
-            out += ',';
-            out += std::to_string(series.at(i).value);
-            out += ']';
-          }
-          out += ']';
-        }
-        out += '}';
-      }
-      out += '}';
+      w.Key("tenant_series");
+      WriteSeries(w, scraper->tenant_series(), [](uint32_t t) { return std::to_string(t); });
     }
     if (slo != nullptr && slo->params().enabled) {
       const SloParams& sp = slo->params();
-      out += ",\"slo\":{\"budget_ppm\":";
-      out += std::to_string(sp.error_budget_ppm);
-      out += ",\"latency_threshold\":";
-      out += std::to_string(sp.latency_threshold);
-      out += ",\"burn_threshold_milli\":";
-      out += std::to_string(sp.burn_threshold_milli);
-      out += ",\"fast_windows\":";
-      out += std::to_string(sp.fast_windows);
-      out += ",\"slow_windows\":";
-      out += std::to_string(sp.slow_windows);
-      out += ",\"alerts\":[";
-      bool first_alert = true;
+      w.Key("slo").BeginObject();
+      w.Key("budget_ppm").UInt(sp.error_budget_ppm);
+      w.Key("latency_threshold").UInt(sp.latency_threshold);
+      w.Key("burn_threshold_milli").Int(sp.burn_threshold_milli);
+      w.Key("fast_windows").UInt(sp.fast_windows);
+      w.Key("slow_windows").UInt(sp.slow_windows);
+      w.Key("alerts").BeginArray();
       for (const SloAlert& alert : slo->alerts()) {
-        if (!first_alert) {
-          out += ',';
-        }
-        first_alert = false;
-        out += "{\"at\":";
-        out += std::to_string(alert.at);
-        out += ",\"tenant\":";
-        out += std::to_string(alert.tenant);
-        out += ",\"raise\":";
-        out += alert.raise ? '1' : '0';
-        out += ",\"fast\":";
-        out += std::to_string(alert.fast_milli);
-        out += ",\"slow\":";
-        out += std::to_string(alert.slow_milli);
-        out += ",\"trace_id\":";
-        out += std::to_string(alert.trace_id);
-        out += '}';
+        w.BeginObject();
+        w.Key("at").UInt(alert.at);
+        w.Key("tenant").UInt(alert.tenant);
+        w.Key("raise").Int(alert.raise ? 1 : 0);
+        w.Key("fast").Int(alert.fast_milli);
+        w.Key("slow").Int(alert.slow_milli);
+        w.Key("trace_id").UInt(alert.trace_id);
+        w.EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
   }
-  out += '}';
-  return out;
+  w.EndObject();
+}
+
+std::string ExportMetricsJson(const Metrics& metrics, const Scraper* scraper,
+                              const SloEngine* slo) {
+  JsonWriter w;
+  WriteMetricsJson(w, metrics, scraper, slo);
+  return w.Take();
 }
 
 uint64_t MetricsContentHash(std::string_view canonical_json) { return Fnv1a64(canonical_json); }

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/timeseries.h"
@@ -20,10 +21,6 @@ namespace slice::obs {
 // Dotted-quad rendering of a host address ("10.0.3.0") — stable labels for
 // both exposition formats.
 std::string FormatHostAddr(uint32_t addr);
-
-// Locale-independent fixed-point decimal append (integer math only).
-// Shared by the bench JSON baseline writer.
-void AppendFixed(std::string& out, double value, int decimals);
 
 // Prometheus text exposition: one family per metric name (slice_ prefix),
 // one sample per host, histograms as summaries with p50/p95/p99 quantiles.
@@ -40,6 +37,9 @@ std::string ExportPrometheus(const Metrics& metrics);
 // export byte-identical JSON to older builds and every pinned golden holds.
 std::string ExportMetricsJson(const Metrics& metrics, const Scraper* scraper = nullptr,
                               const SloEngine* slo = nullptr);
+// The same snapshot written as one value into `w` (the flight dump nests it).
+void WriteMetricsJson(JsonWriter& w, const Metrics& metrics, const Scraper* scraper,
+                      const SloEngine* slo);
 
 // FNV-1a over the canonical JSON bytes.
 uint64_t MetricsContentHash(std::string_view canonical_json);

@@ -153,38 +153,24 @@ void Profiler::ResetWall() {
   dropped_scopes_ = 0;
 }
 
-std::string Profiler::ExportProfileSimJson() const {
+void Profiler::WriteSimJson(JsonWriter& w) const {
   // Union of charged hosts and busy-reference hosts, ordered by address: a
   // host the provider knows about but the ledger never charged must still
   // show up (with coverage 0), or the coverage bar could be gamed.
   const std::map<uint32_t, uint64_t> busy = CollectBusy();
-  std::map<uint32_t, std::array<uint64_t, kNumLedgerCats>> hosts;
-  for (const auto& [host, cats] : ledger_) {
-    hosts[host] = cats;
-  }
-  for (const auto& [host, ns] : busy) {
-    (void)ns;
-    hosts.emplace(host, std::array<uint64_t, kNumLedgerCats>{});
+  std::map<uint32_t, std::array<uint64_t, kNumLedgerCats>> hosts = ledger_;
+  for (const auto& entry : busy) {
+    hosts[entry.first];  // all-zero ledger for a host never charged
   }
 
-  std::string out;
-  out.reserve(1 << 12);
   std::array<uint64_t, kNumLedgerCats> total{};
-  out += "{\"hosts\":[";
-  bool first = true;
+  w.BeginObject();
+  w.Key("hosts").BeginArray();
   for (const auto& [host, cats] : hosts) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"host\":\"";
-    out += FormatHostAddr(host);
-    out += '"';
+    w.BeginObject();
+    w.Key("host").String(FormatHostAddr(host));
     for (size_t c = 0; c < kNumLedgerCats; ++c) {
-      out += ",\"";
-      out += LedgerCatName(static_cast<LedgerCat>(c));
-      out += "\":";
-      out += std::to_string(cats[c]);
+      w.Key(LedgerCatName(static_cast<LedgerCat>(c))).UInt(cats[c]);
       total[c] += cats[c];
     }
     // Attributed busy time excludes queueing (waiting is not busy); the
@@ -196,143 +182,103 @@ std::string Profiler::ExportProfileSimJson() const {
     const uint64_t busy_ns = busy_it != busy.end() ? busy_it->second : 0;
     const uint64_t coverage_bp =
         busy_ns > 0 ? (attributed * 10000) / busy_ns : (attributed > 0 ? 10000 : 0);
-    out += ",\"attributed\":";
-    out += std::to_string(attributed);
-    out += ",\"busy\":";
-    out += std::to_string(busy_ns);
-    out += ",\"coverage_bp\":";
-    out += std::to_string(coverage_bp);
-    out += '}';
+    w.Key("attributed").UInt(attributed);
+    w.Key("busy").UInt(busy_ns);
+    w.Key("coverage_bp").UInt(coverage_bp);
+    w.EndObject();
   }
-  out += "],\"total\":{";
+  w.EndArray();
+  w.Key("total").BeginObject();
   for (size_t c = 0; c < kNumLedgerCats; ++c) {
-    if (c > 0) {
-      out += ',';
-    }
-    out += '"';
-    out += LedgerCatName(static_cast<LedgerCat>(c));
-    out += "\":";
-    out += std::to_string(total[c]);
+    w.Key(LedgerCatName(static_cast<LedgerCat>(c))).UInt(total[c]);
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
 }
 
-namespace {
+std::string Profiler::ExportProfileSimJson() const {
+  JsonWriter w;
+  WriteSimJson(w);
+  return w.Take();
+}
 
-// Depth-first path walk collecting "a;b;c" collapsed stacks with exclusive
-// ns. Sorted by path afterwards so the rendering order never depends on
-// first-call order.
-struct StackLine {
+// One collapsed stack ("a;b;c") per tree node with its exclusive ns.
+struct Profiler::StackLine {
   std::string path;
   uint64_t count;
   uint64_t excl_ns;
 };
 
-}  // namespace
+// Sorted by path, so the rendering order never depends on first-call order.
+std::vector<Profiler::StackLine> Profiler::Stacks() const {
+  std::vector<StackLine> lines;
+  for (uint32_t i = 1; i < node_count_; ++i) {
+    if (nodes_[i].count == 0) {
+      continue;
+    }
+    std::string path = ProfScopeName(nodes_[i].scope);
+    for (uint32_t n = nodes_[i].parent; n != 0; n = nodes_[n].parent) {
+      path = std::string(ProfScopeName(nodes_[n].scope)) + ';' + path;
+    }
+    lines.push_back(StackLine{std::move(path), nodes_[i].count,
+                              ns_from_ticks(nodes_[i].ticks - nodes_[i].child_ticks)});
+  }
+  std::sort(lines.begin(), lines.end(),
+            [](const StackLine& a, const StackLine& b) { return a.path < b.path; });
+  return lines;
+}
 
-void Profiler::AppendWallJson(std::string& out) const {
-  out += "{\"dropped\":";
-  out += std::to_string(dropped_scopes_);
-  out += ",\"scopes\":[";
-  bool first = true;
+void Profiler::WriteWallJson(JsonWriter& w) const {
+  w.BeginObject();
+  w.Key("dropped").UInt(dropped_scopes_);
+  w.Key("scopes").BeginArray();
   for (size_t s = 0; s < kNumProfScopes; ++s) {
     const ProfScope scope = static_cast<ProfScope>(s);
     const uint64_t count = ScopeCount(scope);
     if (count == 0) {
       continue;
     }
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"name\":\"";
-    out += ProfScopeName(scope);
-    out += "\",\"count\":";
-    out += std::to_string(count);
-    out += ",\"incl_ns\":";
-    out += std::to_string(ScopeInclusiveNs(scope));
-    out += ",\"excl_ns\":";
-    out += std::to_string(ScopeExclusiveNs(scope));
-    out += '}';
+    w.BeginObject();
+    w.Key("name").String(ProfScopeName(scope));
+    w.Key("count").UInt(count);
+    w.Key("incl_ns").UInt(ScopeInclusiveNs(scope));
+    w.Key("excl_ns").UInt(ScopeExclusiveNs(scope));
+    w.EndObject();
   }
-  out += "],\"stacks\":[";
-  std::vector<StackLine> lines;
-  for (uint32_t i = 1; i < node_count_; ++i) {
-    if (nodes_[i].count == 0) {
-      continue;
-    }
-    std::string path;
-    // Build root→leaf by walking parents and reversing segment order.
-    std::vector<uint32_t> chain;
-    for (uint32_t n = i; n != 0; n = nodes_[n].parent) {
-      chain.push_back(n);
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (!path.empty()) {
-        path += ';';
-      }
-      path += ProfScopeName(nodes_[*it].scope);
-    }
-    lines.push_back(
-        StackLine{std::move(path), nodes_[i].count,
-                  ns_from_ticks(nodes_[i].ticks - nodes_[i].child_ticks)});
+  w.EndArray();
+  w.Key("stacks").BeginArray();
+  for (const StackLine& line : Stacks()) {
+    w.BeginObject();
+    w.Key("stack").String(line.path);
+    w.Key("count").UInt(line.count);
+    w.Key("ns").UInt(line.excl_ns);
+    w.EndObject();
   }
-  std::sort(lines.begin(), lines.end(),
-            [](const StackLine& a, const StackLine& b) { return a.path < b.path; });
-  first = true;
-  for (const StackLine& line : lines) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"stack\":\"";
-    out += line.path;
-    out += "\",\"count\":";
-    out += std::to_string(line.count);
-    out += ",\"ns\":";
-    out += std::to_string(line.excl_ns);
-    out += '}';
-  }
-  out += "]}";
+  w.EndArray().EndObject();
+}
+
+void Profiler::WriteProfileJson(JsonWriter& w) const {
+  w.BeginObject();
+  w.Key("sim");
+  WriteSimJson(w);
+  w.Key("wall");
+  WriteWallJson(w);
+  w.EndObject();
 }
 
 std::string Profiler::ExportProfileJson() const {
-  std::string out;
-  out.reserve(1 << 13);
-  out += "{\"profile\":{\"sim\":";
-  out += ExportProfileSimJson();
-  out += ",\"wall\":";
-  AppendWallJson(out);
-  out += "}}";
-  return out;
+  JsonWriter w;
+  w.BeginObject().Key("profile");
+  WriteProfileJson(w);
+  w.EndObject();
+  return w.Take();
 }
 
 std::string Profiler::ExportProfileFolded() const {
-  std::vector<std::string> lines;
-  for (uint32_t i = 1; i < node_count_; ++i) {
-    if (nodes_[i].count == 0) {
-      continue;
-    }
-    std::vector<uint32_t> chain;
-    for (uint32_t n = i; n != 0; n = nodes_[n].parent) {
-      chain.push_back(n);
-    }
-    std::string line;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (!line.empty()) {
-        line += ';';
-      }
-      line += ProfScopeName(nodes_[*it].scope);
-    }
-    line += ' ';
-    line += std::to_string(ns_from_ticks(nodes_[i].ticks - nodes_[i].child_ticks));
-    lines.push_back(std::move(line));
-  }
-  std::sort(lines.begin(), lines.end());
   std::string out;
-  for (const std::string& line : lines) {
-    out += line;
+  for (const StackLine& line : Stacks()) {
+    out += line.path;
+    out += ' ';
+    out += std::to_string(line.excl_ns);
     out += '\n';
   }
   return out;

@@ -7,7 +7,7 @@
 //     critical-path breakdown (obs/critical_path.h) to whole-host
 //     utilization. Charges are pure integer adds against sim-deterministic
 //     quantities, so the ledger export is byte-identical across same-seed
-//     runs and packet-pool on/off.
+//     runs.
 //   * Wall clock — hierarchical scope timings (cycle counter, calibrated to
 //     ns) for the real fast path: per-stage cost of µproxy decode / route /
 //     rewrite / soft-state / trace / metrics work, rpc dispatch, storage
@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -200,8 +201,10 @@ class Profiler {
   // The "sim" object alone: per-host ledgers plus busy/coverage from the
   // busy provider. Byte-identical same-seed; this is what gets hashed.
   std::string ExportProfileSimJson() const;
-  // Full {"profile":{"sim":...,"wall":...}} object (wall ns values are
-  // machine-dependent — out of every pinned hash).
+  // The {"sim":...,"wall":...} object written as one value into `w` (wall
+  // ns values are machine-dependent — out of every pinned hash).
+  void WriteProfileJson(JsonWriter& w) const;
+  // Full {"profile":{"sim":...,"wall":...}} document.
   std::string ExportProfileJson() const;
   // Collapsed-stack rendering ("a;b;c <exclusive_ns>" lines, sorted) for
   // FlameGraph / speedscope.
@@ -262,8 +265,12 @@ class Profiler {
     return idx;
   }
 
+  struct StackLine;
+
   void Calibrate();
-  void AppendWallJson(std::string& out) const;
+  std::vector<StackLine> Stacks() const;
+  void WriteSimJson(JsonWriter& w) const;
+  void WriteWallJson(JsonWriter& w) const;
   std::map<uint32_t, uint64_t> CollectBusy() const;
 
   Node nodes_[kMaxNodes];

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/hash.h"
+#include "src/obs/json.h"
 #include "src/obs/sinks.h"
 
 namespace slice {
@@ -565,7 +566,7 @@ bool Ensemble::DumpFlightRecorder(const std::string& path, const char* reason) c
   if (!eventlog_) {
     return false;
   }
-  return obs::WriteFlightDump(path, ExportFlightJson(reason));
+  return obs::WriteArtifact(path, ExportFlightJson(reason));
 }
 
 obs::CriticalPathReport Ensemble::AnalyzeCriticalPath() const {

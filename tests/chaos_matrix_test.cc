@@ -11,9 +11,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 
 #include "src/chaos/scenario.h"
+#include "src/obs/json.h"
 
 namespace slice {
 namespace {
@@ -59,8 +59,7 @@ ScenarioResult RunByName(const std::string& name) {
   EXPECT_NE(scenario, nullptr) << name << " missing from ScenarioMatrix()";
   ScenarioResult result = RunScenario(*scenario);
   // Evidence for humans and for CI's artifact upload.
-  std::ofstream out(name + "_flight.json", std::ios::binary);
-  out << result.flight_json;
+  EXPECT_TRUE(obs::WriteArtifact(name + "_flight.json", result.flight_json));
   return result;
 }
 

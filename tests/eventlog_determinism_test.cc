@@ -12,11 +12,10 @@
 // (e2e_failover_flight.json) so CI can attach it to failed builds.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "src/net/packet_pool.h"
+#include "src/obs/json.h"
 #include "src/slice/ensemble.h"
 
 namespace slice {
@@ -163,20 +162,6 @@ TEST(EventLogDeterminismTest, FivePercentLossSameSeedSameDump) {
   EXPECT_NE(a.hash, RunLoggedWorkload(0.0, false).hash);
 }
 
-TEST(EventLogDeterminismTest, PacketPoolingDoesNotChangeTheFlightDump) {
-  // Pooled buffers must be semantically invisible: the flight-recorder dump
-  // (events + spans + counters) of a seeded lossy run is byte-identical with
-  // the pool off (pre-pooling allocation behaviour) and on.
-  PacketPool::SetEnabled(false);
-  const RunResult unpooled = RunLoggedWorkload(/*loss_rate=*/0.05, /*kill_nodes=*/false);
-  PacketPool::SetEnabled(true);
-  const RunResult pooled = RunLoggedWorkload(/*loss_rate=*/0.05, /*kill_nodes=*/false);
-  EXPECT_GT(unpooled.recorded, 50u);
-  EXPECT_EQ(unpooled.hash, pooled.hash);
-  EXPECT_EQ(unpooled.json, pooled.json);
-  EXPECT_EQ(unpooled.trace_json, pooled.trace_json);
-}
-
 TEST(EventLogDeterminismTest, NodeKillsUnderLossSameSeedSameDump) {
   const RunResult a = RunLoggedWorkload(/*loss_rate=*/0.05, /*kill_nodes=*/true);
   const RunResult b = RunLoggedWorkload(/*loss_rate=*/0.05, /*kill_nodes=*/true);
@@ -214,16 +199,8 @@ TEST(EventLogDeterminismTest, NodeKillsUnderLossSameSeedSameDump) {
 
   // Leave the failover flight dump and its matching chrome trace on disk for
   // CI to upload as artifacts; slice_inspect.py --join-trace merges them.
-  std::ofstream out("e2e_failover_flight.json", std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good());
-  out << a.json;
-  out.close();
-  ASSERT_TRUE(out.good());
-  std::ofstream tout("e2e_failover_flight_trace.json", std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(tout.good());
-  tout << a.trace_json;
-  tout.close();
-  ASSERT_TRUE(tout.good());
+  EXPECT_TRUE(obs::WriteArtifact("e2e_failover_flight.json", a.json));
+  EXPECT_TRUE(obs::WriteArtifact("e2e_failover_flight_trace.json", a.trace_json));
 }
 
 }  // namespace

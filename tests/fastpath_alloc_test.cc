@@ -28,8 +28,6 @@ constexpr NetPort kNfsPort = 2049;
 constexpr NetPort kClientPort = 5001;
 
 TEST(FastPathAllocTest, SteadyStateForwardAndReplyDoNotAllocate) {
-  ASSERT_TRUE(PacketPool::Enabled());
-
   EventQueue queue;
   Network net(queue, NetworkParams{});
   Host client_host(net, kClientAddr);
@@ -129,8 +127,6 @@ TEST(FastPathAllocTest, SteadyStateForwardAndReplyDoNotAllocate) {
 // heap — the scope engine is a fixed node pool + fixed stack, and the ledger
 // pointer is cached at construction.
 TEST(FastPathAllocTest, SteadyStateWithProfilerEnabledDoesNotAllocate) {
-  ASSERT_TRUE(PacketPool::Enabled());
-
   // Profiler live: ledger pointers cached at construction, scope tree grown
   // during warm-up (FindOrAddChild only ever indexes into the fixed pool).
   obs::Profiler profiler(obs::ProfilerParams{.enabled = true});
@@ -218,8 +214,6 @@ TEST(FastPathAllocTest, SteadyStateWithProfilerEnabledDoesNotAllocate) {
 // scratch encoders and pool freelists have warmed, a served request must
 // touch the heap zero times end to end.
 TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
-  ASSERT_TRUE(PacketPool::Enabled());
-
   EventQueue queue;
   Network net(queue, NetworkParams{});
   Host client_host(net, kClientAddr);
@@ -310,8 +304,6 @@ TEST(FastPathAllocTest, FullPathThroughStorageNodeDoesNotAllocate) {
 // freelists have warmed, a WRITE + COMMIT round trip touches the heap zero
 // times.
 TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate) {
-  ASSERT_TRUE(PacketPool::Enabled());
-
   EventQueue queue;
   Network net(queue, NetworkParams{});
   Host client_host(net, kClientAddr);
@@ -402,8 +394,6 @@ TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate
   EXPECT_EQ(storage.store().Read(object, kOffset, kCount).data, Bytes(kCount, 0xc3));
 }
 
-// With pooling disabled (the determinism A/B hook) the same traffic must
-// still be correct — it just pays the allocations the pool elides.
 // Each RpcClient transmission arms a retransmit timer. Its closure is
 // {this, generation:xid}, 16 trivially-copyable bytes that fit
 // std::function's inline buffer, so a call retransmitting into the void
@@ -436,53 +426,6 @@ TEST(FastPathAllocTest, SteadyStateRetransmissionsDoNotAllocate) {
                         << " retransmissions";
   EXPECT_EQ(completions, 0);
   EXPECT_EQ(client.pending(), 1u);
-}
-
-TEST(FastPathAllocTest, DisabledPoolStillForwardsCorrectly) {
-  PacketPool::SetEnabled(false);
-  EventQueue queue;
-  Network net(queue, NetworkParams{});
-  Host client_host(net, kClientAddr);
-
-  UproxyConfig config;
-  config.virtual_server = Endpoint{0x0a0000fe, kNfsPort};
-  config.dir_servers = {Endpoint{kDirAddr, kNfsPort}};
-  config.storage_nodes = {Endpoint{kStorageAddr, kNfsPort}};
-  Uproxy uproxy(net, queue, client_host, config);
-
-  uint64_t replies = 0;
-  client_host.Bind(kClientPort, [&replies](Packet&&) { ++replies; });
-
-  RpcCall call;
-  call.xid = 7;
-  call.prog = kNfsProgram;
-  call.vers = kNfsVersion;
-  call.proc = static_cast<uint32_t>(NfsProc::kRead);
-  XdrEncoder args;
-  ReadArgs rargs;
-  rargs.file = FileHandle::Make(1, MakeFileid(0, 7), 1, FileType3::kReg, 1, 0);
-  rargs.offset = 1 << 20;
-  rargs.count = 512;
-  rargs.Encode(args);
-  call.args = args.Take();
-
-  RpcReply reply;
-  reply.xid = 7;
-  XdrEncoder result;
-  ReadRes res;
-  res.status = Nfsstat3::kOk;
-  res.Encode(result);
-  reply.result = result.Take();
-
-  uproxy.HandleOutbound(
-      Packet::MakeUdp(Endpoint{kClientAddr, kClientPort}, config.virtual_server, call.Encode()));
-  uproxy.HandleInbound(
-      Packet::MakeUdp(Endpoint{kStorageAddr, kNfsPort}, Endpoint{kClientAddr, kClientPort},
-                      reply.Encode()));
-  queue.RunUntilIdle();
-  EXPECT_EQ(replies, 1u);
-  EXPECT_EQ(uproxy.pending_count(), 0u);
-  PacketPool::SetEnabled(true);
 }
 
 }  // namespace

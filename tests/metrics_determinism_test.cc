@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/net/packet_pool.h"
 #include "src/obs/metrics_export.h"
 #include "src/slice/ensemble.h"
 #include "src/workload/seqio.h"
@@ -141,20 +140,6 @@ TEST(MetricsDeterminismTest, StorageKillRaisesHeartbeatMissThenNodeDead) {
     }
   }
   EXPECT_LT(miss_at, dead_at);
-}
-
-TEST(MetricsDeterminismTest, PacketPoolingDoesNotChangeTheMetrics) {
-  // Pooling recycles buffers; it must not shift a scrape, a histogram bucket
-  // or an alert edge. A/B the same seeded failover run with the pool off
-  // (pre-pooling allocation behaviour) and on.
-  PacketPool::SetEnabled(false);
-  const KillRun unpooled = RunStorageKillScenario();
-  PacketPool::SetEnabled(true);
-  const KillRun pooled = RunStorageKillScenario();
-  EXPECT_EQ(unpooled.metrics_json, pooled.metrics_json)
-      << "buffer pooling must be invisible to the metrics export";
-  EXPECT_EQ(unpooled.hash, pooled.hash);
-  EXPECT_EQ(unpooled.prometheus, pooled.prometheus);
 }
 
 TEST(MetricsDeterminismTest, StorageKillRunsAreByteIdentical) {

@@ -265,21 +265,6 @@ TEST(ExportTest, FormatHostAddrDottedQuad) {
   EXPECT_EQ(obs::FormatHostAddr(0xffffffff), "255.255.255.255");
 }
 
-TEST(ExportTest, AppendFixedIsLocaleIndependentIntegerMath) {
-  std::string out;
-  obs::AppendFixed(out, 3.14159, 3);
-  EXPECT_EQ(out, "3.142");
-  out.clear();
-  obs::AppendFixed(out, -2.5, 1);
-  EXPECT_EQ(out, "-2.5");
-  out.clear();
-  obs::AppendFixed(out, 42.0, 0);
-  EXPECT_EQ(out, "42");
-  out.clear();
-  obs::AppendFixed(out, 0.125, 2);
-  EXPECT_EQ(out, "0.13");
-}
-
 TEST(ExportTest, PrometheusExpositionShape) {
   Metrics metrics;
   metrics.Registry(0x0a000064).GetCounter("reqs")->Add(5);

@@ -4,13 +4,15 @@
 // profiler) plus every opt-in instrument family that changes what gets
 // registered (manager, tenants + SLO engine, per-slot dir counters, the
 // proxy cache, name hashing over two dir servers), and its four content
-// hashes are pinned. A change to how components are wired to the pillars,
-// or to what they record, has to show up as a conscious constant bump here.
+// hashes are pinned, plus a hash of the chrome://tracing JSON bytes. A change
+// to how components are wired to the pillars, to what they record, or to how
+// an export renders it, has to show up as a conscious constant bump here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "src/common/hash.h"
 #include "src/obs/flight_recorder.h"
 #include "src/slice/ensemble.h"
 #include "src/workload/sfs_gen.h"
@@ -24,12 +26,14 @@ constexpr uint64_t kPinnedTraceHash = 0xd9f4a8a86f73d4dcull;
 constexpr uint64_t kPinnedMetricsHash = 0x275d5327a55dc1eeull;
 constexpr uint64_t kPinnedFlightHash = 0xbe680cfb5fa376eeull;
 constexpr uint64_t kPinnedProfileSimHash = 0x08ca5437ac8598c3ull;
+constexpr uint64_t kPinnedChromeTraceHash = 0xac41f8d72db8e26full;
 
 struct PinnedHashes {
   uint64_t trace = 0;
   uint64_t metrics = 0;
   uint64_t flight = 0;
   uint64_t profile_sim = 0;
+  uint64_t chrome_trace = 0;  // FNV-1a over the exported trace JSON bytes
 };
 
 // The flight dump ends with the profiler's section, whose "wall" half holds
@@ -81,6 +85,7 @@ PinnedHashes RunAllPillars() {
   out.metrics = ensemble.MetricsHash();
   out.flight = FlightHashWithoutWallClock(ensemble.ExportFlightJson());
   out.profile_sim = ensemble.ProfileSimHash();
+  out.chrome_trace = Fnv1a64(ensemble.ExportTraceJson());
   return out;
 }
 
@@ -91,6 +96,8 @@ TEST(ObsPinnedTest, AllPillarExportsMatchPinnedHashes) {
   EXPECT_EQ(got.flight, kPinnedFlightHash) << std::hex << "FlightHash 0x" << got.flight;
   EXPECT_EQ(got.profile_sim, kPinnedProfileSimHash)
       << std::hex << "ProfileSimHash 0x" << got.profile_sim;
+  EXPECT_EQ(got.chrome_trace, kPinnedChromeTraceHash)
+      << std::hex << "ChromeTraceHash 0x" << got.chrome_trace;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end determinism tests for the profiler pillar: a profiled ensemble
-// run must export a byte-identical sim-time ledger across same-seed runs and
-// across packet-pool on/off, the ledger must cover >= 99% of every host's
-// independent busy-time accounting, and the sim hash is pinned — any change
+// run must export a byte-identical sim-time ledger across same-seed runs, the
+// ledger must cover >= 99% of every host's independent busy-time
+// accounting, and the sim hash is pinned — any change
 // to how busy nanoseconds are attributed has to show up as a conscious hash
 // bump in this file, exactly like the trace/metrics/eventlog pins.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 
-#include "src/net/packet_pool.h"
 #include "src/slice/ensemble.h"
 #include "src/workload/seqio.h"
 
@@ -84,17 +83,6 @@ TEST(ProfilerDeterminismTest, SameSeedProfiledRunsAreByteIdentical) {
   EXPECT_EQ(one.hash, kPinnedSimHash)
       << "sim-ledger attribution changed; if intentional, repin kPinnedSimHash to 0x"
       << std::hex << one.hash;
-}
-
-TEST(ProfilerDeterminismTest, PacketPoolingDoesNotChangeTheLedger) {
-  // Buffer recycling must be invisible to sim-time attribution: the ledger
-  // records what the simulation charged, not how packets were allocated.
-  PacketPool::SetEnabled(false);
-  const ProfiledRun unpooled = RunProfiledScenario();
-  PacketPool::SetEnabled(true);
-  const ProfiledRun pooled = RunProfiledScenario();
-  EXPECT_EQ(unpooled.sim_json, pooled.sim_json);
-  EXPECT_EQ(unpooled.hash, pooled.hash);
 }
 
 TEST(ProfilerDeterminismTest, LedgerCoversHostBusyTime) {

@@ -20,7 +20,6 @@
 #include "src/core/uproxy.h"
 #include "src/dir/dir_server.h"
 #include "src/dir/dir_store.h"
-#include "src/net/packet_pool.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/rpc/rpc_message.h"
 #include "tests/alloc_counter.h"
@@ -391,7 +390,6 @@ TEST(ProxyCacheTest, EpochBumpFlushesExactlyReboundSlots) {
 }
 
 TEST(ProxyCacheTest, SteadyStateLookupHitDoesNotAllocate) {
-  ASSERT_TRUE(PacketPool::Enabled());
   // Standalone rig: the reply sink only counts, so the measurement window
   // sees the proxy's allocations and nothing of the harness.
   EventQueue queue;

@@ -2,14 +2,12 @@
 // synthetic tenant traffic, exemplar capture (the alert's trace id is the
 // tenant's worst tail request), the min-ops guard, the disabled path, and
 // end-to-end same-seed determinism of the tenant plane — two tenanted runs
-// (and a pool-off A/B) must export byte-identical tenant metrics JSON and
-// flight dumps.
+// must export byte-identical tenant metrics JSON and flight dumps.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "src/net/packet_pool.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/slo.h"
 #include "src/slice/ensemble.h"
@@ -261,16 +259,6 @@ TEST(TenantDeterminismTest, SameSeedSameTenantPlaneBytes) {
   EXPECT_NE(first.metrics_json.find("\"tenant_series\""), std::string::npos);
   EXPECT_NE(first.metrics_json.find("\"slo\""), std::string::npos);
   EXPECT_NE(first.flight_json.find("\"tenants\""), std::string::npos);
-}
-
-TEST(TenantDeterminismTest, PacketPoolOnOffSameTenantPlaneBytes) {
-  ASSERT_TRUE(PacketPool::Enabled());
-  const TenantRun pooled = RunTenantedSfs();
-  PacketPool::SetEnabled(false);
-  const TenantRun unpooled = RunTenantedSfs();
-  PacketPool::SetEnabled(true);
-  EXPECT_EQ(pooled.metrics_json, unpooled.metrics_json);
-  EXPECT_EQ(pooled.flight_json, unpooled.flight_json);
 }
 
 }  // namespace

@@ -9,11 +9,10 @@
 // binary (e2e_failover_trace.json) so CI can attach it to failed builds.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "src/net/packet_pool.h"
+#include "src/obs/json.h"
 #include "src/slice/ensemble.h"
 
 namespace slice {
@@ -134,22 +133,6 @@ TEST(TraceDeterminismTest, FivePercentLossSameSeedSameHash) {
   EXPECT_NE(a.hash, RunTracedWorkload(0.0, false).hash);
 }
 
-TEST(TraceDeterminismTest, PacketPoolingDoesNotChangeTheTrace) {
-  // Buffer pooling is a pure allocation-strategy change: recycling a packet
-  // buffer instead of mallocing one must not move a single event in time or
-  // alter a single traced byte. Run the identical seeded workload with the
-  // pool disabled (pre-pooling allocation behaviour) and enabled, and require
-  // byte-identical exports.
-  PacketPool::SetEnabled(false);
-  const RunResult unpooled = RunTracedWorkload(/*loss_rate=*/0.05, /*kill_storage=*/false);
-  PacketPool::SetEnabled(true);
-  const RunResult pooled = RunTracedWorkload(/*loss_rate=*/0.05, /*kill_storage=*/false);
-  EXPECT_GT(unpooled.spans, 100u);
-  EXPECT_EQ(unpooled.spans, pooled.spans);
-  EXPECT_EQ(unpooled.hash, pooled.hash);
-  EXPECT_EQ(unpooled.json, pooled.json);
-}
-
 TEST(TraceDeterminismTest, StorageKillUnderLossSameSeedSameHash) {
   const RunResult a = RunTracedWorkload(/*loss_rate=*/0.05, /*kill_storage=*/true);
   const RunResult b = RunTracedWorkload(/*loss_rate=*/0.05, /*kill_storage=*/true);
@@ -158,11 +141,7 @@ TEST(TraceDeterminismTest, StorageKillUnderLossSameSeedSameHash) {
   EXPECT_EQ(a.json, b.json);
 
   // Leave the failover trace on disk for CI to upload as an artifact.
-  std::ofstream out("e2e_failover_trace.json", std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out.good());
-  out << a.json;
-  out.close();
-  ASSERT_TRUE(out.good());
+  EXPECT_TRUE(obs::WriteArtifact("e2e_failover_trace.json", a.json));
 }
 
 }  // namespace

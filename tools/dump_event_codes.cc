@@ -7,18 +7,12 @@
 #include <string>
 
 #include "src/obs/eventlog.h"
+#include "src/obs/json.h"
 
 int main(int argc, char** argv) {
   const std::string json = slice::obs::EventCodeTableJson();
   if (argc > 1) {
-    std::FILE* f = std::fopen(argv[1], "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "dump_event_codes: cannot open %s\n", argv[1]);
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    return 0;
+    return slice::obs::WriteArtifact(argv[1], json) ? 0 : 1;
   }
   std::fwrite(json.data(), 1, json.size(), stdout);
   return 0;
