@@ -24,6 +24,7 @@
 #include "src/core/routing_table.h"
 #include "src/dir/dir_server.h"
 #include "src/net/packet.h"
+#include "src/net/packet_pool.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
@@ -286,8 +287,10 @@ BENCHMARK(BM_Total_RequestPath);
 // replicates the shape of RpcServerNode::OnPacket + StorageNode::HandleRead
 // after the zero-allocation rework: view decode of the RPC envelope and args,
 // flat-index duplicate-request cache, cache-hit read gathered as views of the
-// store's pages, ReadRes encoded from those views, the reply envelope into a
-// member scratch encoder, and the DRC reply ring recording the wire bytes. In
+// store's pages, ReadRes encoded from those views straight into a pooled
+// reply frame, the envelope filled in place (SealReplyFrame), and the DRC
+// reply ring recording the sealed message. The frame then goes back to the
+// pool, where the live server's packet would return it after delivery. In
 // steady state none of it touches the heap — the same claim the full-path
 // alloc test pins against the real nodes; here we put a ns/pkt number on it.
 struct ServerPathFixture {
@@ -303,8 +306,8 @@ struct ServerPathFixture {
   std::vector<ByteSpan> read_segments;
   std::vector<PhysBlock> read_blocks;
   StoreReadExtent read_extent;
-  XdrEncoder result_enc;
-  XdrEncoder reply_enc;
+  Bytes reply_frame;  // the last reply, sealed
+  ByteSpan reply_msg;  // its RPC message (what the DRC records)
   uint32_t next_xid = 1;
   size_t next_wire = 0;
 
@@ -358,7 +361,7 @@ struct ServerPathFixture {
     benchmark::DoNotOptimize(drc.FindReply(key));
     benchmark::DoNotOptimize(drc.InProgress(key));
     drc.BeginCall(key);
-    drc.CompleteCall(key, ByteSpan(reply_enc.bytes()));
+    drc.CompleteCall(key, reply_msg);
   }
 
   void ReadStage(const ReadArgs& args) {
@@ -371,21 +374,16 @@ struct ServerPathFixture {
   }
 
   void EncodeStage(uint32_t xid) {
-    result_enc.Clear();
+    PacketPool::Default().Release(std::move(reply_frame));
+    XdrEncoder reply = NewReplyEncoder();
     ReadRes res;
     res.status = Nfsstat3::kOk;
     res.file_attributes = attr;
     res.count = read_extent.length;
     res.eof = false;
-    res.Encode(result_enc, read_segments);
-    reply_enc.Clear();
-    reply_enc.PutUint32(xid);
-    reply_enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
-    reply_enc.PutEnum(static_cast<uint32_t>(RpcReplyStat::kAccepted));
-    reply_enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));
-    reply_enc.PutUint32(0);  // zero-length verifier body
-    reply_enc.PutEnum(static_cast<uint32_t>(RpcAcceptStat::kSuccess));
-    reply_enc.PutOpaqueFixed(ByteSpan(result_enc.bytes()));
+    res.Encode(reply, read_segments);
+    reply_frame = reply.Take();
+    reply_msg = SealReplyFrame(reply_frame, xid, RpcAcceptStat::kSuccess);
   }
 
   // The whole dispatch: what one served READ costs the server in CPU.
@@ -403,7 +401,7 @@ struct ServerPathFixture {
     drc.BeginCall(key);
     ReadStage(args);
     EncodeStage(xid);
-    drc.CompleteCall(key, ByteSpan(reply_enc.bytes()));
+    drc.CompleteCall(key, reply_msg);
   }
 };
 

@@ -196,7 +196,7 @@ void Coordinator::RepairRegion(uint32_t node, DegradedRegion region) {
   NfsClient& src_client = *node_clients_[source];
   src_client.Read(
       region.file, region.offset, region.count,
-      [this, node, region](Status st, const ReadRes& res) {
+      [this, node, region](Status st, const ReadResView& res) {
         if (failed()) {
           return;
         }
@@ -206,7 +206,7 @@ void Coordinator::RepairRegion(uint32_t node, DegradedRegion region) {
           return;
         }
         node_clients_[node]->Write(
-            region.file, region.offset, ByteSpan(res.data), StableHow::kFileSync,
+            region.file, region.offset, res.data, StableHow::kFileSync,
             [this, node, region](Status wst, const WriteRes& wres) {
               if (failed()) {
                 return;

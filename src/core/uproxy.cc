@@ -432,11 +432,9 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
       margs.first_block = block;
       margs.count = 64;
       margs.allocate = req.proc == NfsProc::kWrite;
-      XdrEncoder enc;
-      margs.Encode(enc);
       auto held = std::make_shared<Packet>(std::move(pkt));
       own_rpc_->Call(CoordinatorFor(req.fh), kCoordProgram, kCoordVersion,
-                     static_cast<uint32_t>(CoordProc::kGetMap), enc.Take(),
+                     static_cast<uint32_t>(CoordProc::kGetMap), margs,
                      [this, held, req](Status st, const RpcMessageView& reply) {
                        if (st.ok()) {
                          XdrDecoder dec(reply.body);
@@ -842,22 +840,6 @@ void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, const DecodedR
 
 // --- in-proxy metadata cache (proxy_cache) ---
 
-namespace {
-
-// Accepted-success RPC reply header, hand-encoded to keep the cache-served
-// path on the reused encoder (RpcReply::Encode allocates a fresh Bytes).
-// Layout mirrors RpcReply::Encode exactly.
-void EncodeReplyHeader(XdrEncoder& enc, uint32_t xid) {
-  enc.PutUint32(xid);
-  enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
-  enc.PutEnum(static_cast<uint32_t>(RpcReplyStat::kAccepted));
-  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));  // null verifier
-  enc.PutUint32(0);                                          //   (empty body)
-  enc.PutEnum(static_cast<uint32_t>(RpcAcceptStat::kSuccess));
-}
-
-}  // namespace
-
 bool Uproxy::TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t name_fp) {
   const LookupCache::Entry* e = lookup_cache_.Find(
       req.fh.fileid(), name_fp, static_cast<uint64_t>(queue_.now()),
@@ -883,10 +865,9 @@ bool Uproxy::TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t 
       a != nullptr && a->complete) {
     res.obj_attributes = a->attr;
   }
-  reply_enc_.Clear();
-  EncodeReplyHeader(reply_enc_, req.xid);
-  res.Encode(reply_enc_);
-  const SimTime ready = SendCachedReply(pkt.src());
+  XdrEncoder reply = NewReplyEncoder();
+  res.Encode(reply);
+  const SimTime ready = SendCachedReply(pkt.src(), req.xid, std::move(reply));
   AccountTenant(req.tenant, req.proc, 0, ready - queue_.now(), /*trace_id=*/0,
                 /*error=*/false);
   return true;
@@ -905,17 +886,16 @@ bool Uproxy::TryServeGetattr(const Packet& pkt, const DecodedView& req) {
   GetattrRes res;
   res.status = Nfsstat3::kOk;
   res.attributes = a->attr;
-  reply_enc_.Clear();
-  EncodeReplyHeader(reply_enc_, req.xid);
-  res.Encode(reply_enc_);
-  const SimTime ready = SendCachedReply(pkt.src());
+  XdrEncoder reply = NewReplyEncoder();
+  res.Encode(reply);
+  const SimTime ready = SendCachedReply(pkt.src(), req.xid, std::move(reply));
   AccountTenant(req.tenant, req.proc, 0, ready - queue_.now(), /*trace_id=*/0,
                 /*error=*/false);
   return true;
 }
 
-SimTime Uproxy::SendCachedReply(Endpoint client) {
-  Packet out = Packet::MakeUdp(config_.virtual_server, client, reply_enc_.bytes());
+SimTime Uproxy::SendCachedReply(Endpoint client, uint32_t xid, XdrEncoder&& result) {
+  Packet out = SealReply(client, xid, std::move(result));
   const SimTime ready = ChargeCpu();
   net_.DeliverLocalAt(client.addr, std::move(out), ready, owner_.id());
   return ready;
@@ -968,16 +948,9 @@ void Uproxy::FillLookupCache(const Packet& pkt, const Pending& pending) {
 
 void Uproxy::OwnWrite(Endpoint server, const FileHandle& fh, uint64_t offset, ByteSpan data,
                       StableHow stable, std::function<void(Status, const WriteRes&)> cb) {
-  WriteArgs args;
-  args.file = fh;
-  args.offset = offset;
-  args.count = static_cast<uint32_t>(data.size());
-  args.stable = stable;
-  args.data.assign(data.begin(), data.end());
-  XdrEncoder enc;
-  args.Encode(enc);
+  const WriteArgsView args{fh, offset, static_cast<uint32_t>(data.size()), stable, data};
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kWrite),
-                 enc.Take(), [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
+                 args, [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
                    WriteRes res;
                    if (st.ok()) {
                      XdrDecoder dec(reply.body);
@@ -994,10 +967,9 @@ void Uproxy::OwnWrite(Endpoint server, const FileHandle& fh, uint64_t offset, By
 
 void Uproxy::OwnCommit(Endpoint server, const FileHandle& fh,
                        std::function<void(Status, const CommitRes&)> cb) {
-  XdrEncoder enc;
-  CommitArgs{fh, 0, 0}.Encode(enc);
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kCommit),
-                 enc.Take(), [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
+                 CommitArgs{fh, 0, 0},
+                 [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
                    CommitRes res;
                    if (st.ok()) {
                      XdrDecoder dec(reply.body);
@@ -1017,28 +989,22 @@ void Uproxy::OwnSetattrSize(Endpoint server, const FileHandle& fh, uint64_t size
   SetattrArgs args;
   args.object = fh;
   args.new_attributes.size = size;
-  XdrEncoder enc;
-  args.Encode(enc);
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kSetattr),
-                 enc.Take(),
-                 [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
+                 args, [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
 }
 
 void Uproxy::OwnRemoveObject(Endpoint server, const FileHandle& fh,
                              std::function<void(Status)> cb) {
-  XdrEncoder enc;
-  DirOpArgs{fh, ""}.Encode(enc);
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kRemove),
-                 enc.Take(),
+                 DirOpArgs{fh, ""},
                  [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
 }
 
 void Uproxy::OwnLookup(Endpoint server, const FileHandle& dir, const std::string& name,
                        std::function<void(Status, const LookupRes&)> cb) {
-  XdrEncoder enc;
-  DirOpArgs{dir, name}.Encode(enc);
   own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kLookup),
-                 enc.Take(), [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
+                 DirOpArgs{dir, name},
+                 [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
                    LookupRes res;
                    if (st.ok()) {
                      XdrDecoder dec(reply.body);
@@ -1055,11 +1021,14 @@ void Uproxy::OwnLookup(Endpoint server, const FileHandle& dir, const std::string
 
 // --- absorb paths ---
 
-void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, const Bytes& result_body) {
-  RpcReply reply;
-  reply.xid = xid;
-  reply.result = result_body;
-  Packet pkt = Packet::MakeUdp(config_.virtual_server, client, reply.Encode());
+Packet Uproxy::SealReply(Endpoint client, uint32_t xid, XdrEncoder&& result) {
+  Bytes frame = result.Take();
+  SealReplyFrame(frame, xid, RpcAcceptStat::kSuccess);
+  return Packet::MakeUdpFramed(config_.virtual_server, client, std::move(frame));
+}
+
+void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result) {
+  Packet pkt = SealReply(client, xid, std::move(result));
   // Absorbed operations (and synthesized errors) end here: the pending record
   // is still present — callers erase it after this — so the root can close at
   // the moment the reply is handed to the client.
@@ -1069,8 +1038,8 @@ void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, const Bytes& result_bo
     FinishTrace(*p, ready);
     // Absorbed operations complete here: account against the tenant carried
     // on the pending record. The result body leads with nfsstat3.
-    const bool error =
-        result_body.size() >= 4 && GetU32(result_body.data()) != 0;
+    const ByteSpan body = pkt.payload().subspan(kRpcReplyEnvelopeSize);
+    const bool error = body.size() >= 4 && GetU32(body.data()) != 0;
     const uint32_t nbytes =
         (p->proc == NfsProc::kRead || p->proc == NfsProc::kWrite) ? p->count : 0;
     AccountTenant(p->tenant, p->proc, nbytes, ready - p->issued_at, p->trace_id, error);
@@ -1088,7 +1057,7 @@ void Uproxy::SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client,
   if (tenant != 0 && pending_.Find(KeyOf(client.port, xid)) == nullptr) {
     AccountTenant(tenant, proc, 0, /*latency=*/0, /*trace_id=*/0, /*error=*/true);
   }
-  XdrEncoder enc;
+  XdrEncoder enc = NewReplyEncoder();
   switch (proc) {
     case NfsProc::kRead: {
       ReadRes res;
@@ -1112,7 +1081,7 @@ void Uproxy::SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client,
       enc.PutEnum(static_cast<uint32_t>(status));
       break;
   }
-  ReplyToClient(client, xid, enc.bytes());
+  ReplyToClient(client, xid, std::move(enc));
 }
 
 // --- control-plane integration ---
@@ -1216,7 +1185,7 @@ void Uproxy::FetchTables() {
   // Safe to capture `this`: the handler lives in own_rpc_, which dies with
   // the µproxy.
   own_rpc_->Call(config_.manager, kMgmtProgram, kMgmtVersion,
-                 static_cast<uint32_t>(MgmtProc::kFetchTables), Bytes{},
+                 static_cast<uint32_t>(MgmtProc::kFetchTables), ByteSpan{},
                  [this](Status st, const RpcMessageView& reply) {
                    table_fetch_inflight_ = false;
                    if (!st.ok()) {
@@ -1237,11 +1206,9 @@ void Uproxy::LogDegradedWrite(const FileHandle& fh, uint64_t offset, uint32_t co
   args.offset = offset;
   args.count = count;
   args.node = node;
-  XdrEncoder enc;
-  args.Encode(enc);
   counters_.Add("degraded_writes");
   own_rpc_->Call(CoordinatorFor(fh), kCoordProgram, kCoordVersion,
-                 static_cast<uint32_t>(CoordProc::kLogDegraded), enc.Take(),
+                 static_cast<uint32_t>(CoordProc::kLogDegraded), args,
                  [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st.ok()); });
 }
 
@@ -1260,13 +1227,10 @@ void Uproxy::WithIntent(IntentOp op, const FileHandle& fh, uint64_t arg,
   args.op = op;
   args.file = fh;
   args.arg = arg;
-  XdrEncoder enc;
-  args.Encode(enc);
   const Endpoint coord = CoordinatorFor(fh);
   counters_.Add("intents_logged");
   own_rpc_->Call(
-      coord, kCoordProgram, kCoordVersion, static_cast<uint32_t>(CoordProc::kLogIntent),
-      enc.Take(),
+      coord, kCoordProgram, kCoordVersion, static_cast<uint32_t>(CoordProc::kLogIntent), args,
       [this, coord, body = std::move(body)](Status st, const RpcMessageView& reply) {
         uint64_t intent_id = 0;
         if (st.ok()) {
@@ -1282,10 +1246,8 @@ void Uproxy::WithIntent(IntentOp op, const FileHandle& fh, uint64_t arg,
           }
           CompleteArgs cargs;
           cargs.intent_id = intent_id;
-          XdrEncoder cenc;
-          cargs.Encode(cenc);
           own_rpc_->Call(coord, kCoordProgram, kCoordVersion,
-                         static_cast<uint32_t>(CoordProc::kComplete), cenc.Take(),
+                         static_cast<uint32_t>(CoordProc::kComplete), cargs,
                          [](Status, const RpcMessageView&) {});
         });
       });
@@ -1293,11 +1255,16 @@ void Uproxy::WithIntent(IntentOp op, const FileHandle& fh, uint64_t arg,
 
 void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan payload) {
   XdrDecoder dec(payload.subspan(req.body_offset));
-  Result<WriteArgs> decoded = WriteArgs::Decode(dec);
+  Result<WriteArgsView> decoded = WriteArgsView::Decode(dec);
   if (!decoded.ok()) {
     return;  // drop; client retransmits, then fails decode at the server
   }
-  const WriteArgs args = *decoded;
+  // The replica writes go out after the intent is logged, when the request
+  // packet is gone: hold the payload once, shared by every continuation
+  // below, and let `args` view it.
+  WriteArgsView args = *decoded;
+  auto data = std::make_shared<const Bytes>(args.data.begin(), args.data.end());
+  args.data = ByteSpan(*data);
   const uint32_t replication = std::max<uint32_t>(2, args.file.replication());
 
   Pending pending;
@@ -1350,7 +1317,7 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   // acks) all inherit this context through own_rpc_.
   obs::ScopedContext scope(tracer_, ctx);
   WithIntent(IntentOp::kMirrorWrite, args.file, args.offset,
-             [this, args, client, req, live_nodes, dead_nodes,
+             [this, args, data, client, req, live_nodes, dead_nodes,
               log_degraded](std::function<void()> complete) {
                auto results = std::make_shared<std::vector<WriteRes>>();
                auto failures = std::make_shared<int>(0);
@@ -1384,9 +1351,9 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                      e != nullptr) {
                    merged.wcc.after = e->attr;
                  }
-                 XdrEncoder enc;
-                 merged.Encode(enc);
-                 ReplyToClient(client, req.xid, enc.bytes());
+                 XdrEncoder reply = NewReplyEncoder();
+                 merged.Encode(reply);
+                 ReplyToClient(client, req.xid, std::move(reply));
                  pending_.Erase(KeyOf(client.port, req.xid));
                };
                if (log_degraded) {
@@ -1489,9 +1456,9 @@ void Uproxy::AbsorbMultiCommit(const DecodedView& req, Endpoint client) {
                           e != nullptr) {
                         merged.wcc.after = e->attr;
                       }
-                      XdrEncoder enc;
-                      merged.Encode(enc);
-                      ReplyToClient(client, req.xid, enc.bytes());
+                      XdrEncoder reply = NewReplyEncoder();
+                      merged.Encode(reply);
+                      ReplyToClient(client, req.xid, std::move(reply));
                       pending_.Erase(KeyOf(client.port, req.xid));
                     });
         }
@@ -1568,15 +1535,13 @@ void Uproxy::WritebackAttrs(uint64_t fileid, const Fattr3& attr) {
   args.new_attributes.size = attr.size;
   args.new_attributes.mtime = attr.mtime;
   args.new_attributes.atime = attr.atime;
-  XdrEncoder enc;
-  args.Encode(enc);
   const Endpoint target = DirServerForSite(SiteOfFileid(fileid));
   counters_.Add("attr_writebacks");
   // Optimistically mark clean at issue so concurrent flush triggers do not
   // duplicate the setattr; a lost writeback re-dirties on the next write.
   attr_cache_.MarkClean(fileid);
   own_rpc_->Call(target, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kSetattr),
-                 enc.Take(), [](Status, const RpcMessageView&) {});
+                 args, [](Status, const RpcMessageView&) {});
 }
 
 void Uproxy::FlushDirtyAttrs() {

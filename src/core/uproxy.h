@@ -240,8 +240,12 @@ class Uproxy : public PacketTap {
   void ScheduleDataRemove(const FileHandle& fh);
   void ScheduleDataTruncate(const FileHandle& fh, uint64_t size);
 
+  // Synthesized replies. `result` is an encoder from NewReplyEncoder holding
+  // the NFS result body; SealReply fills the envelope in place and turns the
+  // frame into the packet from the virtual server.
+  Packet SealReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Sends a synthesized NFS reply to the local client.
-  void ReplyToClient(Endpoint client, uint32_t xid, const Bytes& result_body);
+  void ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Synthesizes a proc-appropriate error reply (dead-server fail-fast path).
   // `tenant` attributes the failure when no pending record exists to carry it.
   void SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client, Nfsstat3 status,
@@ -260,14 +264,14 @@ class Uproxy : public PacketTap {
                         uint32_t node, std::function<void(bool)> cb);
 
   // In-proxy metadata cache (proxy_cache). The serve paths are zero-alloc in
-  // steady state: probe is a hash find + LRU splice, the reply is encoded
-  // into the reused `reply_enc_` and carried by a pool-backed packet.
+  // steady state: probe is a hash find + LRU splice, and the reply is
+  // encoded straight into a pooled packet frame.
   // Each returns true when the request was answered from the cache.
   bool TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t name_fp);
   bool TryServeGetattr(const Packet& pkt, const DecodedView& req);
-  // Delivers `reply_enc_`'s current contents to the local client; returns
-  // the CPU-done delivery instant (cache-hit latency for QoS accounting).
-  SimTime SendCachedReply(Endpoint client);
+  // Delivers the sealed `result` to the local client; returns the CPU-done
+  // delivery instant (cache-hit latency for QoS accounting).
+  SimTime SendCachedReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Conservative request-time invalidation for name-mutating operations.
   void InvalidateOnNameOp(const DecodedView& req, ByteSpan payload);
   // Reply-side cache fill from a successful LOOKUP.
@@ -330,8 +334,6 @@ class Uproxy : public PacketTap {
   FlatU64Map<Pending> pending_;
   // Scratch encoder for reply attribute patching (capacity reused).
   XdrEncoder patch_enc_;
-  // Scratch encoder for cache-served replies (capacity reused).
-  XdrEncoder reply_enc_;
   // Scratch slot-changed bitmap for epoch invalidation (capacity reused).
   std::vector<uint8_t> changed_slots_;
   // Block-map cache (dynamic placement): fileid -> site per block.

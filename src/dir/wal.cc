@@ -60,7 +60,7 @@ void WriteAheadLog::ReplayChunk(uint64_t offset, Bytes carry,
   client_.Read(
       object_, offset, params_.replay_chunk,
       [this, offset, carry = std::move(carry), on_record = std::move(on_record),
-       on_done = std::move(on_done)](Status st, const ReadRes& res) mutable {
+       on_done = std::move(on_done)](Status st, const ReadResView& res) mutable {
         if (!st.ok()) {
           on_done(st);
           return;

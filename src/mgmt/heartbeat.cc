@@ -34,13 +34,11 @@ void HeartbeatAgent::Tick() {
   args.node_class = params_.node_class;
   args.index = params_.index;
   args.known_epoch = known_epoch_;
-  XdrEncoder enc;
-  args.Encode(enc);
   ++beats_sent_;
   // Safe to capture `this`: the handler lives in rpc_, which dies with the
   // agent.
   rpc_.Call(params_.manager, kMgmtProgram, kMgmtVersion,
-            static_cast<uint32_t>(MgmtProc::kHeartbeat), enc.Take(),
+            static_cast<uint32_t>(MgmtProc::kHeartbeat), args,
             [this](Status status, const RpcMessageView& reply) {
               if (!status.ok()) {
                 return;

@@ -20,11 +20,17 @@ std::string EndpointToString(const Endpoint& ep) {
   return AddrToString(ep.addr) + ":" + std::to_string(ep.port);
 }
 
-Packet Packet::MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload) {
+Bytes Packet::AcquireFrame(size_t reserved) {
+  return PacketPool::Default().Acquire(kPacketHeaderSize + reserved);
+}
+
+Packet Packet::MakeUdpFramed(Endpoint src, Endpoint dst, Bytes&& frame) {
+  SLICE_CHECK(frame.size() >= kPacketHeaderSize);
   Packet pkt;
-  pkt.data_ = PacketPool::Default().Acquire(kPacketHeaderSize + payload.size());
+  pkt.data_ = std::move(frame);
   pkt.trace_state_ = kTraceAbsent;  // freshly built: no trailer yet
   Bytes& b = pkt.data_;
+  const size_t payload_size = b.size() - kPacketHeaderSize;
 
   // IPv4 header.
   b[0] = 0x45;  // version 4, IHL 5
@@ -41,17 +47,22 @@ Packet Packet::MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload) {
   // UDP header.
   PutU16(&b[kIpHeaderSize], src.port);
   PutU16(&b[kIpHeaderSize + 2], dst.port);
-  PutU16(&b[kIpHeaderSize + 4], static_cast<uint16_t>(kUdpHeaderSize + payload.size()));
+  PutU16(&b[kIpHeaderSize + 4], static_cast<uint16_t>(kUdpHeaderSize + payload_size));
   PutU16(&b[kIpHeaderSize + 6], 0);  // checksum placeholder
 
-  std::copy(payload.begin(), payload.end(), b.begin() + kPacketHeaderSize);
   pkt.RecomputeChecksums();
   return pkt;
 }
 
+Packet Packet::MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload) {
+  Bytes frame = AcquireFrame(payload.size());
+  std::copy(payload.begin(), payload.end(), frame.begin() + kPacketHeaderSize);
+  return MakeUdpFramed(src, dst, std::move(frame));
+}
+
 bool Packet::IsValidUdp() const {
   return data_.size() >= kPacketHeaderSize && data_[0] == 0x45 && data_[9] == kProtoUdp &&
-         GetU16(data_.data() + 2) == DatagramSize();
+         GetU16(data_.data() + 2) == static_cast<uint16_t>(DatagramSize());
 }
 
 bool Packet::ComputeHasTrace() const {

@@ -8,7 +8,9 @@
 // ran 9KB jumbo frames; we let a datagram ride in one simulated frame).
 //
 // Fast-path design (DESIGN.md §7): buffers come from PacketPool and return to
-// it when a packet dies, so steady-state forwarding never heap-allocates. Two
+// it when a packet dies, so steady-state forwarding never heap-allocates. A
+// sender encodes its payload straight into a pooled frame (AcquireFrame) and
+// MakeUdpFramed writes the headers in place around it. Two
 // derived facts are cached on the packet and kept coherent by the mutators
 // below: whether a trace trailer is present (HasTrace used to re-scan the
 // tail on every payload() call) and one decoded "view" of the payload, an
@@ -79,10 +81,26 @@ class Packet {
     }
   }
 
-  // Builds a UDP packet with correct lengths and both checksums filled in.
-  // The buffer comes from PacketPool::Default().
+  // A pooled buffer (PacketPool::Default()) sized kPacketHeaderSize +
+  // `reserved`: the header bytes are left for MakeUdpFramed to write, and
+  // the `reserved` bytes after them for a caller that fills them in place
+  // (the RPC reply envelope). A frame is what every RPC message is encoded
+  // into: an XdrEncoder over it appends the payload, so the payload is
+  // written once and becomes the packet without another copy.
+  static Bytes AcquireFrame(size_t reserved = 0);
+
+  // Turns a frame into a UDP packet: writes the IP and UDP headers over its
+  // first kPacketHeaderSize bytes and fills in both checksums. Everything
+  // after the headers is the payload. This is the only function that writes
+  // packet headers.
+  static Packet MakeUdpFramed(Endpoint src, Endpoint dst, Bytes&& frame);
+
+  // Builds a UDP packet from a payload held elsewhere: copies it into a
+  // fresh frame and calls MakeUdpFramed.
   static Packet MakeUdp(Endpoint src, Endpoint dst, ByteSpan payload);
 
+  // Version, protocol and the IP total length (compared modulo 2^16, the
+  // field's width, so jumbo datagrams past 64 KB validate too).
   bool IsValidUdp() const;
 
   NetAddr src_addr() const { return GetU32(data_.data() + 12); }

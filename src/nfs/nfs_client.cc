@@ -6,9 +6,9 @@ NfsClient::NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientPa
                      const obs::Sinks& sinks)
     : rpc_(host, queue, rpc_params, sinks), server_(server) {}
 
-template <typename Res>
-void NfsClient::CallTyped(NfsProc proc, Bytes args, Callback<Res> cb) {
-  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), std::move(args),
+template <typename Res, typename Args>
+void NfsClient::CallTyped(NfsProc proc, const Args& args, Callback<Res> cb) {
+  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
             [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
               if (!st.ok()) {
                 cb(st, Res{});
@@ -25,9 +25,9 @@ void NfsClient::CallTyped(NfsProc proc, Bytes args, Callback<Res> cb) {
 }
 
 template <typename Res>
-void NfsClient::CallReaddir(NfsProc proc, Bytes args, bool plus, Callback<Res> cb) {
-  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), std::move(args),
-            [cb = std::move(cb), plus](Status st, const RpcMessageView& reply) {
+void NfsClient::CallReaddir(NfsProc proc, const ReaddirArgs& args, Callback<Res> cb) {
+  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
+            [cb = std::move(cb), plus = args.plus](Status st, const RpcMessageView& reply) {
               if (!st.ok()) {
                 cb(st, Res{});
                 return;
@@ -43,156 +43,113 @@ void NfsClient::CallReaddir(NfsProc proc, Bytes args, bool plus, Callback<Res> c
 }
 
 void NfsClient::Null(std::function<void(Status)> cb) {
-  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kNull), Bytes{},
-            [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
+  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kNull),
+            ByteSpan{}, [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
 }
 
 void NfsClient::Getattr(const FileHandle& object, Callback<GetattrRes> cb) {
-  XdrEncoder enc;
-  GetattrArgs{object}.Encode(enc);
-  CallTyped(NfsProc::kGetattr, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kGetattr, GetattrArgs{object}, std::move(cb));
 }
 
 void NfsClient::Setattr(const SetattrArgs& args, Callback<SetattrRes> cb) {
-  XdrEncoder enc;
-  args.Encode(enc);
-  CallTyped(NfsProc::kSetattr, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kSetattr, args, std::move(cb));
 }
 
 void NfsClient::Lookup(const FileHandle& dir, const std::string& name, Callback<LookupRes> cb) {
-  XdrEncoder enc;
-  DirOpArgs{dir, name}.Encode(enc);
-  CallTyped(NfsProc::kLookup, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kLookup, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Access(const FileHandle& object, uint32_t access, Callback<AccessRes> cb) {
-  XdrEncoder enc;
-  AccessArgs{object, access}.Encode(enc);
-  CallTyped(NfsProc::kAccess, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kAccess, AccessArgs{object, access}, std::move(cb));
 }
 
 void NfsClient::Readlink(const FileHandle& link, Callback<ReadlinkRes> cb) {
-  XdrEncoder enc;
-  GetattrArgs{link}.Encode(enc);
-  CallTyped(NfsProc::kReadlink, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kReadlink, GetattrArgs{link}, std::move(cb));
 }
 
 void NfsClient::Read(const FileHandle& file, uint64_t offset, uint32_t count,
-                     Callback<ReadRes> cb) {
-  XdrEncoder enc;
-  ReadArgs{file, offset, count}.Encode(enc);
-  CallTyped(NfsProc::kRead, enc.Take(), std::move(cb));
+                     Callback<ReadResView> cb) {
+  CallTyped(NfsProc::kRead, ReadArgs{file, offset, count}, std::move(cb));
 }
 
 void NfsClient::Write(const FileHandle& file, uint64_t offset, ByteSpan data, StableHow stable,
                       Callback<WriteRes> cb) {
-  XdrEncoder enc;
-  WriteArgs args;
-  args.file = file;
-  args.offset = offset;
-  args.count = static_cast<uint32_t>(data.size());
-  args.stable = stable;
-  args.data.assign(data.begin(), data.end());
-  args.Encode(enc);
-  CallTyped(NfsProc::kWrite, enc.Take(), std::move(cb));
+  const WriteArgsView args{file, offset, static_cast<uint32_t>(data.size()), stable, data};
+  CallTyped(NfsProc::kWrite, args, std::move(cb));
 }
 
 void NfsClient::Create(const FileHandle& dir, const std::string& name, Callback<CreateRes> cb) {
-  XdrEncoder enc;
   CreateArgs args;
   args.dir = dir;
   args.name = name;
-  args.Encode(enc);
-  CallTyped(NfsProc::kCreate, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kCreate, args, std::move(cb));
 }
 
 void NfsClient::Mkdir(const FileHandle& dir, const std::string& name, Callback<CreateRes> cb) {
-  XdrEncoder enc;
   MkdirArgs args;
   args.dir = dir;
   args.name = name;
-  args.Encode(enc);
-  CallTyped(NfsProc::kMkdir, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kMkdir, args, std::move(cb));
 }
 
 void NfsClient::Symlink(const FileHandle& dir, const std::string& name,
                         const std::string& target, Callback<CreateRes> cb) {
-  XdrEncoder enc;
   SymlinkArgs args;
   args.dir = dir;
   args.name = name;
   args.target = target;
-  args.Encode(enc);
-  CallTyped(NfsProc::kSymlink, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kSymlink, args, std::move(cb));
 }
 
 void NfsClient::Remove(const FileHandle& dir, const std::string& name, Callback<RemoveRes> cb) {
-  XdrEncoder enc;
-  DirOpArgs{dir, name}.Encode(enc);
-  CallTyped(NfsProc::kRemove, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kRemove, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Rmdir(const FileHandle& dir, const std::string& name, Callback<RemoveRes> cb) {
-  XdrEncoder enc;
-  DirOpArgs{dir, name}.Encode(enc);
-  CallTyped(NfsProc::kRmdir, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kRmdir, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Rename(const FileHandle& from_dir, const std::string& from_name,
                        const FileHandle& to_dir, const std::string& to_name,
                        Callback<RenameRes> cb) {
-  XdrEncoder enc;
-  RenameArgs{from_dir, from_name, to_dir, to_name}.Encode(enc);
-  CallTyped(NfsProc::kRename, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kRename, RenameArgs{from_dir, from_name, to_dir, to_name}, std::move(cb));
 }
 
 void NfsClient::Link(const FileHandle& file, const FileHandle& dir, const std::string& name,
                      Callback<LinkRes> cb) {
-  XdrEncoder enc;
-  LinkArgs{file, dir, name}.Encode(enc);
-  CallTyped(NfsProc::kLink, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kLink, LinkArgs{file, dir, name}, std::move(cb));
 }
 
 void NfsClient::Readdir(const FileHandle& dir, uint64_t cookie, uint32_t count,
                         Callback<ReaddirRes> cb) {
-  XdrEncoder enc;
   ReaddirArgs args;
   args.dir = dir;
   args.cookie = cookie;
   args.count = count;
-  args.Encode(enc);
-  CallReaddir(NfsProc::kReaddir, enc.Take(), /*plus=*/false, std::move(cb));
+  CallReaddir(NfsProc::kReaddir, args, std::move(cb));
 }
 
 void NfsClient::Readdirplus(const FileHandle& dir, uint64_t cookie, uint32_t count,
                             Callback<ReaddirRes> cb) {
-  XdrEncoder enc;
   ReaddirArgs args;
   args.dir = dir;
   args.cookie = cookie;
   args.count = count;
   args.plus = true;
-  args.Encode(enc);
-  CallReaddir(NfsProc::kReaddirplus, enc.Take(), /*plus=*/true, std::move(cb));
+  CallReaddir(NfsProc::kReaddirplus, args, std::move(cb));
 }
 
 void NfsClient::Fsstat(const FileHandle& root, Callback<FsstatRes> cb) {
-  XdrEncoder enc;
-  GetattrArgs{root}.Encode(enc);
-  CallTyped(NfsProc::kFsstat, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kFsstat, GetattrArgs{root}, std::move(cb));
 }
 
 void NfsClient::Fsinfo(const FileHandle& root, Callback<FsinfoRes> cb) {
-  XdrEncoder enc;
-  GetattrArgs{root}.Encode(enc);
-  CallTyped(NfsProc::kFsinfo, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kFsinfo, GetattrArgs{root}, std::move(cb));
 }
 
 void NfsClient::Commit(const FileHandle& file, uint64_t offset, uint32_t count,
                        Callback<CommitRes> cb) {
-  XdrEncoder enc;
-  CommitArgs{file, offset, count}.Encode(enc);
-  CallTyped(NfsProc::kCommit, enc.Take(), std::move(cb));
+  CallTyped(NfsProc::kCommit, CommitArgs{file, offset, count}, std::move(cb));
 }
 
 // --- SyncNfsClient ---
@@ -248,7 +205,9 @@ Result<AccessRes> SyncNfsClient::Access(const FileHandle& object, uint32_t acces
 
 Result<ReadRes> SyncNfsClient::Read(const FileHandle& file, uint64_t offset, uint32_t count) {
   return Wait<ReadRes>([&](NfsClient::Callback<ReadRes> cb) {
-    client_.Read(file, offset, count, std::move(cb));
+    client_.Read(file, offset, count, [cb = std::move(cb)](Status st, const ReadResView& view) {
+      cb(st, ReadRes::Materialize(view));
+    });
   });
 }
 

@@ -33,7 +33,11 @@ class NfsClient {
   void Lookup(const FileHandle& dir, const std::string& name, Callback<LookupRes> cb);
   void Access(const FileHandle& object, uint32_t access, Callback<AccessRes> cb);
   void Readlink(const FileHandle& link, Callback<ReadlinkRes> cb);
-  void Read(const FileHandle& file, uint64_t offset, uint32_t count, Callback<ReadRes> cb);
+  // The callback's data views the reply packet and is valid only while the
+  // callback runs; a caller that keeps the bytes copies them.
+  void Read(const FileHandle& file, uint64_t offset, uint32_t count, Callback<ReadResView> cb);
+  // `data` is encoded into the call before Write returns; the caller may
+  // reuse its buffer at once.
   void Write(const FileHandle& file, uint64_t offset, ByteSpan data, StableHow stable,
              Callback<WriteRes> cb);
   void Create(const FileHandle& dir, const std::string& name, Callback<CreateRes> cb);
@@ -57,10 +61,12 @@ class NfsClient {
   RpcClient& rpc() { return rpc_; }
 
  private:
+  // Both encode `args` straight into the call (RpcClient::Call) and decode
+  // the reply into a Res.
+  template <typename Res, typename Args>
+  void CallTyped(NfsProc proc, const Args& args, Callback<Res> cb);
   template <typename Res>
-  void CallTyped(NfsProc proc, Bytes args, Callback<Res> cb);
-  template <typename Res>
-  void CallReaddir(NfsProc proc, Bytes args, bool plus, Callback<Res> cb);
+  void CallReaddir(NfsProc proc, const ReaddirArgs& args, Callback<Res> cb);
 
   RpcClient rpc_;
   Endpoint server_;

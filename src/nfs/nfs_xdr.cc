@@ -269,11 +269,7 @@ Result<ReadArgs> ReadArgs::Decode(XdrDecoder& dec) {
 }
 
 void WriteArgs::Encode(XdrEncoder& enc) const {
-  EncodeFileHandle(enc, file);
-  enc.PutUint64(offset);
-  enc.PutUint32(count);
-  enc.PutEnum(static_cast<uint32_t>(stable));
-  enc.PutOpaqueVar(data);
+  WriteArgsView{file, offset, count, stable, ByteSpan(data)}.Encode(enc);
 }
 
 Result<WriteArgs> WriteArgs::Decode(XdrDecoder& dec) {
@@ -285,6 +281,14 @@ Result<WriteArgs> WriteArgs::Decode(XdrDecoder& dec) {
   args.stable = view.stable;
   args.data.assign(view.data.begin(), view.data.end());
   return args;
+}
+
+void WriteArgsView::Encode(XdrEncoder& enc) const {
+  EncodeFileHandle(enc, file);
+  enc.PutUint64(offset);
+  enc.PutUint32(count);
+  enc.PutEnum(static_cast<uint32_t>(stable));
+  enc.PutOpaqueVar(data);
 }
 
 Result<WriteArgsView> WriteArgsView::Decode(XdrDecoder& dec) {
@@ -531,13 +535,28 @@ void ReadRes::Encode(XdrEncoder& enc, std::span<const ByteSpan> payload) const {
 }
 
 Result<ReadRes> ReadRes::Decode(XdrDecoder& dec) {
+  SLICE_ASSIGN_OR_RETURN(const ReadResView view, ReadResView::Decode(dec));
+  return Materialize(view);
+}
+
+ReadRes ReadRes::Materialize(const ReadResView& view) {
   ReadRes res;
+  res.status = view.status;
+  res.file_attributes = view.file_attributes;
+  res.count = view.count;
+  res.eof = view.eof;
+  res.data.assign(view.data.begin(), view.data.end());
+  return res;
+}
+
+Result<ReadResView> ReadResView::Decode(XdrDecoder& dec) {
+  ReadResView res;
   SLICE_ASSIGN_OR_RETURN(res.status, DecodeStatus(dec));
   SLICE_ASSIGN_OR_RETURN(res.file_attributes, DecodePostOpAttr(dec));
   if (res.status == Nfsstat3::kOk) {
     SLICE_ASSIGN_OR_RETURN(res.count, dec.GetUint32());
     SLICE_ASSIGN_OR_RETURN(res.eof, dec.GetBool());
-    SLICE_ASSIGN_OR_RETURN(res.data, dec.GetOpaqueVar(1 << 20));
+    SLICE_ASSIGN_OR_RETURN(res.data, dec.GetOpaqueVarView(1 << 20));
   }
   return res;
 }

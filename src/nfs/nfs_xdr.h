@@ -83,16 +83,19 @@ struct WriteArgs {
   static Result<WriteArgs> Decode(XdrDecoder& dec);
 };
 
-// WRITE args whose data is a view into the decoder's buffer (the request
-// packet), valid only while that buffer lives. A server that applies the
-// write before its handler returns decodes this and copies the data once,
-// into its own store; WriteArgs::Decode materializes the same decode.
+// WRITE args whose data is a view: into the decoder's buffer (the request
+// packet) after Decode, or into the caller's buffer when encoding. A server
+// that applies the write before its handler returns decodes this and copies
+// the data once, into its own store; WriteArgs::Decode materializes the same
+// decode. NfsClient::Write encodes the caller's span through this straight
+// into the call's frame, and WriteArgs::Encode delegates to it.
 struct WriteArgsView {
   FileHandle file;
   uint64_t offset = 0;
   uint32_t count = 0;
   StableHow stable = StableHow::kUnstable;
   ByteSpan data;
+  void Encode(XdrEncoder& enc) const;
   static Result<WriteArgsView> Decode(XdrDecoder& dec);
 };
 
@@ -201,6 +204,20 @@ struct ReadlinkRes {
   static Result<ReadlinkRes> Decode(XdrDecoder& dec);
 };
 
+// READ result whose data is a view into the decoder's buffer (the reply
+// packet), valid only while that buffer lives: NfsClient::Read hands its
+// callback this, and a callback that keeps the bytes copies them.
+struct ReadResView {
+  Nfsstat3 status = Nfsstat3::kOk;
+  std::optional<Fattr3> file_attributes;
+  uint32_t count = 0;
+  bool eof = false;
+  ByteSpan data;
+  static Result<ReadResView> Decode(XdrDecoder& dec);
+};
+
+// READ result with owned data: what a caller keeps (SyncNfsClient::Read
+// returns it). Decode materializes ReadResView::Decode.
 struct ReadRes {
   Nfsstat3 status = Nfsstat3::kOk;
   std::optional<Fattr3> file_attributes;
@@ -214,6 +231,8 @@ struct ReadRes {
   // Byte-identical to Encode(enc) when the pieces join to `data`.
   void Encode(XdrEncoder& enc, std::span<const ByteSpan> payload) const;
   static Result<ReadRes> Decode(XdrDecoder& dec);
+  // Copies a view's data into an owned result.
+  static ReadRes Materialize(const ReadResView& view);
 };
 
 struct WriteRes {

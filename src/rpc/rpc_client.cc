@@ -11,26 +11,41 @@ RpcClient::RpcClient(Host& host, EventQueue& queue, RpcClientParams params,
     : host_(host), queue_(queue), params_(params), tracer_(sinks.tracer),
       eventlog_(sinks.eventlog), owner_(queue) {
   port_ = host_.Bind(0, [this](Packet&& pkt) { OnPacket(std::move(pkt)); });
+  set_tenant(0);
 }
 
 RpcClient::~RpcClient() { host_.Unbind(port_); }
 
-void RpcClient::Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, Bytes args,
-                     ResponseHandler handler) {
-  const uint32_t xid = next_xid_++;
-  RpcCall call;
-  call.xid = xid;
-  call.prog = prog;
-  call.vers = vers;
-  call.proc = proc;
-  call.cred.machine_name = "host" + std::to_string(host_.addr() & 0xff);
-  call.cred.uid = tenant_;
-  call.cred.gids = {0, 5};
-  call.args = std::move(args);
+void RpcClient::set_tenant(uint32_t tenant) {
+  tenant_ = tenant;
+  AuthSysCred cred;
+  cred.machine_name = "host" + std::to_string(host_.addr() & 0xff);
+  cred.uid = tenant_;
+  cred.gids = {0, 5};
+  cred_ = EncodeAuthSysCred(cred);
+}
+
+void RpcClient::Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc,
+                     ByteSpan args, ResponseHandler handler) {
+  XdrEncoder enc = NewCall(prog, vers, proc);
+  enc.PutOpaqueFixed(args);
+  Send(server, std::move(enc), std::move(handler));
+}
+
+XdrEncoder RpcClient::NewCall(uint32_t prog, uint32_t vers, uint32_t proc) {
+  XdrEncoder enc(Packet::AcquireFrame());
+  EncodeCallHeader(enc, next_xid_++, prog, vers, proc, cred_);
+  return enc;
+}
+
+void RpcClient::Send(Endpoint server, XdrEncoder&& call, ResponseHandler handler) {
+  Bytes frame = call.Take();
+  const ByteSpan wire = ByteSpan(frame).subspan(kPacketHeaderSize);
+  const uint32_t xid = GetU32(wire.data());
 
   PendingCall pending;
   pending.server = server;
-  pending.wire = call.Encode();
+  pending.wire.assign(wire.begin(), wire.end());
   pending.handler = std::move(handler);
   pending.generation = next_generation_++;
   if (tracer_ != nullptr) {
@@ -38,10 +53,10 @@ void RpcClient::Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t pro
   }
   pending_.emplace(xid, std::move(pending));
 
-  Transmit(xid);
+  Transmit(xid, std::move(frame));
 }
 
-void RpcClient::Transmit(uint32_t xid) {
+void RpcClient::Transmit(uint32_t xid, Bytes frame) {
   auto it = pending_.find(xid);
   if (it == pending_.end()) {
     return;
@@ -77,7 +92,8 @@ void RpcClient::Transmit(uint32_t xid) {
   ++pc.transmissions;
   ++calls_sent_;
 
-  Packet pkt = Packet::MakeUdp(local(), pc.server, pc.wire);
+  Packet pkt = frame.empty() ? Packet::MakeUdp(local(), pc.server, pc.wire)
+                             : Packet::MakeUdpFramed(local(), pc.server, std::move(frame));
   if (tracer_ != nullptr && pc.trace.valid()) {
     pkt.AttachTrace(pc.trace.trace_id, pc.trace.span_id);
   }

@@ -3,6 +3,12 @@
 // µproxy "discard its state and/or pending packets without compromising
 // correctness" (paper §2.1) — drops in the network or the µproxy are masked
 // here.
+//
+// Each call is encoded once: the header, the client's cached AUTH_SYS
+// credential and the caller's args go straight into a pooled packet frame,
+// which becomes the first transmission. An exact-size copy of the message
+// is kept for retransmissions (holding the pooled frame instead would pin a
+// 9 KB buffer per outstanding call).
 #ifndef SLICE_RPC_RPC_CLIENT_H_
 #define SLICE_RPC_RPC_CLIENT_H_
 
@@ -50,7 +56,19 @@ class RpcClient {
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  void Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, Bytes args,
+  // Issues a call whose args are `args.Encode(enc)`: any value with that
+  // member (every *Args struct in src/nfs, src/coord and src/mgmt) encodes
+  // itself straight into the call's frame.
+  template <typename Args>
+    requires requires(const Args& a, XdrEncoder& enc) { a.Encode(enc); }
+  void Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, const Args& args,
+            ResponseHandler handler) {
+    XdrEncoder enc = NewCall(prog, vers, proc);
+    args.Encode(enc);
+    Send(server, std::move(enc), std::move(handler));
+  }
+  // The same for args the caller already holds encoded (empty for none).
+  void Call(Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc, ByteSpan args,
             ResponseHandler handler);
 
   Endpoint local() const { return Endpoint{host_.addr(), port_}; }
@@ -61,21 +79,28 @@ class RpcClient {
   // Tenant tag: stamped into the AUTH_SYS uid of every subsequent call, so
   // the µproxy and servers can attribute the request end-to-end. 0 (the
   // default) means untenanted/system traffic.
-  void set_tenant(uint32_t tenant) { tenant_ = tenant; }
+  void set_tenant(uint32_t tenant);
   uint32_t tenant() const { return tenant_; }
 
  private:
   struct PendingCall {
     Endpoint server;
-    Bytes wire;  // encoded RPC call, kept for retransmission
+    Bytes wire;  // encoded RPC call, exact size, kept for retransmission
     ResponseHandler handler;
     int transmissions = 0;
     uint32_t generation = 0;
     obs::TraceContext trace;  // context captured at Call() time
   };
 
+  // An encoder over a fresh frame holding the next xid's call header and
+  // credential; Send registers the call and transmits the frame.
+  XdrEncoder NewCall(uint32_t prog, uint32_t vers, uint32_t proc);
+  void Send(Endpoint server, XdrEncoder&& call, ResponseHandler handler);
   void OnPacket(Packet&& pkt);
-  void Transmit(uint32_t xid);
+  // Sends `frame` (the first transmission) or, when it is empty, a copy of
+  // the retained wire; gives the call up once it has been sent
+  // max_transmissions times.
+  void Transmit(uint32_t xid, Bytes frame = {});
 
   Host& host_;
   EventQueue& queue_;
@@ -86,6 +111,7 @@ class RpcClient {
   EventQueue::Owner owner_;  // owns the retransmit timers
   uint32_t next_xid_ = 1;
   uint32_t tenant_ = 0;
+  Bytes cred_;  // the AUTH_SYS credential, encoded (rebuilt by set_tenant)
   uint32_t next_generation_ = 1;
   std::unordered_map<uint32_t, PendingCall> pending_;
   uint64_t calls_sent_ = 0;

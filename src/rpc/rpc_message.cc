@@ -1,21 +1,9 @@
 #include "src/rpc/rpc_message.h"
 
+#include "src/net/packet.h"
+
 namespace slice {
 namespace {
-
-void EncodeAuthSys(XdrEncoder& enc, const AuthSysCred& cred) {
-  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
-  XdrEncoder body;
-  body.PutUint32(cred.stamp);
-  body.PutString(cred.machine_name);
-  body.PutUint32(cred.uid);
-  body.PutUint32(cred.gid);
-  body.PutUint32(static_cast<uint32_t>(cred.gids.size()));
-  for (uint32_t g : cred.gids) {
-    body.PutUint32(g);
-  }
-  enc.PutOpaqueVar(body.bytes());
-}
 
 // Parses an AUTH_SYS credential in place: the machine name stays a view into
 // `body` and the gid list lands in the bounded inline array, so a credential
@@ -59,38 +47,76 @@ uint32_t PeekAuthSysUid(ByteSpan cred_body) {
   return uid.ok() ? uid.value() : 0;
 }
 
-void EncodeNullVerifier(XdrEncoder& enc) {
-  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));
-  enc.PutUint32(0);  // zero-length opaque body
+void PutReplyEnvelope(uint8_t* out, uint32_t xid, RpcAcceptStat stat) {
+  PutU32(out, xid);
+  PutU32(out + 4, static_cast<uint32_t>(RpcMsgType::kReply));
+  PutU32(out + 8, static_cast<uint32_t>(RpcReplyStat::kAccepted));
+  PutU32(out + 12, static_cast<uint32_t>(RpcAuthFlavor::kNone));  // null verifier
+  PutU32(out + 16, 0);                                            //   (empty body)
+  PutU32(out + 20, static_cast<uint32_t>(stat));
 }
 
 }  // namespace
 
-Bytes RpcCall::Encode() const {
+Bytes EncodeAuthSysCred(const AuthSysCred& cred) {
+  XdrEncoder body;
+  body.PutUint32(cred.stamp);
+  body.PutString(cred.machine_name);
+  body.PutUint32(cred.uid);
+  body.PutUint32(cred.gid);
+  body.PutUint32(static_cast<uint32_t>(cred.gids.size()));
+  for (uint32_t g : cred.gids) {
+    body.PutUint32(g);
+  }
   XdrEncoder enc;
+  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  enc.PutOpaqueVar(body.bytes());
+  return enc.Take();
+}
+
+void EncodeCallHeader(XdrEncoder& enc, uint32_t xid, uint32_t prog, uint32_t vers,
+                      uint32_t proc, ByteSpan cred) {
   enc.PutUint32(xid);
   enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kCall));
   enc.PutUint32(kRpcVersion);
   enc.PutUint32(prog);
   enc.PutUint32(vers);
   enc.PutUint32(proc);
-  EncodeAuthSys(enc, cred);
-  EncodeNullVerifier(enc);
+  enc.PutRawBytes(cred);
+  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));  // null verifier
+  enc.PutUint32(0);                                          //   (empty body)
+}
+
+Bytes RpcCall::Encode() const {
+  XdrEncoder enc;
+  EncodeCallHeader(enc, xid, prog, vers, proc, EncodeAuthSysCred(cred));
   enc.PutOpaqueFixed(args);
   return enc.Take();
 }
 
 Bytes RpcReply::Encode() const {
-  XdrEncoder enc;
-  enc.PutUint32(xid);
-  enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
-  enc.PutEnum(static_cast<uint32_t>(RpcReplyStat::kAccepted));
-  EncodeNullVerifier(enc);
-  enc.PutEnum(static_cast<uint32_t>(stat));
-  if (stat == RpcAcceptStat::kSuccess) {
-    enc.PutOpaqueFixed(result);
+  Bytes out(kRpcReplyEnvelopeSize);
+  PutReplyEnvelope(out.data(), xid, stat);
+  if (stat != RpcAcceptStat::kSuccess) {
+    return out;
   }
+  XdrEncoder enc(std::move(out));
+  enc.PutOpaqueFixed(result);
   return enc.Take();
+}
+
+XdrEncoder NewReplyEncoder() {
+  return XdrEncoder(Packet::AcquireFrame(kRpcReplyEnvelopeSize));
+}
+
+ByteSpan SealReplyFrame(Bytes& frame, uint32_t xid, RpcAcceptStat stat) {
+  constexpr size_t kBodyStart = kPacketHeaderSize + kRpcReplyEnvelopeSize;
+  SLICE_CHECK(frame.size() >= kBodyStart);
+  PutReplyEnvelope(frame.data() + kPacketHeaderSize, xid, stat);
+  if (stat != RpcAcceptStat::kSuccess) {
+    frame.resize(kBodyStart);
+  }
+  return ByteSpan(frame).subspan(kPacketHeaderSize);
 }
 
 Result<RpcMessageView> DecodeRpcMessage(ByteSpan data) {

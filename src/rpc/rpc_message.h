@@ -64,6 +64,9 @@ struct AuthSysCredView {
   GidList gids;
 };
 
+// Whole-message encoders for tests, fixtures and hand-built wire images.
+// RpcClient and RpcServerNode encode the same bytes straight into packet
+// frames through the helpers below.
 struct RpcCall {
   uint32_t xid = 0;
   uint32_t prog = 0;
@@ -82,6 +85,36 @@ struct RpcReply {
 
   Bytes Encode() const;
 };
+
+// --- framed encoding ---
+//
+// A message on the wire is encoded once, into a pooled packet frame
+// (Packet::AcquireFrame) that Packet::MakeUdpFramed then turns into the
+// packet in place.
+
+// The AUTH_SYS credential as it sits in a call: flavor word plus opaque
+// body. RpcClient encodes its credential once and splices it into every
+// call.
+Bytes EncodeAuthSysCred(const AuthSysCred& cred);
+
+// Appends a call's header: xid, CALL, RPC version, program, version,
+// procedure, the pre-encoded credential `cred` and a null verifier. The
+// procedure args follow.
+void EncodeCallHeader(XdrEncoder& enc, uint32_t xid, uint32_t prog, uint32_t vers,
+                      uint32_t proc, ByteSpan cred);
+
+// Accepted-reply envelope: xid, REPLY, MSG_ACCEPTED, a null verifier and the
+// accept stat, 24 bytes ahead of the result body.
+constexpr size_t kRpcReplyEnvelopeSize = 24;
+
+// An encoder over a fresh frame with the packet headers and the reply
+// envelope reserved: a handler appends its result body after them.
+XdrEncoder NewReplyEncoder();
+
+// Fills the envelope of a reply frame (from NewReplyEncoder) in place and,
+// unless `stat` is success, drops any result body a handler had already
+// appended. Returns the RPC message: the frame past its packet headers.
+ByteSpan SealReplyFrame(Bytes& frame, uint32_t xid, RpcAcceptStat stat);
 
 // Decoded view of an incoming message. A true view: `cred.machine_name` and
 // `body` alias the buffer passed to DecodeRpcMessage and are valid only

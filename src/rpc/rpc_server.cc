@@ -72,11 +72,10 @@ void RpcServerNode::Restart() {
 void RpcServerNode::DispatchCall(const RpcMessageView& call, const Endpoint& client,
                                  ReplyFn done) {
   (void)client;
-  dispatch_result_.Clear();
+  XdrEncoder reply = NewReplyEncoder();
   ServiceCost cost;
-  const RpcAcceptStat stat = HandleCall(call, dispatch_result_, cost);
-  CompleteCall(done.key_, done.client_, done.trace_, stat,
-               ByteSpan(dispatch_result_.bytes()), cost);
+  const RpcAcceptStat stat = HandleCall(call, reply, cost);
+  SendReply(done.key_, done.client_, done.trace_, stat, reply.Take(), cost);
 }
 
 void RpcServerNode::OnPacket(Packet&& pkt) {
@@ -132,24 +131,10 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   DispatchCall(*decoded, client, ReplyFn(this, key, client, trace));
 }
 
-void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
-                                 const obs::TraceContext& trace, RpcAcceptStat stat,
-                                 ByteSpan result, const ServiceCost& cost) {
-  // Reply envelope straight into the member scratch — bytes identical to the
-  // old RpcReply::Encode (null verifier, opaque-fixed result body with XDR
-  // padding), with no intermediate RpcReply/Bytes materialization.
-  reply_enc_.Clear();
-  reply_enc_.PutUint32(key.xid);
-  reply_enc_.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
-  reply_enc_.PutEnum(static_cast<uint32_t>(RpcReplyStat::kAccepted));
-  reply_enc_.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));
-  reply_enc_.PutUint32(0);  // zero-length verifier body
-  reply_enc_.PutEnum(static_cast<uint32_t>(stat));
-  if (stat == RpcAcceptStat::kSuccess) {
-    reply_enc_.PutOpaqueFixed(result);
-  }
-
-  drc_.CompleteCall(key, ByteSpan(reply_enc_.bytes()));
+void RpcServerNode::SendReply(const DrcKey& key, const Endpoint& client,
+                              const obs::TraceContext& trace, RpcAcceptStat stat,
+                              Bytes&& frame, const ServiceCost& cost) {
+  drc_.CompleteCall(key, SealReplyFrame(frame, key.xid, stat));
   ++requests_served_;
 
   const SimTime ready_at = queue_.now();
@@ -176,10 +161,9 @@ void RpcServerNode::CompleteCall(const DrcKey& key, const Endpoint& client,
   }
 
   // The reply is a deferred send flight, not a heap-allocated closure: the
-  // wire bytes move into a pooled packet buffer now, and the network sends
-  // it at the service-done instant from an ordinary, allocation-free queue
-  // event.
-  Packet out = Packet::MakeUdp(endpoint(), client, ByteSpan(reply_enc_.bytes()));
+  // frame becomes the packet in place, and the network sends it at the
+  // service-done instant from an ordinary, allocation-free queue event.
+  Packet out = Packet::MakeUdpFramed(endpoint(), client, std::move(frame));
   if (tracer_ != nullptr && trace.valid()) {
     out.AttachTrace(trace.trace_id, trace.span_id);
   }

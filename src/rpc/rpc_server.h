@@ -7,10 +7,12 @@
 // re-executing — standard NFS/UDP server behavior that the loss-injection
 // tests depend on.
 //
-// Fast-path discipline (DESIGN.md, server-side pools): the reply envelope is
-// encoded into a member scratch encoder, the DRC is a fixed reply ring plus
-// a flat open-addressing index, the completion token is a concrete value
-// (not a std::function), and the deferred reply send waits in the network's
+// Fast-path discipline (DESIGN.md §7.1): a handler encodes its result
+// straight into a pooled packet frame with the reply envelope reserved, the
+// envelope is filled in place and the frame itself becomes the reply packet;
+// the DRC is a fixed reply ring plus a flat open-addressing index that keeps
+// its own copy of each reply; the completion token is a concrete value (not
+// a std::function); and the deferred reply send waits in the network's
 // flight table — so a steady-state served request never touches the heap.
 #ifndef SLICE_RPC_RPC_SERVER_H_
 #define SLICE_RPC_RPC_SERVER_H_
@@ -186,12 +188,15 @@ class RpcServerNode {
   // once with the accept stat, encoded result body, and accumulated cost. A
   // concrete copyable value (node pointer + call identity) rather than a
   // std::function — moving it through async continuation chains (the
-  // small-file server's backing fetches) never allocates.
+  // small-file server's backing fetches) never allocates. The result is
+  // copied once, into the reply frame.
   class ReplyFn {
    public:
     ReplyFn() = default;
-    void operator()(RpcAcceptStat stat, const Bytes& result, const ServiceCost& cost) {
-      node_->CompleteCall(key_, client_, trace_, stat, ByteSpan(result), cost);
+    void operator()(RpcAcceptStat stat, ByteSpan result, const ServiceCost& cost) {
+      XdrEncoder reply = NewReplyEncoder();
+      reply.PutOpaqueFixed(result);
+      node_->SendReply(key_, client_, trace_, stat, reply.Take(), cost);
     }
 
    private:
@@ -207,15 +212,17 @@ class RpcServerNode {
   };
 
   // Subclass request handler. Decodes args from `call.body`, encodes the
-  // procedure-specific result into `reply`, reports simulated time in
-  // `cost`. Returning a non-success accept stat suppresses `reply`.
+  // procedure-specific result into `reply` (an encoder over the reply's
+  // packet frame), reports simulated time in `cost`. Returning a
+  // non-success accept stat drops whatever `reply` holds.
   virtual RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                    ServiceCost& cost) = 0;
 
   // Dispatch hook. The default implementation runs HandleCall synchronously
-  // into a member scratch encoder; servers whose handlers must wait on their
-  // own network I/O (e.g. the small-file server fetching from the storage
-  // array) override this and invoke `done` when the reply is ready.
+  // into a fresh reply frame (NewReplyEncoder); servers whose handlers must
+  // wait on their own network I/O (e.g. the small-file server fetching from
+  // the storage array) override this and invoke `done` when the reply is
+  // ready.
   virtual void DispatchCall(const RpcMessageView& call, const Endpoint& client, ReplyFn done);
 
   // Recovery hook; default does nothing.
@@ -226,13 +233,12 @@ class RpcServerNode {
 
  private:
   void OnPacket(Packet&& pkt);
-  // The single completion point behind ReplyFn: encodes the reply envelope
-  // around `result` into the member scratch, records it in the DRC, charges
-  // CPU/queue time, and schedules the deferred send flight at the
+  // The single completion point: fills the envelope of the reply frame in
+  // place (SealReplyFrame), records the reply in the DRC, charges CPU/queue
+  // time, and sends the frame itself as the reply packet at the
   // service-done instant.
-  void CompleteCall(const DrcKey& key, const Endpoint& client,
-                    const obs::TraceContext& trace, RpcAcceptStat stat, ByteSpan result,
-                    const ServiceCost& cost);
+  void SendReply(const DrcKey& key, const Endpoint& client, const obs::TraceContext& trace,
+                 RpcAcceptStat stat, Bytes&& frame, const ServiceCost& cost);
 
   Network& net_;
   EventQueue& queue_;
@@ -254,11 +260,6 @@ class RpcServerNode {
   std::vector<uint64_t> tenant_requests_;
 
   DuplicateRequestCache drc_;
-  // Reply-envelope scratch and the default sync dispatch's result scratch
-  // (capacities reused across calls). Distinct buffers: CompleteCall runs
-  // inside DispatchCall while the result scratch is still being read.
-  XdrEncoder reply_enc_;
-  XdrEncoder dispatch_result_;
 };
 
 }  // namespace slice

@@ -187,7 +187,7 @@ void SmallFileServer::EnsureResident(std::vector<uint64_t> blocks, std::function
     ++backing_fetches_;
     NfsClient& client = *node_clients_[block % node_clients_.size()];
     client.Read(zone_handle_, block * kStoreBlockSize, kStoreBlockSize,
-                [this, block, pending, after](Status st, const ReadRes& res) {
+                [this, block, pending, after](Status st, const ReadResView& res) {
                   uint8_t* page = PageFor(block);
                   if (st.ok() && res.status == Nfsstat3::kOk && !res.data.empty()) {
                     std::memcpy(page, res.data.data(),
@@ -390,7 +390,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
     res.status = Nfsstat3::kErrBadhandle;
     XdrEncoder enc;
     res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
     return;
   }
   const uint64_t fileid = args.file.fileid();
@@ -453,7 +453,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
     cost.AddCpu(static_cast<SimTime>(static_cast<double>(res.count) * params_.cpu_ns_per_byte));
     XdrEncoder enc;
     res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
   });
 }
 
@@ -467,7 +467,7 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
     res.status = Nfsstat3::kErrBadhandle;
     XdrEncoder enc;
     res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
     return;
   }
   const uint64_t fileid = args.file.fileid();
@@ -527,7 +527,7 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
       res.wcc.after = MakeAttr(args.file);
       XdrEncoder enc;
       res.Encode(enc);
-      done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+      done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
     };
     if (args.stable != StableHow::kUnstable) {
       FlushFile(file_id, [reply = std::move(reply)]() mutable { reply(StableHow::kFileSync); });
@@ -550,7 +550,7 @@ void SmallFileServer::DoCommit(const CommitArgs& args, Done done) {
     res.wcc.after = MakeAttr(fh);
     XdrEncoder enc;
     res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.Take(), cost);
+    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
   });
 }
 
@@ -583,7 +583,7 @@ void SmallFileServer::DoRemoveOrTruncate(uint64_t fileid, uint64_t keep_size) {
 void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& client,
                                    ReplyFn done) {
   if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    done(RpcAcceptStat::kProgUnavail, Bytes{}, ServiceCost{});
+    done(RpcAcceptStat::kProgUnavail, {}, ServiceCost{});
     return;
   }
   const NfsProc proc = static_cast<NfsProc>(call.proc);
@@ -594,7 +594,7 @@ void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& c
     XdrEncoder enc;
     enc.PutEnum(static_cast<uint32_t>(Nfsstat3::kErrJukebox));
     enc.PutBool(false);
-    done(RpcAcceptStat::kSuccess, enc.Take(), ServiceCost{});
+    done(RpcAcceptStat::kSuccess, enc.bytes(), ServiceCost{});
     return;
   }
   XdrDecoder dec(call.body);
@@ -602,7 +602,7 @@ void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& c
     case NfsProc::kRead: {
       Result<ReadArgs> args = ReadArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, Bytes{}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
         return;
       }
       DoRead(*args, std::move(done));
@@ -611,7 +611,7 @@ void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& c
     case NfsProc::kWrite: {
       Result<WriteArgs> args = WriteArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, Bytes{}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
         return;
       }
       DoWrite(*args, std::move(done));
@@ -620,7 +620,7 @@ void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& c
     case NfsProc::kCommit: {
       Result<CommitArgs> args = CommitArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, Bytes{}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
         return;
       }
       DoCommit(*args, std::move(done));

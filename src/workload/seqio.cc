@@ -36,8 +36,10 @@ void SeqIoProcess::IssueNext() {
   queue_.ScheduleAt(cpu_done, [this, offset, n]() {
     const SimTime issued = queue_.now();
     if (params_.write) {
-      Bytes data(n, static_cast<uint8_t>(offset >> 15));
-      client_.Write(file_, offset, data, params_.stable,
+      // Write encodes the data before it returns, so one buffer serves
+      // every block of the stream.
+      write_buf_.assign(n, static_cast<uint8_t>(offset >> 15));
+      client_.Write(file_, offset, write_buf_, params_.stable,
                     [this, n, issued](Status st, const WriteRes& res) {
                       latency_.Record(queue_.now() - issued);
                       OnComplete(n, st.ok() && res.status == Nfsstat3::kOk);
@@ -49,7 +51,7 @@ void SeqIoProcess::IssueNext() {
         client_.Commit(file_, 0, 0, [](Status, const CommitRes&) {});
       }
     } else {
-      client_.Read(file_, offset, n, [this, n, issued](Status st, const ReadRes& res) {
+      client_.Read(file_, offset, n, [this, n, issued](Status st, const ReadResView& res) {
         latency_.Record(queue_.now() - issued);
         OnComplete(n, st.ok() && res.status == Nfsstat3::kOk && res.count == n);
       });

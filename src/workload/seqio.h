@@ -56,6 +56,7 @@ class SeqIoProcess {
   std::function<void()> on_done_;
 
   BusyResource client_cpu_;
+  Bytes write_buf_;  // WRITE payload, refilled per block
   uint64_t next_offset_ = 0;
   uint64_t completed_bytes_ = 0;
   int outstanding_ = 0;

@@ -129,7 +129,7 @@ class SfsBenchmark::Process {
         const uint64_t blocks = std::max<uint64_t>(1, file.size / bench_.params_.io_size);
         const uint64_t offset = rng_.NextBelow(blocks) * bench_.params_.io_size;
         client_.Read(file.handle, offset, bench_.params_.io_size,
-                     [finish](Status st, const ReadRes& res) {
+                     [finish](Status st, const ReadResView& res) {
                        finish(st.ok() && res.status == Nfsstat3::kOk);
                      });
         return;
@@ -138,7 +138,8 @@ class SfsBenchmark::Process {
         FileInfo& file = RandomFile();
         const uint64_t blocks = std::max<uint64_t>(1, file.size / bench_.params_.io_size);
         const uint64_t offset = rng_.NextBelow(blocks) * bench_.params_.io_size;
-        Bytes data(bench_.params_.io_size, static_cast<uint8_t>(rng_.NextU64()));
+        Bytes& data = bench_.write_buf_;
+        data.assign(bench_.params_.io_size, static_cast<uint8_t>(rng_.NextU64()));
         client_.Write(file.handle, offset, data, StableHow::kUnstable,
                       [finish](Status st, const WriteRes& res) {
                         finish(st.ok() && res.status == Nfsstat3::kOk);

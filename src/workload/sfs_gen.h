@@ -106,6 +106,9 @@ class SfsBenchmark {
   std::vector<FileHandle> dirs_;
   std::vector<FileHandle> symlinks_;
   std::vector<std::unique_ptr<Process>> processes_;
+  // WRITE payload, refilled per request. Write encodes it before returning,
+  // so one buffer serves every process.
+  Bytes write_buf_;
   LatencyStats latency_;
   uint64_t completed_ = 0;
   uint64_t errors_ = 0;

@@ -17,6 +17,11 @@ void XdrEncoder::PutOpaqueVar(std::span<const ByteSpan> pieces) {
   for (ByteSpan piece : pieces) {
     len += piece.size();
   }
+  // A body gathered from pieces (a READ reply's data from 8 KB pages) grows
+  // the buffer once, not piece by piece with a copy per step.
+  if (pieces.size() > 1) {
+    buf_.reserve(buf_.size() + 4 + len + XdrPad(len));
+  }
   PutUint32(static_cast<uint32_t>(len));
   for (ByteSpan piece : pieces) {
     buf_.insert(buf_.end(), piece.begin(), piece.end());
@@ -70,8 +75,8 @@ Result<ByteSpan> XdrDecoder::GetOpaqueVarView(size_t max_len) {
 }
 
 Result<std::string> XdrDecoder::GetString(size_t max_len) {
-  SLICE_ASSIGN_OR_RETURN(Bytes raw, GetOpaqueVar(max_len));
-  return std::string(raw.begin(), raw.end());
+  SLICE_ASSIGN_OR_RETURN(std::string_view view, GetStringView(max_len));
+  return std::string(view);
 }
 
 Result<std::string_view> XdrDecoder::GetStringView(size_t max_len) {

@@ -16,6 +16,12 @@ namespace slice {
 class XdrEncoder {
  public:
   XdrEncoder() = default;
+  // Appends after whatever `buf` already holds. Every RPC message is encoded
+  // this way, straight into a pooled packet frame (Packet::AcquireFrame)
+  // whose leading bytes are reserved for the headers the packet builder
+  // writes later; bytes() and size() cover the whole buffer, reserved bytes
+  // included.
+  explicit XdrEncoder(Bytes buf) : buf_(std::move(buf)) {}
 
   void PutUint32(uint32_t v) { AppendU32(buf_, v); }
   void PutInt32(int32_t v) { PutUint32(static_cast<uint32_t>(v)); }
@@ -32,9 +38,8 @@ class XdrEncoder {
   // so a caller holding scattered buffers encodes them without joining them
   // first.
   void PutOpaqueVar(std::span<const ByteSpan> pieces);
-  // Appends pre-encoded XDR verbatim — no length word, no padding. The
-  // server reply path splices an already-encoded result body into the RPC
-  // envelope through this without an intermediate Bytes copy.
+  // Appends pre-encoded XDR verbatim — no length word, no padding (the RPC
+  // client's cached credential).
   void PutRawBytes(ByteSpan data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
   void PutString(std::string_view s) {
     PutOpaqueVar(ByteSpan(reinterpret_cast<const uint8_t*>(s.data()), s.size()));

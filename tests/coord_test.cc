@@ -61,12 +61,10 @@ class CoordClient {
     args.op = op;
     args.file = file;
     args.arg = arg;
-    XdrEncoder enc;
-    args.Encode(enc);
     uint64_t id = 0;
     bool done = false;
     rpc_.Call(coord_, kCoordProgram, kCoordVersion,
-              static_cast<uint32_t>(CoordProc::kLogIntent), enc.Take(),
+              static_cast<uint32_t>(CoordProc::kLogIntent), args,
               [&](Status st, const RpcMessageView& reply) {
                 done = true;
                 if (st.ok()) {
@@ -82,11 +80,9 @@ class CoordClient {
   void Complete(uint64_t intent_id) {
     CompleteArgs args;
     args.intent_id = intent_id;
-    XdrEncoder enc;
-    args.Encode(enc);
     bool done = false;
     rpc_.Call(coord_, kCoordProgram, kCoordVersion,
-              static_cast<uint32_t>(CoordProc::kComplete), enc.Take(),
+              static_cast<uint32_t>(CoordProc::kComplete), args,
               [&](Status, const RpcMessageView&) { done = true; });
     while (!done && queue_.RunOne()) {
     }
@@ -98,12 +94,10 @@ class CoordClient {
     args.first_block = first;
     args.count = count;
     args.allocate = allocate;
-    XdrEncoder enc;
-    args.Encode(enc);
     GetMapRes out;
     bool done = false;
     rpc_.Call(coord_, kCoordProgram, kCoordVersion,
-              static_cast<uint32_t>(CoordProc::kGetMap), enc.Take(),
+              static_cast<uint32_t>(CoordProc::kGetMap), args,
               [&](Status st, const RpcMessageView& reply) {
                 done = true;
                 if (st.ok()) {

@@ -10,6 +10,7 @@
 
 #include "src/core/uproxy.h"
 #include "src/net/packet_pool.h"
+#include "src/nfs/nfs_client.h"
 #include "src/nfs/nfs_xdr.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -392,6 +393,103 @@ TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate
   EXPECT_EQ(storage.store().dirty_blocks(), 0u);
   EXPECT_EQ(storage.store().used_blocks(), used_blocks);
   EXPECT_EQ(storage.store().Read(object, kOffset, kCount).data, Bytes(kCount, 0xc3));
+}
+
+// A warmed NfsClient issuing 32 KB READs and WRITEs through the µproxy to a
+// real storage node. Every call is encoded once, straight into a pooled
+// frame (the WRITE's payload from the caller's span); the server encodes its
+// reply into a pooled frame and fills the envelope in place; the READ
+// callback gets a view of the reply packet. What a round trip still
+// allocates is the client's per-call state: the retained exact-size wire,
+// the pending-table node and the handler's std::function, 3 per call. The
+// server and the µproxy allocate nothing.
+TEST(FastPathAllocTest, SteadyStateNfsClientBulkRoundTripsAllocateOnlyPerCallState) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  Host client_host(net, kClientAddr);
+
+  UproxyConfig config;
+  config.virtual_server = Endpoint{0x0a0000fe, kNfsPort};
+  config.dir_servers = {Endpoint{kDirAddr, kNfsPort}};
+  config.storage_nodes = {Endpoint{kStorageAddr, kNfsPort}};
+  // The first WRITE arms the attribute writeback timer; keep its flush (a
+  // SETATTR to the directory server) out of the measured window.
+  config.attr_writeback_interval = FromSeconds(1e6);
+  Uproxy uproxy(net, queue, client_host, config);
+  StorageNode storage(net, queue, kStorageAddr, StorageNodeParams{});
+
+  const FileHandle fh = FileHandle::Make(1, MakeFileid(0, 42), 1, FileType3::kReg, 1, 0);
+  const ObjectId object = MixU64(fh.fileid() ^ (static_cast<uint64_t>(fh.volume()) << 48));
+  constexpr uint64_t kOffset = 1 << 20;  // above the small-file bulk threshold
+  static constexpr uint32_t kCount = 32768;
+  ASSERT_TRUE(
+      storage.mutable_store().Write(object, kOffset, ByteSpan(Bytes(kCount, 0x5a)), true).ok());
+
+  NfsClient client(client_host, queue, config.virtual_server);
+  const Bytes payload(kCount, 0xc3);
+  uint64_t reads_ok = 0;
+  uint64_t writes_ok = 0;
+  // Runs one call to completion, then lets its retransmit timer expire so
+  // the event queue does not accumulate dead timers across round trips.
+  auto finish = [&queue](const uint64_t& counter, uint64_t want) {
+    while (counter < want && queue.RunOne()) {
+    }
+    queue.RunUntil(queue.now() + FromMillis(500));
+  };
+  auto read_trip = [&]() {
+    const uint64_t want = reads_ok + 1;
+    client.Read(fh, kOffset, kCount, [&reads_ok](Status st, const ReadResView& res) {
+      if (st.ok() && res.status == Nfsstat3::kOk && res.data.size() == kCount &&
+          res.data[0] == 0xc3) {
+        ++reads_ok;
+      }
+    });
+    finish(reads_ok, want);
+  };
+  auto write_trip = [&]() {
+    const uint64_t want = writes_ok + 1;
+    client.Write(fh, kOffset, payload, StableHow::kUnstable,
+                 [&writes_ok](Status st, const WriteRes& res) {
+                   if (st.ok() && res.status == Nfsstat3::kOk && res.count == kCount) {
+                     ++writes_ok;
+                   }
+                 });
+    finish(writes_ok, want);
+  };
+
+  // Warm-up: the first WRITE lands before the first READ, so every READ sees
+  // the written bytes. It runs the DRC's reply ring (4096 entries, two per
+  // iteration) to its FIFO steady state and settles the pool's buffers.
+  constexpr int kWarmup = 4096 / 2 + 128;
+  for (int i = 0; i < kWarmup; ++i) {
+    write_trip();
+    read_trip();
+  }
+  ASSERT_EQ(writes_ok, static_cast<uint64_t>(kWarmup));
+  ASSERT_EQ(reads_ok, static_cast<uint64_t>(kWarmup));
+
+  constexpr int kTrips = 256;
+  uint64_t write_allocs = 0;
+  uint64_t read_allocs = 0;
+  for (int i = 0; i < kTrips; ++i) {
+    uint64_t before = AllocCount();
+    write_trip();
+    write_allocs += AllocCount() - before;
+    before = AllocCount();
+    read_trip();
+    read_allocs += AllocCount() - before;
+  }
+
+  EXPECT_EQ(write_allocs, 3u * kTrips)
+      << "a 32 KB NfsClient WRITE round trip allocated "
+      << static_cast<double>(write_allocs) / kTrips << " times on average";
+  EXPECT_EQ(read_allocs, 3u * kTrips)
+      << "a 32 KB NfsClient READ round trip allocated "
+      << static_cast<double>(read_allocs) / kTrips << " times on average";
+  EXPECT_EQ(writes_ok, static_cast<uint64_t>(kWarmup + kTrips));
+  EXPECT_EQ(reads_ok, static_cast<uint64_t>(kWarmup + kTrips));
+  EXPECT_EQ(uproxy.pending_count(), 0u);
+  EXPECT_EQ(client.rpc().retransmissions(), 0u);
 }
 
 // Each RpcClient transmission arms a retransmit timer. Its closure is

@@ -5,6 +5,7 @@
 // it cannot have parsed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -270,10 +271,10 @@ TEST_P(FuzzSeedTest, TruncationsOfValidMessagesFailCleanly) {
   SUCCEED();
 }
 
-// Builds a READ reply wire exactly as the server's pooled encode path does:
-// the ReadRes result gathered from the payload's pieces (the storage node's
-// page views) and spliced into a hand-built accepted-reply envelope
-// (rpc_server.cc CompleteCall), no intermediate Bytes copy.
+// Builds a READ reply wire exactly as the server does: the ReadRes result
+// gathered from the payload's pieces (the storage node's page views) straight
+// into a reply frame, whose envelope is then filled in place
+// (RpcServerNode::SendReply), with no intermediate Bytes copy.
 Bytes ServerShapedReadReply(uint32_t xid, const Fattr3& attr,
                             std::span<const ByteSpan> pieces, bool eof) {
   ReadRes res;
@@ -283,17 +284,62 @@ Bytes ServerShapedReadReply(uint32_t xid, const Fattr3& attr,
     res.count += static_cast<uint32_t>(piece.size());
   }
   res.eof = eof;
-  XdrEncoder result;
-  res.Encode(result, pieces);
-  XdrEncoder reply;
-  reply.PutUint32(xid);
-  reply.PutEnum(static_cast<uint32_t>(RpcMsgType::kReply));
-  reply.PutEnum(static_cast<uint32_t>(RpcReplyStat::kAccepted));
-  reply.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));
-  reply.PutUint32(0);  // empty verifier
-  reply.PutEnum(static_cast<uint32_t>(RpcAcceptStat::kSuccess));
-  reply.PutOpaqueFixed(result.bytes());
-  return reply.Take();
+  XdrEncoder reply = NewReplyEncoder();
+  res.Encode(reply, pieces);
+  Bytes frame = reply.Take();
+  const ByteSpan message = SealReplyFrame(frame, xid, RpcAcceptStat::kSuccess);
+  return Bytes(message.begin(), message.end());
+}
+
+// The client decodes READ replies as views (ReadResView); ReadRes::Decode
+// materializes the same decode. Both must accept and reject the same bodies,
+// with equal fields and the same bytes consumed.
+void ExpectReadDecodersAgree(ByteSpan body, const std::string& what) {
+  XdrDecoder owned_dec(body);
+  const Result<ReadRes> owned = ReadRes::Decode(owned_dec);
+  XdrDecoder view_dec(body);
+  const Result<ReadResView> view = ReadResView::Decode(view_dec);
+  ASSERT_EQ(owned.ok(), view.ok()) << what;
+  if (!owned.ok()) {
+    EXPECT_EQ(owned.status().code(), view.status().code()) << what;
+    return;
+  }
+  EXPECT_EQ(owned->status, view->status) << what;
+  EXPECT_EQ(owned->file_attributes, view->file_attributes) << what;
+  EXPECT_EQ(owned->count, view->count) << what;
+  EXPECT_EQ(owned->eof, view->eof) << what;
+  EXPECT_TRUE(std::equal(owned->data.begin(), owned->data.end(), view->data.begin(),
+                         view->data.end()))
+      << what;
+  EXPECT_EQ(owned_dec.position(), view_dec.position()) << what;
+}
+
+TEST_P(FuzzSeedTest, ReadResViewDecodesExactlyWhatReadResDecodes) {
+  Rng rng(GetParam());
+  Fattr3 attr;
+  attr.type = FileType3::kReg;
+  attr.fileid = 31;
+  const Bytes payload = RandomBytes(rng, 1 + rng.NextBelow(700));
+  attr.size = payload.size();
+  const ByteSpan whole(payload);
+  const Bytes valid = ServerShapedReadReply(77, attr, {&whole, 1}, (GetParam() & 1) != 0);
+  const size_t body_offset = kRpcReplyEnvelopeSize;
+
+  ExpectReadDecodersAgree(ByteSpan(valid).subspan(body_offset), "valid");
+  for (size_t keep = body_offset; keep < valid.size(); ++keep) {
+    ExpectReadDecodersAgree(ByteSpan(valid.data() + body_offset, keep - body_offset),
+                            "keep=" + std::to_string(keep));
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    Bytes mutated = valid;
+    const int flips = 1 + static_cast<int>(rng.NextBelow(8));
+    for (int f = 0; f < flips; ++f) {
+      mutated[body_offset + rng.NextBelow(mutated.size() - body_offset)] ^=
+          static_cast<uint8_t>(1u << rng.NextBelow(8));
+    }
+    ExpectReadDecodersAgree(ByteSpan(mutated).subspan(body_offset),
+                            "trial=" + std::to_string(trial));
+  }
 }
 
 TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {

@@ -70,6 +70,49 @@ TEST(PacketTest, EmptyPayload) {
   EXPECT_TRUE(pkt.VerifyChecksums());
 }
 
+// The simulator lets a datagram past 64 KB ride in one frame with its
+// 16-bit IP total length taken modulo 2^16. Both builders must produce the
+// same packet, and validation must accept what they build at every size.
+TEST(PacketTest, JumboDatagramsValidateThroughBothBuilders) {
+  const Endpoint src{kHostA, 1000};
+  const Endpoint dst{kHostB, 2049};
+  for (const size_t n : {size_t{1000}, size_t{32768}, size_t{70000}, size_t{131072}}) {
+    Bytes payload(n);
+    for (size_t i = 0; i < n; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    const Packet copied = Packet::MakeUdp(src, dst, payload);
+    Bytes frame = Packet::AcquireFrame();
+    ASSERT_EQ(frame.size(), kPacketHeaderSize);
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    const Packet framed = Packet::MakeUdpFramed(src, dst, std::move(frame));
+    for (const Packet* pkt : {&copied, &framed}) {
+      EXPECT_TRUE(pkt->IsValidUdp()) << n;
+      EXPECT_TRUE(pkt->VerifyChecksums()) << n;
+      EXPECT_EQ(pkt->payload().size(), n);
+      EXPECT_EQ(pkt->src(), src);
+      EXPECT_EQ(pkt->dst(), dst);
+    }
+    EXPECT_EQ(copied.bytes(), framed.bytes()) << n;
+  }
+}
+
+// A frame's reserved bytes follow the header room; MakeUdpFramed writes only
+// the headers, so whatever the caller filled in after them is the payload.
+TEST(PacketTest, FramedBuilderKeepsReservedBytesAsPayload) {
+  Bytes frame = Packet::AcquireFrame(8);
+  ASSERT_EQ(frame.size(), kPacketHeaderSize + 8);
+  for (size_t i = 0; i < 8; ++i) {
+    frame[kPacketHeaderSize + i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  const Packet pkt = Packet::MakeUdpFramed(Endpoint{kHostA, 1}, Endpoint{kHostB, 2},
+                                           std::move(frame));
+  const Bytes want = {0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7};
+  EXPECT_EQ(Bytes(pkt.payload().begin(), pkt.payload().end()), want);
+  EXPECT_TRUE(pkt.IsValidUdp());
+  EXPECT_TRUE(pkt.VerifyChecksums());
+}
+
 TEST(PacketTest, AddrFormatting) {
   EXPECT_EQ(AddrToString(0x0a000001), "10.0.0.1");
   EXPECT_EQ(EndpointToString(Endpoint{0x0a000001, 2049}), "10.0.0.1:2049");

@@ -3,8 +3,13 @@
 // results, and error-path decoding.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/nfs/nfs_client.h"
 #include "src/nfs/nfs_xdr.h"
+#include "src/rpc/rpc_message.h"
 
 namespace slice {
 namespace {
@@ -433,6 +438,50 @@ TEST(NfsProcTest, NamesAreStable) {
   EXPECT_STREQ(NfsProcName(NfsProc::kLookup), "lookup");
   EXPECT_STREQ(NfsProcName(NfsProc::kReaddirplus), "readdirplus");
   EXPECT_STREQ(NfsProcName(NfsProc::kCommit), "commit");
+}
+
+
+// NfsClient::Write encodes the caller's span straight into the call's frame
+// (WriteArgsView::Encode); the bytes it sends must equal RpcCall::Encode of
+// the materialized WriteArgs.
+TEST(NfsClientWireTest, WriteCallBytesEqualRpcCallEncode) {
+  constexpr NetAddr kClientAddr = 0x0a000001;
+  constexpr NetAddr kServerAddr = 0x0a000010;
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  Host sink(net, kServerAddr);
+  std::vector<Bytes> seen;
+  sink.Bind(2049, [&seen](Packet&& pkt) {
+    seen.emplace_back(pkt.payload().begin(), pkt.payload().end());
+  });
+  Host client_host(net, kClientAddr);
+  NfsClient client(client_host, queue, Endpoint{kServerAddr, 2049});
+
+  Bytes data(32768);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  client.Write(TestFh(), 1 << 20, data, StableHow::kFileSync, [](Status, const WriteRes&) {});
+  queue.RunUntil(FromMillis(1));
+
+  WriteArgs args;
+  args.file = TestFh();
+  args.offset = 1 << 20;
+  args.count = static_cast<uint32_t>(data.size());
+  args.stable = StableHow::kFileSync;
+  args.data = data;
+  XdrEncoder enc;
+  args.Encode(enc);
+  RpcCall call;
+  call.xid = 1;
+  call.prog = kNfsProgram;
+  call.vers = kNfsVersion;
+  call.proc = static_cast<uint32_t>(NfsProc::kWrite);
+  call.cred.machine_name = "host" + std::to_string(kClientAddr & 0xff);
+  call.cred.gids = {0, 5};
+  call.args = enc.Take();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], call.Encode());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/rpc/rpc_client.h"
 #include "src/rpc/rpc_message.h"
@@ -488,6 +490,133 @@ TEST_F(RpcEndToEndTest, CpuQueueingSerializesRequests) {
   queue_.RunUntilIdle();
   EXPECT_EQ(done, 100);
   EXPECT_GT(queue_.now(), FromMicros(1000));
+}
+
+
+// --- wire identity of the framed encoders ---
+//
+// RpcClient and RpcServerNode encode straight into packet frames; the bytes
+// they put on the wire must be exactly what the whole-message encoders
+// (RpcCall::Encode, RpcReply::Encode) produce for the same message.
+
+// Args with an Encode member, like every *Args struct.
+struct TwoWords {
+  uint32_t a = 0;
+  uint32_t b = 0;
+  void Encode(XdrEncoder& enc) const {
+    enc.PutUint32(a);
+    enc.PutUint32(b);
+  }
+};
+
+class RpcWireTest : public ::testing::Test {
+ protected:
+  RpcWireTest()
+      : net_(queue_, NetworkParams{}), sink_(net_, kServerAddr), client_host_(net_, kClientAddr) {
+    sink_.Bind(kServerPort, [this](Packet&& pkt) {
+      seen_.emplace_back(pkt.payload().begin(), pkt.payload().end());
+    });
+  }
+
+  // The call the client should have sent: xid, its AUTH_SYS credential
+  // (machine name from its address, uid = tenant, gids {0, 5}) and `args`.
+  static Bytes ExpectedCall(uint32_t xid, uint32_t proc, uint32_t tenant, Bytes args) {
+    RpcCall call;
+    call.xid = xid;
+    call.prog = kTestProg;
+    call.vers = kTestVers;
+    call.proc = proc;
+    call.cred.machine_name = "host" + std::to_string(kClientAddr & 0xff);
+    call.cred.uid = tenant;
+    call.cred.gids = {0, 5};
+    call.args = std::move(args);
+    return call.Encode();
+  }
+
+  EventQueue queue_;
+  Network net_;
+  Host sink_;
+  Host client_host_;
+  std::vector<Bytes> seen_;
+};
+
+TEST_F(RpcWireTest, CallBytesEqualRpcCallEncodeAcrossTenants) {
+  RpcClient client(client_host_, queue_);
+  const Endpoint server{kServerAddr, kServerPort};
+  auto ignore = [](Status, const RpcMessageView&) {};
+
+  client.Call(server, kTestProg, kTestVers, 7, TwoWords{11, 22}, ignore);
+  client.set_tenant(3);
+  client.Call(server, kTestProg, kTestVers, 8, TwoWords{33, 44}, ignore);
+  const Bytes raw = {1, 2, 3, 4, 5, 6};  // pre-encoded args, padded on the wire
+  client.Call(server, kTestProg, kTestVers, 9, ByteSpan(raw), ignore);
+  queue_.RunUntil(FromMillis(1));
+
+  XdrEncoder first;
+  TwoWords{11, 22}.Encode(first);
+  XdrEncoder second;
+  TwoWords{33, 44}.Encode(second);
+  ASSERT_EQ(seen_.size(), 3u);
+  EXPECT_EQ(seen_[0], ExpectedCall(1, 7, 0, first.Take()));
+  EXPECT_EQ(seen_[1], ExpectedCall(2, 8, 3, second.Take()));
+  EXPECT_EQ(seen_[2], ExpectedCall(3, 9, 3, raw));
+
+  // A retransmission resends the retained copy, byte for byte.
+  queue_.RunUntil(FromMillis(401));
+  ASSERT_GE(seen_.size(), 4u);
+  EXPECT_EQ(seen_[3], seen_[0]);
+}
+
+// Appends a partial result, then answers with the accept stat its procedure
+// number names: the server must drop the partial body for a non-success
+// stat, as RpcReply::Encode does.
+class PartialResultServer : public RpcServerNode {
+ public:
+  using RpcServerNode::RpcServerNode;
+
+ protected:
+  RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,
+                           ServiceCost&) override {
+    reply.PutUint32(0xfeedface);
+    reply.PutUint32(call.xid);
+    return static_cast<RpcAcceptStat>(call.proc);
+  }
+};
+
+TEST_F(RpcWireTest, ReplyBytesEqualRpcReplyEncodeIncludingTruncatedErrors) {
+  constexpr NetAddr kReplierAddr = 0x0a000020;
+  PartialResultServer server(net_, queue_, kReplierAddr, kServerPort);
+  std::vector<Bytes> replies;
+  const NetPort port = client_host_.Bind(0, [&replies](Packet&& pkt) {
+    replies.emplace_back(pkt.payload().begin(), pkt.payload().end());
+  });
+  const RpcAcceptStat stats[] = {RpcAcceptStat::kSuccess, RpcAcceptStat::kProcUnavail,
+                                 RpcAcceptStat::kGarbageArgs};
+  uint32_t xid = 40;
+  for (const RpcAcceptStat stat : stats) {
+    RpcCall call;
+    call.xid = ++xid;
+    call.prog = kTestProg;
+    call.vers = kTestVers;
+    call.proc = static_cast<uint32_t>(stat);
+    client_host_.Send(Packet::MakeUdp(Endpoint{kClientAddr, port},
+                                      Endpoint{kReplierAddr, kServerPort}, call.Encode()));
+    queue_.RunUntilIdle();
+  }
+
+  ASSERT_EQ(replies.size(), 3u);
+  xid = 40;
+  for (size_t i = 0; i < 3; ++i) {
+    RpcReply want;
+    want.xid = ++xid;
+    want.stat = stats[i];
+    XdrEncoder result;
+    result.PutUint32(0xfeedface);
+    result.PutUint32(xid);
+    want.result = result.Take();
+    EXPECT_EQ(replies[i], want.Encode()) << "stat " << static_cast<uint32_t>(stats[i]);
+  }
+  EXPECT_EQ(replies[1].size(), kRpcReplyEnvelopeSize);
 }
 
 }  // namespace
