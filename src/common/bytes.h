@@ -15,6 +15,10 @@ using Bytes = std::vector<uint8_t>;
 using ByteSpan = std::span<const uint8_t>;
 using MutableByteSpan = std::span<uint8_t>;
 
+// Room a packet buffer keeps past its end when it grows beyond the pooled
+// capacity, so the trace trailer (Packet::AttachTrace) appends in place.
+inline constexpr size_t kPacketTailSlack = 64;
+
 inline void PutU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v >> 8);
   p[1] = static_cast<uint8_t>(v);

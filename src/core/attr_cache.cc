@@ -112,9 +112,7 @@ std::vector<std::pair<uint64_t, Fattr3>> AttrCache::TakeEvictedDirty() {
   return std::exchange(evicted_dirty_, {});
 }
 
-const LookupCache::Entry* LookupCache::Find(uint64_t dir_id, uint64_t name_fp,
-                                            uint64_t now_ns,
-                                            uint64_t ttl_ns) {
+const LookupCache::Entry* LookupCache::Find(uint64_t dir_id, uint64_t name_fp) {
   const uint64_t key = KeyOf(dir_id, name_fp);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -124,17 +122,13 @@ const LookupCache::Entry* LookupCache::Find(uint64_t dir_id, uint64_t name_fp,
   if (e.dir_id != dir_id || e.name_fp != name_fp) {
     return nullptr;  // key-fold collision; treat as a miss, do not evict
   }
-  if (ttl_ns != 0 && now_ns >= e.filled_at + ttl_ns) {
-    EraseKey(key);
-    return nullptr;
-  }
   TouchLru(key);
   return &it->second;
 }
 
 void LookupCache::Insert(uint64_t dir_id, uint64_t name_fp,
                          const FileHandle& fh, const Fattr3& attr,
-                         uint32_t slot, uint64_t now_ns) {
+                         uint32_t slot) {
   const uint64_t key = KeyOf(dir_id, name_fp);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -157,7 +151,6 @@ void LookupCache::Insert(uint64_t dir_id, uint64_t name_fp,
   e.fh = fh;
   e.attr = attr;
   e.slot = slot;
-  e.filled_at = now_ns;
 }
 
 void LookupCache::Erase(uint64_t dir_id, uint64_t name_fp) {

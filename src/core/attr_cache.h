@@ -97,8 +97,9 @@ class AttrCache {
 // entry memoizes the LOOKUP result — child handle + attributes — plus the
 // logical name slot it was resolved under, so an epoch bump that rebinds a
 // slot can flush exactly the entries resolved through the stale binding.
-// Bounded, LRU-evicted, optional TTL. The probe path (Find) performs no
-// allocation: a hash lookup plus a list splice.
+// Bounded and LRU-evicted; an entry lives until it is evicted or
+// invalidated. The probe path (Find) performs no allocation: a hash lookup
+// plus a list splice.
 class LookupCache {
  public:
   explicit LookupCache(size_t capacity) : capacity_(capacity) {}
@@ -108,17 +109,14 @@ class LookupCache {
     uint64_t name_fp = 0;
     FileHandle fh;
     Fattr3 attr;
-    uint32_t slot = 0;       // logical name slot at fill time
-    uint64_t filled_at = 0;  // sim-time ns, for the optional TTL
+    uint32_t slot = 0;  // logical name slot at fill time
   };
 
-  // nullptr on miss, mismatch (key-fold collision), or TTL expiry
-  // (ttl_ns == 0 disables expiry). Touches LRU on hit.
-  const Entry* Find(uint64_t dir_id, uint64_t name_fp, uint64_t now_ns,
-                    uint64_t ttl_ns);
+  // nullptr on miss or mismatch (key-fold collision). Touches LRU on hit.
+  const Entry* Find(uint64_t dir_id, uint64_t name_fp);
 
   void Insert(uint64_t dir_id, uint64_t name_fp, const FileHandle& fh,
-              const Fattr3& attr, uint32_t slot, uint64_t now_ns);
+              const Fattr3& attr, uint32_t slot);
 
   void Erase(uint64_t dir_id, uint64_t name_fp);
 

@@ -5,11 +5,17 @@
 #include <tuple>
 
 #include "src/common/logging.h"
+#include "src/nfs/nfs_client.h"
 
 namespace slice {
 namespace {
 
 constexpr size_t kMaxPending = 8192;
+constexpr size_t kAttrCacheEntries = 65536;
+constexpr size_t kLookupCacheEntries = 4096;
+// Per-byte CPU cost of duplicating a mirrored write's payload for each extra
+// replica ("the client host writes to both mirrors", §5).
+constexpr double kMirrorCopyNsPerByte = 8.0;
 
 // Coin in [0,1) derived from the (parent, name) fingerprint, so retransmitted
 // mkdirs take the same redirect decision (paper §3.2).
@@ -53,8 +59,8 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
       queue_(queue),
       client_host_(client_host),
       config_(std::move(config)),
-      attr_cache_(config_.attr_cache_entries),
-      lookup_cache_(config_.lookup_cache_entries),
+      attr_cache_(kAttrCacheEntries),
+      lookup_cache_(kLookupCacheEntries),
       tracer_(sinks.tracer),
       eventlog_(sinks.eventlog),
       profiler_(sinks.profiler),
@@ -62,16 +68,15 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
       owner_(queue) {
   SLICE_CHECK(!config_.dir_servers.empty());
   SLICE_CHECK(!config_.storage_nodes.empty());
-  dir_table_ = RoutingTable(config_.logical_name_slots, config_.dir_servers);
+  dir_table_ = RoutingTable(kDefaultLogicalSlots, config_.dir_servers);
   if (!config_.small_file_servers.empty()) {
-    sfs_table_ = RoutingTable(config_.logical_name_slots, config_.small_file_servers);
+    sfs_table_ = RoutingTable(kDefaultLogicalSlots, config_.small_file_servers);
     if (config_.rendezvous_routing) {
       // HRW slot fill: a small-file server's death (manager-installed
       // assignment) or addition rebinds only the slots it owns/wins.
       sfs_table_.InstallAssignment(
           0, config_.small_file_servers,
-          RendezvousAssignment(config_.logical_name_slots,
-                               config_.small_file_servers.size()));
+          RendezvousAssignment(kDefaultLogicalSlots, config_.small_file_servers.size()));
     }
   }
   own_rpc_ =
@@ -118,12 +123,16 @@ Uproxy::Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig 
   if (config_.proxy_cache) {
     // Registered only when the proxy cache is on so metrics snapshots of
     // cache-off runs stay byte-identical to earlier builds.
-    m_lookup_hits_ = reg.GetCounter("uproxy_cache_lookup_hits");
-    m_lookup_misses_ = reg.GetCounter("uproxy_cache_lookup_misses");
-    reg.GetCounter("uproxy_cache_getattr_hits")
-        ->SetProvider([this]() { return counters_.Get("cache_getattr_hits"); });
-    reg.GetCounter("uproxy_cache_flushed_entries")
-        ->SetProvider([this]() { return counters_.Get("cache_flushed_entries"); });
+    static constexpr std::pair<const char*, const char*> kCacheFromOpCounters[] = {
+        {"uproxy_cache_lookup_hits", "cache_lookup_hits"},
+        {"uproxy_cache_lookup_misses", "cache_lookup_misses"},
+        {"uproxy_cache_getattr_hits", "cache_getattr_hits"},
+        {"uproxy_cache_flushed_entries", "cache_flushed_entries"},
+    };
+    for (const auto& [metric, op] : kCacheFromOpCounters) {
+      reg.GetCounter(metric)->SetProvider(
+          [this, op = std::string_view(op)]() { return counters_.Get(op); });
+    }
     reg.GetCounter("uproxy_lookup_cache_evictions")
         ->SetProvider([this]() { return lookup_cache_.evictions(); });
     reg.GetGauge("uproxy_lookup_cache_size")->SetProvider([this]() {
@@ -158,16 +167,6 @@ void Uproxy::AccountTenant(uint32_t tenant, NfsProc proc, uint32_t nbytes, SimTi
 NfsTime Uproxy::Now() const {
   return NfsTime{static_cast<uint32_t>(queue_.now() / kNanosPerSec),
                  static_cast<uint32_t>(queue_.now() % kNanosPerSec)};
-}
-
-SimTime Uproxy::ChargeCpu() {
-  const SimTime now = queue_.now();
-  const SimTime start = std::max(cpu_.busy_until(), now);
-  const SimTime done = cpu_.Acquire(now, FromMicros(config_.per_packet_cpu_us));
-  obs::ChargeSim(prof_ledger_, obs::LedgerCat::kQueue, start - now);
-  obs::ChargeSim(prof_ledger_, obs::LedgerCat::kCpu, done - start);
-  obs::Observe(m_cpu_, done - now);
-  return done;
 }
 
 SimTime Uproxy::ChargeCpu(const obs::TraceContext& ctx) {
@@ -507,19 +506,20 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
       // Removes need the victim's identity to reclaim its data afterwards;
       // ask ahead (FIFO ordering guarantees the lookup is served first).
       if (req.proc == NfsProc::kRemove) {
-        OwnLookup(route.target, req.fh, std::string(req.name(pkt.payload())),
-                  [this, key](Status st, const LookupRes& res) {
-                    Pending* p = pending_.Find(key);
-                    if (!st.ok() || p == nullptr || res.status != Nfsstat3::kOk) {
-                      return;
-                    }
-                    // Only reclaim data when the last link goes away.
-                    if (res.object.type() == FileType3::kReg && res.obj_attributes &&
-                        res.obj_attributes->nlink <= 1) {
-                      p->fh = res.object;
-                      p->count = 1;  // marks "data removal armed"
-                    }
-                  });
+        CallNfs<LookupRes>(*own_rpc_, route.target, NfsProc::kLookup,
+                           DirOpArgs{req.fh, std::string(req.name(pkt.payload()))},
+                           [this, key](Status st, const LookupRes& res) {
+                             Pending* p = pending_.Find(key);
+                             if (!st.ok() || p == nullptr || res.status != Nfsstat3::kOk) {
+                               return;
+                             }
+                             // Only reclaim data when the last link goes away.
+                             if (res.object.type() == FileType3::kReg && res.obj_attributes &&
+                                 res.obj_attributes->nlink <= 1) {
+                               p->fh = res.object;
+                               p->count = 1;  // marks "data removal armed"
+                             }
+                           });
       }
       ForwardRequest(std::move(pkt), req, route.target, "route:dir");
       return;
@@ -618,7 +618,7 @@ void Uproxy::ForwardRequest(Packet&& pkt, const DecodedView& req, Endpoint targe
 void Uproxy::HandleInbound(Packet&& pkt) {
   // Control-plane messages (table pushes from the manager, misdirect notices
   // from servers) arrive on the dedicated control port and terminate here.
-  if (config_.mgmt_enabled && pkt.dst_port() == config_.control_port) {
+  if (config_.mgmt_enabled && pkt.dst_port() == kMgmtClientPort) {
     HandleControl(pkt.payload());
     return;
   }
@@ -671,7 +671,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
       XdrDecoder dec(pkt.payload().subspan(reply.body_offset));
       Result<RemoveRes> res = RemoveRes::Decode(dec);
       if (res.ok() && res->status == Nfsstat3::kOk) {
-        ScheduleDataRemove(pending.fh);
+        ScheduleDataUpdate(IntentOp::kRemove, pending.fh, 0);
         attr_cache_.Erase(pending.fh.fileid());
       }
     } else if (pending.proc == NfsProc::kSetattr && pending.count == 1) {
@@ -679,7 +679,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
       XdrDecoder dec(pkt.payload().subspan(reply.body_offset));
       Result<SetattrRes> res = SetattrRes::Decode(dec);
       if (res.ok() && res->status == Nfsstat3::kOk) {
-        ScheduleDataTruncate(pending.fh, pending.offset);
+        ScheduleDataUpdate(IntentOp::kTruncate, pending.fh, pending.offset);
       }
     } else if (pending.proc == NfsProc::kCommit) {
       // Push the committed file's attributes home; the periodic timer
@@ -706,10 +706,16 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     obs::Profiler::Scope prof_rewrite(profiler_, obs::ProfScope::kUproxyRewrite);
     pkt.RewriteSrc(config_.virtual_server);
   }
+  DeliverReply(std::move(pkt), pending, reply.stat != RpcAcceptStat::kSuccess,
+               reply.body_offset);
+}
+
+void Uproxy::DeliverReply(Packet&& pkt, const Pending& pending, bool rpc_error,
+                          size_t body_offset) {
   SimTime ready;
   {
     obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
-    ready = ChargeCpu(ctx);
+    ready = ChargeCpu(obs::TraceContext{pending.trace_id, pending.root_span_id});
   }
   {
     obs::Profiler::Scope prof_trace(profiler_, obs::ProfScope::kUproxyTrace);
@@ -719,10 +725,10 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     // Error = RPC-level rejection or a nonzero nfsstat3 (always the first
     // word of the result body). Read in place; nothing allocates.
     obs::Profiler::Scope prof_metrics(profiler_, obs::ProfScope::kUproxyMetrics);
-    bool error = reply.stat != RpcAcceptStat::kSuccess;
+    bool error = rpc_error;
     const ByteSpan payload = pkt.payload();
-    if (!error && payload.size() >= reply.body_offset + 4) {
-      error = GetU32(payload.data() + reply.body_offset) != 0;
+    if (!error && payload.size() >= body_offset + 4) {
+      error = GetU32(payload.data() + body_offset) != 0;
     }
     const uint32_t nbytes =
         (pending.proc == NfsProc::kRead || pending.proc == NfsProc::kWrite) ? pending.count
@@ -841,16 +847,12 @@ void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, const DecodedR
 // --- in-proxy metadata cache (proxy_cache) ---
 
 bool Uproxy::TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t name_fp) {
-  const LookupCache::Entry* e = lookup_cache_.Find(
-      req.fh.fileid(), name_fp, static_cast<uint64_t>(queue_.now()),
-      static_cast<uint64_t>(config_.proxy_cache_ttl));
+  const LookupCache::Entry* e = lookup_cache_.Find(req.fh.fileid(), name_fp);
   if (e == nullptr) {
     counters_.Add("cache_lookup_misses");
-    obs::Inc(m_lookup_misses_);
     return false;
   }
   counters_.Add("cache_lookup_hits");
-  obs::Inc(m_lookup_hits_);
   obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kDebug,
                 obs::EventCat::kCache, obs::EventCode::kCacheHit, /*trace_id=*/0,
                 "lookup",
@@ -867,7 +869,7 @@ bool Uproxy::TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t 
   }
   XdrEncoder reply = NewReplyEncoder();
   res.Encode(reply);
-  const SimTime ready = SendCachedReply(pkt.src(), req.xid, std::move(reply));
+  const SimTime ready = SendDirectReply(pkt.src(), req.xid, std::move(reply));
   AccountTenant(req.tenant, req.proc, 0, ready - queue_.now(), /*trace_id=*/0,
                 /*error=*/false);
   return true;
@@ -888,17 +890,10 @@ bool Uproxy::TryServeGetattr(const Packet& pkt, const DecodedView& req) {
   res.attributes = a->attr;
   XdrEncoder reply = NewReplyEncoder();
   res.Encode(reply);
-  const SimTime ready = SendCachedReply(pkt.src(), req.xid, std::move(reply));
+  const SimTime ready = SendDirectReply(pkt.src(), req.xid, std::move(reply));
   AccountTenant(req.tenant, req.proc, 0, ready - queue_.now(), /*trace_id=*/0,
                 /*error=*/false);
   return true;
-}
-
-SimTime Uproxy::SendCachedReply(Endpoint client, uint32_t xid, XdrEncoder&& result) {
-  Packet out = SealReply(client, xid, std::move(result));
-  const SimTime ready = ChargeCpu();
-  net_.DeliverLocalAt(client.addr, std::move(out), ready, owner_.id());
-  return ready;
 }
 
 void Uproxy::InvalidateOnNameOp(const DecodedView& req, ByteSpan payload) {
@@ -913,9 +908,7 @@ void Uproxy::InvalidateOnNameOp(const DecodedView& req, ByteSpan payload) {
       if (req.proc == NfsProc::kRemove || req.proc == NfsProc::kRmdir) {
         // The victim's attributes must not outlive its name: a later getattr
         // on the stale handle has to reach the authoritative server.
-        if (const LookupCache::Entry* e = lookup_cache_.Find(
-                req.fh.fileid(), fp, static_cast<uint64_t>(queue_.now()),
-                static_cast<uint64_t>(config_.proxy_cache_ttl));
+        if (const LookupCache::Entry* e = lookup_cache_.Find(req.fh.fileid(), fp);
             e != nullptr) {
           attr_cache_.Erase(e->fh.fileid());
         }
@@ -940,83 +933,7 @@ void Uproxy::FillLookupCache(const Packet& pkt, const Pending& pending) {
     return;
   }
   lookup_cache_.Insert(pending.fh.fileid(), pending.name_fp, view.fh, view.attr,
-                       dir_table_.SlotFor(pending.name_fp),
-                       static_cast<uint64_t>(queue_.now()));
-}
-
-// --- µproxy-originated calls ---
-
-void Uproxy::OwnWrite(Endpoint server, const FileHandle& fh, uint64_t offset, ByteSpan data,
-                      StableHow stable, std::function<void(Status, const WriteRes&)> cb) {
-  const WriteArgsView args{fh, offset, static_cast<uint32_t>(data.size()), stable, data};
-  own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kWrite),
-                 args, [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
-                   WriteRes res;
-                   if (st.ok()) {
-                     XdrDecoder dec(reply.body);
-                     Result<WriteRes> decoded = WriteRes::Decode(dec);
-                     if (decoded.ok()) {
-                       res = *decoded;
-                     } else {
-                       st = decoded.status();
-                     }
-                   }
-                   cb(st, res);
-                 });
-}
-
-void Uproxy::OwnCommit(Endpoint server, const FileHandle& fh,
-                       std::function<void(Status, const CommitRes&)> cb) {
-  own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kCommit),
-                 CommitArgs{fh, 0, 0},
-                 [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
-                   CommitRes res;
-                   if (st.ok()) {
-                     XdrDecoder dec(reply.body);
-                     Result<CommitRes> decoded = CommitRes::Decode(dec);
-                     if (decoded.ok()) {
-                       res = *decoded;
-                     } else {
-                       st = decoded.status();
-                     }
-                   }
-                   cb(st, res);
-                 });
-}
-
-void Uproxy::OwnSetattrSize(Endpoint server, const FileHandle& fh, uint64_t size,
-                            std::function<void(Status)> cb) {
-  SetattrArgs args;
-  args.object = fh;
-  args.new_attributes.size = size;
-  own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kSetattr),
-                 args, [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
-}
-
-void Uproxy::OwnRemoveObject(Endpoint server, const FileHandle& fh,
-                             std::function<void(Status)> cb) {
-  own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kRemove),
-                 DirOpArgs{fh, ""},
-                 [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
-}
-
-void Uproxy::OwnLookup(Endpoint server, const FileHandle& dir, const std::string& name,
-                       std::function<void(Status, const LookupRes&)> cb) {
-  own_rpc_->Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kLookup),
-                 DirOpArgs{dir, name},
-                 [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
-                   LookupRes res;
-                   if (st.ok()) {
-                     XdrDecoder dec(reply.body);
-                     Result<LookupRes> decoded = LookupRes::Decode(dec);
-                     if (decoded.ok()) {
-                       res = *decoded;
-                     } else {
-                       st = decoded.status();
-                     }
-                   }
-                   cb(st, res);
-                 });
+                       dir_table_.SlotFor(pending.name_fp));
 }
 
 // --- absorb paths ---
@@ -1027,27 +944,24 @@ Packet Uproxy::SealReply(Endpoint client, uint32_t xid, XdrEncoder&& result) {
   return Packet::MakeUdpFramed(config_.virtual_server, client, std::move(frame));
 }
 
+SimTime Uproxy::SendDirectReply(Endpoint client, uint32_t xid, XdrEncoder&& result) {
+  Packet out = SealReply(client, xid, std::move(result));
+  const SimTime ready = ChargeCpu();
+  net_.DeliverLocalAt(client.addr, std::move(out), ready, owner_.id());
+  return ready;
+}
+
 void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result) {
-  Packet pkt = SealReply(client, xid, std::move(result));
   // Absorbed operations (and synthesized errors) end here: the pending record
   // is still present — callers erase it after this — so the root can close at
-  // the moment the reply is handed to the client.
+  // the moment the reply is handed to the client, and the tenant carried on
+  // the record is accounted. The result body leads with nfsstat3.
   if (const Pending* p = pending_.Find(KeyOf(client.port, xid)); p != nullptr) {
-    const obs::TraceContext ctx{p->trace_id, p->root_span_id};
-    const SimTime ready = ChargeCpu(ctx);
-    FinishTrace(*p, ready);
-    // Absorbed operations complete here: account against the tenant carried
-    // on the pending record. The result body leads with nfsstat3.
-    const ByteSpan body = pkt.payload().subspan(kRpcReplyEnvelopeSize);
-    const bool error = body.size() >= 4 && GetU32(body.data()) != 0;
-    const uint32_t nbytes =
-        (p->proc == NfsProc::kRead || p->proc == NfsProc::kWrite) ? p->count : 0;
-    AccountTenant(p->tenant, p->proc, nbytes, ready - p->issued_at, p->trace_id, error);
-    net_.DeliverLocalAt(client.addr, std::move(pkt), ready, owner_.id());
+    DeliverReply(SealReply(client, xid, std::move(result)), *p, /*rpc_error=*/false,
+                 kRpcReplyEnvelopeSize);
     return;
   }
-  const SimTime ready = ChargeCpu();
-  net_.DeliverLocalAt(client.addr, std::move(pkt), ready, owner_.id());
+  SendDirectReply(client, xid, std::move(result));
 }
 
 void Uproxy::SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client,
@@ -1058,29 +972,7 @@ void Uproxy::SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client,
     AccountTenant(tenant, proc, 0, /*latency=*/0, /*trace_id=*/0, /*error=*/true);
   }
   XdrEncoder enc = NewReplyEncoder();
-  switch (proc) {
-    case NfsProc::kRead: {
-      ReadRes res;
-      res.status = status;
-      res.Encode(enc);
-      break;
-    }
-    case NfsProc::kWrite: {
-      WriteRes res;
-      res.status = status;
-      res.Encode(enc);
-      break;
-    }
-    case NfsProc::kCommit: {
-      CommitRes res;
-      res.status = status;
-      res.Encode(enc);
-      break;
-    }
-    default:
-      enc.PutEnum(static_cast<uint32_t>(status));
-      break;
-  }
+  EncodeNfsError(enc, proc, status);
   ReplyToClient(client, xid, std::move(enc));
 }
 
@@ -1286,9 +1178,8 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   const SimTime copy_now = queue_.now();
   const SimTime copy_start = std::max(cpu_.busy_until(), copy_now);
   const SimTime copy_done =
-      cpu_.Acquire(copy_now,
-                   static_cast<SimTime>(static_cast<double>(args.data.size()) *
-                                        (replication - 1) * config_.mirror_copy_ns_per_byte));
+      cpu_.Acquire(copy_now, static_cast<SimTime>(static_cast<double>(args.data.size()) *
+                                                  (replication - 1) * kMirrorCopyNsPerByte));
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kQueue, copy_start - copy_now);
   obs::ChargeSim(prof_ledger_, obs::LedgerCat::kCpu, copy_done - copy_start);
   if (tracer_ != nullptr && ctx.valid() && copy_done > copy_start) {
@@ -1368,16 +1259,15 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                  }
                }
                for (uint32_t node : live_nodes) {
-                 OwnWrite(config_.storage_nodes[node], args.file, args.offset, args.data,
-                          args.stable,
-                          [results, failures, finish](Status st, const WriteRes& res) {
-                            if (!st.ok() || res.status != Nfsstat3::kOk) {
-                              ++*failures;
-                            } else {
-                              results->push_back(res);
-                            }
-                            finish();
-                          });
+                 CallNfs<WriteRes>(*own_rpc_, config_.storage_nodes[node], NfsProc::kWrite, args,
+                                   [results, failures, finish](Status st, const WriteRes& res) {
+                                     if (!st.ok() || res.status != Nfsstat3::kOk) {
+                                       ++*failures;
+                                     } else {
+                                       results->push_back(res);
+                                     }
+                                     finish();
+                                   });
                }
              });
 }
@@ -1433,40 +1323,40 @@ void Uproxy::AbsorbMultiCommit(const DecodedView& req, Endpoint client) {
         auto failures = std::make_shared<int>(0);
         auto remaining = std::make_shared<size_t>(targets.size());
         for (const Endpoint& target : targets) {
-          OwnCommit(target, req.fh,
-                    [this, verf, failures, remaining, client, req,
-                     complete](Status st, const CommitRes& res) {
-                      if (!st.ok() || res.status != Nfsstat3::kOk) {
-                        ++*failures;
-                      } else {
-                        *verf = MixU64(*verf ^ res.verf);
-                      }
-                      if (--*remaining > 0) {
-                        return;
-                      }
-                      complete();
-                      if (*failures > 0) {
-                        counters_.Add("commit_failures");
-                        pending_.Erase(KeyOf(client.port, req.xid));
-                        return;
-                      }
-                      CommitRes merged;
-                      merged.verf = *verf;
-                      if (const AttrCache::Entry* e = attr_cache_.Find(req.fh.fileid());
-                          e != nullptr) {
-                        merged.wcc.after = e->attr;
-                      }
-                      XdrEncoder reply = NewReplyEncoder();
-                      merged.Encode(reply);
-                      ReplyToClient(client, req.xid, std::move(reply));
-                      pending_.Erase(KeyOf(client.port, req.xid));
-                    });
+          CallNfs<CommitRes>(
+              *own_rpc_, target, NfsProc::kCommit, CommitArgs{req.fh, 0, 0},
+              [this, verf, failures, remaining, client, req, complete](Status st,
+                                                                       const CommitRes& res) {
+                if (!st.ok() || res.status != Nfsstat3::kOk) {
+                  ++*failures;
+                } else {
+                  *verf = MixU64(*verf ^ res.verf);
+                }
+                if (--*remaining > 0) {
+                  return;
+                }
+                complete();
+                if (*failures > 0) {
+                  counters_.Add("commit_failures");
+                  pending_.Erase(KeyOf(client.port, req.xid));
+                  return;
+                }
+                CommitRes merged;
+                merged.verf = *verf;
+                if (const AttrCache::Entry* e = attr_cache_.Find(req.fh.fileid()); e != nullptr) {
+                  merged.wcc.after = e->attr;
+                }
+                XdrEncoder reply = NewReplyEncoder();
+                merged.Encode(reply);
+                ReplyToClient(client, req.xid, std::move(reply));
+                pending_.Erase(KeyOf(client.port, req.xid));
+              });
         }
       });
 }
 
-void Uproxy::ScheduleDataRemove(const FileHandle& fh) {
-  counters_.Add("data_removes");
+void Uproxy::ScheduleDataUpdate(IntentOp op, const FileHandle& fh, uint64_t size) {
+  counters_.Add(op == IntentOp::kRemove ? "data_removes" : "data_truncates");
   std::vector<Endpoint> targets;
   for (uint32_t i = 0; i < config_.storage_nodes.size(); ++i) {
     if (StorageAlive(i)) {
@@ -1479,44 +1369,28 @@ void Uproxy::ScheduleDataRemove(const FileHandle& fh) {
   if (targets.empty()) {
     return;
   }
-  WithIntent(IntentOp::kRemove, fh, 0,
-             [this, fh, targets](std::function<void()> complete) {
-               auto remaining = std::make_shared<size_t>(targets.size());
-               for (const Endpoint& target : targets) {
-                 OwnRemoveObject(target, fh, [remaining, complete](Status) {
-                   if (--*remaining == 0) {
-                     complete();
-                   }
-                 });
-               }
-             });
-}
-
-void Uproxy::ScheduleDataTruncate(const FileHandle& fh, uint64_t size) {
-  counters_.Add("data_truncates");
-  std::vector<Endpoint> targets;
-  for (uint32_t i = 0; i < config_.storage_nodes.size(); ++i) {
-    if (StorageAlive(i)) {
-      targets.push_back(config_.storage_nodes[i]);
+  WithIntent(op, fh, size, [this, op, fh, size, targets](std::function<void()> complete) {
+    auto remaining = std::make_shared<size_t>(targets.size());
+    for (const Endpoint& target : targets) {
+      // Built per target: a shared callback copied into each call would
+      // allocate once more per fan-out.
+      auto done = [remaining, complete](Status, const auto&) {
+        if (--*remaining == 0) {
+          complete();
+        }
+      };
+      if (op == IntentOp::kRemove) {
+        // A data server removes the object named by the handle alone.
+        CallNfs<RemoveRes>(*own_rpc_, target, NfsProc::kRemove, DirOpArgs{fh, ""},
+                           std::move(done));
+      } else {
+        SetattrArgs args;
+        args.object = fh;
+        args.new_attributes.size = size;
+        CallNfs<SetattrRes>(*own_rpc_, target, NfsProc::kSetattr, args, std::move(done));
+      }
     }
-  }
-  if (!config_.small_file_servers.empty()) {
-    targets.push_back(sfs_table_.Lookup(MixU64(fh.fileid())));
-  }
-  if (targets.empty()) {
-    return;
-  }
-  WithIntent(IntentOp::kTruncate, fh, size,
-             [this, fh, size, targets](std::function<void()> complete) {
-               auto remaining = std::make_shared<size_t>(targets.size());
-               for (const Endpoint& target : targets) {
-                 OwnSetattrSize(target, fh, size, [remaining, complete](Status) {
-                   if (--*remaining == 0) {
-                     complete();
-                   }
-                 });
-               }
-             });
+  });
 }
 
 // --- attribute writeback ---
@@ -1540,8 +1414,8 @@ void Uproxy::WritebackAttrs(uint64_t fileid, const Fattr3& attr) {
   // Optimistically mark clean at issue so concurrent flush triggers do not
   // duplicate the setattr; a lost writeback re-dirties on the next write.
   attr_cache_.MarkClean(fileid);
-  own_rpc_->Call(target, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kSetattr),
-                 args, [](Status, const RpcMessageView&) {});
+  CallNfs<SetattrRes>(*own_rpc_, target, NfsProc::kSetattr, args,
+                      [](Status, const SetattrRes&) {});
 }
 
 void Uproxy::FlushDirtyAttrs() {

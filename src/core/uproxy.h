@@ -55,8 +55,6 @@ struct UproxyConfig {
   uint32_t stripe_unit = 32768;              // bulk striping unit
   bool use_block_maps = false;               // dynamic placement via coordinator
 
-  size_t logical_name_slots = 64;
-  size_t attr_cache_entries = 65536;
   SimTime attr_writeback_interval = FromSeconds(1);
 
   // Fleet routing (PR 7): rendezvous (HRW) hashing for storage striping and
@@ -67,22 +65,16 @@ struct UproxyConfig {
   // from the interposition point; entries are invalidated per logical name
   // slot when an epoch-stamped table push rebinds their slot.
   bool proxy_cache = false;
-  size_t lookup_cache_entries = 4096;
-  SimTime proxy_cache_ttl = 0;  // 0 = entries live until invalidated
   double per_packet_cpu_us = 10.0;  // client-side interposition cost
-  // Per-byte CPU cost of duplicating a mirrored write's payload for each
-  // extra replica ("the client host writes to both mirrors", §5).
-  double mirror_copy_ns_per_byte = 8.0;
 
   // Ensemble control plane (src/mgmt) integration. When enabled the µproxy
   // accepts epoch-stamped table pushes and misdirect notices on
-  // `control_port`, fetches fresh tables from `manager` on stale-epoch or
+  // kMgmtClientPort, fetches fresh tables from `manager` on stale-epoch or
   // repeated-retransmission suspicion, routes around storage/SFS nodes the
   // manager has declared dead, and reports degraded mirrored writes to the
   // coordinator for later resync.
   bool mgmt_enabled = false;
   Endpoint manager;
-  NetPort control_port = kMgmtClientPort;
   // Retransmission policy for µproxy-originated calls. The ensemble tightens
   // this when mgmt is on so fan-outs to a just-died node fail well inside the
   // client's own retransmission budget.
@@ -99,11 +91,11 @@ class Uproxy : public PacketTap {
   // intercept to reply delivery, and the context is attached to every
   // forwarded packet. Routing decisions, misdirect-driven reloads, table
   // installs and soft-state drops are logged with the request's trace id.
-  // Route-mix and soft-state counters are provider-backed over the
-  // OpCounters the µproxy already keeps; only the per-request CPU histogram
-  // and the cache hit/miss counters touch the hot path. The profiler gets
-  // per-stage wall scopes plus cpu/queue ledger charges at the interposition
-  // CPU, through a ledger pointer cached here.
+  // Route-mix, soft-state and proxy-cache counters are provider-backed over
+  // the OpCounters the µproxy already keeps; only the per-request CPU
+  // histogram and the attribute-cache hit/miss counters touch the hot path.
+  // The profiler gets per-stage wall scopes plus cpu/queue ledger charges at
+  // the interposition CPU, through a ledger pointer cached here.
   Uproxy(Network& net, EventQueue& queue, Host& client_host, UproxyConfig config,
          const obs::Sinks& sinks = {});
   ~Uproxy() override;
@@ -218,9 +210,9 @@ class Uproxy : public PacketTap {
   NfsTime Now() const;
   // What the µproxy-originated RpcClient sees of the pillars.
   obs::Sinks OwnRpcSinks() const { return obs::Sinks{.tracer = tracer_, .eventlog = eventlog_}; }
-  SimTime ChargeCpu();
-  // Traced variant: records queue + cpu spans for the charge under `ctx`.
-  SimTime ChargeCpu(const obs::TraceContext& ctx);
+  // Charges one packet's interposition CPU and returns its done instant;
+  // with a valid `ctx` it also records the queue + cpu spans under it.
+  SimTime ChargeCpu(const obs::TraceContext& ctx = {});
 
   // Trace bookkeeping: mints (or re-uses, on client retransmission) the
   // trace root for `pending`, recording a `route` marker on first sight.
@@ -236,16 +228,29 @@ class Uproxy : public PacketTap {
   // Absorb paths (the µproxy acts as a client toward the ensemble).
   void AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan payload);
   void AbsorbMultiCommit(const DecodedView& req, Endpoint client);
-  // Background fan-outs triggered by observed name-space operations.
-  void ScheduleDataRemove(const FileHandle& fh);
-  void ScheduleDataTruncate(const FileHandle& fh, uint64_t size);
+  // Background fan-out triggered by an observed remove (op kRemove) or
+  // truncate (op kTruncate to `size`): under a coordinator intent, every
+  // live data server drops the file's data, or its data past `size`.
+  void ScheduleDataUpdate(IntentOp op, const FileHandle& fh, uint64_t size);
+
+  // How a reply for a pending request reaches the client: charges the CPU,
+  // closes the trace root, accounts the tenant (an error is `rpc_error` or a
+  // nonzero nfsstat3 at payload offset `body_offset`) and delivers `pkt` at
+  // the CPU-done instant. Forwarded replies and absorbed operations both end
+  // here.
+  void DeliverReply(Packet&& pkt, const Pending& pending, bool rpc_error, size_t body_offset);
 
   // Synthesized replies. `result` is an encoder from NewReplyEncoder holding
   // the NFS result body; SealReply fills the envelope in place and turns the
   // frame into the packet from the virtual server.
   Packet SealReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
-  // Sends a synthesized NFS reply to the local client.
+  // Sends a synthesized NFS reply to the local client, through DeliverReply
+  // when the request has a pending record.
   void ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result);
+  // Delivers the sealed `result` to the local client for a request with no
+  // pending record (a cache hit, a fail-fast rejection); returns the
+  // CPU-done delivery instant (cache-hit latency for QoS accounting).
+  SimTime SendDirectReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Synthesizes a proc-appropriate error reply (dead-server fail-fast path).
   // `tenant` attributes the failure when no pending record exists to carry it.
   void SynthesizeErrorReply(NfsProc proc, uint32_t xid, Endpoint client, Nfsstat3 status,
@@ -269,9 +274,6 @@ class Uproxy : public PacketTap {
   // Each returns true when the request was answered from the cache.
   bool TryServeLookup(const Packet& pkt, const DecodedView& req, uint64_t name_fp);
   bool TryServeGetattr(const Packet& pkt, const DecodedView& req);
-  // Delivers the sealed `result` to the local client; returns the CPU-done
-  // delivery instant (cache-hit latency for QoS accounting).
-  SimTime SendCachedReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Conservative request-time invalidation for name-mutating operations.
   void InvalidateOnNameOp(const DecodedView& req, ByteSpan payload);
   // Reply-side cache fill from a successful LOOKUP.
@@ -295,17 +297,6 @@ class Uproxy : public PacketTap {
   void WithIntent(IntentOp op, const FileHandle& fh, uint64_t arg,
                   std::function<void(std::function<void()> complete)> body);
 
-  // Typed µproxy-originated NFS calls.
-  void OwnWrite(Endpoint server, const FileHandle& fh, uint64_t offset, ByteSpan data,
-                StableHow stable, std::function<void(Status, const WriteRes&)> cb);
-  void OwnCommit(Endpoint server, const FileHandle& fh,
-                 std::function<void(Status, const CommitRes&)> cb);
-  void OwnSetattrSize(Endpoint server, const FileHandle& fh, uint64_t size,
-                      std::function<void(Status)> cb);
-  void OwnRemoveObject(Endpoint server, const FileHandle& fh, std::function<void(Status)> cb);
-  void OwnLookup(Endpoint server, const FileHandle& dir, const std::string& name,
-                 std::function<void(Status, const LookupRes&)> cb);
-
   Network& net_;
   EventQueue& queue_;
   Host& client_host_;
@@ -322,8 +313,6 @@ class Uproxy : public PacketTap {
   obs::Histogram* m_cpu_ = nullptr;
   obs::Counter* m_attr_hits_ = nullptr;
   obs::Counter* m_attr_misses_ = nullptr;
-  obs::Counter* m_lookup_hits_ = nullptr;
-  obs::Counter* m_lookup_misses_ = nullptr;
   // Tenant instrument LUT (hub-owned, stable storage; index j = tenant j+1).
   obs::TenantInstruments* tenant_data_ = nullptr;
   uint32_t tenant_count_ = 0;

@@ -872,88 +872,9 @@ void DirServer::HandleFsinfo(const GetattrArgs& args, XdrEncoder& reply, Service
   res.Encode(reply);
 }
 
-namespace {
-
-// Encodes a minimal valid error body for any procedure (used while a server
-// is recovering or when arguments fail to decode at the NFS layer).
-void EncodeErrorFor(NfsProc proc, Nfsstat3 status, XdrEncoder& reply) {
-  switch (proc) {
-    case NfsProc::kGetattr: {
-      GetattrRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kSetattr: {
-      SetattrRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kLookup: {
-      LookupRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kAccess: {
-      AccessRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kReadlink: {
-      ReadlinkRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kCreate:
-    case NfsProc::kMkdir:
-    case NfsProc::kSymlink: {
-      CreateRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kRemove:
-    case NfsProc::kRmdir: {
-      RemoveRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kRename: {
-      RenameRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kLink: {
-      LinkRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    case NfsProc::kReaddir:
-    case NfsProc::kReaddirplus: {
-      ReaddirRes res;
-      res.status = status;
-      res.Encode(reply);
-      return;
-    }
-    default: {
-      reply.PutEnum(static_cast<uint32_t>(status));
-      return;
-    }
-  }
-}
-
-}  // namespace
-
 void DirServer::MisdirectReply(NfsProc proc, XdrEncoder& reply) {
   ++misdirects_answered_;
-  EncodeErrorFor(proc, Nfsstat3::kErrJukebox, reply);
+  EncodeNfsError(reply, proc, Nfsstat3::kErrJukebox);
   // Lazy table distribution: tell the client's µproxy its table is stale so
   // it fetches the current epoch from the manager (once per client+epoch).
   if (current_client_.addr != 0 &&
@@ -1035,7 +956,7 @@ RpcAcceptStat DirServer::HandleCall(const RpcMessageView& call, XdrEncoder& repl
   }
 
   if (recovering_ || adopting_ > 0) {
-    EncodeErrorFor(proc, Nfsstat3::kErrJukebox, reply);
+    EncodeNfsError(reply, proc, Nfsstat3::kErrJukebox);
     return RpcAcceptStat::kSuccess;
   }
 

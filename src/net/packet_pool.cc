@@ -1,5 +1,7 @@
 #include "src/net/packet_pool.h"
 
+#include <algorithm>
+
 namespace slice {
 
 Bytes PacketPool::Acquire(size_t size) {
@@ -17,9 +19,9 @@ Bytes PacketPool::Acquire(size_t size) {
     // a fresh allocation and let the undersized buffer die here.
   }
   Bytes buf;
-  // 64 bytes of slack keeps AttachTrace realloc-free even on jumbo datagrams
+  // The tail slack keeps AttachTrace realloc-free even on jumbo datagrams
   // that exceed the pooled capacity.
-  buf.reserve(size + 64 > kBufferCapacity ? size + 64 : kBufferCapacity);
+  buf.reserve(std::max(size + kPacketTailSlack, kBufferCapacity));
   buf.resize(size);
   return buf;
 }

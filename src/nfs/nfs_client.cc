@@ -6,90 +6,54 @@ NfsClient::NfsClient(Host& host, EventQueue& queue, Endpoint server, RpcClientPa
                      const obs::Sinks& sinks)
     : rpc_(host, queue, rpc_params, sinks), server_(server) {}
 
-template <typename Res, typename Args>
-void NfsClient::CallTyped(NfsProc proc, const Args& args, Callback<Res> cb) {
-  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
-            [cb = std::move(cb)](Status st, const RpcMessageView& reply) {
-              if (!st.ok()) {
-                cb(st, Res{});
-                return;
-              }
-              XdrDecoder dec(reply.body);
-              Result<Res> res = Res::Decode(dec);
-              if (!res.ok()) {
-                cb(res.status(), Res{});
-                return;
-              }
-              cb(OkStatus(), *res);
-            });
-}
-
-template <typename Res>
-void NfsClient::CallReaddir(NfsProc proc, const ReaddirArgs& args, Callback<Res> cb) {
-  rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
-            [cb = std::move(cb), plus = args.plus](Status st, const RpcMessageView& reply) {
-              if (!st.ok()) {
-                cb(st, Res{});
-                return;
-              }
-              XdrDecoder dec(reply.body);
-              Result<Res> res = Res::Decode(dec, plus);
-              if (!res.ok()) {
-                cb(res.status(), Res{});
-                return;
-              }
-              cb(OkStatus(), *res);
-            });
-}
-
 void NfsClient::Null(std::function<void(Status)> cb) {
   rpc_.Call(server_, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kNull),
             ByteSpan{}, [cb = std::move(cb)](Status st, const RpcMessageView&) { cb(st); });
 }
 
 void NfsClient::Getattr(const FileHandle& object, Callback<GetattrRes> cb) {
-  CallTyped(NfsProc::kGetattr, GetattrArgs{object}, std::move(cb));
+  CallNfs<GetattrRes>(rpc_, server_, NfsProc::kGetattr, GetattrArgs{object}, std::move(cb));
 }
 
 void NfsClient::Setattr(const SetattrArgs& args, Callback<SetattrRes> cb) {
-  CallTyped(NfsProc::kSetattr, args, std::move(cb));
+  CallNfs<SetattrRes>(rpc_, server_, NfsProc::kSetattr, args, std::move(cb));
 }
 
 void NfsClient::Lookup(const FileHandle& dir, const std::string& name, Callback<LookupRes> cb) {
-  CallTyped(NfsProc::kLookup, DirOpArgs{dir, name}, std::move(cb));
+  CallNfs<LookupRes>(rpc_, server_, NfsProc::kLookup, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Access(const FileHandle& object, uint32_t access, Callback<AccessRes> cb) {
-  CallTyped(NfsProc::kAccess, AccessArgs{object, access}, std::move(cb));
+  CallNfs<AccessRes>(rpc_, server_, NfsProc::kAccess, AccessArgs{object, access}, std::move(cb));
 }
 
 void NfsClient::Readlink(const FileHandle& link, Callback<ReadlinkRes> cb) {
-  CallTyped(NfsProc::kReadlink, GetattrArgs{link}, std::move(cb));
+  CallNfs<ReadlinkRes>(rpc_, server_, NfsProc::kReadlink, GetattrArgs{link}, std::move(cb));
 }
 
 void NfsClient::Read(const FileHandle& file, uint64_t offset, uint32_t count,
                      Callback<ReadResView> cb) {
-  CallTyped(NfsProc::kRead, ReadArgs{file, offset, count}, std::move(cb));
+  CallNfs<ReadResView>(rpc_, server_, NfsProc::kRead, ReadArgs{file, offset, count}, std::move(cb));
 }
 
 void NfsClient::Write(const FileHandle& file, uint64_t offset, ByteSpan data, StableHow stable,
                       Callback<WriteRes> cb) {
   const WriteArgsView args{file, offset, static_cast<uint32_t>(data.size()), stable, data};
-  CallTyped(NfsProc::kWrite, args, std::move(cb));
+  CallNfs<WriteRes>(rpc_, server_, NfsProc::kWrite, args, std::move(cb));
 }
 
 void NfsClient::Create(const FileHandle& dir, const std::string& name, Callback<CreateRes> cb) {
   CreateArgs args;
   args.dir = dir;
   args.name = name;
-  CallTyped(NfsProc::kCreate, args, std::move(cb));
+  CallNfs<CreateRes>(rpc_, server_, NfsProc::kCreate, args, std::move(cb));
 }
 
 void NfsClient::Mkdir(const FileHandle& dir, const std::string& name, Callback<CreateRes> cb) {
   MkdirArgs args;
   args.dir = dir;
   args.name = name;
-  CallTyped(NfsProc::kMkdir, args, std::move(cb));
+  CallNfs<CreateRes>(rpc_, server_, NfsProc::kMkdir, args, std::move(cb));
 }
 
 void NfsClient::Symlink(const FileHandle& dir, const std::string& name,
@@ -98,26 +62,27 @@ void NfsClient::Symlink(const FileHandle& dir, const std::string& name,
   args.dir = dir;
   args.name = name;
   args.target = target;
-  CallTyped(NfsProc::kSymlink, args, std::move(cb));
+  CallNfs<CreateRes>(rpc_, server_, NfsProc::kSymlink, args, std::move(cb));
 }
 
 void NfsClient::Remove(const FileHandle& dir, const std::string& name, Callback<RemoveRes> cb) {
-  CallTyped(NfsProc::kRemove, DirOpArgs{dir, name}, std::move(cb));
+  CallNfs<RemoveRes>(rpc_, server_, NfsProc::kRemove, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Rmdir(const FileHandle& dir, const std::string& name, Callback<RemoveRes> cb) {
-  CallTyped(NfsProc::kRmdir, DirOpArgs{dir, name}, std::move(cb));
+  CallNfs<RemoveRes>(rpc_, server_, NfsProc::kRmdir, DirOpArgs{dir, name}, std::move(cb));
 }
 
 void NfsClient::Rename(const FileHandle& from_dir, const std::string& from_name,
                        const FileHandle& to_dir, const std::string& to_name,
                        Callback<RenameRes> cb) {
-  CallTyped(NfsProc::kRename, RenameArgs{from_dir, from_name, to_dir, to_name}, std::move(cb));
+  CallNfs<RenameRes>(rpc_, server_, NfsProc::kRename,
+                     RenameArgs{from_dir, from_name, to_dir, to_name}, std::move(cb));
 }
 
 void NfsClient::Link(const FileHandle& file, const FileHandle& dir, const std::string& name,
                      Callback<LinkRes> cb) {
-  CallTyped(NfsProc::kLink, LinkArgs{file, dir, name}, std::move(cb));
+  CallNfs<LinkRes>(rpc_, server_, NfsProc::kLink, LinkArgs{file, dir, name}, std::move(cb));
 }
 
 void NfsClient::Readdir(const FileHandle& dir, uint64_t cookie, uint32_t count,
@@ -126,7 +91,7 @@ void NfsClient::Readdir(const FileHandle& dir, uint64_t cookie, uint32_t count,
   args.dir = dir;
   args.cookie = cookie;
   args.count = count;
-  CallReaddir(NfsProc::kReaddir, args, std::move(cb));
+  CallNfs<ReaddirRes>(rpc_, server_, NfsProc::kReaddir, args, std::move(cb));
 }
 
 void NfsClient::Readdirplus(const FileHandle& dir, uint64_t cookie, uint32_t count,
@@ -136,20 +101,21 @@ void NfsClient::Readdirplus(const FileHandle& dir, uint64_t cookie, uint32_t cou
   args.cookie = cookie;
   args.count = count;
   args.plus = true;
-  CallReaddir(NfsProc::kReaddirplus, args, std::move(cb));
+  CallNfs<ReaddirRes>(rpc_, server_, NfsProc::kReaddirplus, args, std::move(cb));
 }
 
 void NfsClient::Fsstat(const FileHandle& root, Callback<FsstatRes> cb) {
-  CallTyped(NfsProc::kFsstat, GetattrArgs{root}, std::move(cb));
+  CallNfs<FsstatRes>(rpc_, server_, NfsProc::kFsstat, GetattrArgs{root}, std::move(cb));
 }
 
 void NfsClient::Fsinfo(const FileHandle& root, Callback<FsinfoRes> cb) {
-  CallTyped(NfsProc::kFsinfo, GetattrArgs{root}, std::move(cb));
+  CallNfs<FsinfoRes>(rpc_, server_, NfsProc::kFsinfo, GetattrArgs{root}, std::move(cb));
 }
 
 void NfsClient::Commit(const FileHandle& file, uint64_t offset, uint32_t count,
                        Callback<CommitRes> cb) {
-  CallTyped(NfsProc::kCommit, CommitArgs{file, offset, count}, std::move(cb));
+  CallNfs<CommitRes>(rpc_, server_, NfsProc::kCommit, CommitArgs{file, offset, count},
+                     std::move(cb));
 }
 
 // --- SyncNfsClient ---

@@ -779,4 +779,56 @@ Result<CommitRes> CommitRes::Decode(XdrDecoder& dec) {
   return res;
 }
 
+namespace {
+
+template <typename Res>
+void EncodeFailure(XdrEncoder& enc, Nfsstat3 status) {
+  Res res;
+  res.status = status;
+  res.Encode(enc);
+}
+
+}  // namespace
+
+void EncodeNfsError(XdrEncoder& enc, NfsProc proc, Nfsstat3 status) {
+  switch (proc) {
+    case NfsProc::kGetattr:
+      return EncodeFailure<GetattrRes>(enc, status);
+    case NfsProc::kSetattr:
+      return EncodeFailure<SetattrRes>(enc, status);
+    case NfsProc::kLookup:
+      return EncodeFailure<LookupRes>(enc, status);
+    case NfsProc::kAccess:
+      return EncodeFailure<AccessRes>(enc, status);
+    case NfsProc::kReadlink:
+      return EncodeFailure<ReadlinkRes>(enc, status);
+    case NfsProc::kRead:
+      return EncodeFailure<ReadRes>(enc, status);
+    case NfsProc::kWrite:
+      return EncodeFailure<WriteRes>(enc, status);
+    case NfsProc::kCreate:
+    case NfsProc::kMkdir:
+    case NfsProc::kSymlink:
+      return EncodeFailure<CreateRes>(enc, status);
+    case NfsProc::kRemove:
+    case NfsProc::kRmdir:
+      return EncodeFailure<RemoveRes>(enc, status);
+    case NfsProc::kRename:
+      return EncodeFailure<RenameRes>(enc, status);
+    case NfsProc::kLink:
+      return EncodeFailure<LinkRes>(enc, status);
+    case NfsProc::kReaddir:
+    case NfsProc::kReaddirplus:
+      return EncodeFailure<ReaddirRes>(enc, status);
+    case NfsProc::kFsstat:
+      return EncodeFailure<FsstatRes>(enc, status);
+    case NfsProc::kFsinfo:
+      return EncodeFailure<FsinfoRes>(enc, status);
+    case NfsProc::kCommit:
+      return EncodeFailure<CommitRes>(enc, status);
+    default:
+      return enc.PutEnum(static_cast<uint32_t>(status));
+  }
+}
+
 }  // namespace slice

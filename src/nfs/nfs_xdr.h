@@ -320,6 +320,21 @@ struct CommitRes {
   static Result<CommitRes> Decode(XdrDecoder& dec);
 };
 
+// Encodes the RFC 1813 failure arm of `proc`'s result: `status` followed by
+// the arm's attribute fields, all absent. Every server, and the µproxy when
+// it fails a request fast, answers errors through this, so each body decodes
+// through its procedure's result struct. A procedure without a result struct
+// (NULL, MKNOD, PATHCONF) gets the bare status.
+void EncodeNfsError(XdrEncoder& enc, NfsProc proc, Nfsstat3 status);
+
+// The same failure body as a result value, for reply paths that take one
+// (RpcServerNode's ReplyFn).
+struct NfsErrorRes {
+  NfsProc proc = NfsProc::kNull;
+  Nfsstat3 status = Nfsstat3::kOk;
+  void Encode(XdrEncoder& enc) const { EncodeNfsError(enc, proc, status); }
+};
+
 }  // namespace slice
 
 #endif  // SLICE_NFS_NFS_XDR_H_

@@ -185,18 +185,25 @@ class RpcServerNode {
   uint64_t* prof_ledger() const { return prof_ledger_; }
 
   // Completion token for asynchronous dispatch: subclasses invoke it exactly
-  // once with the accept stat, encoded result body, and accumulated cost. A
+  // once with the accept stat, the result and the accumulated cost. A
   // concrete copyable value (node pointer + call identity) rather than a
   // std::function — moving it through async continuation chains (the
-  // small-file server's backing fetches) never allocates. The result is
-  // copied once, into the reply frame.
+  // small-file server's backing fetches) never allocates. The result is any
+  // value with `Encode(XdrEncoder&)`, as RpcClient::Call takes its args, and
+  // is encoded straight into the reply frame.
   class ReplyFn {
    public:
     ReplyFn() = default;
-    void operator()(RpcAcceptStat stat, ByteSpan result, const ServiceCost& cost) {
+    template <typename Res>
+      requires requires(const Res& r, XdrEncoder& enc) { r.Encode(enc); }
+    void operator()(RpcAcceptStat stat, const Res& result, const ServiceCost& cost) {
       XdrEncoder reply = NewReplyEncoder();
-      reply.PutOpaqueFixed(result);
+      result.Encode(reply);
       node_->SendReply(key_, client_, trace_, stat, reply.Take(), cost);
+    }
+    // A rejection (a non-success accept stat) carries no result body.
+    void operator()(RpcAcceptStat stat) {
+      node_->SendReply(key_, client_, trace_, stat, NewReplyEncoder().Take(), ServiceCost{});
     }
 
    private:

@@ -15,6 +15,10 @@ constexpr uint32_t kMapRecordSize = 64;
 
 enum class SfsLogOp : uint32_t { kUpsertMap = 1, kRemoveMap = 2 };
 
+// Lazy write-back cadence for dirty pages not covered by a commit (map
+// descriptor pages, unstable stragglers) — the kernel syncer's job.
+const SimTime kSyncerInterval = FromSeconds(1);
+
 uint64_t MapSlotFor(uint64_t fileid) {
   // Dense per minting site, preserving creation-order locality so records
   // for files created together share map pages (paper §4.4).
@@ -75,7 +79,7 @@ void SmallFileServer::ArmSyncer() {
       ArmSyncer();
     }
   };
-  queue().ScheduleAfter(params_.syncer_interval, sync, owner_.id());
+  queue().ScheduleAfter(kSyncerInterval, sync, owner_.id());
 }
 
 uint64_t SmallFileServer::LocalSize(uint64_t fileid) const {
@@ -84,9 +88,6 @@ uint64_t SmallFileServer::LocalSize(uint64_t fileid) const {
 }
 
 bool SmallFileServer::CheckHandle(const FileHandle& fh) const {
-  if (!params_.check_capability) {
-    return true;
-  }
   return fh.VerifyCapability(params_.volume_secret);
 }
 
@@ -382,15 +383,11 @@ void SmallFileServer::OnRestart() {
                });
 }
 
-void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
+void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
   ServiceCost cost;
   cost.AddCpu(FromMicros(params_.op_cpu_us));
   if (!CheckHandle(args.file)) {
-    ReadRes res;
-    res.status = Nfsstat3::kErrBadhandle;
-    XdrEncoder enc;
-    res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
+    done(RpcAcceptStat::kSuccess, NfsErrorRes{NfsProc::kRead, Nfsstat3::kErrBadhandle}, cost);
     return;
   }
   const uint64_t fileid = args.file.fileid();
@@ -420,8 +417,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
   const FileHandle fh = args.file;
   const uint64_t offset = args.offset;
   const uint32_t count = args.count;
-  EnsureResident(std::move(need), [this, fh, fileid, offset, count, cost, size,
-                                   done = std::move(done)]() mutable {
+  EnsureResident(std::move(need), [this, fh, fileid, offset, count, cost, size, done]() mutable {
     ReadRes res;
     const auto it = maps_.find(fileid);
     if (it == maps_.end() || offset >= size) {
@@ -451,23 +447,17 @@ void SmallFileServer::DoRead(const ReadArgs& args, Done done) {
     }
     res.file_attributes = MakeAttr(fh);
     cost.AddCpu(static_cast<SimTime>(static_cast<double>(res.count) * params_.cpu_ns_per_byte));
-    XdrEncoder enc;
-    res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
+    done(RpcAcceptStat::kSuccess, res, cost);
   });
 }
 
-void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
+void SmallFileServer::DoWrite(WriteArgs args, ReplyFn done) {
   ServiceCost cost;
   cost.AddCpu(FromMicros(params_.op_cpu_us) +
               static_cast<SimTime>(static_cast<double>(args.data.size()) *
                                    params_.cpu_ns_per_byte));
   if (!CheckHandle(args.file)) {
-    WriteRes res;
-    res.status = Nfsstat3::kErrBadhandle;
-    XdrEncoder enc;
-    res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
+    done(RpcAcceptStat::kSuccess, NfsErrorRes{NfsProc::kWrite, Nfsstat3::kErrBadhandle}, cost);
     return;
   }
   const uint64_t fileid = args.file.fileid();
@@ -486,7 +476,7 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
     }
   }
 
-  EnsureResident(std::move(need), [this, args, cost, done = std::move(done)]() mutable {
+  EnsureResident(std::move(need), [this, args = std::move(args), cost, done]() mutable {
     const uint64_t file_id = args.file.fileid();
     MapRecord& map = maps_[file_id];
     size_t consumed = 0;
@@ -519,15 +509,14 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
     map.size = std::max(map.size, args.offset + args.data.size());
     LogMapRecord(file_id);
 
-    auto reply = [this, args, cost, done = std::move(done)](StableHow committed) mutable {
+    auto reply = [this, fh = args.file, count = static_cast<uint32_t>(args.data.size()), cost,
+                  done](StableHow committed) mutable {
       WriteRes res;
-      res.count = static_cast<uint32_t>(args.data.size());
+      res.count = count;
       res.committed = committed;
       res.verf = 0x5f5eull << 32 | params_.server_index;
-      res.wcc.after = MakeAttr(args.file);
-      XdrEncoder enc;
-      res.Encode(enc);
-      done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
+      res.wcc.after = MakeAttr(fh);
+      done(RpcAcceptStat::kSuccess, res, cost);
     };
     if (args.stable != StableHow::kUnstable) {
       FlushFile(file_id, [reply = std::move(reply)]() mutable { reply(StableHow::kFileSync); });
@@ -537,20 +526,18 @@ void SmallFileServer::DoWrite(const WriteArgs& args, Done done) {
   });
 }
 
-void SmallFileServer::DoCommit(const CommitArgs& args, Done done) {
+void SmallFileServer::DoCommit(const CommitArgs& args, ReplyFn done) {
   ServiceCost cost;
   cost.AddCpu(FromMicros(params_.op_cpu_us));
   const FileHandle fh = args.file;
-  FlushFile(fh.fileid(), [this, fh, cost, done = std::move(done)]() mutable {
+  FlushFile(fh.fileid(), [this, fh, cost, done]() mutable {
     if (wal_) {
       wal_->Flush();
     }
     CommitRes res;
     res.verf = 0x5f5eull << 32 | params_.server_index;
     res.wcc.after = MakeAttr(fh);
-    XdrEncoder enc;
-    res.Encode(enc);
-    done(RpcAcceptStat::kSuccess, enc.bytes(), cost);
+    done(RpcAcceptStat::kSuccess, res, cost);
   });
 }
 
@@ -583,18 +570,13 @@ void SmallFileServer::DoRemoveOrTruncate(uint64_t fileid, uint64_t keep_size) {
 void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& client,
                                    ReplyFn done) {
   if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    done(RpcAcceptStat::kProgUnavail, {}, ServiceCost{});
+    done(RpcAcceptStat::kProgUnavail);
     return;
   }
   const NfsProc proc = static_cast<NfsProc>(call.proc);
   if (recovering_ &&
       (proc == NfsProc::kRead || proc == NfsProc::kWrite || proc == NfsProc::kCommit)) {
-    ReadRes res;  // any status-only error body works; read's is the superset
-    res.status = Nfsstat3::kErrJukebox;
-    XdrEncoder enc;
-    enc.PutEnum(static_cast<uint32_t>(Nfsstat3::kErrJukebox));
-    enc.PutBool(false);
-    done(RpcAcceptStat::kSuccess, enc.bytes(), ServiceCost{});
+    done(RpcAcceptStat::kSuccess, NfsErrorRes{proc, Nfsstat3::kErrJukebox}, ServiceCost{});
     return;
   }
   XdrDecoder dec(call.body);
@@ -602,32 +584,32 @@ void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& c
     case NfsProc::kRead: {
       Result<ReadArgs> args = ReadArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs);
         return;
       }
-      DoRead(*args, std::move(done));
+      DoRead(*args, done);
       return;
     }
     case NfsProc::kWrite: {
       Result<WriteArgs> args = WriteArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs);
         return;
       }
-      DoWrite(*args, std::move(done));
+      DoWrite(std::move(*args), done);
       return;
     }
     case NfsProc::kCommit: {
       Result<CommitArgs> args = CommitArgs::Decode(dec);
       if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs, {}, ServiceCost{});
+        done(RpcAcceptStat::kGarbageArgs);
         return;
       }
-      DoCommit(*args, std::move(done));
+      DoCommit(*args, done);
       return;
     }
     default:
-      RpcServerNode::DispatchCall(call, client, std::move(done));
+      RpcServerNode::DispatchCall(call, client, done);
       return;
   }
 }

@@ -30,13 +30,9 @@ struct SmallFileServerParams {
   uint32_t threshold = 65536;
   uint64_t volume_secret = 0;
   uint32_t server_index = 0;
-  bool check_capability = true;
   // WAL backing for map records; disabled when backing_node.addr == 0.
   Endpoint backing_node;
   FileHandle backing_object;
-  // Lazy write-back cadence for dirty pages not covered by a commit (map
-  // descriptor pages, unstable stragglers) — the kernel syncer's job.
-  SimTime syncer_interval = FromSeconds(1);
 };
 
 class SmallFileServer : public RpcServerNode {
@@ -80,8 +76,6 @@ class SmallFileServer : public RpcServerNode {
     std::vector<BlockExtent> blocks;
   };
 
-  using Done = std::function<void(RpcAcceptStat, Bytes, ServiceCost)>;
-
   // Fetches any non-resident backing blocks, then runs `next` (possibly
   // synchronously when everything is resident).
   void EnsureResident(std::vector<uint64_t> blocks, std::function<void()> next);
@@ -108,9 +102,9 @@ class SmallFileServer : public RpcServerNode {
   void LogMapRemove(uint64_t fileid);
   void ReplayRecord(ByteSpan record);
 
-  void DoRead(const ReadArgs& args, Done done);
-  void DoWrite(const WriteArgs& args, Done done);
-  void DoCommit(const CommitArgs& args, Done done);
+  void DoRead(const ReadArgs& args, ReplyFn done);
+  void DoWrite(WriteArgs args, ReplyFn done);
+  void DoCommit(const CommitArgs& args, ReplyFn done);
   void DoRemoveOrTruncate(uint64_t fileid, uint64_t keep_size);
   void ArmSyncer();
 

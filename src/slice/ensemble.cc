@@ -102,7 +102,6 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
   std::vector<Endpoint> storage_endpoints;
   for (size_t i = 0; i < config_.num_storage_nodes; ++i) {
     StorageNodeParams params;
-    params.capacity_bytes = config_.storage_capacity_bytes;
     params.cache_bytes = static_cast<uint64_t>(config_.cal.storage_cache_mb * (1 << 20));
     params.num_disks = config_.cal.disks_per_node;
     params.disk = config_.cal.disk;
@@ -164,11 +163,9 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     params.peer_cpu_us = config_.cal.dir_peer_cpu_us;
     params.peer_rtt_us = config_.cal.dir_peer_rtt_us;
     params.slot_metrics = config_.dir_slot_metrics;
-    if (config_.dir_wal_enabled) {
-      params.backing_node = storage_endpoints[i % storage_endpoints.size()];
-      params.backing_object =
-          BackingObject(0xff, static_cast<uint32_t>(i), 1, config_.volume_secret);
-    }
+    params.backing_node = storage_endpoints[i % storage_endpoints.size()];
+    params.backing_object =
+        BackingObject(0xff, static_cast<uint32_t>(i), 1, config_.volume_secret);
     dir_servers_.push_back(std::make_unique<DirServer>(
         *network_, queue_, kDirBase + static_cast<NetAddr>(i), params, sinks));
     dir_endpoints.push_back(dir_servers_.back()->endpoint());
@@ -250,8 +247,6 @@ Ensemble::Ensemble(EventQueue& queue, EnsembleConfig config)
     up.per_packet_cpu_us = config_.cal.uproxy_cpu_us;
     up.rendezvous_routing = config_.rendezvous_routing;
     up.proxy_cache = config_.proxy_cache;
-    up.lookup_cache_entries = config_.lookup_cache_entries;
-    up.proxy_cache_ttl = config_.proxy_cache_ttl;
     if (manager_) {
       up.mgmt_enabled = true;
       up.manager = manager_->endpoint();
@@ -383,7 +378,7 @@ void Ensemble::OnReconfigure(const MgmtTableSet& tables, const std::vector<uint6
       continue;  // sfs/storage death is handled by µproxy liveness bits
     }
     const uint32_t site = NodeIdIndex(id);
-    if (site >= dir_servers_.size() || tables.dir_slots.empty() || !config_.dir_wal_enabled) {
+    if (site >= dir_servers_.size() || tables.dir_slots.empty()) {
       continue;
     }
     DirServer* adopter = dir_servers_[tables.dir_slots[site]].get();

@@ -52,7 +52,6 @@ struct EnsembleConfig {
   uint32_t stripe_unit = 32768;
   uint64_t volume_secret = 0x51ce2000;
   double loss_rate = 0.0;
-  bool dir_wal_enabled = true;
 
   // Fleet routing by rendezvous (HRW) hashing in every µproxy: storage
   // striping and locally-built small-file tables pick sites by highest
@@ -64,11 +63,8 @@ struct EnsembleConfig {
   // epoch-based invalidation riding the mgmt table push. Off by default —
   // the cache changes observable RPC flows, so benches opt in explicitly.
   bool proxy_cache = false;
-  size_t lookup_cache_entries = 4096;
-  SimTime proxy_cache_ttl = 0;  // 0 = entries live until invalidated
 
   Calibration cal;
-  uint64_t storage_capacity_bytes = 64ull << 30;
   // FFS metadata amplification at the storage nodes (see StorageNodeParams).
   double storage_extra_meta_ios = 0.0;
 

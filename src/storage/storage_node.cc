@@ -68,9 +68,6 @@ StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
 }
 
 bool StorageNode::CheckHandle(const FileHandle& fh) const {
-  if (!params_.check_capability) {
-    return true;
-  }
   return fh.VerifyCapability(params_.volume_secret);
 }
 

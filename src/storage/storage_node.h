@@ -37,7 +37,6 @@ struct StorageNodeParams {
   // coalesced run, which is conservative vs. a real drive's track cache.
   size_t prefetch_blocks = 64;
   uint64_t volume_secret = 0;
-  bool check_capability = true;
   // Extra metadata disk I/Os charged per cache-missing block, modeling the
   // inode/indirect-block traffic of the FFS storage manager beneath each
   // node (paper §4.2). 0 disables; the SPECsfs benches calibrate this.

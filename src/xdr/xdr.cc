@@ -17,10 +17,12 @@ void XdrEncoder::PutOpaqueVar(std::span<const ByteSpan> pieces) {
   for (ByteSpan piece : pieces) {
     len += piece.size();
   }
-  // A body gathered from pieces (a READ reply's data from 8 KB pages) grows
-  // the buffer once, not piece by piece with a copy per step.
-  if (pieces.size() > 1) {
-    buf_.reserve(buf_.size() + 4 + len + XdrPad(len));
+  // The buffer grows at most once, not piece by piece with a copy per step
+  // (a READ reply gathers its data from 8 KB pages). A frame that outgrows
+  // its pooled buffer keeps the pool's tail slack for the trace trailer.
+  const size_t end = buf_.size() + 4 + len + XdrPad(len);
+  if (end > buf_.capacity()) {
+    buf_.reserve(end + kPacketTailSlack);
   }
   PutUint32(static_cast<uint32_t>(len));
   for (ByteSpan piece : pieces) {

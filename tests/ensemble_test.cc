@@ -146,14 +146,32 @@ TEST_F(EnsembleTest, RemoveReclaimsDataEverywhere) {
 
 TEST_F(EnsembleTest, TruncatePropagatesToDataServers) {
   const FileHandle fh = CreateFile("shrink");
+  // Small (below threshold) and bulk (above threshold) data, then a
+  // truncate that keeps part of the small data.
+  const Bytes small = Pattern(1000);
+  ASSERT_EQ(client_->Write(fh, 0, small, StableHow::kFileSync).value().status, Nfsstat3::kOk);
   ASSERT_EQ(client_->Write(fh, 1 << 20, Pattern(32768), StableHow::kFileSync).value().status,
             Nfsstat3::kOk);
+  constexpr uint64_t kKeep = 600;
   SetattrArgs args;
   args.object = fh;
-  args.new_attributes.size = 0;
+  args.new_attributes.size = kKeep;
   ASSERT_EQ(client_->Setattr(args).value().status, Nfsstat3::kOk);
-  queue_.RunUntilIdle();
+  queue_.RunUntilIdle();  // µproxy fan-out + coordinator completion
+
+  // The file's small-file server keeps the bytes below the new size; no
+  // other server holds any.
+  uint64_t kept = 0;
+  for (size_t i = 0; i < ensemble_->num_small_file_servers(); ++i) {
+    const uint64_t local = ensemble_->small_file_server(i).LocalSize(fh.fileid());
+    EXPECT_TRUE(local == 0 || local == kKeep) << "sfs " << i << " holds " << local;
+    kept += local;
+  }
+  EXPECT_EQ(kept, kKeep);
   EXPECT_EQ(client_->Read(fh, 1 << 20, 100).value().count, 0u);
+  EXPECT_EQ(client_->Read(fh, 0, 1000).value().data,
+            Bytes(small.begin(), small.begin() + kKeep));
+  EXPECT_EQ(ensemble_->coordinator(0).pending_intents(), 0u);
 }
 
 TEST_F(EnsembleTest, SoftStateLossIsHarmless) {

@@ -7,6 +7,7 @@
 
 #include "src/net/network.h"
 #include "src/net/packet.h"
+#include "src/xdr/xdr.h"
 
 namespace slice {
 namespace {
@@ -109,6 +110,24 @@ TEST(PacketTest, FramedBuilderKeepsReservedBytesAsPayload) {
                                            std::move(frame));
   const Bytes want = {0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7};
   EXPECT_EQ(Bytes(pkt.payload().begin(), pkt.payload().end()), want);
+  EXPECT_TRUE(pkt.IsValidUdp());
+  EXPECT_TRUE(pkt.VerifyChecksums());
+}
+
+// A message encoded into a frame can outgrow the pooled buffer (a 32 KB
+// WRITE call or READ reply). The grown frame keeps the same tail slack as a
+// packet MakeUdp copies, so attaching a trace trailer does not move it.
+TEST(PacketTest, GrownFrameKeepsItsBufferAcrossAttachTrace) {
+  XdrEncoder enc(Packet::AcquireFrame());
+  enc.PutUint32(7);
+  enc.PutOpaqueVar(Bytes(32768, 0x5a));
+  Packet pkt = Packet::MakeUdpFramed(Endpoint{kHostA, 1}, Endpoint{kHostB, 2}, enc.Take());
+  const uint8_t* before = pkt.bytes().data();
+  pkt.AttachTrace(/*trace_id=*/11, /*span_id=*/12);
+  EXPECT_EQ(pkt.bytes().data(), before);
+  uint64_t trace_id = 0;
+  ASSERT_TRUE(pkt.PeekTrace(&trace_id, nullptr));
+  EXPECT_EQ(trace_id, 11u);
   EXPECT_TRUE(pkt.IsValidUdp());
   EXPECT_TRUE(pkt.VerifyChecksums());
 }

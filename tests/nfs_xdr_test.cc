@@ -434,6 +434,44 @@ TEST(NfsResTest, TruncatedResultIsCorrupt) {
   EXPECT_FALSE(ReadRes::Decode(dec).ok());
 }
 
+// Decodes EncodeNfsError's body for `proc` through `decode` (the result
+// struct's Decode): the failure arm must carry the status and nothing more.
+template <typename Decode>
+void ExpectFailureArmDecodes(NfsProc proc, Decode decode) {
+  XdrEncoder enc;
+  EncodeNfsError(enc, proc, Nfsstat3::kErrJukebox);
+  XdrDecoder dec(enc.bytes());
+  const auto res = decode(dec);
+  ASSERT_TRUE(res.ok()) << NfsProcName(proc) << ": " << res.status().ToString();
+  EXPECT_EQ(res->status, Nfsstat3::kErrJukebox) << NfsProcName(proc);
+  EXPECT_TRUE(dec.exhausted()) << NfsProcName(proc);
+}
+
+TEST(NfsResTest, ErrorBodyDecodesThroughEveryResultStruct) {
+  ExpectFailureArmDecodes(NfsProc::kGetattr, GetattrRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kSetattr, SetattrRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kLookup, LookupRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kAccess, AccessRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kReadlink, ReadlinkRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kRead, ReadRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kWrite, WriteRes::Decode);
+  for (NfsProc proc : {NfsProc::kCreate, NfsProc::kMkdir, NfsProc::kSymlink}) {
+    ExpectFailureArmDecodes(proc, CreateRes::Decode);
+  }
+  for (NfsProc proc : {NfsProc::kRemove, NfsProc::kRmdir}) {
+    ExpectFailureArmDecodes(proc, RemoveRes::Decode);
+  }
+  ExpectFailureArmDecodes(NfsProc::kRename, RenameRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kLink, LinkRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kReaddir,
+                          [](XdrDecoder& dec) { return ReaddirRes::Decode(dec, false); });
+  ExpectFailureArmDecodes(NfsProc::kReaddirplus,
+                          [](XdrDecoder& dec) { return ReaddirRes::Decode(dec, true); });
+  ExpectFailureArmDecodes(NfsProc::kFsstat, FsstatRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kFsinfo, FsinfoRes::Decode);
+  ExpectFailureArmDecodes(NfsProc::kCommit, CommitRes::Decode);
+}
+
 TEST(NfsProcTest, NamesAreStable) {
   EXPECT_STREQ(NfsProcName(NfsProc::kLookup), "lookup");
   EXPECT_STREQ(NfsProcName(NfsProc::kReaddirplus), "readdirplus");

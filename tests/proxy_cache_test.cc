@@ -86,12 +86,11 @@ TEST(ProxyCacheTest, LruMatchesModelCacheOverRandomTrace) {
       case 1:
       case 2:
       case 3:  // insert
-        cache.Insert(dir, fp, ChildHandle(fp), TestAttr(fp),
-                     static_cast<uint32_t>(fp % 64), /*now_ns=*/op);
+        cache.Insert(dir, fp, ChildHandle(fp), TestAttr(fp), static_cast<uint32_t>(fp % 64));
         model.Insert(dir, fp);
         break;
       default: {  // find
-        const LookupCache::Entry* e = cache.Find(dir, fp, /*now_ns=*/op, /*ttl_ns=*/0);
+        const LookupCache::Entry* e = cache.Find(dir, fp);
         ASSERT_EQ(e != nullptr, model.Find(dir, fp)) << "op " << op;
         if (e != nullptr) {
           ASSERT_EQ(e->dir_id, dir);
@@ -107,23 +106,10 @@ TEST(ProxyCacheTest, LruMatchesModelCacheOverRandomTrace) {
   EXPECT_GT(cache.evictions(), 0u);  // the trace actually exercised capacity
 }
 
-TEST(ProxyCacheTest, TtlExpiresEntriesOnProbe) {
-  LookupCache cache(8);
-  cache.Insert(1, 100, ChildHandle(7), TestAttr(7), 0, /*now_ns=*/1000);
-  EXPECT_NE(cache.Find(1, 100, /*now_ns=*/1500, /*ttl_ns=*/600), nullptr);
-  // Past the TTL the probe drops the entry and misses.
-  EXPECT_EQ(cache.Find(1, 100, /*now_ns=*/1601, /*ttl_ns=*/600), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-  // ttl 0 = no expiry.
-  cache.Insert(1, 100, ChildHandle(7), TestAttr(7), 0, /*now_ns=*/1000);
-  EXPECT_NE(cache.Find(1, 100, /*now_ns=*/1u << 30, /*ttl_ns=*/0), nullptr);
-}
-
 TEST(ProxyCacheTest, InvalidateSlotsFlushesExactlyMarkedSlots) {
   LookupCache cache(64);
   for (uint64_t i = 0; i < 24; ++i) {
-    cache.Insert(1, i, ChildHandle(i), TestAttr(i),
-                 /*slot=*/static_cast<uint32_t>(i % 8), /*now_ns=*/0);
+    cache.Insert(1, i, ChildHandle(i), TestAttr(i), /*slot=*/static_cast<uint32_t>(i % 8));
   }
   std::vector<uint8_t> changed(8, 0);
   changed[2] = 1;
@@ -132,7 +118,7 @@ TEST(ProxyCacheTest, InvalidateSlotsFlushesExactlyMarkedSlots) {
   EXPECT_EQ(cache.InvalidateSlots(changed), 6u);
   EXPECT_EQ(cache.size(), 18u);
   for (uint64_t i = 0; i < 24; ++i) {
-    const bool hit = cache.Find(1, i, 0, 0) != nullptr;
+    const bool hit = cache.Find(1, i) != nullptr;
     EXPECT_EQ(hit, i % 8 != 2 && i % 8 != 5) << "fp " << i;
   }
 }

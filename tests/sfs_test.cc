@@ -178,6 +178,42 @@ TEST_F(SfsTest, DatalessRecoveryViaBackingStore) {
   EXPECT_GT(sfs_->backing_fetches(), 0u);
 }
 
+// While WAL replay runs, a restarted server answers READ, WRITE and COMMIT
+// with NFS3ERR_JUKEBOX. Each body is its procedure's failure arm, so the
+// client decodes the status (and can retry) instead of failing the decode.
+TEST_F(SfsTest, RecoveringServerAnswersDecodableJukebox) {
+  ASSERT_EQ(client_->Write(Fh(), 0, Pattern(1000), StableHow::kFileSync).value().status,
+            Nfsstat3::kOk);
+  sfs_->FlushDirtyForTest();
+  queue_.RunUntilIdle();
+  sfs_->Fail();
+  sfs_->Restart();  // replay starts; the queue is not drained first
+
+  struct Reply {
+    Status st;
+    Nfsstat3 status = Nfsstat3::kOk;
+  };
+  Reply write, commit, read;
+  int replies = 0;
+  auto record = [&replies](Reply& out) {
+    return [&out, &replies](Status st, const auto& res) {
+      out = Reply{st, res.status};
+      ++replies;
+    };
+  };
+  NfsClient& async = client_->async();
+  async.Write(Fh(), 0, Pattern(10), StableHow::kUnstable, record(write));
+  async.Commit(Fh(), 0, 0, record(commit));
+  async.Read(Fh(), 0, 100, record(read));
+  while (replies < 3 && queue_.RunOne()) {
+  }
+  ASSERT_EQ(replies, 3);
+  for (const Reply* reply : {&write, &commit, &read}) {
+    ASSERT_TRUE(reply->st.ok()) << reply->st.ToString();
+    EXPECT_EQ(reply->status, Nfsstat3::kErrJukebox);
+  }
+}
+
 TEST_F(SfsTest, CacheMissFetchesFromStorage) {
   const Bytes data = Pattern(2000);
   ASSERT_EQ(client_->Write(Fh(), 0, data, StableHow::kFileSync).value().status, Nfsstat3::kOk);
