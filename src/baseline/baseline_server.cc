@@ -6,7 +6,7 @@ namespace slice {
 
 BaselineServer::BaselineServer(Network& net, EventQueue& queue, NetAddr addr,
                                BaselineServerParams params)
-    : RpcServerNode(net, queue, addr, kNfsPort),
+    : RpcServerNode(net, queue, addr, kNfsPort, kNfsProgram, kNfsVersion),
       params_(params),
       data_(params.capacity_bytes),
       cache_(params.cache_bytes),
@@ -81,11 +81,9 @@ void BaselineServer::ChargeDisk(const std::vector<PhysBlock>& blocks, bool write
   }
 }
 
-void BaselineServer::DoGetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoGetattr(const GetattrArgs& args, XdrEncoder& reply) {
   GetattrRes res;
-  Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-  Fattr3* attr = args.ok() ? FindAttr(args->object.fileid()) : nullptr;
+  Fattr3* attr = FindAttr(args.object.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
   } else {
@@ -94,23 +92,21 @@ void BaselineServer::DoGetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
   res.Encode(reply);
 }
 
-void BaselineServer::DoSetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoSetattr(const SetattrArgs& args, XdrEncoder& reply) {
   SetattrRes res;
-  Result<SetattrArgs> args = SetattrArgs::Decode(dec);
-  Fattr3* attr = args.ok() ? FindAttr(args->object.fileid()) : nullptr;
+  Fattr3* attr = FindAttr(args.object.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const Sattr3& set = args->new_attributes;
+  const Sattr3& set = args.new_attributes;
   if (set.mode) {
     attr->mode = *set.mode;
   }
   if (set.size) {
     attr->size = *set.size;
-    (void)data_.Truncate(args->object.fileid(), *set.size);
+    (void)data_.Truncate(args.object.fileid(), *set.size);
   }
   if (set.mtime) {
     attr->mtime = *set.mtime;
@@ -123,19 +119,12 @@ void BaselineServer::DoSetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
   res.Encode(reply);
 }
 
-void BaselineServer::DoLookup(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoLookup(const DirOpArgs& args, XdrEncoder& reply) {
   LookupRes res;
-  Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-  if (!args.ok()) {
-    res.status = Nfsstat3::kErrBadhandle;
-    res.Encode(reply);
-    return;
-  }
-  if (Fattr3* dir_attr = FindAttr(args->dir.fileid()); dir_attr != nullptr) {
+  if (Fattr3* dir_attr = FindAttr(args.dir.fileid()); dir_attr != nullptr) {
     res.dir_attributes = *dir_attr;
   }
-  const auto it = entries_.find(EntryKey{args->dir.fileid(), args->name});
+  const auto it = entries_.find(EntryKey{args.dir.fileid(), args.name});
   if (it == entries_.end()) {
     res.status = Nfsstat3::kErrNoent;
   } else {
@@ -147,40 +136,35 @@ void BaselineServer::DoLookup(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   res.Encode(reply);
 }
 
-void BaselineServer::DoAccess(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoAccess(const AccessArgs& args, XdrEncoder& reply) {
   AccessRes res;
-  Result<AccessArgs> args = AccessArgs::Decode(dec);
-  Fattr3* attr = args.ok() ? FindAttr(args->object.fileid()) : nullptr;
+  Fattr3* attr = FindAttr(args.object.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
   } else {
     res.obj_attributes = *attr;
-    res.access = args->access;
+    res.access = args.access;
   }
   res.Encode(reply);
 }
 
-void BaselineServer::DoReadlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoReadlink(const GetattrArgs& args, XdrEncoder& reply) {
   ReadlinkRes res;
-  Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-  const auto it = args.ok() ? symlinks_.find(args->object.fileid()) : symlinks_.end();
+  const auto it = symlinks_.find(args.object.fileid());
   if (it == symlinks_.end()) {
     res.status = Nfsstat3::kErrInval;
   } else {
     res.target = it->second;
-    if (Fattr3* attr = FindAttr(args->object.fileid()); attr != nullptr) {
+    if (Fattr3* attr = FindAttr(args.object.fileid()); attr != nullptr) {
       res.symlink_attributes = *attr;
     }
   }
   res.Encode(reply);
 }
 
-void BaselineServer::DoRead(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
+void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost& cost) {
   ReadRes res;
-  Result<ReadArgs> args = ReadArgs::Decode(dec);
-  Fattr3* attr = args.ok() ? FindAttr(args->file.fileid()) : nullptr;
+  Fattr3* attr = FindAttr(args.file.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
@@ -188,7 +172,7 @@ void BaselineServer::DoRead(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cos
   }
   read_segments_.clear();
   io_blocks_.clear();
-  const StoreReadExtent read = data_.ReadGather(args->file.fileid(), args->offset, args->count,
+  const StoreReadExtent read = data_.ReadGather(args.file.fileid(), args.offset, args.count,
                                                 &read_segments_, &io_blocks_);
   ChargeDisk(io_blocks_, /*write=*/false, cost);
   cost.AddCpu(static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));
@@ -196,22 +180,21 @@ void BaselineServer::DoRead(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cos
   res.file_attributes = *attr;
   res.count = read.length;
   // eof reflects the attribute size (data_ may be sparse/short).
-  res.eof = args->offset + res.count >= attr->size;
+  res.eof = args.offset + res.count >= attr->size;
   res.Encode(reply, read_segments_);
 }
 
-void BaselineServer::DoWrite(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
+void BaselineServer::DoWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {
   WriteRes res;
-  Result<WriteArgsView> args = WriteArgsView::Decode(dec);
-  Fattr3* attr = args.ok() ? FindAttr(args->file.fileid()) : nullptr;
+  Fattr3* attr = FindAttr(args.file.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const bool stable = args->stable != StableHow::kUnstable;
+  const bool stable = args.stable != StableHow::kUnstable;
   io_blocks_.clear();
-  if (!data_.Write(args->file.fileid(), args->offset, args->data, stable, &io_blocks_).ok()) {
+  if (!data_.Write(args.file.fileid(), args.offset, args.data, stable, &io_blocks_).ok()) {
     res.status = Nfsstat3::kErrNospc;
     res.Encode(reply);
     return;
@@ -219,29 +202,27 @@ void BaselineServer::DoWrite(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& co
   if (stable) {
     ChargeDisk(io_blocks_, /*write=*/true, cost);
   }
-  cost.AddCpu(static_cast<SimTime>(static_cast<double>(args->data.size()) *
+  cost.AddCpu(static_cast<SimTime>(static_cast<double>(args.data.size()) *
                                    params_.cpu_ns_per_byte));
-  attr->size = std::max<uint64_t>(attr->size, args->offset + args->data.size());
+  attr->size = std::max<uint64_t>(attr->size, args.offset + args.data.size());
   attr->mtime = attr->ctime = Now();
-  res.count = static_cast<uint32_t>(args->data.size());
+  res.count = static_cast<uint32_t>(args.data.size());
   res.committed = stable ? StableHow::kFileSync : StableHow::kUnstable;
   res.verf = write_verifier_;
   res.wcc.after = *attr;
   res.Encode(reply);
 }
 
-void BaselineServer::DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoCreate(const CreateArgs& args, XdrEncoder& reply) {
   CreateRes res;
-  Result<CreateArgs> args = CreateArgs::Decode(dec);
-  if (!args.ok() || FindAttr(args->dir.fileid()) == nullptr) {
+  if (FindAttr(args.dir.fileid()) == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
+  const EntryKey key{args.dir.fileid(), args.name};
   if (const auto it = entries_.find(key); it != entries_.end()) {
-    if (args->mode == CreateMode::kUnchecked) {
+    if (args.mode == CreateMode::kUnchecked) {
       res.object = it->second;
       if (Fattr3* attr = FindAttr(it->second.fileid()); attr != nullptr) {
         res.obj_attributes = *attr;
@@ -256,23 +237,21 @@ void BaselineServer::DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
   const FileHandle fh = MintHandle(fileid, FileType3::kReg);
   attrs_[fileid] = NewAttr(fileid, FileType3::kReg);
   entries_[key] = fh;
-  dir_entries_[args->dir.fileid()][args->name] = fh;
-  TouchDir(args->dir.fileid(), +1, 0);
+  dir_entries_[args.dir.fileid()][args.name] = fh;
+  TouchDir(args.dir.fileid(), +1, 0);
   res.object = fh;
   res.obj_attributes = attrs_[fileid];
   res.Encode(reply);
 }
 
-void BaselineServer::DoMkdir(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoMkdir(const MkdirArgs& args, XdrEncoder& reply) {
   CreateRes res;
-  Result<MkdirArgs> args = MkdirArgs::Decode(dec);
-  if (!args.ok() || FindAttr(args->dir.fileid()) == nullptr) {
+  if (FindAttr(args.dir.fileid()) == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
+  const EntryKey key{args.dir.fileid(), args.name};
   if (entries_.contains(key)) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
@@ -282,23 +261,21 @@ void BaselineServer::DoMkdir(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& co
   const FileHandle fh = MintHandle(fileid, FileType3::kDir);
   attrs_[fileid] = NewAttr(fileid, FileType3::kDir);
   entries_[key] = fh;
-  dir_entries_[args->dir.fileid()][args->name] = fh;
-  TouchDir(args->dir.fileid(), +1, +1);
+  dir_entries_[args.dir.fileid()][args.name] = fh;
+  TouchDir(args.dir.fileid(), +1, +1);
   res.object = fh;
   res.obj_attributes = attrs_[fileid];
   res.Encode(reply);
 }
 
-void BaselineServer::DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoSymlink(const SymlinkArgs& args, XdrEncoder& reply) {
   CreateRes res;
-  Result<SymlinkArgs> args = SymlinkArgs::Decode(dec);
-  if (!args.ok() || FindAttr(args->dir.fileid()) == nullptr) {
+  if (FindAttr(args.dir.fileid()) == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
+  const EntryKey key{args.dir.fileid(), args.name};
   if (entries_.contains(key)) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
@@ -307,28 +284,20 @@ void BaselineServer::DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& 
   const uint64_t fileid = next_fileid_++;
   const FileHandle fh = MintHandle(fileid, FileType3::kLnk);
   Fattr3 attr = NewAttr(fileid, FileType3::kLnk);
-  attr.size = args->target.size();
+  attr.size = args.target.size();
   attrs_[fileid] = attr;
-  symlinks_[fileid] = args->target;
+  symlinks_[fileid] = args.target;
   entries_[key] = fh;
-  dir_entries_[args->dir.fileid()][args->name] = fh;
-  TouchDir(args->dir.fileid(), +1, 0);
+  dir_entries_[args.dir.fileid()][args.name] = fh;
+  TouchDir(args.dir.fileid(), +1, 0);
   res.object = fh;
   res.obj_attributes = attr;
   res.Encode(reply);
 }
 
-void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
-                              ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoRemove(const DirOpArgs& args, bool rmdir, XdrEncoder& reply) {
   RemoveRes res;
-  Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-  if (!args.ok()) {
-    res.status = Nfsstat3::kErrBadhandle;
-    res.Encode(reply);
-    return;
-  }
-  const EntryKey key{args->dir.fileid(), args->name};
+  const EntryKey key{args.dir.fileid(), args.name};
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     res.status = Nfsstat3::kErrNoent;
@@ -350,7 +319,7 @@ void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
     }
     dir_entries_.erase(child.fileid());
     attrs_.erase(child.fileid());
-    TouchDir(args->dir.fileid(), -1, -1);
+    TouchDir(args.dir.fileid(), -1, -1);
   } else {
     Fattr3* attr = FindAttr(child.fileid());
     if (attr != nullptr && --attr->nlink == 0) {
@@ -358,29 +327,22 @@ void BaselineServer::DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply,
       symlinks_.erase(child.fileid());
       (void)data_.Remove(child.fileid());
     }
-    TouchDir(args->dir.fileid(), -1, 0);
+    TouchDir(args.dir.fileid(), -1, 0);
   }
   entries_.erase(it);
-  auto dir_it = dir_entries_.find(args->dir.fileid());
+  auto dir_it = dir_entries_.find(args.dir.fileid());
   if (dir_it != dir_entries_.end()) {
-    dir_it->second.erase(args->name);
+    dir_it->second.erase(args.name);
   }
-  if (Fattr3* dir_attr = FindAttr(args->dir.fileid()); dir_attr != nullptr) {
+  if (Fattr3* dir_attr = FindAttr(args.dir.fileid()); dir_attr != nullptr) {
     res.dir_wcc.after = *dir_attr;
   }
   res.Encode(reply);
 }
 
-void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoRename(const RenameArgs& args, XdrEncoder& reply) {
   RenameRes res;
-  Result<RenameArgs> args = RenameArgs::Decode(dec);
-  if (!args.ok()) {
-    res.status = Nfsstat3::kErrBadhandle;
-    res.Encode(reply);
-    return;
-  }
-  const EntryKey from_key{args->from_dir.fileid(), args->from_name};
+  const EntryKey from_key{args.from_dir.fileid(), args.from_name};
   const auto it = entries_.find(from_key);
   if (it == entries_.end()) {
     res.status = Nfsstat3::kErrNoent;
@@ -388,7 +350,7 @@ void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
     return;
   }
   const FileHandle child = it->second;
-  const EntryKey to_key{args->to_dir.fileid(), args->to_name};
+  const EntryKey to_key{args.to_dir.fileid(), args.to_name};
   if (const auto target = entries_.find(to_key); target != entries_.end()) {
     if (target->second.IsDir()) {
       const auto dit = dir_entries_.find(target->second.fileid());
@@ -404,66 +366,57 @@ void BaselineServer::DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
       (void)data_.Remove(target->second.fileid());
     }
     entries_.erase(target);
-    dir_entries_[args->to_dir.fileid()].erase(args->to_name);
+    dir_entries_[args.to_dir.fileid()].erase(args.to_name);
   }
   entries_.erase(from_key);
-  dir_entries_[args->from_dir.fileid()].erase(args->from_name);
+  dir_entries_[args.from_dir.fileid()].erase(args.from_name);
   entries_[to_key] = child;
-  dir_entries_[args->to_dir.fileid()][args->to_name] = child;
-  const bool cross = args->from_dir.fileid() != args->to_dir.fileid();
-  TouchDir(args->from_dir.fileid(), -1, child.IsDir() && cross ? -1 : 0);
-  TouchDir(args->to_dir.fileid(), +1, child.IsDir() && cross ? +1 : 0);
+  dir_entries_[args.to_dir.fileid()][args.to_name] = child;
+  const bool cross = args.from_dir.fileid() != args.to_dir.fileid();
+  TouchDir(args.from_dir.fileid(), -1, child.IsDir() && cross ? -1 : 0);
+  TouchDir(args.to_dir.fileid(), +1, child.IsDir() && cross ? +1 : 0);
   res.Encode(reply);
 }
 
-void BaselineServer::DoLink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoLink(const LinkArgs& args, XdrEncoder& reply) {
   LinkRes res;
-  Result<LinkArgs> args = LinkArgs::Decode(dec);
-  if (!args.ok() || FindAttr(args->file.fileid()) == nullptr) {
+  if (FindAttr(args.file.fileid()) == nullptr) {
     res.status = Nfsstat3::kErrStale;
     res.Encode(reply);
     return;
   }
-  const EntryKey key{args->dir.fileid(), args->name};
+  const EntryKey key{args.dir.fileid(), args.name};
   if (entries_.contains(key)) {
     res.status = Nfsstat3::kErrExist;
     res.Encode(reply);
     return;
   }
-  entries_[key] = args->file;
-  dir_entries_[args->dir.fileid()][args->name] = args->file;
-  Fattr3* attr = FindAttr(args->file.fileid());
+  entries_[key] = args.file;
+  dir_entries_[args.dir.fileid()][args.name] = args.file;
+  Fattr3* attr = FindAttr(args.file.fileid());
   ++attr->nlink;
-  TouchDir(args->dir.fileid(), +1, 0);
+  TouchDir(args.dir.fileid(), +1, 0);
   res.file_attributes = *attr;
   res.Encode(reply);
 }
 
-void BaselineServer::DoReaddir(XdrDecoder& dec, bool plus, XdrEncoder& reply,
-                               ServiceCost& cost) {
-  (void)cost;
+void BaselineServer::DoReaddir(const ReaddirArgs& args, XdrEncoder& reply) {
+  const bool plus = args.plus;
   ReaddirRes res;
   res.plus = plus;
-  Result<ReaddirArgs> args = ReaddirArgs::Decode(dec, plus);
-  if (!args.ok()) {
-    res.status = Nfsstat3::kErrBadhandle;
-    res.Encode(reply);
-    return;
-  }
-  if (Fattr3* attr = FindAttr(args->dir.fileid()); attr != nullptr) {
+  if (Fattr3* attr = FindAttr(args.dir.fileid()); attr != nullptr) {
     res.dir_attributes = *attr;
   }
-  const auto dit = dir_entries_.find(args->dir.fileid());
+  const auto dit = dir_entries_.find(args.dir.fileid());
   res.eof = true;
   res.cookieverf = 1;
   if (dit != dir_entries_.end()) {
-    const uint32_t budget = std::max<uint32_t>(plus ? args->maxcount : args->count, 512);
+    const uint32_t budget = std::max<uint32_t>(plus ? args.maxcount : args.count, 512);
     uint32_t used = 0;
     uint64_t index = 0;
     for (const auto& [name, fh] : dit->second) {
       ++index;
-      if (index <= args->cookie) {
+      if (index <= args.cookie) {
         continue;
       }
       const uint32_t entry_size = static_cast<uint32_t>(24 + name.size()) +
@@ -489,23 +442,17 @@ void BaselineServer::DoReaddir(XdrDecoder& dec, bool plus, XdrEncoder& reply,
   res.Encode(reply);
 }
 
-void BaselineServer::DoCommit(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost) {
+void BaselineServer::DoCommit(const CommitArgs& args, XdrEncoder& reply, ServiceCost& cost) {
   CommitRes res;
-  Result<CommitArgs> args = CommitArgs::Decode(dec);
-  if (!args.ok()) {
-    res.status = Nfsstat3::kErrBadhandle;
-    res.Encode(reply);
-    return;
-  }
   io_blocks_.clear();
-  if (!data_.Commit(args->file.fileid(), &io_blocks_).ok()) {
+  if (!data_.Commit(args.file.fileid(), &io_blocks_).ok()) {
     // Out of space: the unplaced blocks stay dirty, so the data is not
     // durable yet.
     res.status = Nfsstat3::kErrNospc;
   }
   ChargeDisk(io_blocks_, /*write=*/true, cost);
   res.verf = write_verifier_;
-  if (Fattr3* attr = FindAttr(args->file.fileid()); attr != nullptr) {
+  if (Fattr3* attr = FindAttr(args.file.fileid()); attr != nullptr) {
     res.wcc.after = *attr;
   }
   res.Encode(reply);
@@ -513,10 +460,6 @@ void BaselineServer::DoCommit(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& c
 
 RpcAcceptStat BaselineServer::HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                          ServiceCost& cost) {
-  if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    return RpcAcceptStat::kProgUnavail;
-  }
-  XdrDecoder dec(call.body);
   const NfsProc proc = static_cast<NfsProc>(call.proc);
   const bool is_io =
       proc == NfsProc::kRead || proc == NfsProc::kWrite || proc == NfsProc::kCommit;
@@ -526,52 +469,41 @@ RpcAcceptStat BaselineServer::HandleCall(const RpcMessageView& call, XdrEncoder&
     case NfsProc::kNull:
       return RpcAcceptStat::kSuccess;
     case NfsProc::kGetattr:
-      DoGetattr(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<GetattrArgs>(call, [&](const GetattrArgs& args) { DoGetattr(args, reply); });
     case NfsProc::kSetattr:
-      DoSetattr(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<SetattrArgs>(call, [&](const SetattrArgs& args) { DoSetattr(args, reply); });
     case NfsProc::kLookup:
-      DoLookup(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<DirOpArgs>(call, [&](const DirOpArgs& args) { DoLookup(args, reply); });
     case NfsProc::kAccess:
-      DoAccess(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<AccessArgs>(call, [&](const AccessArgs& args) { DoAccess(args, reply); });
     case NfsProc::kReadlink:
-      DoReadlink(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<GetattrArgs>(call, [&](const GetattrArgs& args) { DoReadlink(args, reply); });
     case NfsProc::kRead:
-      DoRead(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<ReadArgs>(call, [&](const ReadArgs& args) { DoRead(args, reply, cost); });
     case NfsProc::kWrite:
-      DoWrite(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<WriteArgsView>(
+          call, [&](const WriteArgsView& args) { DoWrite(args, reply, cost); });
     case NfsProc::kCreate:
-      DoCreate(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<CreateArgs>(call, [&](const CreateArgs& args) { DoCreate(args, reply); });
     case NfsProc::kMkdir:
-      DoMkdir(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<MkdirArgs>(call, [&](const MkdirArgs& args) { DoMkdir(args, reply); });
     case NfsProc::kSymlink:
-      DoSymlink(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<SymlinkArgs>(call, [&](const SymlinkArgs& args) { DoSymlink(args, reply); });
     case NfsProc::kRemove:
     case NfsProc::kRmdir:
-      DoRemove(dec, proc == NfsProc::kRmdir, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<DirOpArgs>(call, [&](const DirOpArgs& args) {
+        DoRemove(args, proc == NfsProc::kRmdir, reply);
+      });
     case NfsProc::kRename:
-      DoRename(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<RenameArgs>(call, [&](const RenameArgs& args) { DoRename(args, reply); });
     case NfsProc::kLink:
-      DoLink(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<LinkArgs>(call, [&](const LinkArgs& args) { DoLink(args, reply); });
     case NfsProc::kReaddir:
     case NfsProc::kReaddirplus:
-      DoReaddir(dec, proc == NfsProc::kReaddirplus, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<ReaddirArgs>(call, [&](const ReaddirArgs& args) { DoReaddir(args, reply); });
     case NfsProc::kCommit:
-      DoCommit(dec, reply, cost);
-      return RpcAcceptStat::kSuccess;
+      return Serve<CommitArgs>(call,
+                               [&](const CommitArgs& args) { DoCommit(args, reply, cost); });
     case NfsProc::kFsstat: {
       FsstatRes res;
       res.tbytes = params_.capacity_bytes;

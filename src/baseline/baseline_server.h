@@ -74,21 +74,22 @@ class BaselineServer : public RpcServerNode {
   void TouchDir(uint64_t dir_id, int entry_delta, int nlink_delta);
   void ChargeDisk(const std::vector<PhysBlock>& blocks, bool write, ServiceCost& cost);
 
-  void DoGetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoSetattr(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoLookup(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoAccess(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoReadlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoRead(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoWrite(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoCreate(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoMkdir(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoSymlink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoRemove(XdrDecoder& dec, bool rmdir, XdrEncoder& reply, ServiceCost& cost);
-  void DoRename(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoLink(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
-  void DoReaddir(XdrDecoder& dec, bool plus, XdrEncoder& reply, ServiceCost& cost);
-  void DoCommit(XdrDecoder& dec, XdrEncoder& reply, ServiceCost& cost);
+  // One per procedure, on args RpcServerNode::Serve decoded.
+  void DoGetattr(const GetattrArgs& args, XdrEncoder& reply);
+  void DoSetattr(const SetattrArgs& args, XdrEncoder& reply);
+  void DoLookup(const DirOpArgs& args, XdrEncoder& reply);
+  void DoAccess(const AccessArgs& args, XdrEncoder& reply);
+  void DoReadlink(const GetattrArgs& args, XdrEncoder& reply);
+  void DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost& cost);
+  void DoWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost);
+  void DoCreate(const CreateArgs& args, XdrEncoder& reply);
+  void DoMkdir(const MkdirArgs& args, XdrEncoder& reply);
+  void DoSymlink(const SymlinkArgs& args, XdrEncoder& reply);
+  void DoRemove(const DirOpArgs& args, bool rmdir, XdrEncoder& reply);
+  void DoRename(const RenameArgs& args, XdrEncoder& reply);
+  void DoLink(const LinkArgs& args, XdrEncoder& reply);
+  void DoReaddir(const ReaddirArgs& args, XdrEncoder& reply);
+  void DoCommit(const CommitArgs& args, XdrEncoder& reply, ServiceCost& cost);
 
   BaselineServerParams params_;
   ObjectStore data_;

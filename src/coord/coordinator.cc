@@ -20,7 +20,7 @@ constexpr NetPort kCoordPort = 3049;
 Coordinator::Coordinator(Network& net, EventQueue& queue, NetAddr addr,
                          CoordinatorParams params, std::vector<Endpoint> storage_nodes,
                          std::vector<Endpoint> small_file_servers, const obs::Sinks& sinks)
-    : RpcServerNode(net, queue, addr, kCoordPort, {}, sinks),
+    : RpcServerNode(net, queue, addr, kCoordPort, kCoordProgram, kCoordVersion, {}, sinks),
       params_(params),
       storage_nodes_(std::move(storage_nodes)),
       small_file_servers_(std::move(small_file_servers)) {
@@ -356,53 +356,33 @@ void Coordinator::OnRestart() {
 
 RpcAcceptStat Coordinator::HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                       ServiceCost& cost) {
-  if (call.prog != kCoordProgram || call.vers != kCoordVersion) {
-    return RpcAcceptStat::kProgUnavail;
-  }
   cost.AddCpu(FromMicros(params_.op_cpu_us));
-  XdrDecoder dec(call.body);
   switch (static_cast<CoordProc>(call.proc)) {
     case CoordProc::kNull:
       return RpcAcceptStat::kSuccess;
-    case CoordProc::kLogIntent: {
-      Result<LogIntentArgs> args = LogIntentArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      LogIntentRes res;
-      res.intent_id = LogIntent(*args, /*log=*/true);
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
-    case CoordProc::kComplete: {
-      Result<CompleteArgs> args = CompleteArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      Complete(args->intent_id, /*log=*/true);
-      CompleteRes res;
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
-    case CoordProc::kGetMap: {
-      Result<GetMapArgs> args = GetMapArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      GetMapRes res = GetOrAssignMap(*args);
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
-    case CoordProc::kLogDegraded: {
-      Result<DegradedArgs> args = DegradedArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      LogDegraded(*args, /*log=*/true);
-      DegradedRes res;
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
+    case CoordProc::kLogIntent:
+      return Serve<LogIntentArgs>(call, [&](const LogIntentArgs& args) {
+        LogIntentRes res;
+        res.intent_id = LogIntent(args, /*log=*/true);
+        res.Encode(reply);
+      });
+    case CoordProc::kComplete:
+      return Serve<CompleteArgs>(call, [&](const CompleteArgs& args) {
+        Complete(args.intent_id, /*log=*/true);
+        CompleteRes res;
+        res.Encode(reply);
+      });
+    case CoordProc::kGetMap:
+      return Serve<GetMapArgs>(call, [&](const GetMapArgs& args) {
+        GetMapRes res = GetOrAssignMap(args);
+        res.Encode(reply);
+      });
+    case CoordProc::kLogDegraded:
+      return Serve<DegradedArgs>(call, [&](const DegradedArgs& args) {
+        LogDegraded(args, /*log=*/true);
+        DegradedRes res;
+        res.Encode(reply);
+      });
     default:
       return RpcAcceptStat::kProcUnavail;
   }

@@ -12,20 +12,20 @@ void NoteName(ByteSpan payload, std::string_view sv, uint32_t* off, uint32_t* le
 }  // namespace
 
 Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
-  Result<RpcPeek> peek = PeekRpcMessage(payload);
-  if (!peek.ok()) {
-    return peek.status();
+  Result<RpcMessageView> call = DecodeRpcMessage(payload);
+  if (!call.ok()) {
+    return call.status();
   }
-  if (peek->type != RpcMsgType::kCall || peek->prog != kNfsProgram ||
-      peek->vers != kNfsVersion) {
+  if (call->type != RpcMsgType::kCall || call->prog != kNfsProgram ||
+      call->vers != kNfsVersion) {
     return Status(StatusCode::kCorrupt, "uproxy: not an NFSv3 call");
   }
-  out->xid = peek->xid;
-  out->proc = static_cast<NfsProc>(peek->proc);
-  out->body_offset = static_cast<uint32_t>(peek->body_offset);
-  out->tenant = peek->tenant;
+  out->xid = call->xid;
+  out->proc = static_cast<NfsProc>(call->proc);
+  out->body_offset = static_cast<uint32_t>(call->body_offset);
+  out->tenant = call->uid;
 
-  XdrDecoder dec(payload.subspan(peek->body_offset));
+  XdrDecoder dec(call->body);
   switch (out->proc) {
     case NfsProc::kNull:
     case NfsProc::kMknod:
@@ -115,75 +115,6 @@ Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
     }
   }
   return Status(StatusCode::kCorrupt, "uproxy: unknown procedure");
-}
-
-Status DecodeNfsReply(ByteSpan payload, DecodedReply* out) {
-  Result<RpcPeek> peek = PeekRpcMessage(payload);
-  if (!peek.ok()) {
-    return peek.status();
-  }
-  if (peek->type != RpcMsgType::kReply) {
-    return Status(StatusCode::kCorrupt, "uproxy: not a reply");
-  }
-  out->xid = peek->xid;
-  out->stat = peek->accept_stat;
-  out->body_offset = peek->body_offset;
-  return OkStatus();
-}
-
-namespace {
-
-// Shared reply preamble for the cache-fill decoders: accepted reply,
-// successful accept_stat, body positioned past the RPC header.
-Status PeekSuccessfulReply(ByteSpan payload, uint32_t* xid,
-                           size_t* body_offset) {
-  Result<RpcPeek> peek = PeekRpcMessage(payload);
-  if (!peek.ok()) {
-    return peek.status();
-  }
-  if (peek->type != RpcMsgType::kReply) {
-    return Status(StatusCode::kCorrupt, "uproxy: not a reply");
-  }
-  if (peek->accept_stat != RpcAcceptStat::kSuccess) {
-    return Status(StatusCode::kCorrupt, "uproxy: reply not accepted");
-  }
-  *xid = peek->xid;
-  *body_offset = peek->body_offset;
-  return OkStatus();
-}
-
-}  // namespace
-
-Status DecodeLookupReplyView(ByteSpan payload, LookupReplyView* out) {
-  size_t body_offset = 0;
-  SLICE_RETURN_IF_ERROR(PeekSuccessfulReply(payload, &out->xid, &body_offset));
-  XdrDecoder dec(payload.subspan(body_offset));
-  SLICE_ASSIGN_OR_RETURN(out->nfs_status, dec.GetUint32());
-  if (out->nfs_status != 0) {
-    return OkStatus();  // error reply: no handle/attributes to fill from
-  }
-  SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-  SLICE_ASSIGN_OR_RETURN(uint32_t has_attr, dec.GetUint32());
-  if (has_attr > 1) {
-    return Status(StatusCode::kCorrupt, "uproxy: bad post_op_attr flag");
-  }
-  out->has_attr = static_cast<uint8_t>(has_attr);
-  if (has_attr) {
-    SLICE_ASSIGN_OR_RETURN(out->attr, DecodeFattr3(dec));
-  }
-  return OkStatus();
-}
-
-Status DecodeGetattrReplyView(ByteSpan payload, GetattrReplyView* out) {
-  size_t body_offset = 0;
-  SLICE_RETURN_IF_ERROR(PeekSuccessfulReply(payload, &out->xid, &body_offset));
-  XdrDecoder dec(payload.subspan(body_offset));
-  SLICE_ASSIGN_OR_RETURN(out->nfs_status, dec.GetUint32());
-  if (out->nfs_status != 0) {
-    return OkStatus();
-  }
-  SLICE_ASSIGN_OR_RETURN(out->attr, DecodeFattr3(dec));
-  return OkStatus();
 }
 
 }  // namespace slice

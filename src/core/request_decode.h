@@ -54,42 +54,11 @@ struct DecodedView {
 // Tag for Packet::set_view/get_view slots carrying a DecodedView.
 constexpr uint32_t kDecodedViewTag = 0x44563031;  // "DV01"
 
-// Single-pass, allocation-free decode of an NFS call from a UDP payload.
-// Returns kCorrupt for non-NFS-call traffic (which the µproxy passes
-// through untouched).
+// Single-pass, allocation-free decode of an NFS call from a UDP payload:
+// the RPC header through DecodeRpcMessage, then the routing fields of the
+// args. Returns kCorrupt for non-NFS-call traffic, and for calls whose
+// header does not decode (the µproxy passes both through untouched).
 Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out);
-
-// Reply-side peek: (xid, accept_stat, body offset) for attribute patching.
-struct DecodedReply {
-  uint32_t xid = 0;
-  RpcAcceptStat stat = RpcAcceptStat::kSuccess;
-  size_t body_offset = 0;
-};
-
-Status DecodeNfsReply(ByteSpan payload, DecodedReply* out);
-
-// Cache-fill peek at a successful LOOKUP reply: the child handle plus its
-// post-op attributes when the server included them. Allocation-free and
-// trivially copyable, like DecodedView. `nfs_status` is the raw nfsstat3;
-// fh/attr are only meaningful when it is 0 (NFS3_OK).
-struct LookupReplyView {
-  uint32_t xid = 0;
-  uint32_t nfs_status = 0;
-  FileHandle fh;
-  uint8_t has_attr = 0;
-  Fattr3 attr;
-};
-
-Status DecodeLookupReplyView(ByteSpan payload, LookupReplyView* out);
-
-// Cache-fill peek at a GETATTR reply (status + full attribute set).
-struct GetattrReplyView {
-  uint32_t xid = 0;
-  uint32_t nfs_status = 0;
-  Fattr3 attr;
-};
-
-Status DecodeGetattrReplyView(ByteSpan payload, GetattrReplyView* out);
 
 }  // namespace slice
 

@@ -432,35 +432,31 @@ void Uproxy::HandleOutbound(Packet&& pkt) {
       margs.count = 64;
       margs.allocate = req.proc == NfsProc::kWrite;
       auto held = std::make_shared<Packet>(std::move(pkt));
-      own_rpc_->Call(CoordinatorFor(req.fh), kCoordProgram, kCoordVersion,
-                     static_cast<uint32_t>(CoordProc::kGetMap), margs,
-                     [this, held, req](Status st, const RpcMessageView& reply) {
-                       if (st.ok()) {
-                         XdrDecoder dec(reply.body);
-                         Result<GetMapRes> res = GetMapRes::Decode(dec);
-                         if (res.ok()) {
-                           std::vector<uint32_t>& map = map_cache_[req.fh.fileid()];
-                           if (map.size() < res->first_block + res->sites.size()) {
-                             map.resize(res->first_block + res->sites.size(), kUnmappedBlock);
-                           }
-                           for (size_t i = 0; i < res->sites.size(); ++i) {
-                             map[res->first_block + i] = res->sites[i];
-                           }
-                         }
-                       }
-                       // Re-process; a still-unmapped read block falls back
-                       // to static striping (reading a hole).
-                       const uint64_t blk = req.offset / config_.stripe_unit;
-                       const std::vector<uint32_t>& map = map_cache_[req.fh.fileid()];
-                       Endpoint target;
-                       if (blk < map.size() && map[blk] != kUnmappedBlock) {
-                         target = config_.storage_nodes[map[blk] %
-                                                        config_.storage_nodes.size()];
-                       } else {
-                         target = config_.storage_nodes[StripeSite(req.fh, req.offset)];
-                       }
-                       ForwardRequest(std::move(*held), req, target, "route:map");
-                     });
+      CallTyped<GetMapRes>(
+          *own_rpc_, CoordinatorFor(req.fh), kCoordProgram, kCoordVersion,
+          static_cast<uint32_t>(CoordProc::kGetMap), margs,
+          [this, held, req](Status st, const GetMapRes& res) {
+            if (st.ok()) {
+              std::vector<uint32_t>& map = map_cache_[req.fh.fileid()];
+              if (map.size() < res.first_block + res.sites.size()) {
+                map.resize(res.first_block + res.sites.size(), kUnmappedBlock);
+              }
+              for (size_t i = 0; i < res.sites.size(); ++i) {
+                map[res.first_block + i] = res.sites[i];
+              }
+            }
+            // Re-process; a still-unmapped read block falls back to static
+            // striping (reading a hole).
+            const uint64_t blk = req.offset / config_.stripe_unit;
+            const std::vector<uint32_t>& map = map_cache_[req.fh.fileid()];
+            Endpoint target;
+            if (blk < map.size() && map[blk] != kUnmappedBlock) {
+              target = config_.storage_nodes[map[blk] % config_.storage_nodes.size()];
+            } else {
+              target = config_.storage_nodes[StripeSite(req.fh, req.offset)];
+            }
+            ForwardRequest(std::move(*held), req, target, "route:map");
+          });
       return;
     }
     const Endpoint target =
@@ -629,13 +625,15 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     return;
   }
   obs::Profiler::Scope prof(profiler_, obs::ProfScope::kUproxyInbound);
-  DecodedReply reply;
+  RpcMessageView reply;
   {
     obs::Profiler::Scope prof_decode(profiler_, obs::ProfScope::kUproxyDecode);
-    if (!DecodeNfsReply(pkt.payload(), &reply).ok()) {
+    Result<RpcMessageView> decoded = DecodeRpcMessage(pkt.payload());
+    if (!decoded.ok() || decoded->type != RpcMsgType::kReply) {
       net_.DeliverLocal(pkt.dst_addr(), std::move(pkt));
       return;
     }
+    reply = *decoded;
   }
   const uint64_t key = KeyOf(pkt.dst_port(), reply.xid);
   const Pending* found;
@@ -658,7 +656,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
   const obs::TraceContext ctx{pending.trace_id, pending.root_span_id};
   obs::ScopedContext scope(tracer_, ctx);
 
-  if (reply.stat == RpcAcceptStat::kSuccess) {
+  if (reply.accept_stat == RpcAcceptStat::kSuccess) {
     // Track I/O side effects on attributes, then patch a complete, current
     // attribute set into the reply.
     if (pending.proc == NfsProc::kRead) {
@@ -668,7 +666,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
       ArmWritebackTimer();
     } else if (pending.proc == NfsProc::kRemove && pending.count == 1) {
       // Forwarded remove succeeded and the lookup armed data reclamation.
-      XdrDecoder dec(pkt.payload().subspan(reply.body_offset));
+      XdrDecoder dec(reply.body);
       Result<RemoveRes> res = RemoveRes::Decode(dec);
       if (res.ok() && res->status == Nfsstat3::kOk) {
         ScheduleDataUpdate(IntentOp::kRemove, pending.fh, 0);
@@ -676,7 +674,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
       }
     } else if (pending.proc == NfsProc::kSetattr && pending.count == 1) {
       // Truncate observed: propagate to the data servers.
-      XdrDecoder dec(pkt.payload().subspan(reply.body_offset));
+      XdrDecoder dec(reply.body);
       Result<SetattrRes> res = SetattrRes::Decode(dec);
       if (res.ok() && res->status == Nfsstat3::kOk) {
         ScheduleDataUpdate(IntentOp::kTruncate, pending.fh, pending.offset);
@@ -691,14 +689,14 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     }
     {
       obs::Profiler::Scope prof_patch(profiler_, obs::ProfScope::kUproxyAttrPatch);
-      PatchReplyAttrs(pkt, pending, reply);
+      PatchReplyAttrs(pkt, pending, reply.body_offset);
     }
     if (config_.proxy_cache && pending.proc == NfsProc::kLookup &&
         pending.name_fp != 0) {
       // Fill after patching so the cached attributes match what the client
       // sees in this reply.
       obs::Profiler::Scope prof_soft(profiler_, obs::ProfScope::kUproxySoftState);
-      FillLookupCache(pkt, pending);
+      FillLookupCache(pkt, pending, reply.body_offset);
     }
   }
 
@@ -706,7 +704,7 @@ void Uproxy::HandleInbound(Packet&& pkt) {
     obs::Profiler::Scope prof_rewrite(profiler_, obs::ProfScope::kUproxyRewrite);
     pkt.RewriteSrc(config_.virtual_server);
   }
-  DeliverReply(std::move(pkt), pending, reply.stat != RpcAcceptStat::kSuccess,
+  DeliverReply(std::move(pkt), pending, reply.accept_stat != RpcAcceptStat::kSuccess,
                reply.body_offset);
 }
 
@@ -741,8 +739,8 @@ void Uproxy::DeliverReply(Packet&& pkt, const Pending& pending, bool rpc_error,
 }
 
 std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& pending,
-                                               const DecodedReply& reply) const {
-  ByteSpan body = payload.subspan(reply.body_offset);
+                                               size_t body_offset) const {
+  ByteSpan body = payload.subspan(body_offset);
   if (body.size() < 4) {
     return std::nullopt;
   }
@@ -757,7 +755,7 @@ std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& 
     if (!present || body.size() < pos + kFattr3WireSize) {
       return std::nullopt;
     }
-    return reply.body_offset + pos;
+    return body_offset + pos;
   };
 
   switch (pending.proc) {
@@ -765,7 +763,7 @@ std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& 
       if (status != 0 || body.size() < 4 + kFattr3WireSize) {
         return std::nullopt;
       }
-      return reply.body_offset + 4;
+      return body_offset + 4;
     case NfsProc::kRead:
     case NfsProc::kAccess:
       return post_op_attr_here();
@@ -815,8 +813,8 @@ std::optional<size_t> Uproxy::LocateTargetAttr(ByteSpan payload, const Pending& 
   }
 }
 
-void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, const DecodedReply& reply) {
-  const std::optional<size_t> attr_offset = LocateTargetAttr(pkt.payload(), pending, reply);
+void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, size_t body_offset) {
+  const std::optional<size_t> attr_offset = LocateTargetAttr(pkt.payload(), pending, body_offset);
   if (!attr_offset.has_value()) {
     return;
   }
@@ -926,14 +924,14 @@ void Uproxy::InvalidateOnNameOp(const DecodedView& req, ByteSpan payload) {
   }
 }
 
-void Uproxy::FillLookupCache(const Packet& pkt, const Pending& pending) {
-  LookupReplyView view;
-  if (!DecodeLookupReplyView(pkt.payload(), &view).ok() || view.nfs_status != 0 ||
-      !view.has_attr) {
+void Uproxy::FillLookupCache(const Packet& pkt, const Pending& pending, size_t body_offset) {
+  XdrDecoder dec(pkt.payload().subspan(body_offset));
+  Result<LookupRes> res = LookupRes::Decode(dec);
+  if (!res.ok() || res->status != Nfsstat3::kOk || !res->obj_attributes) {
     return;
   }
-  lookup_cache_.Insert(pending.fh.fileid(), pending.name_fp, view.fh, view.attr,
-                       dir_table_.SlotFor(pending.name_fp));
+  lookup_cache_.Insert(pending.fh.fileid(), pending.name_fp, res->object,
+                       *res->obj_attributes, dir_table_.SlotFor(pending.name_fp));
 }
 
 // --- absorb paths ---
@@ -952,12 +950,16 @@ SimTime Uproxy::SendDirectReply(Endpoint client, uint32_t xid, XdrEncoder&& resu
 }
 
 void Uproxy::ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result) {
-  // Absorbed operations (and synthesized errors) end here: the pending record
-  // is still present — callers erase it after this — so the root can close at
-  // the moment the reply is handed to the client, and the tenant carried on
-  // the record is accounted. The result body leads with nfsstat3.
-  if (const Pending* p = pending_.Find(KeyOf(client.port, xid)); p != nullptr) {
-    DeliverReply(SealReply(client, xid, std::move(result)), *p, /*rpc_error=*/false,
+  // Absorbed operations and synthesized errors end here. A pending record
+  // is answered and done: it is copied out (DeliverReply reads it, and an
+  // erase may move FlatMap slots) and erased, the root closes at the moment
+  // the reply is handed to the client, and the tenant carried on the record
+  // is accounted. The result body leads with nfsstat3.
+  const uint64_t key = KeyOf(client.port, xid);
+  if (const Pending* p = pending_.Find(key); p != nullptr) {
+    const Pending pending = *p;
+    pending_.Erase(key);
+    DeliverReply(SealReply(client, xid, std::move(result)), pending, /*rpc_error=*/false,
                  kRpcReplyEnvelopeSize);
     return;
   }
@@ -1076,19 +1078,14 @@ void Uproxy::FetchTables() {
                 {{"epoch", static_cast<int64_t>(table_epoch_)}});
   // Safe to capture `this`: the handler lives in own_rpc_, which dies with
   // the µproxy.
-  own_rpc_->Call(config_.manager, kMgmtProgram, kMgmtVersion,
-                 static_cast<uint32_t>(MgmtProc::kFetchTables), ByteSpan{},
-                 [this](Status st, const RpcMessageView& reply) {
-                   table_fetch_inflight_ = false;
-                   if (!st.ok()) {
-                     return;
-                   }
-                   XdrDecoder dec(reply.body);
-                   Result<MgmtTableSet> tables = MgmtTableSet::Decode(dec);
-                   if (tables.ok()) {
-                     InstallTables(*tables);
-                   }
-                 });
+  CallTyped<MgmtTableSet>(*own_rpc_, config_.manager, kMgmtProgram, kMgmtVersion,
+                          static_cast<uint32_t>(MgmtProc::kFetchTables), ByteSpan{},
+                          [this](Status st, const MgmtTableSet& tables) {
+                            table_fetch_inflight_ = false;
+                            if (st.ok()) {
+                              InstallTables(tables);
+                            }
+                          });
 }
 
 void Uproxy::LogDegradedWrite(const FileHandle& fh, uint64_t offset, uint32_t count,
@@ -1121,17 +1118,12 @@ void Uproxy::WithIntent(IntentOp op, const FileHandle& fh, uint64_t arg,
   args.arg = arg;
   const Endpoint coord = CoordinatorFor(fh);
   counters_.Add("intents_logged");
-  own_rpc_->Call(
-      coord, kCoordProgram, kCoordVersion, static_cast<uint32_t>(CoordProc::kLogIntent), args,
-      [this, coord, body = std::move(body)](Status st, const RpcMessageView& reply) {
-        uint64_t intent_id = 0;
-        if (st.ok()) {
-          XdrDecoder dec(reply.body);
-          Result<LogIntentRes> res = LogIntentRes::Decode(dec);
-          if (res.ok()) {
-            intent_id = res->intent_id;
-          }
-        }
+  CallTyped<LogIntentRes>(
+      *own_rpc_, coord, kCoordProgram, kCoordVersion,
+      static_cast<uint32_t>(CoordProc::kLogIntent), args,
+      [this, coord, body = std::move(body)](Status, const LogIntentRes& res) {
+        // A failed call hands over an empty result: intent 0, nothing to complete.
+        const uint64_t intent_id = res.intent_id;
         body([this, coord, intent_id]() {
           if (intent_id == 0) {
             return;
@@ -1199,7 +1191,6 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
   if (live_nodes.empty()) {
     counters_.Add("unavailable_rejected");
     SynthesizeErrorReply(req.proc, req.xid, client, Nfsstat3::kErrIo, req.tenant);
-    pending_.Erase(KeyOf(client.port, req.xid));
     return;
   }
   const bool log_degraded = !dead_nodes.empty() && !config_.coordinators.empty();
@@ -1245,7 +1236,6 @@ void Uproxy::AbsorbMirrorWrite(const DecodedView& req, Endpoint client, ByteSpan
                  XdrEncoder reply = NewReplyEncoder();
                  merged.Encode(reply);
                  ReplyToClient(client, req.xid, std::move(reply));
-                 pending_.Erase(KeyOf(client.port, req.xid));
                };
                if (log_degraded) {
                  for (uint32_t node : dead_nodes) {
@@ -1312,7 +1302,6 @@ void Uproxy::AbsorbMultiCommit(const DecodedView& req, Endpoint client) {
   if (targets.empty()) {
     counters_.Add("unavailable_rejected");
     SynthesizeErrorReply(req.proc, req.xid, client, Nfsstat3::kErrIo, req.tenant);
-    pending_.Erase(KeyOf(client.port, req.xid));
     return;
   }
 
@@ -1349,7 +1338,6 @@ void Uproxy::AbsorbMultiCommit(const DecodedView& req, Endpoint client) {
                 XdrEncoder reply = NewReplyEncoder();
                 merged.Encode(reply);
                 ReplyToClient(client, req.xid, std::move(reply));
-                pending_.Erase(KeyOf(client.port, req.xid));
               });
         }
       });

@@ -244,8 +244,8 @@ class Uproxy : public PacketTap {
   // the NFS result body; SealReply fills the envelope in place and turns the
   // frame into the packet from the virtual server.
   Packet SealReply(Endpoint client, uint32_t xid, XdrEncoder&& result);
-  // Sends a synthesized NFS reply to the local client, through DeliverReply
-  // when the request has a pending record.
+  // Sends a synthesized NFS reply to the local client. A request with a
+  // pending record is answered through DeliverReply, and its record erased.
   void ReplyToClient(Endpoint client, uint32_t xid, XdrEncoder&& result);
   // Delivers the sealed `result` to the local client for a request with no
   // pending record (a cache hit, a fail-fast rejection); returns the
@@ -276,16 +276,18 @@ class Uproxy : public PacketTap {
   bool TryServeGetattr(const Packet& pkt, const DecodedView& req);
   // Conservative request-time invalidation for name-mutating operations.
   void InvalidateOnNameOp(const DecodedView& req, ByteSpan payload);
-  // Reply-side cache fill from a successful LOOKUP.
-  void FillLookupCache(const Packet& pkt, const Pending& pending);
+  // Reply-side cache fill from a successful LOOKUP whose result body starts
+  // at payload offset `body_offset`.
+  void FillLookupCache(const Packet& pkt, const Pending& pending, size_t body_offset);
 
-  // Reply-side attribute patching.
-  void PatchReplyAttrs(Packet& pkt, const Pending& pending, const DecodedReply& reply);
-  // Finds the absolute packet offset of the target file's fattr3 within the
-  // reply, or nullopt. Exposed via FRIEND_TEST-free design: tests go through
-  // public packet behavior instead.
+  // Reply-side attribute patching; the result body starts at payload offset
+  // `body_offset`.
+  void PatchReplyAttrs(Packet& pkt, const Pending& pending, size_t body_offset);
+  // Finds the payload offset of the target file's fattr3 within the reply,
+  // or nullopt. Exposed via FRIEND_TEST-free design: tests go through public
+  // packet behavior instead.
   std::optional<size_t> LocateTargetAttr(ByteSpan payload, const Pending& pending,
-                                         const DecodedReply& reply) const;
+                                         size_t body_offset) const;
 
   // Attribute writeback to the directory service.
   void WritebackAttrs(uint64_t fileid, const Fattr3& attr);

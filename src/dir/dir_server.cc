@@ -26,7 +26,7 @@ void EncodeAttrForLog(XdrEncoder& enc, const Fattr3& attr, const std::string& sy
 
 DirServer::DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params,
                      const obs::Sinks& sinks)
-    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
+    : RpcServerNode(net, queue, addr, kNfsPort, kNfsProgram, kNfsVersion, {}, sinks),
       params_(params),
       next_counter_(params.site == 0 ? kRootFileid + 1 : 1) {
   if (params_.backing_node.addr != 0) {
@@ -944,9 +944,6 @@ void DirServer::RegisterDirInstruments(obs::Metrics& metrics) {
 
 RpcAcceptStat DirServer::HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                     ServiceCost& cost) {
-  if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    return RpcAcceptStat::kProgUnavail;
-  }
   obs::Profiler::Scope prof(profiler(), obs::ProfScope::kDirNameOp);
   const NfsProc proc = static_cast<NfsProc>(call.proc);
   cost.AddCpu(FromMicros(params_.op_cpu_us));
@@ -960,158 +957,102 @@ RpcAcceptStat DirServer::HandleCall(const RpcMessageView& call, XdrEncoder& repl
     return RpcAcceptStat::kSuccess;
   }
 
-  XdrDecoder dec(call.body);
   switch (proc) {
     case NfsProc::kNull:
       return RpcAcceptStat::kSuccess;
-    case NfsProc::kGetattr: {
-      Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedByFileid(args->object.fileid())) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      HandleGetattr(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kSetattr: {
-      Result<SetattrArgs> args = SetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedByFileid(args->object.fileid())) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      HandleSetattr(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kLookup: {
-      Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedNameOp(args->dir, args->name)) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleLookup(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kAccess: {
-      Result<AccessArgs> args = AccessArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedByFileid(args->object.fileid())) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      HandleAccess(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kReadlink: {
-      Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleReadlink(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kCreate: {
-      Result<CreateArgs> args = CreateArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedNameOp(args->dir, args->name)) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleCreate(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kMkdir: {
-      Result<MkdirArgs> args = MkdirArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleMkdir(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kSymlink: {
-      Result<SymlinkArgs> args = SymlinkArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleSymlink(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
+    case NfsProc::kGetattr:
+      return Serve<GetattrArgs>(call, [&](const GetattrArgs& args) {
+        if (MisroutedByFileid(args.object.fileid())) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        HandleGetattr(args, reply, cost);
+      });
+    case NfsProc::kSetattr:
+      return Serve<SetattrArgs>(call, [&](const SetattrArgs& args) {
+        if (MisroutedByFileid(args.object.fileid())) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        HandleSetattr(args, reply, cost);
+      });
+    case NfsProc::kLookup:
+      return Serve<DirOpArgs>(call, [&](const DirOpArgs& args) {
+        if (MisroutedNameOp(args.dir, args.name)) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleLookup(args, reply, cost);
+      });
+    case NfsProc::kAccess:
+      return Serve<AccessArgs>(call, [&](const AccessArgs& args) {
+        if (MisroutedByFileid(args.object.fileid())) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        HandleAccess(args, reply, cost);
+      });
+    case NfsProc::kReadlink:
+      return Serve<GetattrArgs>(
+          call, [&](const GetattrArgs& args) { HandleReadlink(args, reply, cost); });
+    case NfsProc::kCreate:
+      return Serve<CreateArgs>(call, [&](const CreateArgs& args) {
+        if (MisroutedNameOp(args.dir, args.name)) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleCreate(args, reply, cost);
+      });
+    case NfsProc::kMkdir:
+      return Serve<MkdirArgs>(call, [&](const MkdirArgs& args) {
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleMkdir(args, reply, cost);
+      });
+    case NfsProc::kSymlink:
+      return Serve<SymlinkArgs>(call, [&](const SymlinkArgs& args) {
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleSymlink(args, reply, cost);
+      });
     case NfsProc::kRemove:
-    case NfsProc::kRmdir: {
-      Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedNameOp(args->dir, args->name)) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleRemove(*args, proc == NfsProc::kRmdir, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kRename: {
-      Result<RenameArgs> args = RenameArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      // A rename heats both name slots: the source entry is erased and the
-      // target inserted, each on its fingerprint's owner.
-      NoteSlotOp(args->from_dir, args->from_name, call.cred.uid);
-      NoteSlotOp(args->to_dir, args->to_name, call.cred.uid);
-      HandleRename(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kLink: {
-      Result<LinkArgs> args = LinkArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      NoteSlotOp(args->dir, args->name, call.cred.uid);
-      HandleLink(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
+    case NfsProc::kRmdir:
+      return Serve<DirOpArgs>(call, [&](const DirOpArgs& args) {
+        if (MisroutedNameOp(args.dir, args.name)) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleRemove(args, proc == NfsProc::kRmdir, reply, cost);
+      });
+    case NfsProc::kRename:
+      return Serve<RenameArgs>(call, [&](const RenameArgs& args) {
+        // A rename heats both name slots: the source entry is erased and the
+        // target inserted, each on its fingerprint's owner.
+        NoteSlotOp(args.from_dir, args.from_name, call.uid);
+        NoteSlotOp(args.to_dir, args.to_name, call.uid);
+        HandleRename(args, reply, cost);
+      });
+    case NfsProc::kLink:
+      return Serve<LinkArgs>(call, [&](const LinkArgs& args) {
+        NoteSlotOp(args.dir, args.name, call.uid);
+        HandleLink(args, reply, cost);
+      });
     case NfsProc::kReaddir:
-    case NfsProc::kReaddirplus: {
-      Result<ReaddirArgs> args = ReaddirArgs::Decode(dec, proc == NfsProc::kReaddirplus);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      if (MisroutedByFileid(args->dir.fileid())) {
-        MisdirectReply(proc, reply);
-        return RpcAcceptStat::kSuccess;
-      }
-      HandleReaddir(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kFsstat: {
+    case NfsProc::kReaddirplus:
+      return Serve<ReaddirArgs>(call, [&](const ReaddirArgs& args) {
+        if (MisroutedByFileid(args.dir.fileid())) {
+          MisdirectReply(proc, reply);
+          return;
+        }
+        HandleReaddir(args, reply, cost);
+      });
+    case NfsProc::kFsstat:
       HandleFsstat(reply, cost);
       return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kFsinfo: {
-      Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleFsinfo(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
+    case NfsProc::kFsinfo:
+      return Serve<GetattrArgs>(
+          call, [&](const GetattrArgs& args) { HandleFsinfo(args, reply, cost); });
     default:
       return RpcAcceptStat::kProcUnavail;
   }

@@ -37,19 +37,14 @@ void HeartbeatAgent::Tick() {
   ++beats_sent_;
   // Safe to capture `this`: the handler lives in rpc_, which dies with the
   // agent.
-  rpc_.Call(params_.manager, kMgmtProgram, kMgmtVersion,
-            static_cast<uint32_t>(MgmtProc::kHeartbeat), args,
-            [this](Status status, const RpcMessageView& reply) {
-              if (!status.ok()) {
-                return;
-              }
-              XdrDecoder dec(reply.body);
-              auto res = HeartbeatRes::Decode(dec);
-              if (res.ok()) {
-                ++beats_acked_;
-                known_epoch_ = res.value().current_epoch;
-              }
-            });
+  CallTyped<HeartbeatRes>(rpc_, params_.manager, kMgmtProgram, kMgmtVersion,
+                          static_cast<uint32_t>(MgmtProc::kHeartbeat), args,
+                          [this](Status status, const HeartbeatRes& res) {
+                            if (status.ok()) {
+                              ++beats_acked_;
+                              known_epoch_ = res.current_epoch;
+                            }
+                          });
   const auto interval = static_cast<SimTime>(
       static_cast<double>(params_.interval) * interval_scale_);
   queue_.ScheduleBackgroundAfter(interval, [this] { Tick(); }, owner_.id());

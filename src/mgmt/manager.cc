@@ -30,7 +30,7 @@ const char* NodeClassName(NodeClass cls) {
 
 EnsembleManager::EnsembleManager(Network& net, EventQueue& queue, NetAddr addr,
                                  ClusterView view, MgmtParams params, const obs::Sinks& sinks)
-    : RpcServerNode(net, queue, addr, kMgmtPort, {}, sinks),
+    : RpcServerNode(net, queue, addr, kMgmtPort, kMgmtProgram, kMgmtVersion, {}, sinks),
       view_(std::move(view)),
       params_(params),
       detector_(FailureDetectorParams{params.failure_timeout}),
@@ -273,42 +273,34 @@ void EnsembleManager::Sweep() {
 RpcAcceptStat EnsembleManager::HandleCall(const RpcMessageView& call,
                                           XdrEncoder& reply,
                                           ServiceCost& cost) {
-  if (call.prog != kMgmtProgram) {
-    return RpcAcceptStat::kProgUnavail;
-  }
   cost.AddCpu(FromMicros(params_.op_cpu_us));
   switch (static_cast<MgmtProc>(call.proc)) {
     case MgmtProc::kNull:
       return RpcAcceptStat::kSuccess;
-    case MgmtProc::kHeartbeat: {
-      XdrDecoder dec(call.body);
-      auto args = HeartbeatArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      ++heartbeats_received_;
-      const uint64_t id = NodeId(args.value().node_class, args.value().index);
-      if (detector_.Touch(id, now())) {
-        const obs::TraceContext ctx = OpenEpisode(id, "node_rejoin");
-        obs::LogEvent(eventlog(), addr(), now(), obs::EventSev::kInfo, obs::EventCat::kMgmt,
-                      obs::EventCode::kNodeRejoin, ctx.trace_id,
-                      NodeClassName(NodeIdClass(id)), {{"node", NodeIdIndex(id)}});
-        OnMembershipChange({}, {id});
-        CloseEpisode(id);
-      } else if (suspected_.erase(id) > 0) {
-        // Suspicion was a false alarm (lost heartbeats, not a crash).
-        const auto ep = episodes_.find(id);
-        obs::LogEvent(eventlog(), addr(), now(), obs::EventSev::kInfo, obs::EventCat::kMgmt,
-                      obs::EventCode::kHeartbeatResume,
-                      ep != episodes_.end() ? ep->second.trace_id : 0,
-                      NodeClassName(NodeIdClass(id)), {{"node", NodeIdIndex(id)}});
-        episodes_.erase(id);
-      }
-      HeartbeatRes res;
-      res.current_epoch = tables_.epoch;
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
+    case MgmtProc::kHeartbeat:
+      return Serve<HeartbeatArgs>(call, [&](const HeartbeatArgs& args) {
+        ++heartbeats_received_;
+        const uint64_t id = NodeId(args.node_class, args.index);
+        if (detector_.Touch(id, now())) {
+          const obs::TraceContext ctx = OpenEpisode(id, "node_rejoin");
+          obs::LogEvent(eventlog(), addr(), now(), obs::EventSev::kInfo, obs::EventCat::kMgmt,
+                        obs::EventCode::kNodeRejoin, ctx.trace_id,
+                        NodeClassName(NodeIdClass(id)), {{"node", NodeIdIndex(id)}});
+          OnMembershipChange({}, {id});
+          CloseEpisode(id);
+        } else if (suspected_.erase(id) > 0) {
+          // Suspicion was a false alarm (lost heartbeats, not a crash).
+          const auto ep = episodes_.find(id);
+          obs::LogEvent(eventlog(), addr(), now(), obs::EventSev::kInfo, obs::EventCat::kMgmt,
+                        obs::EventCode::kHeartbeatResume,
+                        ep != episodes_.end() ? ep->second.trace_id : 0,
+                        NodeClassName(NodeIdClass(id)), {{"node", NodeIdIndex(id)}});
+          episodes_.erase(id);
+        }
+        HeartbeatRes res;
+        res.current_epoch = tables_.epoch;
+        res.Encode(reply);
+      });
     case MgmtProc::kFetchTables:
       tables_.Encode(reply);
       return RpcAcceptStat::kSuccess;

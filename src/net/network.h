@@ -88,7 +88,6 @@ class Network {
   // Attaches a host. `handler` receives packets addressed to `addr`.
   void Attach(NetAddr addr, Handler handler);
   void Detach(NetAddr addr);
-  bool IsAttached(NetAddr addr) const { return hosts_.contains(addr); }
 
   // Installs/removes a tap on a host's path. At most one tap per host.
   void InstallTap(NetAddr addr, PacketTap* tap);
@@ -121,7 +120,6 @@ class Network {
   // Marks a host failed: its packets are dropped silently until revived.
   // Models server crashes for failover experiments.
   void SetHostFailed(NetAddr addr, bool failed);
-  bool IsHostFailed(NetAddr addr) const { return failed_.contains(addr); }
 
   void set_loss_rate(double rate) { params_.loss_rate = rate; }
 
@@ -131,7 +129,6 @@ class Network {
   // never perturbs the base loss model's draw sequence.
   void SetLinkShape(NetAddr src, NetAddr dst, const LinkShape& shape);
   void ClearLinkShape(NetAddr src, NetAddr dst);
-  void ClearAllLinkShapes() { link_shapes_.clear(); }
   size_t num_shaped_links() const { return link_shapes_.size(); }
 
   // Gray NIC: every packet to or from `addr` pays `delay` extra wire

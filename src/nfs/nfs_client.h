@@ -10,41 +10,19 @@
 
 #include <functional>
 #include <memory>
-#include <type_traits>
 
 #include "src/nfs/nfs_xdr.h"
 #include "src/rpc/rpc_client.h"
 
 namespace slice {
 
-// The one typed NFS call: issues `proc` to `server` on `rpc`, encoding `args`
-// straight into the call (RpcClient::Call), and hands `cb` (any callable
-// taking `(Status, const Res&)`) the reply decoded into a Res, or a failed
-// status and an empty Res. NfsClient calls it for its fixed server; the
-// µproxy calls it on its own RpcClient for each target of a fan-out.
+// The one typed NFS call: CallTyped (src/rpc/rpc_client.h) for NFSv3
+// procedure `proc`. NfsClient calls it for its fixed server; the µproxy
+// calls it on its own RpcClient for each target of a fan-out.
 template <typename Res, typename Args, typename Cb>
 void CallNfs(RpcClient& rpc, Endpoint server, NfsProc proc, const Args& args, Cb cb) {
-  rpc.Call(server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
-           [cb = std::move(cb), proc](Status st, const RpcMessageView& reply) {
-             if (!st.ok()) {
-               cb(st, Res{});
-               return;
-             }
-             XdrDecoder dec(reply.body);
-             Result<Res> res = [&] {
-               // READDIRPLUS entries carry attributes and handles on the wire.
-               if constexpr (std::is_same_v<Res, ReaddirRes>) {
-                 return Res::Decode(dec, proc == NfsProc::kReaddirplus);
-               } else {
-                 return Res::Decode(dec);
-               }
-             }();
-             if (!res.ok()) {
-               cb(res.status(), Res{});
-               return;
-             }
-             cb(OkStatus(), *res);
-           });
+  CallTyped<Res>(rpc, server, kNfsProgram, kNfsVersion, static_cast<uint32_t>(proc), args,
+                 std::move(cb));
 }
 
 class NfsClient {

@@ -151,6 +151,10 @@ struct ReaddirArgs {
   uint32_t maxcount = 8192;
   void Encode(XdrEncoder& enc) const;
   static Result<ReaddirArgs> Decode(XdrDecoder& dec, bool plus);
+  // DecodeBody's form: READDIRPLUS decodes with `plus`.
+  static Result<ReaddirArgs> DecodeForProc(XdrDecoder& dec, uint32_t proc) {
+    return Decode(dec, proc == static_cast<uint32_t>(NfsProc::kReaddirplus));
+  }
 };
 
 struct CommitArgs {
@@ -287,6 +291,10 @@ struct ReaddirRes {
   bool plus = false;
   void Encode(XdrEncoder& enc) const;
   static Result<ReaddirRes> Decode(XdrDecoder& dec, bool plus);
+  // DecodeBody's form: READDIRPLUS entries carry attributes and handles.
+  static Result<ReaddirRes> DecodeForProc(XdrDecoder& dec, uint32_t proc) {
+    return Decode(dec, proc == static_cast<uint32_t>(NfsProc::kReaddirplus));
+  }
 };
 
 struct FsstatRes {

@@ -119,7 +119,7 @@ std::vector<Event> EventLog::Collect() const {
 uint64_t EventLog::total_evicted() const {
   uint64_t total = 0;
   for (const auto& [host, ring] : rings_) {
-    total += ring.evicted();
+    total += ring.overwritten();
   }
   return total;
 }

@@ -32,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/ring.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -168,40 +169,8 @@ struct Event {
   std::string_view detail_view() const { return std::string_view(detail); }
 };
 
-// Bounded per-host event storage; oldest entries overwritten on overflow
-// (same soft-state discipline as SpanRing / TimeSeries).
-class EventRing {
- public:
-  explicit EventRing(size_t capacity) : slots_(capacity > 0 ? capacity : 1) {}
-
-  void Push(const Event& event) {
-    if (size_ == slots_.size()) {
-      slots_[head_] = event;
-      head_ = (head_ + 1) % slots_.size();
-      ++evicted_;
-    } else {
-      slots_[(head_ + size_) % slots_.size()] = event;
-      ++size_;
-    }
-  }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
-  uint64_t evicted() const { return evicted_; }
-
-  // Appends the ring's events, oldest first, to `out`.
-  void CopyTo(std::vector<Event>& out) const {
-    for (size_t i = 0; i < size_; ++i) {
-      out.push_back(slots_[(head_ + i) % slots_.size()]);
-    }
-  }
-
- private:
-  std::vector<Event> slots_;
-  size_t head_ = 0;
-  size_t size_ = 0;
-  uint64_t evicted_ = 0;
-};
+// Bounded per-host event storage (oldest overwritten first).
+using EventRing = Ring<Event>;
 
 struct EventLogParams {
   bool enabled = true;

@@ -5,15 +5,13 @@
 namespace slice::obs {
 
 int64_t SloEngine::BurnMilli(const TenantState& st, uint32_t windows) const {
-  if (st.size < 2) {
+  if (st.ring.size() < 2) {
     return 0;  // need at least two snapshots for a delta
   }
-  const size_t cap = st.ring.size();
-  const auto at = [&](size_t i) -> const Snap& { return st.ring[(st.head + i) % cap]; };
-  const size_t newest = st.size - 1;
+  const size_t newest = st.ring.size() - 1;
   const size_t back = windows < newest ? windows : newest;  // partial: oldest available
-  const Snap& cur = at(newest);
-  const Snap& old = at(newest - back);
+  const Snap& cur = st.ring.at(newest);
+  const Snap& old = st.ring.at(newest - back);
   const uint64_t ops = cur.ops - old.ops;
   const uint64_t bad = cur.bad - old.bad;
   if (ops < params_.min_ops || bad == 0) {
@@ -29,19 +27,8 @@ void SloEngine::OnScrape(SimTime now) {
     return;
   }
   for (const TenantInstruments& ti : metrics_.tenants()) {
-    TenantState& st = state_[ti.tenant];
-    if (st.ring.empty()) {
-      st.ring.resize(params_.slow_windows + 1);
-    }
-    const size_t cap = st.ring.size();
-    const Snap snap{ti.TotalOps(), ti.bad_ops.Value()};
-    if (st.size == cap) {
-      st.ring[st.head] = snap;
-      st.head = (st.head + 1) % cap;
-    } else {
-      st.ring[(st.head + st.size) % cap] = snap;
-      ++st.size;
-    }
+    TenantState& st = state_.try_emplace(ti.tenant, params_.slow_windows + 1).first->second;
+    st.ring.Push(Snap{ti.TotalOps(), ti.bad_ops.Value()});
 
     st.fast_milli = BurnMilli(st, params_.fast_windows);
     st.slow_milli = BurnMilli(st, params_.slow_windows);

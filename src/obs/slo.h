@@ -27,6 +27,7 @@
 
 #include "src/obs/eventlog.h"
 #include "src/obs/metrics.h"
+#include "src/obs/ring.h"
 #include "src/obs/sinks.h"
 #include "src/sim/event_queue.h"
 
@@ -100,9 +101,8 @@ class SloEngine {
     uint64_t bad = 0;
   };
   struct TenantState {
-    std::vector<Snap> ring;  // cumulative snapshots, capacity slow_windows+1
-    size_t head = 0;
-    size_t size = 0;
+    explicit TenantState(size_t windows) : ring(windows) {}
+    Ring<Snap> ring;  // cumulative snapshots, capacity slow_windows+1
     uint32_t above = 0;
     uint32_t below = 0;
     bool raised = false;

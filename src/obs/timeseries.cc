@@ -32,7 +32,7 @@ void Scraper::ScrapeOnce() {
       if (it == host_series.end()) {
         it = host_series.emplace(name, TimeSeries(capacity)).first;
       }
-      it->second.Push(now, value);
+      it->second.Push(Sample{now, value});
     };
     for (const auto& [name, counter] : reg.counters()) {
       push(name, static_cast<int64_t>(counter->Value()));
@@ -51,7 +51,7 @@ void Scraper::ScrapeOnce() {
       if (it == ts.end()) {
         it = ts.emplace(name, TimeSeries(capacity)).first;
       }
-      it->second.Push(now, value);
+      it->second.Push(Sample{now, value});
     };
     for (size_t i = 0; i < kTenantOpClassCount; ++i) {
       const std::string cls = TenantOpClassName(static_cast<TenantOpClass>(i));

@@ -27,36 +27,8 @@ struct Sample {
   int64_t value = 0;
 };
 
-// Bounded fixed-interval sample ring: oldest samples are dropped on
-// overflow (soft state, like the span rings).
-class TimeSeries {
- public:
-  explicit TimeSeries(size_t capacity) : slots_(capacity > 0 ? capacity : 1) {}
-
-  void Push(SimTime at, int64_t value) {
-    if (size_ == slots_.size()) {
-      slots_[head_] = Sample{at, value};
-      head_ = (head_ + 1) % slots_.size();
-      ++dropped_;
-    } else {
-      slots_[(head_ + size_) % slots_.size()] = Sample{at, value};
-      ++size_;
-    }
-  }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
-  uint64_t dropped() const { return dropped_; }
-  // i-th sample, oldest first.
-  const Sample& at(size_t i) const { return slots_[(head_ + i) % slots_.size()]; }
-  const Sample& back() const { return at(size_ - 1); }
-
- private:
-  std::vector<Sample> slots_;
-  size_t head_ = 0;
-  size_t size_ = 0;
-  uint64_t dropped_ = 0;
-};
+// Bounded fixed-interval sample series (oldest overwritten first).
+using TimeSeries = Ring<Sample>;
 
 class Scraper {
  public:

@@ -105,7 +105,7 @@ std::vector<Span> Tracer::Collect() const {
 uint64_t Tracer::total_evicted() const {
   uint64_t total = 0;
   for (const auto& [host, ring] : rings_) {
-    total += ring.evicted();
+    total += ring.overwritten();
   }
   return total;
 }

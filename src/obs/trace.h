@@ -24,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/ring.h"
 #include "src/sim/event_queue.h"
 
 namespace slice::obs {
@@ -76,40 +77,8 @@ struct Span {
   std::string_view name_view() const { return std::string_view(name); }
 };
 
-// Bounded per-host span storage: oldest entries are overwritten on overflow
-// (soft state, like everything else the observer keeps).
-class SpanRing {
- public:
-  explicit SpanRing(size_t capacity) : slots_(capacity > 0 ? capacity : 1) {}
-
-  void Push(const Span& span) {
-    if (size_ == slots_.size()) {
-      slots_[head_] = span;  // overwrite the oldest slot
-      head_ = (head_ + 1) % slots_.size();
-      ++evicted_;
-    } else {
-      slots_[(head_ + size_) % slots_.size()] = span;
-      ++size_;
-    }
-  }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
-  uint64_t evicted() const { return evicted_; }
-
-  // Appends the ring's spans, oldest first, to `out`.
-  void CopyTo(std::vector<Span>& out) const {
-    for (size_t i = 0; i < size_; ++i) {
-      out.push_back(slots_[(head_ + i) % slots_.size()]);
-    }
-  }
-
- private:
-  std::vector<Span> slots_;
-  size_t head_ = 0;
-  size_t size_ = 0;
-  uint64_t evicted_ = 0;
-};
+// Bounded per-host span storage (oldest overwritten first).
+using SpanRing = Ring<Span>;
 
 struct TracerParams {
   bool enabled = true;

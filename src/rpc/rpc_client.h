@@ -118,6 +118,30 @@ class RpcClient {
   uint64_t retransmissions_ = 0;
 };
 
+// The one typed call: issues `proc` of program `prog`, version `vers`, to
+// `server` on `rpc`, encoding `args` straight into the call, and hands `cb`
+// (any callable taking `(Status, const Res&)`, captured as is) the reply
+// body decoded into a Res (DecodeBody), or a failed status and an empty Res.
+// CallNfs (src/nfs/nfs_client.h) is its NFS form; the µproxy's coordinator
+// and manager calls and the heartbeat agent use it directly.
+template <typename Res, typename Args, typename Cb>
+void CallTyped(RpcClient& rpc, Endpoint server, uint32_t prog, uint32_t vers, uint32_t proc,
+               const Args& args, Cb cb) {
+  rpc.Call(server, prog, vers, proc, args,
+           [cb = std::move(cb), proc](Status st, const RpcMessageView& reply) {
+             if (!st.ok()) {
+               cb(st, Res{});
+               return;
+             }
+             Result<Res> res = DecodeBody<Res>(reply.body, proc);
+             if (!res.ok()) {
+               cb(res.status(), Res{});
+               return;
+             }
+             cb(OkStatus(), *res);
+           });
+}
+
 }  // namespace slice
 
 #endif  // SLICE_RPC_RPC_CLIENT_H_

@@ -5,46 +5,33 @@
 namespace slice {
 namespace {
 
-// Parses an AUTH_SYS credential in place: the machine name stays a view into
-// `body` and the gid list lands in the bounded inline array, so a credential
-// decode never allocates. Callers must keep `body` alive while the view is
-// consumed.
-Result<AuthSysCredView> DecodeAuthBody(ByteSpan body) {
-  XdrDecoder dec(body);
-  AuthSysCredView cred;
-  SLICE_ASSIGN_OR_RETURN(cred.stamp, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(cred.machine_name, dec.GetStringView(255));
-  SLICE_ASSIGN_OR_RETURN(cred.uid, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(cred.gid, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(uint32_t n, dec.GetUint32());
-  if (n > AuthSysCredView::kMaxGids) {
-    return Status(StatusCode::kCorrupt, "rpc: too many gids");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    SLICE_ASSIGN_OR_RETURN(cred.gids.v[i], dec.GetUint32());
-  }
-  cred.gids.count = n;
-  return cred;
-}
+// RFC 1831's AUTH_SYS bounds.
+constexpr uint32_t kMaxMachineName = 255;
+constexpr uint32_t kMaxGids = 16;
 
-// Allocation-free uid extraction from a raw AUTH_SYS credential body: stamp,
-// variable-length machine name, then uid. Any short or oversized field falls
-// back to 0 (untenanted) rather than failing the whole peek — the credential
-// was already bounds-checked as an opaque blob by the caller.
-uint32_t PeekAuthSysUid(ByteSpan cred_body) {
-  XdrDecoder dec(cred_body);
-  if (!dec.GetUint32().ok()) {  // stamp
-    return 0;
+// Checks an AUTH_SYS credential body in place — stamp, machine name, uid,
+// gid and the gid list, each inside `body` and within RFC 1831's bounds —
+// and stores its uid. Raw reads behind two length checks: this runs on every
+// call the µproxy and the servers see.
+bool ReadAuthSysUid(ByteSpan body, uint32_t* uid) {
+  const uint8_t* p = body.data();
+  if (body.size() < 8) {  // stamp, name length
+    return false;
   }
-  Result<uint32_t> name_len = dec.GetUint32();
-  if (!name_len.ok() || name_len.value() > 255) {
-    return 0;
+  const uint32_t name_len = GetU32(p + 4);
+  if (name_len > kMaxMachineName) {
+    return false;
   }
-  if (!dec.GetRawView(name_len.value() + XdrPad(name_len.value())).ok()) {
-    return 0;
+  const size_t at = 8 + name_len + XdrPad(name_len);  // uid, gid, gid count
+  if (body.size() < at + 12) {
+    return false;
   }
-  Result<uint32_t> uid = dec.GetUint32();
-  return uid.ok() ? uid.value() : 0;
+  const uint32_t gids = GetU32(p + at + 8);
+  if (gids > kMaxGids || body.size() < at + 12 + size_t{4} * gids) {
+    return false;
+  }
+  *uid = GetU32(p + at);
+  return true;
 }
 
 void PutReplyEnvelope(uint8_t* out, uint32_t xid, RpcAcceptStat stat) {
@@ -120,119 +107,87 @@ ByteSpan SealReplyFrame(Bytes& frame, uint32_t xid, RpcAcceptStat stat) {
 }
 
 Result<RpcMessageView> DecodeRpcMessage(ByteSpan data) {
-  XdrDecoder dec(data);
+  // Raw reads behind explicit length checks, like ReadAuthSysUid: a Status
+  // is built only on a failure path.
+  const auto corrupt = [](const char* what) { return Status(StatusCode::kCorrupt, what); };
+  const uint8_t* const p = data.data();
+  const size_t n = data.size();
   RpcMessageView view;
-  SLICE_ASSIGN_OR_RETURN(view.xid, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());
+  if (n < 8) {
+    return corrupt("rpc: short header");
+  }
+  view.xid = GetU32(p);
+  const uint32_t type = GetU32(p + 4);
   if (type > 1) {
-    return Status(StatusCode::kCorrupt, "rpc: bad msg type");
+    return corrupt("rpc: bad msg type");
   }
   view.type = static_cast<RpcMsgType>(type);
+  size_t pos = 8;
 
   if (view.type == RpcMsgType::kCall) {
-    SLICE_ASSIGN_OR_RETURN(uint32_t rpcvers, dec.GetUint32());
-    if (rpcvers != kRpcVersion) {
-      return Status(StatusCode::kCorrupt, "rpc: bad version");
+    // rpcvers, prog, vers, proc, then the credential's flavor and length.
+    if (n - pos < 24) {
+      return corrupt("rpc: short header");
     }
-    SLICE_ASSIGN_OR_RETURN(view.prog, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(view.vers, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(view.proc, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(uint32_t cred_flavor, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(uint32_t cred_len, dec.GetUint32());
+    if (GetU32(p + pos) != kRpcVersion) {
+      return corrupt("rpc: bad version");
+    }
+    view.prog = GetU32(p + pos + 4);
+    view.vers = GetU32(p + pos + 8);
+    view.proc = GetU32(p + pos + 12);
+    const uint32_t cred_flavor = GetU32(p + pos + 16);
+    const uint32_t cred_len = GetU32(p + pos + 20);
+    pos += 24;
     if (cred_len > 400) {
-      return Status(StatusCode::kCorrupt, "rpc: oversized auth");
+      return corrupt("rpc: oversized auth");
     }
-    SLICE_ASSIGN_OR_RETURN(ByteSpan cred_body,
-                           dec.GetRawView(cred_len + XdrPad(cred_len)));
-    if (cred_flavor == static_cast<uint32_t>(RpcAuthFlavor::kSys)) {
-      SLICE_ASSIGN_OR_RETURN(view.cred,
-                             DecodeAuthBody(ByteSpan(cred_body.data(), cred_len)));
+    if (n - pos < cred_len + XdrPad(cred_len)) {
+      return corrupt("rpc: short header");
     }
-    SLICE_ASSIGN_OR_RETURN(uint32_t verf_flavor, dec.GetUint32());
-    (void)verf_flavor;
-    SLICE_ASSIGN_OR_RETURN(uint32_t verf_len, dec.GetUint32());
-    if (verf_len > 400) {
-      return Status(StatusCode::kCorrupt, "rpc: oversized auth");
+    if (cred_flavor == static_cast<uint32_t>(RpcAuthFlavor::kSys) &&
+        !ReadAuthSysUid(data.subspan(pos, cred_len), &view.uid)) {
+      return corrupt("rpc: malformed AUTH_SYS credential");
     }
-    SLICE_ASSIGN_OR_RETURN(ByteSpan verf_body,
-                           dec.GetRawView(verf_len + XdrPad(verf_len)));
-    (void)verf_body;
+    pos += cred_len + XdrPad(cred_len);
   } else {
-    SLICE_ASSIGN_OR_RETURN(uint32_t reply_stat, dec.GetUint32());
-    if (reply_stat != static_cast<uint32_t>(RpcReplyStat::kAccepted)) {
-      return Status(StatusCode::kCorrupt, "rpc: denied reply");
+    if (n - pos < 4) {
+      return corrupt("rpc: short header");
     }
-    SLICE_ASSIGN_OR_RETURN(uint32_t verf_flavor, dec.GetUint32());
-    (void)verf_flavor;
-    SLICE_ASSIGN_OR_RETURN(uint32_t verf_len, dec.GetUint32());
-    if (verf_len > 400) {
-      return Status(StatusCode::kCorrupt, "rpc: oversized verifier");
+    if (GetU32(p + pos) != static_cast<uint32_t>(RpcReplyStat::kAccepted)) {
+      return corrupt("rpc: denied reply");
     }
-    SLICE_ASSIGN_OR_RETURN(ByteSpan verf_body,
-                           dec.GetRawView(verf_len + XdrPad(verf_len)));
-    (void)verf_body;
-    SLICE_ASSIGN_OR_RETURN(uint32_t accept, dec.GetUint32());
+    pos += 4;
+  }
+
+  // The verifier: flavor, length and an opaque body nothing reads.
+  if (n - pos < 8) {
+    return corrupt("rpc: short header");
+  }
+  const uint32_t verf_len = GetU32(p + pos + 4);
+  pos += 8;
+  if (verf_len > 400) {
+    return corrupt("rpc: oversized verifier");
+  }
+  if (n - pos < verf_len + XdrPad(verf_len)) {
+    return corrupt("rpc: short header");
+  }
+  pos += verf_len + XdrPad(verf_len);
+
+  if (view.type == RpcMsgType::kReply) {
+    if (n - pos < 4) {
+      return corrupt("rpc: short header");
+    }
+    const uint32_t accept = GetU32(p + pos);
     if (accept > static_cast<uint32_t>(RpcAcceptStat::kSystemErr)) {
-      return Status(StatusCode::kCorrupt, "rpc: bad accept stat");
+      return corrupt("rpc: bad accept stat");
     }
     view.accept_stat = static_cast<RpcAcceptStat>(accept);
+    pos += 4;
   }
 
-  view.body_offset = dec.position();
-  view.body = data.subspan(dec.position());
+  view.body_offset = pos;
+  view.body = data.subspan(pos);
   return view;
-}
-
-Result<RpcPeek> PeekRpcMessage(ByteSpan data) {
-  XdrDecoder dec(data);
-  RpcPeek peek;
-  SLICE_ASSIGN_OR_RETURN(peek.xid, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());
-  if (type > 1) {
-    return Status(StatusCode::kCorrupt, "rpc: bad msg type");
-  }
-  peek.type = static_cast<RpcMsgType>(type);
-
-  if (peek.type == RpcMsgType::kCall) {
-    SLICE_ASSIGN_OR_RETURN(uint32_t rpcvers, dec.GetUint32());
-    if (rpcvers != kRpcVersion) {
-      return Status(StatusCode::kCorrupt, "rpc: bad version");
-    }
-    SLICE_ASSIGN_OR_RETURN(peek.prog, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(peek.vers, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(peek.proc, dec.GetUint32());
-    // Skip credential and verifier without materializing them; the tenant
-    // tag (AUTH_SYS uid) is read in place from the credential bytes.
-    for (int i = 0; i < 2; ++i) {
-      SLICE_ASSIGN_OR_RETURN(uint32_t flavor, dec.GetUint32());
-      SLICE_ASSIGN_OR_RETURN(uint32_t len, dec.GetUint32());
-      if (len > 400) {
-        return Status(StatusCode::kCorrupt, "rpc: oversized auth");
-      }
-      SLICE_ASSIGN_OR_RETURN(ByteSpan skipped, dec.GetRawView(len + XdrPad(len)));
-      if (i == 0 && flavor == static_cast<uint32_t>(RpcAuthFlavor::kSys)) {
-        peek.tenant = PeekAuthSysUid(ByteSpan(skipped.data(), len));
-      }
-    }
-  } else {
-    SLICE_ASSIGN_OR_RETURN(uint32_t reply_stat, dec.GetUint32());
-    if (reply_stat != static_cast<uint32_t>(RpcReplyStat::kAccepted)) {
-      return Status(StatusCode::kCorrupt, "rpc: denied reply");
-    }
-    SLICE_ASSIGN_OR_RETURN(uint32_t flavor, dec.GetUint32());
-    (void)flavor;
-    SLICE_ASSIGN_OR_RETURN(uint32_t len, dec.GetUint32());
-    if (len > 400) {
-      return Status(StatusCode::kCorrupt, "rpc: oversized verifier");
-    }
-    SLICE_ASSIGN_OR_RETURN(ByteSpan skipped, dec.GetRawView(len + XdrPad(len)));
-    (void)skipped;
-    SLICE_ASSIGN_OR_RETURN(uint32_t accept, dec.GetUint32());
-    peek.accept_stat = static_cast<RpcAcceptStat>(accept);
-  }
-
-  peek.body_offset = dec.position();
-  return peek;
 }
 
 }  // namespace slice

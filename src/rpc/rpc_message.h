@@ -6,10 +6,8 @@
 #ifndef SLICE_RPC_RPC_MESSAGE_H_
 #define SLICE_RPC_RPC_MESSAGE_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -39,29 +37,6 @@ struct AuthSysCred {
   uint32_t uid = 0;
   uint32_t gid = 0;
   std::vector<uint32_t> gids;
-};
-
-// Decode-side AUTH_SYS credential, parsed in place from the wire. The
-// machine name is a view into the decoded buffer (valid only while that
-// buffer lives) and the gid list is a bounded inline array — RFC 1831 caps
-// AUTH_SYS at 16 gids, which the decoder enforces — so materializing a
-// credential never touches the heap.
-struct AuthSysCredView {
-  static constexpr uint32_t kMaxGids = 16;
-
-  struct GidList {
-    std::array<uint32_t, kMaxGids> v{};
-    uint32_t count = 0;
-    size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    uint32_t operator[](size_t i) const { return v[i]; }
-  };
-
-  uint32_t stamp = 0;
-  std::string_view machine_name;
-  uint32_t uid = 0;
-  uint32_t gid = 0;
-  GidList gids;
 };
 
 // Whole-message encoders for tests, fixtures and hand-built wire images.
@@ -116,11 +91,11 @@ XdrEncoder NewReplyEncoder();
 // appended. Returns the RPC message: the frame past its packet headers.
 ByteSpan SealReplyFrame(Bytes& frame, uint32_t xid, RpcAcceptStat stat);
 
-// Decoded view of an incoming message. A true view: `cred.machine_name` and
-// `body` alias the buffer passed to DecodeRpcMessage and are valid only
-// while it lives — dispatch paths consume the view synchronously, while the
-// packet is still in scope (the same packet-view lifetime rule as DESIGN.md
-// §7's µproxy decode views).
+// Decoded view of an incoming message. A true view: `body` aliases the
+// buffer passed to DecodeRpcMessage and is valid only while it lives —
+// dispatch paths consume the view synchronously, while the packet is still
+// in scope (the same packet-view lifetime rule as DESIGN.md §7's µproxy
+// decode views).
 struct RpcMessageView {
   RpcMsgType type = RpcMsgType::kCall;
   uint32_t xid = 0;
@@ -128,7 +103,10 @@ struct RpcMessageView {
   uint32_t prog = 0;
   uint32_t vers = 0;
   uint32_t proc = 0;
-  AuthSysCredView cred;
+  // The AUTH_SYS uid, which carries the tenant tag (0 = untenanted, or a
+  // call without AUTH_SYS). The rest of the credential is checked but not
+  // kept: nothing reads it.
+  uint32_t uid = 0;
   // For replies:
   RpcAcceptStat accept_stat = RpcAcceptStat::kSuccess;
   // Offset of the procedure body within the decoded buffer, and its bytes.
@@ -136,28 +114,29 @@ struct RpcMessageView {
   ByteSpan body;
 };
 
+// The one walk of the RPC header, shared by servers, clients and the
+// µproxy: it skips the variable-length credential and verifier without
+// materializing them, checks an AUTH_SYS credential in place (RFC 1831: a
+// machine name of at most 255 bytes, at most 16 gids, every field inside the
+// credential body) and lifts its uid. Allocation-free unless it fails.
 Result<RpcMessageView> DecodeRpcMessage(ByteSpan data);
 // A view of a temporary would dangle as soon as the call returns.
 Result<RpcMessageView> DecodeRpcMessage(Bytes&&) = delete;
 
-// Fast-path peek used by the µproxy: extracts (xid, msg type) and, for calls,
-// (prog, vers, proc) plus the byte offset where the procedure arguments
-// begin — skipping over the variable-length credential/verifier without
-// materializing it. Mirrors the header walk the paper's µproxy performs.
-struct RpcPeek {
-  RpcMsgType type = RpcMsgType::kCall;
-  uint32_t xid = 0;
-  uint32_t prog = 0;
-  uint32_t vers = 0;
-  uint32_t proc = 0;
-  RpcAcceptStat accept_stat = RpcAcceptStat::kSuccess;
-  size_t body_offset = 0;  // offset of proc args (call) / results (reply)
-  // Tenant tag riding in the AUTH_SYS uid (calls only; 0 = untenanted).
-  // Read in place from the credential bytes during the skip walk.
-  uint32_t tenant = 0;
-};
-
-Result<RpcPeek> PeekRpcMessage(ByteSpan data);
+// Decodes a message body — a call's args or a reply's result — as a T with
+// T::Decode(dec). A type whose wire layout depends on the procedure (NFS
+// READDIR and READDIRPLUS share ReaddirArgs and ReaddirRes) provides
+// T::DecodeForProc(dec, proc) instead. RpcServerNode::Serve and CallTyped
+// decode every body through here.
+template <typename T>
+Result<T> DecodeBody(ByteSpan body, uint32_t proc) {
+  XdrDecoder dec(body);
+  if constexpr (requires { T::DecodeForProc(dec, proc); }) {
+    return T::DecodeForProc(dec, proc);
+  } else {
+    return T::Decode(dec);
+  }
+}
 
 }  // namespace slice
 

@@ -8,9 +8,10 @@
 namespace slice {
 
 RpcServerNode::RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                             RpcServerParams params, const obs::Sinks& sinks)
+                             uint32_t prog, uint32_t vers, RpcServerParams params,
+                             const obs::Sinks& sinks)
     : net_(net), queue_(queue), host_(std::make_unique<Host>(net, addr)), port_(port),
-      params_(params), tracer_(sinks.tracer), metrics_(sinks.metrics),
+      prog_(prog), vers_(vers), params_(params), tracer_(sinks.tracer), metrics_(sinks.metrics),
       eventlog_(sinks.eventlog), profiler_(sinks.profiler),
       prof_ledger_(profiler_ != nullptr ? profiler_->LedgerFor(addr) : nullptr),
       drc_(params_.duplicate_cache_entries) {
@@ -117,7 +118,7 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   // Tenant attribution from the decoded AUTH_SYS credential. Counted after
   // the DRC/in-progress checks: one executed request, one count.
   if (!tenant_requests_.empty()) {
-    const uint32_t tenant = decoded->cred.uid;
+    const uint32_t tenant = decoded->uid;
     if (tenant >= 1 && tenant <= tenant_requests_.size()) {
       ++tenant_requests_[tenant - 1];
     }
@@ -128,7 +129,12 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   // those calls into this trace.
   obs::ScopedContext scope(tracer_, trace);
   obs::Profiler::Scope prof_scope(profiler_, obs::ProfScope::kRpcDispatch);
-  DispatchCall(*decoded, client, ReplyFn(this, key, client, trace));
+  ReplyFn done(this, key, client, trace);
+  if (decoded->prog != prog_ || decoded->vers != vers_) {
+    done(RpcAcceptStat::kProgUnavail);
+    return;
+  }
+  DispatchCall(*decoded, client, done);
 }
 
 void RpcServerNode::SendReply(const DrcKey& key, const Endpoint& client,

@@ -153,8 +153,12 @@ class RpcServerNode {
   // hot path); and the profiler gets the rpc.dispatch wall scope around
   // every served call plus cpu/queue ledger charges at the CPU acquire
   // point. Subclasses register their own instruments in their constructors.
-  RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
-                RpcServerParams params = {}, const obs::Sinks& sinks = {});
+  //
+  // The node serves one RPC program, `prog` version `vers`: a call for any
+  // other is answered PROG_UNAVAIL here, at zero service cost, and never
+  // reaches the subclass.
+  RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port, uint32_t prog,
+                uint32_t vers, RpcServerParams params = {}, const obs::Sinks& sinks = {});
   virtual ~RpcServerNode();
 
   RpcServerNode(const RpcServerNode&) = delete;
@@ -218,12 +222,27 @@ class RpcServerNode {
     obs::TraceContext trace_{};
   };
 
-  // Subclass request handler. Decodes args from `call.body`, encodes the
-  // procedure-specific result into `reply` (an encoder over the reply's
-  // packet frame), reports simulated time in `cost`. Returning a
-  // non-success accept stat drops whatever `reply` holds.
+  // Subclass request handler, for a call to the node's program. Decodes args
+  // from `call.body` (through Serve), encodes the procedure-specific result
+  // into `reply` (an encoder over the reply's packet frame), reports
+  // simulated time in `cost`. Returning a non-success accept stat drops
+  // whatever `reply` holds.
   virtual RpcAcceptStat HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                    ServiceCost& cost) = 0;
+
+  // Decodes `call`'s args as an Args (DecodeBody: READDIRPLUS takes its plus
+  // flag from the procedure) and runs `handle(args)`. Args that do not
+  // decode run nothing and yield GARBAGE_ARGS, which a handler returns (or
+  // a DispatchCall passes to its ReplyFn) as the call's answer.
+  template <typename Args, typename Handle>
+  static RpcAcceptStat Serve(const RpcMessageView& call, Handle&& handle) {
+    Result<Args> args = DecodeBody<Args>(call.body, call.proc);
+    if (!args.ok()) {
+      return RpcAcceptStat::kGarbageArgs;
+    }
+    handle(*args);
+    return RpcAcceptStat::kSuccess;
+  }
 
   // Dispatch hook. The default implementation runs HandleCall synchronously
   // into a fresh reply frame (NewReplyEncoder); servers whose handlers must
@@ -251,6 +270,8 @@ class RpcServerNode {
   EventQueue& queue_;
   std::unique_ptr<Host> host_;
   NetPort port_;
+  uint32_t prog_;
+  uint32_t vers_;
   RpcServerParams params_;
   obs::Tracer* tracer_ = nullptr;
   obs::Metrics* metrics_ = nullptr;

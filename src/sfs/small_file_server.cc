@@ -1,6 +1,7 @@
 #include "src/sfs/small_file_server.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -25,12 +26,23 @@ uint64_t MapSlotFor(uint64_t fileid) {
   return ((fileid >> 48) << 24) | (fileid & 0xffffff);
 }
 
+// What a READ reply views for holes and for zone pages no longer resident.
+constexpr std::array<uint8_t, kStoreBlockSize> kZeroPage{};
+
+// A READ result whose data is its pieces joined: ReplyFn encodes it straight
+// into the reply frame, gathering the pieces (ReadRes::Encode(enc, pieces)).
+struct GatheredReadRes {
+  const ReadRes& res;
+  std::span<const ByteSpan> pieces;
+  void Encode(XdrEncoder& enc) const { res.Encode(enc, pieces); }
+};
+
 }  // namespace
 
 SmallFileServer::SmallFileServer(Network& net, EventQueue& queue, NetAddr addr,
                                  SmallFileServerParams params,
                                  std::vector<Endpoint> storage_nodes, const obs::Sinks& sinks)
-    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
+    : RpcServerNode(net, queue, addr, kNfsPort, kNfsProgram, kNfsVersion, {}, sinks),
       params_(params),
       storage_nodes_(std::move(storage_nodes)),
       zone_handle_(FileHandle::Make(1, (0xfeull << 48) | params.server_index, 1,
@@ -135,6 +147,16 @@ uint8_t* SmallFileServer::PageFor(uint64_t block) {
     cache_.Insert(block);
   }
   return page.data();
+}
+
+ByteSpan SmallFileServer::ZoneView(uint64_t offset, size_t len) const {
+  const size_t within = offset % kStoreBlockSize;
+  SLICE_CHECK(within + len <= kStoreBlockSize);
+  const auto it = pages_.find(offset / kStoreBlockSize);
+  if (it == pages_.end()) {
+    return ByteSpan(kZeroPage.data(), len);
+  }
+  return ByteSpan(it->second).subspan(within, len);
 }
 
 Bytes SmallFileServer::ReadZone(uint64_t offset, uint32_t len) const {
@@ -419,26 +441,30 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
   const uint32_t count = args.count;
   EnsureResident(std::move(need), [this, fh, fileid, offset, count, cost, size, done]() mutable {
     ReadRes res;
+    read_pieces_.clear();
     const auto it = maps_.find(fileid);
     if (it == maps_.end() || offset >= size) {
       res.eof = true;
       res.count = 0;
     } else {
+      // Each logical block's bytes are one view: of its fragment's page, or
+      // of the zero page past the fragment's valid length (a hole).
       const MapRecord& map = it->second;
       const uint64_t n = std::min<uint64_t>(count, size - offset);
-      res.data.assign(n, 0);
       uint64_t produced = 0;
       while (produced < n) {
         const uint64_t abs = offset + produced;
         const uint64_t lblock = abs / kStoreBlockSize;
         const size_t within = abs % kStoreBlockSize;
         const size_t take = std::min<uint64_t>(n - produced, kStoreBlockSize - within);
+        size_t have = 0;
         if (lblock < map.blocks.size() && map.blocks[lblock].fragment.valid() &&
             within < map.blocks[lblock].length) {
-          const size_t have = std::min<size_t>(take, map.blocks[lblock].length - within);
-          Bytes chunk = ReadZone(map.blocks[lblock].fragment.offset + within,
-                                 static_cast<uint32_t>(have));
-          std::memcpy(res.data.data() + produced, chunk.data(), have);
+          have = std::min<size_t>(take, map.blocks[lblock].length - within);
+          read_pieces_.push_back(ZoneView(map.blocks[lblock].fragment.offset + within, have));
+        }
+        if (have < take) {
+          read_pieces_.push_back(ByteSpan(kZeroPage.data(), take - have));
         }
         produced += take;
       }
@@ -447,7 +473,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
     }
     res.file_attributes = MakeAttr(fh);
     cost.AddCpu(static_cast<SimTime>(static_cast<double>(res.count) * params_.cpu_ns_per_byte));
-    done(RpcAcceptStat::kSuccess, res, cost);
+    done(RpcAcceptStat::kSuccess, GatheredReadRes{res, read_pieces_}, cost);
   });
 }
 
@@ -569,103 +595,71 @@ void SmallFileServer::DoRemoveOrTruncate(uint64_t fileid, uint64_t keep_size) {
 
 void SmallFileServer::DispatchCall(const RpcMessageView& call, const Endpoint& client,
                                    ReplyFn done) {
-  if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    done(RpcAcceptStat::kProgUnavail);
-    return;
-  }
   const NfsProc proc = static_cast<NfsProc>(call.proc);
   if (recovering_ &&
       (proc == NfsProc::kRead || proc == NfsProc::kWrite || proc == NfsProc::kCommit)) {
     done(RpcAcceptStat::kSuccess, NfsErrorRes{proc, Nfsstat3::kErrJukebox}, ServiceCost{});
     return;
   }
-  XdrDecoder dec(call.body);
+  RpcAcceptStat stat = RpcAcceptStat::kSuccess;
   switch (proc) {
-    case NfsProc::kRead: {
-      Result<ReadArgs> args = ReadArgs::Decode(dec);
-      if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs);
-        return;
-      }
-      DoRead(*args, done);
-      return;
-    }
-    case NfsProc::kWrite: {
-      Result<WriteArgs> args = WriteArgs::Decode(dec);
-      if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs);
-        return;
-      }
-      DoWrite(std::move(*args), done);
-      return;
-    }
-    case NfsProc::kCommit: {
-      Result<CommitArgs> args = CommitArgs::Decode(dec);
-      if (!args.ok()) {
-        done(RpcAcceptStat::kGarbageArgs);
-        return;
-      }
-      DoCommit(*args, done);
-      return;
-    }
+    case NfsProc::kRead:
+      stat = Serve<ReadArgs>(call, [&](const ReadArgs& args) { DoRead(args, done); });
+      break;
+    case NfsProc::kWrite:
+      stat = Serve<WriteArgs>(call, [&](WriteArgs& args) { DoWrite(std::move(args), done); });
+      break;
+    case NfsProc::kCommit:
+      stat = Serve<CommitArgs>(call, [&](const CommitArgs& args) { DoCommit(args, done); });
+      break;
     default:
       RpcServerNode::DispatchCall(call, client, done);
       return;
+  }
+  if (stat != RpcAcceptStat::kSuccess) {
+    done(stat);
   }
 }
 
 RpcAcceptStat SmallFileServer::HandleCall(const RpcMessageView& call, XdrEncoder& reply,
                                           ServiceCost& cost) {
-  XdrDecoder dec(call.body);
   cost.AddCpu(FromMicros(params_.op_cpu_us / 2));
   switch (static_cast<NfsProc>(call.proc)) {
     case NfsProc::kNull:
       return RpcAcceptStat::kSuccess;
-    case NfsProc::kGetattr: {
-      Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      GetattrRes res;
-      if (!CheckHandle(args->object)) {
-        res.status = Nfsstat3::kErrBadhandle;
-      } else {
-        res.attributes = MakeAttr(args->object);
-      }
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kSetattr: {
-      Result<SetattrArgs> args = SetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      SetattrRes res;
-      if (!CheckHandle(args->object)) {
-        res.status = Nfsstat3::kErrBadhandle;
-      } else if (args->new_attributes.size.has_value()) {
-        DoRemoveOrTruncate(args->object.fileid(), *args->new_attributes.size);
-        res.wcc.after = MakeAttr(args->object);
-      }
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kRemove: {
-      Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      RemoveRes res;
-      if (!CheckHandle(args->dir)) {
-        res.status = Nfsstat3::kErrBadhandle;
-      } else if (!args->name.empty()) {
-        res.status = Nfsstat3::kErrInval;
-      } else {
-        DoRemoveOrTruncate(args->dir.fileid(), 0);
-      }
-      res.Encode(reply);
-      return RpcAcceptStat::kSuccess;
-    }
+    case NfsProc::kGetattr:
+      return Serve<GetattrArgs>(call, [&](const GetattrArgs& args) {
+        GetattrRes res;
+        if (!CheckHandle(args.object)) {
+          res.status = Nfsstat3::kErrBadhandle;
+        } else {
+          res.attributes = MakeAttr(args.object);
+        }
+        res.Encode(reply);
+      });
+    case NfsProc::kSetattr:
+      return Serve<SetattrArgs>(call, [&](const SetattrArgs& args) {
+        SetattrRes res;
+        if (!CheckHandle(args.object)) {
+          res.status = Nfsstat3::kErrBadhandle;
+        } else if (args.new_attributes.size.has_value()) {
+          DoRemoveOrTruncate(args.object.fileid(), *args.new_attributes.size);
+          res.wcc.after = MakeAttr(args.object);
+        }
+        res.Encode(reply);
+      });
+    case NfsProc::kRemove:
+      return Serve<DirOpArgs>(call, [&](const DirOpArgs& args) {
+        RemoveRes res;
+        if (!CheckHandle(args.dir)) {
+          res.status = Nfsstat3::kErrBadhandle;
+        } else if (!args.name.empty()) {
+          res.status = Nfsstat3::kErrInval;
+        } else {
+          DoRemoveOrTruncate(args.dir.fileid(), 0);
+        }
+        res.Encode(reply);
+      });
     default:
       return RpcAcceptStat::kProcUnavail;
   }

@@ -92,6 +92,10 @@ class SmallFileServer : public RpcServerNode {
   static std::vector<uint64_t> BlocksForRange(uint64_t offset, uint64_t len);
   uint64_t MapBlockFor(uint64_t fileid) const;
 
+  // A view of the `len` zone bytes at `offset`, which lie in one page: a
+  // fragment is aligned to its power-of-two size, at most a page. A page
+  // that is not resident reads as zeros.
+  ByteSpan ZoneView(uint64_t offset, size_t len) const;
   Bytes ReadZone(uint64_t offset, uint32_t len) const;
   void WriteZone(uint64_t offset, ByteSpan data, uint64_t fileid);
   uint8_t* PageFor(uint64_t block);
@@ -120,6 +124,8 @@ class SmallFileServer : public RpcServerNode {
   BlockCache cache_;
   std::unique_ptr<WriteAheadLog> wal_;
   bool recovering_ = false;
+  // READ reply pieces, views into pages_ (capacity reused).
+  std::vector<ByteSpan> read_pieces_;
   uint64_t backing_fetches_ = 0;
   uint64_t backing_flushes_ = 0;
   bool syncer_armed_ = false;

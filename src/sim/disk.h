@@ -37,11 +37,6 @@ class SimDisk {
   // Time at which the arm drains its current FIFO backlog.
   SimTime busy_until() const { return arm_.busy_until(); }
   double UtilizationUpTo(SimTime horizon) const { return arm_.UtilizationUpTo(horizon); }
-  void ResetStats() {
-    arm_.Reset();
-    position_ns_ = 0;
-    transfer_ns_ = 0;
-  }
   // Crash recovery: queued I/Os die with the node, so the arm's FIFO backlog
   // is dropped. Cumulative stats stay (they are history), and the head
   // position survives too — the platter does not move because the host

@@ -176,11 +176,6 @@ class BusyResource {
     const SimTime busy = busy_time_ < horizon ? busy_time_ : horizon;
     return static_cast<double>(busy) / static_cast<double>(horizon);
   }
-  void Reset() {
-    busy_until_ = 0;
-    busy_time_ = 0;
-    jobs_ = 0;
-  }
   // Drops the queued backlog without touching the cumulative counters.
   // Models a crash: jobs waiting in the FIFO die with the node, but the
   // busy-time/job totals are history and stay monotonic for the metrics

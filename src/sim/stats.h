@@ -95,7 +95,6 @@ class OpCounters {
   void Add(std::string_view name, uint64_t delta = 1);
   uint64_t Get(std::string_view name) const;
   std::string ToString() const;
-  void Reset() { entries_.clear(); }
   const std::map<std::string, uint64_t, std::less<>>& entries() const { return entries_; }
 
  private:

@@ -47,14 +47,6 @@ struct Calibration {
   // Client-resident µproxy: ~10us/packet (6.1% of a 500MHz CPU at 6250
   // packets/s, Table 3).
   double uproxy_cpu_us = 10.0;
-
-  // Client NFS stack costs: the FreeBSD write path saturates one client near
-  // 40 MB/s; the zero-copy read path is cheaper but bounded by a prefetch
-  // depth of 4 x 32KB blocks.
-  double client_write_ns_per_byte = 24.0;
-  double client_read_ns_per_byte = 14.0;
-  int client_read_ahead_blocks = 4;
-  uint32_t nfs_block_size = 32768;
 };
 
 }  // namespace slice

@@ -88,10 +88,6 @@ class BlockCache {
   uint64_t capacity_blocks() const { return capacity_blocks_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  double HitRate() const {
-    const uint64_t total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
-  }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;

@@ -23,7 +23,7 @@ Nfsstat3 StoreErrorStatus(const Status& status) {
 
 StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
                          StorageNodeParams params, uint64_t seed, const obs::Sinks& sinks)
-    : RpcServerNode(net, queue, addr, kNfsPort, {}, sinks),
+    : RpcServerNode(net, queue, addr, kNfsPort, kNfsProgram, kNfsVersion, {}, sinks),
       params_(params),
       store_(params.capacity_bytes),
       cache_(params.cache_bytes),
@@ -367,65 +367,30 @@ RpcAcceptStat StorageNode::HandleCall(const RpcMessageView& call, XdrEncoder& re
 
 RpcAcceptStat StorageNode::DispatchNfsCall(const RpcMessageView& call, XdrEncoder& reply,
                                            ServiceCost& cost) {
-  if (call.prog != kNfsProgram || call.vers != kNfsVersion) {
-    return RpcAcceptStat::kProgUnavail;
-  }
-  XdrDecoder dec(call.body);
   switch (static_cast<NfsProc>(call.proc)) {
     case NfsProc::kNull:
       return RpcAcceptStat::kSuccess;
-    case NfsProc::kRead: {
-      Result<ReadArgs> args = ReadArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleRead(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kWrite: {
-      Result<WriteArgsView> args = WriteArgsView::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleWrite(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kCommit: {
-      Result<CommitArgs> args = CommitArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleCommit(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kGetattr: {
-      Result<GetattrArgs> args = GetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleGetattr(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kSetattr: {
-      Result<SetattrArgs> args = SetattrArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleSetattr(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kRemove: {
-      Result<DirOpArgs> args = DirOpArgs::Decode(dec);
-      if (!args.ok()) {
-        return RpcAcceptStat::kGarbageArgs;
-      }
-      HandleRemove(*args, reply, cost);
-      return RpcAcceptStat::kSuccess;
-    }
-    case NfsProc::kFsstat: {
+    case NfsProc::kRead:
+      return Serve<ReadArgs>(call,
+                             [&](const ReadArgs& args) { HandleRead(args, reply, cost); });
+    case NfsProc::kWrite:
+      return Serve<WriteArgsView>(
+          call, [&](const WriteArgsView& args) { HandleWrite(args, reply, cost); });
+    case NfsProc::kCommit:
+      return Serve<CommitArgs>(
+          call, [&](const CommitArgs& args) { HandleCommit(args, reply, cost); });
+    case NfsProc::kGetattr:
+      return Serve<GetattrArgs>(
+          call, [&](const GetattrArgs& args) { HandleGetattr(args, reply, cost); });
+    case NfsProc::kSetattr:
+      return Serve<SetattrArgs>(
+          call, [&](const SetattrArgs& args) { HandleSetattr(args, reply, cost); });
+    case NfsProc::kRemove:
+      return Serve<DirOpArgs>(call,
+                              [&](const DirOpArgs& args) { HandleRemove(args, reply, cost); });
+    case NfsProc::kFsstat:
       HandleFsstat(reply, cost);
       return RpcAcceptStat::kSuccess;
-    }
     default:
       return RpcAcceptStat::kProcUnavail;
   }

@@ -173,16 +173,48 @@ TEST(RequestDecodeTest, NonNfsRejected) {
   EXPECT_FALSE(DecodeNfsRequestView(call.Encode(), &req).ok());
 }
 
-TEST(RequestDecodeTest, ReplyPeek) {
-  RpcReply reply;
-  reply.xid = 77;
+// A GETATTR call whose AUTH_SYS credential body is `body`, built by hand.
+Bytes GetattrCallWithAuthSysBody(const Bytes& body) {
+  XdrEncoder cred;
+  cred.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  cred.PutOpaqueVar(body);
   XdrEncoder enc;
-  enc.PutUint32(0);
-  reply.result = enc.bytes();
-  DecodedReply out;
-  ASSERT_TRUE(DecodeNfsReply(reply.Encode(), &out).ok());
-  EXPECT_EQ(out.xid, 77u);
-  EXPECT_EQ(out.stat, RpcAcceptStat::kSuccess);
+  EncodeCallHeader(enc, 9, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kGetattr),
+                   cred.bytes());
+  GetattrArgs{RegFh(3)}.Encode(enc);
+  return enc.Take();
+}
+
+// An AUTH_SYS body: stamp, machine name, uid (the tenant tag), gid and
+// `gids` gids.
+Bytes AuthSysBody(const std::string& name, uint32_t uid, uint32_t gids) {
+  XdrEncoder body;
+  body.PutUint32(1);
+  body.PutString(name);
+  body.PutUint32(uid);
+  body.PutUint32(0);
+  body.PutUint32(gids);
+  for (uint32_t g = 0; g < gids; ++g) {
+    body.PutUint32(g);
+  }
+  return body.Take();
+}
+
+TEST(RequestDecodeTest, MalformedAuthSysCallsPassThrough) {
+  // The µproxy reads the header with the servers' walk, so it rejects (and
+  // passes through untouched) exactly the credentials a server would drop.
+  DecodedView req;
+  ASSERT_TRUE(DecodeNfsRequestView(GetattrCallWithAuthSysBody(AuthSysBody("h", 3, 16)), &req)
+                  .ok());
+  EXPECT_EQ(req.tenant, 3u);
+  EXPECT_EQ(req.fh, RegFh(3));
+
+  Bytes past_end = AuthSysBody("h", 3, 2);
+  past_end.resize(past_end.size() - 4);  // the second gid lies past the body
+  for (const Bytes& body : {AuthSysBody("h", 3, 17), AuthSysBody(std::string(256, 'm'), 3, 0),
+                            past_end}) {
+    EXPECT_FALSE(DecodeNfsRequestView(GetattrCallWithAuthSysBody(body), &req).ok());
+  }
 }
 
 TEST(AttrCacheTest, WriteUpdatesSizeAndDirties) {

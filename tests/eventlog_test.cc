@@ -31,7 +31,7 @@ TEST(EventRingTest, BoundedEviction) {
   }
   EXPECT_EQ(ring.size(), 3u);
   EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_EQ(ring.evicted(), 2u);
+  EXPECT_EQ(ring.overwritten(), 2u);
 
   // Oldest entries were overwritten; survivors come back oldest-first.
   std::vector<Event> out;

@@ -29,6 +29,18 @@ Bytes RandomBytes(Rng& rng, size_t n) {
   return data;
 }
 
+// The µproxy's reply-side decode: the envelope through DecodeRpcMessage,
+// then the result body through the src/nfs decoder (the lookup cache fill).
+template <typename Res>
+Result<Res> DecodeReplyResult(ByteSpan wire) {
+  SLICE_ASSIGN_OR_RETURN(const RpcMessageView view, DecodeRpcMessage(wire));
+  if (view.type != RpcMsgType::kReply || view.accept_stat != RpcAcceptStat::kSuccess) {
+    return Status(StatusCode::kCorrupt, "not a successful reply");
+  }
+  XdrDecoder dec(view.body);
+  return Res::Decode(dec);
+}
+
 class FuzzSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
@@ -38,7 +50,6 @@ TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
 
     // RPC layer.
     (void)DecodeRpcMessage(data);
-    (void)PeekRpcMessage(data);
 
     // µproxy fast path. A view that decodes must keep its name offsets
     // inside the payload: materializing both names reads every byte they
@@ -48,14 +59,10 @@ TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
       EXPECT_LE(std::string(view.name(data)).size() + view.name_off, data.size());
       EXPECT_LE(std::string(view.name2(data)).size() + view.name2_off, data.size());
     }
-    DecodedReply rep;
-    (void)DecodeNfsReply(data, &rep);
 
-    // Cache-fill reply peeks (in-proxy lookup/attribute cache).
-    LookupReplyView lview;
-    (void)DecodeLookupReplyView(data, &lview);
-    GetattrReplyView gview;
-    (void)DecodeGetattrReplyView(data, &gview);
+    // Reply-side decodes (in-proxy lookup/attribute cache).
+    (void)DecodeReplyResult<LookupRes>(data);
+    (void)DecodeReplyResult<GetattrRes>(data);
 
     // NFS procedure codecs.
     {
@@ -185,25 +192,20 @@ TEST_P(FuzzSeedTest, BitFlippedCacheFillRepliesNeverCrashTheViewDecoders) {
       lm[rng.NextBelow(lm.size())] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
       gm[rng.NextBelow(gm.size())] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
     }
-    LookupReplyView lview;
-    if (DecodeLookupReplyView(lm, &lview).ok()) {
-      // If it still parses, the view must be internally sane: the attribute
-      // flag is a bool, and a non-OK status never claims attributes (the
-      // cache-fill path trusts exactly these two invariants).
-      EXPECT_LE(lview.has_attr, 1u);
-      if (lview.nfs_status != 0) {
-        EXPECT_EQ(lview.has_attr, 0u);
-      }
+    Result<LookupRes> lres = DecodeReplyResult<LookupRes>(lm);
+    if (lres.ok() && lres->status != Nfsstat3::kOk) {
+      // If it still parses, a non-OK status never claims the child's
+      // attributes (the cache-fill path trusts this).
+      EXPECT_FALSE(lres->obj_attributes.has_value());
     }
-    GetattrReplyView gview;
-    (void)DecodeGetattrReplyView(gm, &gview);
+    (void)DecodeReplyResult<GetattrRes>(gm);
   }
 }
 
 TEST_P(FuzzSeedTest, TruncatedCacheFillRepliesFailCleanly) {
-  // Every strict prefix of a valid LOOKUP/GETATTR reply must be rejected or
-  // parse without over-reading; the untruncated bytes must round-trip the
-  // fields the cache-fill path consumes.
+  // Every strict prefix of a valid LOOKUP reply must be rejected; the
+  // untruncated bytes must round-trip the fields the cache-fill path
+  // consumes.
   const FileHandle child = FileHandle::Make(1, 9, 2, FileType3::kReg, 4, 0);
   RpcReply reply;
   reply.xid = 501;
@@ -219,28 +221,21 @@ TEST_P(FuzzSeedTest, TruncatedCacheFillRepliesFailCleanly) {
   reply.result = enc.Take();
   const Bytes valid = reply.Encode();
 
-  // The view decoder never reads past the object attributes (the trailing
-  // dir_attributes post-op flag is dead weight to the cache), so only
-  // prefixes that keep everything up to that flag may parse with
-  // attributes — and then the fields must round-trip, never over-read.
-  const size_t attrs_end = valid.size() - 4;  // 4 = absent dir_attributes flag
+  // LookupRes::Decode reads through the trailing dir_attributes flag, so a
+  // reply cut anywhere, even just before that flag, fills nothing.
   for (size_t keep = 0; keep < valid.size(); ++keep) {
-    LookupReplyView view;
-    const Status st =
-        DecodeLookupReplyView(ByteSpan(valid.data(), keep), &view);
-    if (st.ok() && view.nfs_status == 0 && view.has_attr) {
-      EXPECT_GE(keep, attrs_end) << "keep=" << keep;
-      EXPECT_EQ(view.fh.fileid(), child.fileid());
-      EXPECT_EQ(view.attr.fileid, child.fileid());
-    }
+    EXPECT_FALSE(DecodeReplyResult<LookupRes>(ByteSpan(valid.data(), keep)).ok())
+        << "keep=" << keep;
   }
-  LookupReplyView view;
-  ASSERT_TRUE(DecodeLookupReplyView(valid, &view).ok());
-  EXPECT_EQ(view.xid, 501u);
-  EXPECT_EQ(view.nfs_status, 0u);
-  EXPECT_EQ(view.fh.fileid(), child.fileid());
-  EXPECT_EQ(view.has_attr, 1u);
-  EXPECT_EQ(view.attr.fileid, child.fileid());
+  Result<RpcMessageView> envelope = DecodeRpcMessage(valid);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(envelope->xid, 501u);
+  Result<LookupRes> decoded = DecodeReplyResult<LookupRes>(valid);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->status, Nfsstat3::kOk);
+  EXPECT_EQ(decoded->object.fileid(), child.fileid());
+  ASSERT_TRUE(decoded->obj_attributes.has_value());
+  EXPECT_EQ(decoded->obj_attributes->fileid, child.fileid());
 }
 
 TEST_P(FuzzSeedTest, TruncationsOfValidMessagesFailCleanly) {
@@ -396,11 +391,6 @@ TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {
     EXPECT_TRUE(decoded->data == payload);
     ASSERT_TRUE(decoded->file_attributes.has_value());
     EXPECT_EQ(decoded->file_attributes->fileid, attr.fileid);
-
-    // And through the µproxy's reply fast-path decoder.
-    DecodedReply rep;
-    ASSERT_TRUE(DecodeNfsReply(wire, &rep).ok());
-    EXPECT_EQ(rep.xid, xid);
   }
 }
 
@@ -431,8 +421,6 @@ TEST_P(FuzzSeedTest, BitFlippedServerRepliesNeverCrashTheDecoders) {
         EXPECT_LE(decoded->data.size(), mutated.size());
       }
     }
-    DecodedReply rep;
-    (void)DecodeNfsReply(mutated, &rep);
   }
 }
 
@@ -457,8 +445,6 @@ TEST_P(FuzzSeedTest, TruncatedServerRepliesFailCleanly) {
         EXPECT_EQ(decoded->data.size(), decoded->count);
       }
     }
-    DecodedReply rep;
-    (void)DecodeNfsReply(ByteSpan(valid.data(), keep), &rep);
   }
   SUCCEED();
 }

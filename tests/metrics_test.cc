@@ -132,17 +132,17 @@ TEST(RegistryTest, FindReturnsNullForUnregistered) {
 
 TEST(TimeSeriesTest, RingOverwritesOldest) {
   TimeSeries series(3);
-  series.Push(1, 10);
-  series.Push(2, 20);
+  series.Push({1, 10});
+  series.Push({2, 20});
   EXPECT_EQ(series.size(), 2u);
   EXPECT_EQ(series.at(0).value, 10);
   EXPECT_EQ(series.back().value, 20);
 
-  series.Push(3, 30);
-  series.Push(4, 40);  // overwrites (1, 10)
-  series.Push(5, 50);  // overwrites (2, 20)
+  series.Push({3, 30});
+  series.Push({4, 40});  // overwrites (1, 10)
+  series.Push({5, 50});  // overwrites (2, 20)
   EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.dropped(), 2u);
+  EXPECT_EQ(series.overwritten(), 2u);
   EXPECT_EQ(series.at(0).at, 3u);
   EXPECT_EQ(series.at(1).at, 4u);
   EXPECT_EQ(series.back().at, 5u);

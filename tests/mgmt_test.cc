@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "src/chaos/invariants.h"
 #include "src/mgmt/failure_detector.h"
@@ -243,6 +244,38 @@ TEST_F(MgmtTest, DoubleFailureOfMirroredPairFailsFast) {
   EXPECT_EQ(read.status, Nfsstat3::kErrIo);
   WriteRes write = client_->Write(fh, 0, Pattern(4096), StableHow::kFileSync).value();
   EXPECT_EQ(write.status, Nfsstat3::kErrIo);
+}
+
+TEST_F(MgmtTest, FailFastReplyToAForwardedRequestErasesItsPendingRecord) {
+  EnsembleConfig config;
+  config.num_storage_nodes = 2;
+  config.num_small_file_servers = 1;
+  Build(config);
+  CreateRes created = client_->Create(root_, "small").value();
+  ASSERT_EQ(created.status, Nfsstat3::kOk);
+  const FileHandle fh = *created.object;
+  ASSERT_EQ(client_->Write(fh, 0, Pattern(4096), StableHow::kFileSync).value().status,
+            Nfsstat3::kOk);
+
+  // The READ is forwarded to the small-file server, which dies before it
+  // answers.
+  Uproxy& uproxy = ensemble_->uproxy(0);
+  ensemble_->small_file_server(0).Fail();
+  std::optional<Nfsstat3> status;
+  client_->async().Read(fh, 0, 4096, [&status](Status st, const ReadResView& res) {
+    ASSERT_TRUE(st.ok());
+    status = res.status;
+  });
+  RunFor(FromMillis(100));
+  ASSERT_EQ(uproxy.pending_count(), 1u);
+
+  // Once the manager declares the server dead, a client retransmission of
+  // the forwarded READ is failed fast, and that reply ends its record.
+  RunFor(FromSeconds(3));
+  EXPECT_FALSE(uproxy.SfsAlive(0));
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, Nfsstat3::kErrJukebox);
+  EXPECT_EQ(uproxy.pending_count(), 0u);
 }
 
 TEST_F(MgmtTest, DirFailoverAdoptsSiteAndRebalancesOnRejoin) {

@@ -93,7 +93,7 @@ TEST(SpanRingTest, OverflowEvictsOldestInOrder) {
   const obs::SpanRing& ring = tracer.rings().at(3);
   EXPECT_EQ(ring.size(), 8u);
   EXPECT_EQ(ring.capacity(), 8u);
-  EXPECT_EQ(ring.evicted(), 12u);
+  EXPECT_EQ(ring.overwritten(), 12u);
   EXPECT_EQ(tracer.total_evicted(), 12u);
   EXPECT_EQ(tracer.total_recorded(), 20u);
 

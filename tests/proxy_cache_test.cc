@@ -250,15 +250,18 @@ TEST(ProxyCacheTest, ServesRepeatLookupLocallyWithWireCorrectReply) {
 
   ASSERT_TRUE(rig.Probe(2, dir, "alpha"));
   EXPECT_EQ(rig.uproxy.counters().Get("cache_lookup_hits"), 1u);
-  // The cache-served reply is wire-compatible: our own reply-view decoder
-  // accepts it and returns the filled handle + attributes.
-  LookupReplyView view;
-  ASSERT_TRUE(DecodeLookupReplyView(ByteSpan(rig.replies.back()), &view).ok());
-  EXPECT_EQ(view.xid, 2u);
-  EXPECT_EQ(view.nfs_status, 0u);
-  EXPECT_EQ(view.fh.fileid(), child.fileid());
-  ASSERT_TRUE(view.has_attr);
-  EXPECT_EQ(view.attr.fileid, child.fileid());
+  // The cache-served reply is wire-compatible: the RPC and NFS decoders
+  // accept it and return the filled handle + attributes.
+  Result<RpcMessageView> reply = DecodeRpcMessage(ByteSpan(rig.replies.back()));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->xid, 2u);
+  XdrDecoder dec(reply->body);
+  Result<LookupRes> res = LookupRes::Decode(dec);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->status, Nfsstat3::kOk);
+  EXPECT_EQ(res->object.fileid(), child.fileid());
+  ASSERT_TRUE(res->obj_attributes.has_value());
+  EXPECT_EQ(res->obj_attributes->fileid, child.fileid());
 
   // Unknown names still miss and forward.
   EXPECT_FALSE(rig.Probe(3, dir, "beta"));
@@ -279,10 +282,13 @@ TEST(ProxyCacheTest, GetattrServedFromCompleteAttrEntryOnly) {
   rig.queue.RunUntilIdle();
   ASSERT_EQ(rig.replies.size(), replies_before + 1);
   EXPECT_EQ(rig.uproxy.counters().Get("cache_getattr_hits"), 1u);
-  GetattrReplyView view;
-  ASSERT_TRUE(DecodeGetattrReplyView(ByteSpan(rig.replies.back()), &view).ok());
-  EXPECT_EQ(view.xid, 5u);
-  EXPECT_EQ(view.attr.fileid, child.fileid());
+  Result<RpcMessageView> reply = DecodeRpcMessage(ByteSpan(rig.replies.back()));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->xid, 5u);
+  XdrDecoder dec(reply->body);
+  Result<GetattrRes> res = GetattrRes::Decode(dec);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->attributes.fileid, child.fileid());
 
   // A file the proxy has never seen attributes for goes to the server.
   const size_t pending_before = rig.uproxy.pending_count();

@@ -1,5 +1,6 @@
-// Unit tests for ONC RPC: message codecs, peek fast path, client
-// retransmission, server dispatch, duplicate request cache, cost charging.
+// Unit tests for ONC RPC: message codecs, the header walk's AUTH_SYS checks,
+// client retransmission, server dispatch, duplicate request cache, cost
+// charging.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -39,12 +40,11 @@ TEST(RpcMessageTest, CallRoundTrip) {
   EXPECT_EQ(view->xid, 77u);
   EXPECT_EQ(view->prog, kTestProg);
   EXPECT_EQ(view->proc, 6u);
-  EXPECT_EQ(view->cred.machine_name, "testhost");
-  EXPECT_EQ(view->cred.uid, 100u);
-  EXPECT_EQ(view->cred.gids.size(), 3u);
+  EXPECT_EQ(view->uid, 100u);
 
   XdrDecoder body(view->body);
   EXPECT_EQ(body.GetUint64().value(), 0xfeedfaceull);
+  EXPECT_EQ(view->body.data(), wire.data() + view->body_offset);
 }
 
 TEST(RpcMessageTest, ReplyRoundTrip) {
@@ -75,37 +75,64 @@ TEST(RpcMessageTest, ErrorReplyHasNoBody) {
   EXPECT_TRUE(view->body.empty());
 }
 
-TEST(RpcMessageTest, PeekMatchesFullDecode) {
-  RpcCall call;
-  call.xid = 1234;
-  call.prog = kTestProg;
-  call.vers = 3;
-  call.proc = 8;
-  call.cred.machine_name = "some-longer-machine-name";  // variable length
-  call.cred.gids = {10, 20, 30, 40, 50};
-  XdrEncoder args;
-  args.PutUint32(0xabcd);
-  call.args = args.bytes();
-  const Bytes wire = call.Encode();
-
-  Result<RpcPeek> peek = PeekRpcMessage(wire);
-  Result<RpcMessageView> full = DecodeRpcMessage(wire);
-  ASSERT_TRUE(peek.ok());
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(peek->xid, full->xid);
-  EXPECT_EQ(peek->proc, full->proc);
-  EXPECT_EQ(peek->body_offset, full->body_offset);
-  EXPECT_EQ(GetU32(wire.data() + peek->body_offset), 0xabcdu);
-}
-
-TEST(RpcMessageTest, PeekVariableCredLengthsShiftBodyOffset) {
+TEST(RpcMessageTest, VariableCredLengthsShiftBodyOffset) {
   RpcCall a;
   a.cred.machine_name = "x";
   RpcCall b = a;
   b.cred.machine_name = "a-much-longer-machine-name-here";
-  const size_t off_a = PeekRpcMessage(a.Encode())->body_offset;
-  const size_t off_b = PeekRpcMessage(b.Encode())->body_offset;
-  EXPECT_GT(off_b, off_a);
+  const Bytes wire_a = a.Encode();
+  const Bytes wire_b = b.Encode();
+  EXPECT_GT(DecodeRpcMessage(wire_b)->body_offset, DecodeRpcMessage(wire_a)->body_offset);
+}
+
+// A call whose credential is AUTH_SYS around `body`, a hand-built opaque.
+Bytes CallWithAuthSysBody(const Bytes& body) {
+  XdrEncoder cred;
+  cred.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  cred.PutOpaqueVar(body);
+  XdrEncoder enc;
+  EncodeCallHeader(enc, 5, kTestProg, kTestVers, 1, cred.bytes());
+  enc.PutUint32(0xabcd);  // args
+  return enc.Take();
+}
+
+// An AUTH_SYS body: stamp, machine name, uid 42, gid 7 and `gids` gids.
+Bytes AuthSysBody(const std::string& name, uint32_t gids) {
+  XdrEncoder body;
+  body.PutUint32(1);
+  body.PutString(name);
+  body.PutUint32(42);
+  body.PutUint32(7);
+  body.PutUint32(gids);
+  for (uint32_t g = 0; g < gids; ++g) {
+    body.PutUint32(g);
+  }
+  return body.Take();
+}
+
+TEST(RpcMessageTest, AuthSysBoundsAreInclusiveAndTheUidIsKept) {
+  for (const Bytes& body : {AuthSysBody("host", 0), AuthSysBody("host", 16),
+                            AuthSysBody(std::string(255, 'm'), 3)}) {
+    const Bytes wire = CallWithAuthSysBody(body);
+    Result<RpcMessageView> view = DecodeRpcMessage(wire);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view->uid, 42u);
+    EXPECT_EQ(GetU32(view->body.data()), 0xabcdu);
+  }
+}
+
+TEST(RpcMessageTest, MalformedAuthSysBodiesAreCorrupt) {
+  Bytes past_end = AuthSysBody("host", 2);
+  past_end.resize(past_end.size() - 4);  // the second gid lies past the body
+  Bytes no_uid = AuthSysBody("host", 0);
+  no_uid.resize(12);  // stamp and name only
+  for (const Bytes& body : {AuthSysBody("host", 17), AuthSysBody(std::string(256, 'm'), 0),
+                            past_end, no_uid}) {
+    const Bytes wire = CallWithAuthSysBody(body);
+    Result<RpcMessageView> view = DecodeRpcMessage(wire);
+    ASSERT_FALSE(view.ok());
+    EXPECT_EQ(view.status().code(), StatusCode::kCorrupt);
+  }
 }
 
 TEST(RpcMessageTest, TruncatedMessageIsCorrupt) {
@@ -123,7 +150,6 @@ TEST(RpcMessageTest, BadVersionRejected) {
   Bytes wire = call.Encode();
   PutU32(wire.data() + 8, 3);  // rpcvers = 3
   EXPECT_FALSE(DecodeRpcMessage(wire).ok());
-  EXPECT_FALSE(PeekRpcMessage(wire).ok());
 }
 
 // Echo server: returns its args, charging 10us CPU.
@@ -150,7 +176,7 @@ class RpcEndToEndTest : public ::testing::Test {
  protected:
   RpcEndToEndTest()
       : net_(queue_, NetworkParams{}),
-        server_(net_, queue_, kServerAddr, kServerPort),
+        server_(net_, queue_, kServerAddr, kServerPort, kTestProg, kTestVers),
         client_host_(net_, kClientAddr),
         client_(client_host_, queue_) {}
 
@@ -326,13 +352,14 @@ class DrcCapacityTest : public ::testing::Test {
 
   DrcCapacityTest()
       : net_(queue_, NetworkParams{}),
-        server_(net_, queue_, kServerAddr, kServerPort,
+        server_(net_, queue_, kServerAddr, kServerPort, kTestProg, kTestVers,
                 RpcServerParams{.duplicate_cache_entries = kDrcEntries}),
         client_host_(net_, kClientAddr) {
     src_port_ = client_host_.Bind(0, [this](Packet&& pkt) {
       Result<RpcMessageView> view = DecodeRpcMessage(pkt.payload());
       ASSERT_TRUE(view.ok());
       reply_xids_.push_back(view->xid);
+      reply_stats_.push_back(view->accept_stat);
     });
   }
 
@@ -357,6 +384,7 @@ class DrcCapacityTest : public ::testing::Test {
   Host client_host_;
   NetPort src_port_ = 0;
   std::vector<uint32_t> reply_xids_;
+  std::vector<RpcAcceptStat> reply_stats_;
 };
 
 TEST_F(DrcCapacityTest, FillPastCapacityEvictsOldestInOrder) {
@@ -445,15 +473,17 @@ TEST_F(DrcCapacityTest, SameXidDifferentProcExecutesInsteadOfReplaying) {
   EXPECT_EQ(server_.duplicates_answered(), 0u);
 
   // Different version, same everything else: also a distinct entry, not a
-  // replay of the cached proc-1 result.
+  // replay of the cached proc-1 result. The node serves one version, so the
+  // fresh answer is PROG_UNAVAIL and the handler does not run.
   send_variant(kTestProg, kTestVers + 1, 1);
-  EXPECT_EQ(server_.calls, 3);
+  EXPECT_EQ(server_.calls, 2);
+  EXPECT_EQ(reply_stats_.back(), RpcAcceptStat::kProgUnavail);
   EXPECT_EQ(server_.duplicates_answered(), 0u);
 
   // Exact retransmits of the first two calls replay their own entries.
   Call(42);
   send_variant(kTestProg, kTestVers, 2);
-  EXPECT_EQ(server_.calls, 3) << "true retransmits must not re-execute";
+  EXPECT_EQ(server_.calls, 2) << "true retransmits must not re-execute";
   EXPECT_EQ(server_.duplicates_answered(), 2u);
   // Every send got a reply (executed, rejected, or replayed).
   EXPECT_EQ(reply_xids_.size(), 5u);
@@ -585,7 +615,7 @@ class PartialResultServer : public RpcServerNode {
 
 TEST_F(RpcWireTest, ReplyBytesEqualRpcReplyEncodeIncludingTruncatedErrors) {
   constexpr NetAddr kReplierAddr = 0x0a000020;
-  PartialResultServer server(net_, queue_, kReplierAddr, kServerPort);
+  PartialResultServer server(net_, queue_, kReplierAddr, kServerPort, kTestProg, kTestVers);
   std::vector<Bytes> replies;
   const NetPort port = client_host_.Bind(0, [&replies](Packet&& pkt) {
     replies.emplace_back(pkt.payload().begin(), pkt.payload().end());
