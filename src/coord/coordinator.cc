@@ -42,13 +42,13 @@ uint64_t Coordinator::LogIntent(const LogIntentArgs& args, bool log) {
   const uint64_t id = next_intent_id_++;
   intents_[id] = Intent{args.op, args.file, args.arg, now()};
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kIntent));
-    rec.PutUint64(id);
-    rec.PutEnum(static_cast<uint32_t>(args.op));
-    rec.PutOpaqueVar(args.file.bytes());
-    rec.PutUint64(args.arg);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kIntent));
+      rec.PutUint64(id);
+      rec.PutEnum(static_cast<uint32_t>(args.op));
+      rec.PutOpaqueVar(args.file.bytes());
+      rec.PutUint64(args.arg);
+    });
   }
   ArmProbe(id);
   return id;
@@ -59,10 +59,10 @@ void Coordinator::Complete(uint64_t intent_id, bool log) {
     return;
   }
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kComplete));
-    rec.PutUint64(intent_id);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kComplete));
+      rec.PutUint64(intent_id);
+    });
   }
 }
 
@@ -136,13 +136,13 @@ void Coordinator::LogDegraded(const DegradedArgs& args, bool log) {
   }
   regions.push_back(DegradedRegion{args.file, args.offset, args.count});
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kDegraded));
-    rec.PutOpaqueVar(args.file.bytes());
-    rec.PutUint64(args.offset);
-    rec.PutUint32(args.count);
-    rec.PutUint32(args.node);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kDegraded));
+      rec.PutOpaqueVar(args.file.bytes());
+      rec.PutUint64(args.offset);
+      rec.PutUint32(args.count);
+      rec.PutUint32(args.node);
+    });
   }
 }
 
@@ -150,13 +150,13 @@ void Coordinator::LogRepaired(uint32_t node, const DegradedRegion& region) {
   if (!wal_) {
     return;
   }
-  XdrEncoder rec;
-  rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kRepaired));
-  rec.PutOpaqueVar(region.file.bytes());
-  rec.PutUint64(region.offset);
-  rec.PutUint32(region.count);
-  rec.PutUint32(node);
-  wal_->Append(rec.bytes());
+  wal_->Append([&](XdrEncoder& rec) {
+    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kRepaired));
+    rec.PutOpaqueVar(region.file.bytes());
+    rec.PutUint64(region.offset);
+    rec.PutUint32(region.count);
+    rec.PutUint32(node);
+  });
 }
 
 void Coordinator::RepairNode(uint32_t node) {
@@ -247,12 +247,12 @@ void Coordinator::LogMapAssignment(uint64_t fileid, uint64_t block, uint32_t sit
   if (!wal_) {
     return;
   }
-  XdrEncoder rec;
-  rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kMapAssign));
-  rec.PutUint64(fileid);
-  rec.PutUint64(block);
-  rec.PutUint32(site);
-  wal_->Append(rec.bytes());
+  wal_->Append([&](XdrEncoder& rec) {
+    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kMapAssign));
+    rec.PutUint64(fileid);
+    rec.PutUint64(block);
+    rec.PutUint32(site);
+  });
 }
 
 void Coordinator::ReplayRecord(ByteSpan record) {

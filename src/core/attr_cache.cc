@@ -7,32 +7,22 @@ namespace slice {
 AttrCache::Entry& AttrCache::GetOrInsert(uint64_t fileid) {
   auto it = entries_.find(fileid);
   if (it != entries_.end()) {
-    TouchLru(fileid);
-    return it->second;
+    lru_.MoveToFront(&it->second);
+    return it->second.entry;
   }
-  if (entries_.size() >= capacity_ && !lru_.empty()) {
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    lru_index_.erase(victim);
-    auto victim_it = entries_.find(victim);
-    if (victim_it != entries_.end()) {
-      if (victim_it->second.dirty) {
-        evicted_dirty_.emplace_back(victim, victim_it->second.attr);
-      }
-      entries_.erase(victim_it);
+  if (entries_.size() >= capacity_ && lru_.back() != nullptr) {
+    LruNode<Entry>* victim = lru_.back();
+    lru_.Unlink(victim);
+    if (victim->entry.dirty) {
+      evicted_dirty_.emplace_back(victim->key, victim->entry.attr);
     }
+    entries_.erase(victim->key);
     ++evictions_;
   }
-  lru_.push_front(fileid);
-  lru_index_[fileid] = lru_.begin();
-  return entries_[fileid];
-}
-
-void AttrCache::TouchLru(uint64_t fileid) {
-  auto it = lru_index_.find(fileid);
-  if (it != lru_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-  }
+  LruNode<Entry>& node = entries_[fileid];
+  node.key = fileid;
+  lru_.PushFront(&node);
+  return node.entry;
 }
 
 void AttrCache::MergeFromReply(uint64_t fileid, const Fattr3& attr) {
@@ -57,8 +47,8 @@ void AttrCache::NoteRead(uint64_t fileid, NfsTime now) {
   if (it == entries_.end()) {
     return;  // nothing cached to update; the reply merge will seed it
   }
-  TouchLru(fileid);
-  it->second.attr.atime = now;
+  lru_.MoveToFront(&it->second);
+  it->second.entry.attr.atime = now;
 }
 
 void AttrCache::NoteWrite(uint64_t fileid, uint64_t end_offset, NfsTime now) {
@@ -72,36 +62,34 @@ void AttrCache::NoteWrite(uint64_t fileid, uint64_t end_offset, NfsTime now) {
 
 const AttrCache::Entry* AttrCache::Find(uint64_t fileid) const {
   const auto it = entries_.find(fileid);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 void AttrCache::MarkClean(uint64_t fileid) {
   auto it = entries_.find(fileid);
   if (it != entries_.end()) {
-    it->second.dirty = false;
+    it->second.entry.dirty = false;
   }
 }
 
 void AttrCache::Erase(uint64_t fileid) {
-  auto it = lru_index_.find(fileid);
-  if (it != lru_index_.end()) {
-    lru_.erase(it->second);
-    lru_index_.erase(it);
+  auto it = entries_.find(fileid);
+  if (it != entries_.end()) {
+    lru_.Unlink(&it->second);
+    entries_.erase(it);
   }
-  entries_.erase(fileid);
 }
 
 void AttrCache::Clear() {
   entries_.clear();
-  lru_.clear();
-  lru_index_.clear();
+  lru_.Clear();
   evicted_dirty_.clear();
 }
 
 std::vector<uint64_t> AttrCache::DirtyFiles() const {
   std::vector<uint64_t> out;
-  for (const auto& [fileid, entry] : entries_) {
-    if (entry.dirty) {
+  for (const auto& [fileid, node] : entries_) {
+    if (node.entry.dirty) {
       out.push_back(fileid);
     }
   }
@@ -113,17 +101,16 @@ std::vector<std::pair<uint64_t, Fattr3>> AttrCache::TakeEvictedDirty() {
 }
 
 const LookupCache::Entry* LookupCache::Find(uint64_t dir_id, uint64_t name_fp) {
-  const uint64_t key = KeyOf(dir_id, name_fp);
-  auto it = entries_.find(key);
+  auto it = entries_.find(KeyOf(dir_id, name_fp));
   if (it == entries_.end()) {
     return nullptr;
   }
-  const Entry& e = it->second;
+  const Entry& e = it->second.entry;
   if (e.dir_id != dir_id || e.name_fp != name_fp) {
     return nullptr;  // key-fold collision; treat as a miss, do not evict
   }
-  TouchLru(key);
-  return &it->second;
+  lru_.MoveToFront(&it->second);
+  return &e;
 }
 
 void LookupCache::Insert(uint64_t dir_id, uint64_t name_fp,
@@ -132,20 +119,17 @@ void LookupCache::Insert(uint64_t dir_id, uint64_t name_fp,
   const uint64_t key = KeyOf(dir_id, name_fp);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    if (entries_.size() >= capacity_ && !lru_.empty()) {
-      const uint64_t victim = lru_.back();
-      lru_.pop_back();
-      lru_index_.erase(victim);
-      entries_.erase(victim);
+    if (entries_.size() >= capacity_ && lru_.back() != nullptr) {
+      EraseKey(lru_.back()->key);
       ++evictions_;
     }
-    lru_.push_front(key);
-    lru_index_[key] = lru_.begin();
-    it = entries_.emplace(key, Entry{}).first;
+    it = entries_.emplace(key, LruNode<Entry>{}).first;
+    it->second.key = key;
+    lru_.PushFront(&it->second);
   } else {
-    TouchLru(key);
+    lru_.MoveToFront(&it->second);
   }
-  Entry& e = it->second;
+  Entry& e = it->second.entry;
   e.dir_id = dir_id;
   e.name_fp = name_fp;
   e.fh = fh;
@@ -160,13 +144,9 @@ void LookupCache::Erase(uint64_t dir_id, uint64_t name_fp) {
 size_t LookupCache::InvalidateSlots(const std::vector<uint8_t>& changed) {
   size_t flushed = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    const uint32_t slot = it->second.slot;
+    const uint32_t slot = it->second.entry.slot;
     if (slot < changed.size() && changed[slot]) {
-      auto lru_it = lru_index_.find(it->first);
-      if (lru_it != lru_index_.end()) {
-        lru_.erase(lru_it->second);
-        lru_index_.erase(lru_it);
-      }
+      lru_.Unlink(&it->second);
       it = entries_.erase(it);
       ++flushed;
     } else {
@@ -178,24 +158,15 @@ size_t LookupCache::InvalidateSlots(const std::vector<uint8_t>& changed) {
 
 void LookupCache::Clear() {
   entries_.clear();
-  lru_.clear();
-  lru_index_.clear();
-}
-
-void LookupCache::TouchLru(uint64_t key) {
-  auto it = lru_index_.find(key);
-  if (it != lru_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-  }
+  lru_.Clear();
 }
 
 void LookupCache::EraseKey(uint64_t key) {
-  auto it = lru_index_.find(key);
-  if (it != lru_index_.end()) {
-    lru_.erase(it->second);
-    lru_index_.erase(it);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    lru_.Unlink(&it->second);
+    entries_.erase(it);
   }
-  entries_.erase(key);
 }
 
 }  // namespace slice

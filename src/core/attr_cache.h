@@ -7,7 +7,6 @@
 #ifndef SLICE_CORE_ATTR_CACHE_H_
 #define SLICE_CORE_ATTR_CACHE_H_
 
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +15,53 @@
 #include "src/sim/event_queue.h"
 
 namespace slice {
+
+// A cache entry in its map node, with the key it is stored under and its
+// links in the cache's recency list.
+template <typename Entry>
+struct LruNode {
+  Entry entry;
+  uint64_t key = 0;
+  LruNode* prev = nullptr;
+  LruNode* next = nullptr;
+};
+
+// A recency list threaded through the LruNodes of an unordered_map, whose
+// nodes never move: a touch, an insert or an erase relinks pointers and
+// allocates nothing, as the block cache's index-threaded list does
+// (DESIGN.md §7.1).
+template <typename Entry>
+class LruList {
+ public:
+  using Node = LruNode<Entry>;
+
+  Node* back() const { return tail_; }
+
+  void PushFront(Node* node) {
+    node->prev = nullptr;
+    node->next = head_;
+    (head_ != nullptr ? head_->prev : tail_) = node;
+    head_ = node;
+  }
+
+  void Unlink(Node* node) {
+    (node->prev != nullptr ? node->prev->next : head_) = node->next;
+    (node->next != nullptr ? node->next->prev : tail_) = node->prev;
+  }
+
+  void MoveToFront(Node* node) {
+    if (head_ != node) {
+      Unlink(node);
+      PushFront(node);
+    }
+  }
+
+  void Clear() { head_ = tail_ = nullptr; }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+};
 
 class AttrCache {
  public:
@@ -59,12 +105,8 @@ class AttrCache {
   size_t FlushWhere(Pred pred) {
     size_t flushed = 0;
     for (auto it = entries_.begin(); it != entries_.end();) {
-      if (!it->second.dirty && pred(it->first)) {
-        auto lru_it = lru_index_.find(it->first);
-        if (lru_it != lru_index_.end()) {
-          lru_.erase(lru_it->second);
-          lru_index_.erase(lru_it);
-        }
+      if (!it->second.entry.dirty && pred(it->first)) {
+        lru_.Unlink(&it->second);
         it = entries_.erase(it);
         ++flushed;
       } else {
@@ -82,12 +124,11 @@ class AttrCache {
 
  private:
   Entry& GetOrInsert(uint64_t fileid);
-  void TouchLru(uint64_t fileid);
 
   size_t capacity_;
-  std::unordered_map<uint64_t, Entry> entries_;
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> lru_index_;
+  // Iteration order of entries_ is the writeback order of DirtyFiles().
+  std::unordered_map<uint64_t, LruNode<Entry>> entries_;
+  LruList<Entry> lru_;
   std::vector<std::pair<uint64_t, Fattr3>> evicted_dirty_;
   uint64_t evictions_ = 0;
 };
@@ -99,7 +140,7 @@ class AttrCache {
 // slot can flush exactly the entries resolved through the stale binding.
 // Bounded and LRU-evicted; an entry lives until it is evicted or
 // invalidated. The probe path (Find) performs no allocation: a hash lookup
-// plus a list splice.
+// plus a relink.
 class LookupCache {
  public:
   explicit LookupCache(size_t capacity) : capacity_(capacity) {}
@@ -134,13 +175,11 @@ class LookupCache {
   }
 
  private:
-  void TouchLru(uint64_t key);
   void EraseKey(uint64_t key);
 
   size_t capacity_;
-  std::unordered_map<uint64_t, Entry> entries_;
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> lru_index_;
+  std::unordered_map<uint64_t, LruNode<Entry>> entries_;
+  LruList<Entry> lru_;
   uint64_t evictions_ = 0;
 };
 

@@ -76,23 +76,23 @@ void DirServer::ApplyInsertEntry(uint64_t parent, const std::string& name,
                                  const FileHandle& child, bool log) {
   (void)store_.InsertEntry(parent, name, child);
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(DirLogOp::kInsertEntry));
-    rec.PutUint64(parent);
-    rec.PutString(name);
-    rec.PutOpaqueVar(child.bytes());
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kInsertEntry));
+      rec.PutUint64(parent);
+      rec.PutString(name);
+      rec.PutOpaqueVar(child.bytes());
+    });
   }
 }
 
 void DirServer::ApplyEraseEntry(uint64_t parent, const std::string& name, bool log) {
   (void)store_.EraseEntry(parent, name);
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseEntry));
-    rec.PutUint64(parent);
-    rec.PutString(name);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseEntry));
+      rec.PutUint64(parent);
+      rec.PutString(name);
+    });
   }
 }
 
@@ -109,21 +109,21 @@ void DirServer::ApplyUpsertAttr(uint64_t fileid, const Fattr3& attr, const std::
     cell->symlink_target = symlink;
   }
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(DirLogOp::kUpsertAttr));
-    rec.PutUint64(fileid);
-    EncodeAttrForLog(rec, cell->attr, cell->symlink_target);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kUpsertAttr));
+      rec.PutUint64(fileid);
+      EncodeAttrForLog(rec, cell->attr, cell->symlink_target);
+    });
   }
 }
 
 void DirServer::ApplyEraseAttr(uint64_t fileid, bool log) {
   (void)store_.EraseAttr(fileid);
   if (log && wal_) {
-    XdrEncoder rec;
-    rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseAttr));
-    rec.PutUint64(fileid);
-    wal_->Append(rec.bytes());
+    wal_->Append([&](XdrEncoder& rec) {
+      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseAttr));
+      rec.PutUint64(fileid);
+    });
   }
 }
 
@@ -833,8 +833,9 @@ void DirServer::HandleReaddir(const ReaddirArgs& args, XdrEncoder& reply, Servic
   // Under name hashing a directory's entries are scattered across every
   // site ("readdir operations span multiple sites", §3.2): the page comes
   // from a merge of each server's table, seeked to the cookie's rank.
-  res.eof = ReaddirPage(NameSpaceStores(cost), dir_id, args.cookie,
-                        args.plus ? args.maxcount : args.count, args.plus,
+  const uint32_t count = args.plus ? args.maxcount : args.count;
+  res.entries.reserve(ReaddirPageBound(count, args.plus));
+  res.eof = ReaddirPage(NameSpaceStores(cost), dir_id, args.cookie, count, args.plus,
                         [&](const NameCell& cell, uint64_t cookie) {
                           DirEntry entry;
                           entry.fileid = cell.child.fileid();

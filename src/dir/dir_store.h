@@ -125,20 +125,33 @@ class MergedDir {
   uint64_t total_ = 0;
 };
 
+// A READDIR page's reply budget for a request of `count` bytes.
+inline uint32_t ReaddirBudget(uint32_t count) { return std::max<uint32_t>(count, 512); }
+
+// What one entry with a name of `name_size` bytes costs against the budget:
+// its XDR size, plus attributes and a handle for READDIRPLUS.
+inline uint32_t ReaddirEntryCost(size_t name_size, bool plus) {
+  return static_cast<uint32_t>(24 + name_size) +
+         (plus ? static_cast<uint32_t>(kFattr3WireSize + FileHandle::kSize + 12) : 0);
+}
+
+// The most entries one page of `count` bytes can hold.
+inline size_t ReaddirPageBound(uint32_t count, bool plus) {
+  return ReaddirBudget(count) / ReaddirEntryCost(0, plus);
+}
+
 // One READDIR page of `dir_id` over `stores`, from rank `cookie`: entries in
-// merged order while they fit the reply budget of `count` bytes (512 at
-// least). An entry costs its XDR size, plus attributes and a handle for
-// READDIRPLUS. Calls emit(cell, cookie) for each entry, where `cookie`
+// merged order while their ReaddirEntryCost fits the ReaddirBudget of
+// `count` bytes. Calls emit(cell, cookie) for each entry, where `cookie`
 // resumes after it. Returns eof: true if no entry was left out.
 template <typename Emit>
 bool ReaddirPage(std::span<const DirStore* const> stores, uint64_t dir_id, uint64_t cookie,
                  uint32_t count, bool plus, Emit&& emit) {
-  const uint32_t budget = std::max<uint32_t>(count, 512);
+  const uint32_t budget = ReaddirBudget(count);
   uint32_t used = 0;
   for (MergedDir merged(stores, dir_id, cookie); !merged.done(); merged.Next()) {
     const NameCell& cell = merged.cell();
-    const uint32_t entry_size = static_cast<uint32_t>(24 + cell.name.size()) +
-                                (plus ? kFattr3WireSize + FileHandle::kSize + 12 : 0);
+    const uint32_t entry_size = ReaddirEntryCost(cell.name.size(), plus);
     if (used + entry_size > budget) {
       return false;
     }

@@ -1,5 +1,7 @@
 #include "src/dir/wal.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace slice {
@@ -10,11 +12,18 @@ WriteAheadLog::WriteAheadLog(Host& host, EventQueue& queue, Endpoint backing_nod
     : queue_(queue), client_(host, queue, backing_node, {}, sinks.TracerOnly()),
       object_(backing_object), params_(params) {}
 
-void WriteAheadLog::Append(ByteSpan record) {
-  uint8_t len[4];
-  PutU32(len, static_cast<uint32_t>(record.size()));
-  buffer_.insert(buffer_.end(), len, len + 4);
-  buffer_.insert(buffer_.end(), record.begin(), record.end());
+size_t WriteAheadLog::BeginRecord() {
+  constexpr size_t kHeadroom = 512;  // more than a directory or map record
+  if (buffer_.capacity() - buffer_.size() < kHeadroom) {
+    buffer_.reserve(std::max<size_t>(2 * buffer_.capacity(), 8 * kHeadroom));
+  }
+  const size_t at = buffer_.size();
+  AppendU32(buffer_, 0);
+  return at;
+}
+
+void WriteAheadLog::EndRecord(size_t at) {
+  PutU32(buffer_.data() + at, static_cast<uint32_t>(buffer_.size() - at - 4));
   ++records_;
   ArmFlushTimer();
 }
@@ -34,17 +43,18 @@ void WriteAheadLog::Flush() {
   if (buffer_.empty()) {
     return;
   }
-  Bytes batch = std::move(buffer_);
-  buffer_.clear();
   const uint64_t offset = log_offset_;
-  log_offset_ += batch.size();
+  log_offset_ += buffer_.size();
   ++flushes_;
-  client_.Write(object_, offset, batch, StableHow::kFileSync,
+  // Write encodes the batch into its call before returning, so the buffer
+  // is free again at once and keeps its capacity for the next batch.
+  client_.Write(object_, offset, buffer_, StableHow::kFileSync,
                 [](Status st, const WriteRes& res) {
                   if (!st.ok() || res.status != Nfsstat3::kOk) {
                     SLICE_WLOG << "wal: flush failed: " << st.ToString();
                   }
                 });
+  buffer_.clear();
 }
 
 void WriteAheadLog::DiscardBuffered() { buffer_.clear(); }

@@ -3,14 +3,16 @@
 // storage array, so a surviving site can recover a failed manager's state
 // from its backing objects plus its log.
 //
-// Records are length-framed XDR blobs. Appends accumulate in a group-commit
-// buffer that flushes to the backing storage node on a short timer (matching
+// Records are length-framed XDR blobs, each encoded straight into a
+// group-commit buffer that is reused from one flush to the next and that
+// flushes to the backing storage node on a short timer (matching
 // the prototype's asynchronous journaling; the paper notes ~0.5 MB/s of log
 // traffic per directory server at saturation).
 #ifndef SLICE_DIR_WAL_H_
 #define SLICE_DIR_WAL_H_
 
 #include <functional>
+#include <type_traits>
 
 #include "src/nfs/nfs_client.h"
 
@@ -31,8 +33,17 @@ class WriteAheadLog {
                 FileHandle backing_object, WalParams params = {},
                 const obs::Sinks& sinks = {});
 
-  // Appends one record (durable after the next flush).
-  void Append(ByteSpan record);
+  // Appends one record (durable after the next flush): `encode(enc)` writes
+  // it straight into the log buffer, behind a length word filled in after.
+  template <typename Encode>
+    requires std::is_invocable_v<Encode&, XdrEncoder&>
+  void Append(Encode&& encode) {
+    const size_t at = BeginRecord();
+    XdrEncoder enc(std::move(buffer_));
+    encode(enc);
+    buffer_ = enc.Take();
+    EndRecord(at);
+  }
 
   // Pushes any buffered records to the backing object now.
   void Flush();
@@ -49,6 +60,12 @@ class WriteAheadLog {
   uint64_t flushes() const { return flushes_; }
 
  private:
+  // Appends a placeholder length word for a new record and returns its
+  // offset. Grows the buffer geometrically first when little room is left:
+  // an encoder grows it only to what one opaque needs.
+  size_t BeginRecord();
+  // Fills in the length of the record begun at `at`.
+  void EndRecord(size_t at);
   void ArmFlushTimer();
   void ReplayChunk(uint64_t offset, Bytes carry, std::function<void(ByteSpan)> on_record,
                    std::function<void(Status)> on_done);
@@ -57,7 +74,7 @@ class WriteAheadLog {
   NfsClient client_;
   FileHandle object_;
   WalParams params_;
-  Bytes buffer_;
+  Bytes buffer_;  // appended records, not yet flushed (capacity reused)
   uint64_t log_offset_ = 0;  // stable bytes already at the backing object
   uint64_t records_ = 0;
   uint64_t flushes_ = 0;

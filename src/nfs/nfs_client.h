@@ -27,8 +27,10 @@ void CallNfs(RpcClient& rpc, Endpoint server, NfsProc proc, const Args& args, Cb
 
 class NfsClient {
  public:
+  // 40 inline bytes hold a caller's lambda of a few pointers and counters;
+  // CallTyped's wrapper around one fits the ResponseHandler inline.
   template <typename Res>
-  using Callback = std::function<void(Status, const Res&)>;
+  using Callback = InlineFunction<void(Status, const Res&), 40>;
 
   // `server` is the (possibly virtual) NFS service endpoint. The mount-style
   // root file handle is obtained out of band via the volume configuration.

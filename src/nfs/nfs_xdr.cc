@@ -674,6 +674,10 @@ Result<ReaddirRes> ReaddirRes::Decode(XdrDecoder& dec, bool plus) {
     return res;
   }
   SLICE_ASSIGN_OR_RETURN(res.cookieverf, dec.GetUint64());
+  // An entry takes at least 24 bytes (its list bool, fileid, empty name and
+  // cookie), 32 with READDIRPLUS's two absent-value bools, so the rest of
+  // the body holds at most this many.
+  res.entries.reserve(dec.remaining() / (plus ? 32 : 24));
   while (true) {
     SLICE_ASSIGN_OR_RETURN(bool more, dec.GetBool());
     if (!more) {

@@ -43,30 +43,49 @@ void RpcClient::Send(Endpoint server, XdrEncoder&& call, ResponseHandler handler
   const ByteSpan wire = ByteSpan(frame).subspan(kPacketHeaderSize);
   const uint32_t xid = GetU32(wire.data());
 
-  PendingCall pending;
-  pending.server = server;
-  pending.wire.assign(wire.begin(), wire.end());
-  pending.handler = std::move(handler);
-  pending.generation = next_generation_++;
-  if (tracer_ != nullptr) {
-    pending.trace = tracer_->current();
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back().small_wire.reserve(kSmallWire);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  pending_.emplace(xid, std::move(pending));
+  *slot_of_xid_.Insert(xid).first = slot;
+  PendingCall& pc = slots_[slot];
+  pc.server = server;
+  if (wire.size() <= kSmallWire) {
+    pc.small_wire.assign(wire.begin(), wire.end());
+  } else {
+    pc.large_wire.assign(wire.begin(), wire.end());
+  }
+  pc.handler = std::move(handler);
+  pc.transmissions = 0;
+  pc.generation = next_generation_++;
+  pc.trace = tracer_ != nullptr ? tracer_->current() : obs::TraceContext{};
 
   Transmit(xid, std::move(frame));
 }
 
+RpcClient::ResponseHandler RpcClient::Finish(uint32_t xid, uint32_t slot) {
+  PendingCall& pc = slots_[slot];
+  ResponseHandler handler = std::move(pc.handler);
+  Bytes().swap(pc.large_wire);
+  slot_of_xid_.Erase(xid);
+  free_slots_.push_back(slot);
+  return handler;
+}
+
 void RpcClient::Transmit(uint32_t xid, Bytes frame) {
-  auto it = pending_.find(xid);
-  if (it == pending_.end()) {
+  const uint32_t* slot = slot_of_xid_.Find(xid);
+  if (slot == nullptr) {
     return;
   }
-  PendingCall& pc = it->second;
+  PendingCall& pc = slots_[*slot];
 
   if (pc.transmissions >= params_.max_transmissions) {
-    ResponseHandler handler = std::move(pc.handler);
     const obs::TraceContext trace = pc.trace;
-    pending_.erase(it);
+    ResponseHandler handler = Finish(xid, *slot);
     if (tracer_ != nullptr) {
       tracer_->RecordInstant(host_.addr(), trace, "rpc_give_up", queue_.now());
     }
@@ -92,12 +111,11 @@ void RpcClient::Transmit(uint32_t xid, Bytes frame) {
   ++pc.transmissions;
   ++calls_sent_;
 
-  Packet pkt = frame.empty() ? Packet::MakeUdp(local(), pc.server, pc.wire)
+  Packet pkt = frame.empty() ? Packet::MakeUdp(local(), pc.server, pc.wire())
                              : Packet::MakeUdpFramed(local(), pc.server, std::move(frame));
   if (tracer_ != nullptr && pc.trace.valid()) {
     pkt.AttachTrace(pc.trace.trace_id, pc.trace.span_id);
   }
-  host_.Send(std::move(pkt));
 
   // Clamp in double space: pow() runs away long before the cast back to
   // SimTime would saturate, so the comparison must happen before the cast.
@@ -110,12 +128,15 @@ void RpcClient::Transmit(uint32_t xid, Bytes frame) {
   const SimTime timeout = static_cast<SimTime>(scaled < ceiling ? scaled : ceiling);
   // {this, generation:xid} is 16 trivially-copyable bytes, so the timer
   // closure sits in std::function's inline buffer and arming it allocates
-  // nothing.
+  // nothing. It is read off the slot before the send: `pc` dangles once a
+  // call issued from inside the send grows the slot table.
   const uint64_t key = (static_cast<uint64_t>(pc.generation) << 32) | xid;
+  host_.Send(std::move(pkt));
+
   auto expire = [this, key] {
     const auto timer_xid = static_cast<uint32_t>(key);
-    auto timer_it = pending_.find(timer_xid);
-    if (timer_it == pending_.end() || timer_it->second.generation != key >> 32) {
+    const uint32_t* timer_slot = slot_of_xid_.Find(timer_xid);
+    if (timer_slot == nullptr || slots_[*timer_slot].generation != key >> 32) {
       return;  // already answered (or replaced)
     }
     Transmit(timer_xid);
@@ -129,13 +150,12 @@ void RpcClient::OnPacket(Packet&& pkt) {
     SLICE_WLOG << "rpc: dropping undecodable packet on client port";
     return;
   }
-  auto it = pending_.find(decoded->xid);
-  if (it == pending_.end()) {
+  const uint32_t* slot = slot_of_xid_.Find(decoded->xid);
+  if (slot == nullptr) {
     return;  // duplicate reply after retransmission; ignore
   }
-  ResponseHandler handler = std::move(it->second.handler);
-  const obs::TraceContext trace = it->second.trace;
-  pending_.erase(it);
+  const obs::TraceContext trace = slots_[*slot].trace;
+  ResponseHandler handler = Finish(decoded->xid, *slot);
 
   // Restore the originating context so the handler's own nested calls (and
   // any spans it records) stay in the same trace.

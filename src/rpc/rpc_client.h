@@ -6,15 +6,22 @@
 //
 // Each call is encoded once: the header, the client's cached AUTH_SYS
 // credential and the caller's args go straight into a pooled packet frame,
-// which becomes the first transmission. An exact-size copy of the message
-// is kept for retransmissions (holding the pooled frame instead would pin a
-// 9 KB buffer per outstanding call).
+// which becomes the first transmission. The per-call state lives in a slot
+// table that is reused from one call to the next: a pending call's slot
+// holds its reply handler inline (an InlineFunction) and a copy of the
+// message for retransmission. A message of at most kSmallWire bytes (every
+// call but a bulk WRITE) is copied into the slot's own buffer, which keeps
+// its capacity; a larger one gets an exact-size copy that is freed when the
+// call ends (keeping large buffers per slot, or holding the pooled frame,
+// would pin a 9 KB or 32 KB buffer per outstanding call). A warmed READ,
+// GETATTR or LOOKUP therefore allocates nothing.
 #ifndef SLICE_RPC_RPC_CLIENT_H_
 #define SLICE_RPC_RPC_CLIENT_H_
 
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
+#include "src/common/inline_function.h"
+#include "src/core/pending_map.h"
 #include "src/net/host.h"
 #include "src/obs/eventlog.h"
 #include "src/obs/sinks.h"
@@ -38,8 +45,9 @@ struct RpcClientParams {
 class RpcClient {
  public:
   // `handler(status, reply)`: status is kOk with a decoded reply view, or
-  // kTimedOut / kUnavailable on failure.
-  using ResponseHandler = std::function<void(Status, const RpcMessageView&)>;
+  // kTimedOut / kUnavailable on failure. Its 64 inline bytes hold CallTyped's
+  // wrapper around an NfsClient::Callback, so neither allocates.
+  using ResponseHandler = InlineFunction<void(Status, const RpcMessageView&), 64>;
 
   // Observability (`sinks`: the tracer and the event log). Calls issued
   // while the tracer has a current context carry that context on every
@@ -74,7 +82,7 @@ class RpcClient {
   Endpoint local() const { return Endpoint{host_.addr(), port_}; }
   uint64_t calls_sent() const { return calls_sent_; }
   uint64_t retransmissions() const { return retransmissions_; }
-  size_t pending() const { return pending_.size(); }
+  size_t pending() const { return slot_of_xid_.size(); }
 
   // Tenant tag: stamped into the AUTH_SYS uid of every subsequent call, so
   // the µproxy and servers can attribute the request end-to-end. 0 (the
@@ -83,13 +91,21 @@ class RpcClient {
   uint32_t tenant() const { return tenant_; }
 
  private:
+  // Messages up to this size are retained in their slot's reusable buffer.
+  static constexpr size_t kSmallWire = 512;
+
+  // One pending call. Slots are recycled through free_slots_; a recycled
+  // slot keeps its small buffer's capacity.
   struct PendingCall {
     Endpoint server;
-    Bytes wire;  // encoded RPC call, exact size, kept for retransmission
+    Bytes small_wire;  // the retained message when it fits kSmallWire
+    Bytes large_wire;  // an exact-size copy of a larger one, freed at the end
     ResponseHandler handler;
     int transmissions = 0;
     uint32_t generation = 0;
     obs::TraceContext trace;  // context captured at Call() time
+
+    ByteSpan wire() const { return large_wire.empty() ? small_wire : large_wire; }
   };
 
   // An encoder over a fresh frame holding the next xid's call header and
@@ -101,6 +117,10 @@ class RpcClient {
   // the retained wire; gives the call up once it has been sent
   // max_transmissions times.
   void Transmit(uint32_t xid, Bytes frame = {});
+  // Ends the call `xid` (held in `slot`): frees its slot and returns its
+  // handler, which the caller runs after the slot is gone, so the handler
+  // may issue calls of its own.
+  ResponseHandler Finish(uint32_t xid, uint32_t slot);
 
   Host& host_;
   EventQueue& queue_;
@@ -113,7 +133,9 @@ class RpcClient {
   uint32_t tenant_ = 0;
   Bytes cred_;  // the AUTH_SYS credential, encoded (rebuilt by set_tenant)
   uint32_t next_generation_ = 1;
-  std::unordered_map<uint32_t, PendingCall> pending_;
+  std::vector<PendingCall> slots_;
+  std::vector<uint32_t> free_slots_;
+  FlatMap<uint32_t, uint32_t> slot_of_xid_;
   uint64_t calls_sent_ = 0;
   uint64_t retransmissions_ = 0;
 };

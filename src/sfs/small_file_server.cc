@@ -123,17 +123,14 @@ Fattr3 SmallFileServer::MakeAttr(const FileHandle& fh) const {
   return attr;
 }
 
-std::vector<uint64_t> SmallFileServer::BlocksForRange(uint64_t offset, uint64_t len) {
-  std::vector<uint64_t> blocks;
+void SmallFileServer::NeedZoneRange(uint64_t offset, uint64_t len) {
   if (len == 0) {
-    return blocks;
+    return;
   }
-  const uint64_t first = offset / kStoreBlockSize;
   const uint64_t last = (offset + len - 1) / kStoreBlockSize;
-  for (uint64_t b = first; b <= last; ++b) {
-    blocks.push_back(b);
+  for (uint64_t b = offset / kStoreBlockSize; b <= last; ++b) {
+    need_.push_back(b);
   }
-  return blocks;
 }
 
 uint64_t SmallFileServer::MapBlockFor(uint64_t fileid) const {
@@ -191,34 +188,38 @@ void SmallFileServer::WriteZone(uint64_t offset, ByteSpan data, uint64_t fileid)
   }
 }
 
-void SmallFileServer::EnsureResident(std::vector<uint64_t> blocks, std::function<void()> next) {
-  std::vector<uint64_t> missing;
-  for (uint64_t block : blocks) {
-    if (pages_.contains(block)) {
-      cache_.Access(block);
+bool SmallFileServer::TouchResident() {
+  size_t missing = 0;
+  for (size_t i = 0; i < need_.size(); ++i) {
+    if (pages_.contains(need_[i])) {
+      cache_.Access(need_[i]);
     } else {
-      missing.push_back(block);
+      need_[missing++] = need_[i];
     }
   }
-  if (missing.empty()) {
-    next();
-    return;
-  }
-  auto pending = std::make_shared<size_t>(missing.size());
-  auto after = std::make_shared<std::function<void()>>(std::move(next));
-  for (uint64_t block : missing) {
+  need_.resize(missing);
+  return missing == 0;
+}
+
+void SmallFileServer::FetchMissing(std::function<void()> next) {
+  struct Fetch {
+    size_t pending;
+    std::function<void()> next;
+  };
+  auto fetch = std::make_shared<Fetch>(Fetch{need_.size(), std::move(next)});
+  for (uint64_t block : need_) {
     ++backing_fetches_;
     NfsClient& client = *node_clients_[block % node_clients_.size()];
     client.Read(zone_handle_, block * kStoreBlockSize, kStoreBlockSize,
-                [this, block, pending, after](Status st, const ReadResView& res) {
+                [this, block, fetch](Status st, const ReadResView& res) {
                   uint8_t* page = PageFor(block);
                   if (st.ok() && res.status == Nfsstat3::kOk && !res.data.empty()) {
                     std::memcpy(page, res.data.data(),
                                 std::min<size_t>(res.data.size(), kStoreBlockSize));
                   }
                   cache_.Access(block);  // count the miss-fill
-                  if (--*pending == 0) {
-                    (*after)();
+                  if (--fetch->pending == 0) {
+                    fetch->next();
                   }
                 });
   }
@@ -306,17 +307,17 @@ void SmallFileServer::LogMapRecord(uint64_t fileid) {
     return;
   }
   const MapRecord& record = maps_[fileid];
-  XdrEncoder rec;
-  rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kUpsertMap));
-  rec.PutUint64(fileid);
-  rec.PutUint64(record.size);
-  rec.PutUint32(static_cast<uint32_t>(record.blocks.size()));
-  for (const BlockExtent& extent : record.blocks) {
-    rec.PutUint64(extent.fragment.offset);
-    rec.PutUint32(extent.fragment.alloc_size);
-    rec.PutUint32(extent.length);
-  }
-  wal_->Append(rec.bytes());
+  wal_->Append([&](XdrEncoder& rec) {
+    rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kUpsertMap));
+    rec.PutUint64(fileid);
+    rec.PutUint64(record.size);
+    rec.PutUint32(static_cast<uint32_t>(record.blocks.size()));
+    for (const BlockExtent& extent : record.blocks) {
+      rec.PutUint64(extent.fragment.offset);
+      rec.PutUint32(extent.fragment.alloc_size);
+      rec.PutUint32(extent.length);
+    }
+  });
 }
 
 void SmallFileServer::LogMapRemove(uint64_t fileid) {
@@ -327,10 +328,10 @@ void SmallFileServer::LogMapRemove(uint64_t fileid) {
   if (!wal_) {
     return;
   }
-  XdrEncoder rec;
-  rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kRemoveMap));
-  rec.PutUint64(fileid);
-  wal_->Append(rec.bytes());
+  wal_->Append([&](XdrEncoder& rec) {
+    rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kRemoveMap));
+    rec.PutUint64(fileid);
+  });
 }
 
 void SmallFileServer::ReplayRecord(ByteSpan record) {
@@ -417,7 +418,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
 
   // Resident set: the map-descriptor page plus every fragment overlapped by
   // the request.
-  std::vector<uint64_t> need{MapBlockFor(fileid)};
+  need_.assign(1, MapBlockFor(fileid));
   uint64_t size = 0;
   if (map_it != maps_.end()) {
     size = map_it->second.size;
@@ -427,9 +428,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
       if (lblock < map_it->second.blocks.size()) {
         const BlockExtent& extent = map_it->second.blocks[lblock];
         if (extent.fragment.valid()) {
-          for (uint64_t b : BlocksForRange(extent.fragment.offset, extent.fragment.alloc_size)) {
-            need.push_back(b);
-          }
+          NeedZoneRange(extent.fragment.offset, extent.fragment.alloc_size);
         }
       }
       abs = (lblock + 1) * kStoreBlockSize;
@@ -439,7 +438,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
   const FileHandle fh = args.file;
   const uint64_t offset = args.offset;
   const uint32_t count = args.count;
-  EnsureResident(std::move(need), [this, fh, fileid, offset, count, cost, size, done]() mutable {
+  EnsureResident([this, fh, fileid, offset, count, cost, size, done]() mutable {
     ReadRes res;
     read_pieces_.clear();
     const auto it = maps_.find(fileid);
@@ -490,19 +489,18 @@ void SmallFileServer::DoWrite(WriteArgs args, ReplyFn done) {
 
   // Residency: the map page plus existing fragments we will partially
   // overwrite or grow (their live bytes must be copied on reallocation).
-  std::vector<uint64_t> need{MapBlockFor(fileid)};
+  need_.assign(1, MapBlockFor(fileid));
   if (const auto it = maps_.find(fileid); it != maps_.end() && !args.data.empty()) {
-    for (uint64_t b : BlocksForRange(args.offset, args.data.size())) {
-      if (b < it->second.blocks.size() && it->second.blocks[b].fragment.valid()) {
-        for (uint64_t zb :
-             BlocksForRange(it->second.blocks[b].fragment.offset, it->second.blocks[b].length)) {
-          need.push_back(zb);
-        }
+    const std::vector<BlockExtent>& blocks = it->second.blocks;
+    const uint64_t last = (args.offset + args.data.size() - 1) / kStoreBlockSize;
+    for (uint64_t b = args.offset / kStoreBlockSize; b <= last; ++b) {
+      if (b < blocks.size() && blocks[b].fragment.valid()) {
+        NeedZoneRange(blocks[b].fragment.offset, blocks[b].length);
       }
     }
   }
 
-  EnsureResident(std::move(need), [this, args = std::move(args), cost, done]() mutable {
+  EnsureResident([this, args = std::move(args), cost, done]() mutable {
     const uint64_t file_id = args.file.fileid();
     MapRecord& map = maps_[file_id];
     size_t consumed = 0;

@@ -76,9 +76,21 @@ class SmallFileServer : public RpcServerNode {
     std::vector<BlockExtent> blocks;
   };
 
-  // Fetches any non-resident backing blocks, then runs `next` (possibly
-  // synchronously when everything is resident).
-  void EnsureResident(std::vector<uint64_t> blocks, std::function<void()> next);
+  // Fetches the backing blocks in need_ that are not resident, then runs
+  // `next`: at once, allocating nothing, when every block is resident (the
+  // common case); otherwise as a std::function once the last fetch lands.
+  template <typename Next>
+  void EnsureResident(Next&& next) {
+    if (TouchResident()) {
+      next();
+      return;
+    }
+    FetchMissing(std::forward<Next>(next));
+  }
+  // Touches need_'s resident blocks in the cache and leaves only the missing
+  // ones in need_; true if none is missing.
+  bool TouchResident();
+  void FetchMissing(std::function<void()> next);
   // Flushes all dirty pages to the storage array, then runs `next`. Dirty
   // pages batch into one stream per storage node (create batching, §4.4).
   void FlushDirty(std::function<void()> next);
@@ -88,8 +100,9 @@ class SmallFileServer : public RpcServerNode {
   // Coalesces `blocks` into few write RPCs and flushes them.
   void FlushBlocks(std::vector<uint64_t> blocks, std::function<void()> next);
 
-  // Backing blocks covering [offset, offset+len) of the zone.
-  static std::vector<uint64_t> BlocksForRange(uint64_t offset, uint64_t len);
+  // Appends the backing blocks covering [offset, offset+len) of the zone to
+  // need_.
+  void NeedZoneRange(uint64_t offset, uint64_t len);
   uint64_t MapBlockFor(uint64_t fileid) const;
 
   // A view of the `len` zone bytes at `offset`, which lie in one page: a
@@ -126,6 +139,8 @@ class SmallFileServer : public RpcServerNode {
   bool recovering_ = false;
   // READ reply pieces, views into pages_ (capacity reused).
   std::vector<ByteSpan> read_pieces_;
+  // The backing blocks a READ or WRITE needs resident (capacity reused).
+  std::vector<uint64_t> need_;
   uint64_t backing_fetches_ = 0;
   uint64_t backing_flushes_ = 0;
   bool syncer_armed_ = false;

@@ -23,8 +23,7 @@ void SeqIoProcess::Pump() {
 
 void SeqIoProcess::IssueNext() {
   const uint64_t offset = next_offset_;
-  const uint32_t n = static_cast<uint32_t>(
-      std::min<uint64_t>(params_.block_size, params_.file_bytes - offset));
+  const uint32_t n = BlockAt(offset);
   next_offset_ += n;
   ++outstanding_;
 
@@ -33,30 +32,39 @@ void SeqIoProcess::IssueNext() {
       queue_.now(),
       static_cast<SimTime>(static_cast<double>(n) * params_.client_ns_per_byte));
 
-  queue_.ScheduleAt(cpu_done, [this, offset, n]() {
-    const SimTime issued = queue_.now();
-    if (params_.write) {
-      // Write encodes the data before it returns, so one buffer serves
-      // every block of the stream.
-      write_buf_.assign(n, static_cast<uint8_t>(offset >> 15));
-      client_.Write(file_, offset, write_buf_, params_.stable,
-                    [this, n, issued](Status st, const WriteRes& res) {
-                      latency_.Record(queue_.now() - issued);
-                      OnComplete(n, st.ok() && res.status == Nfsstat3::kOk);
-                    });
-      // Periodic commits let the servers flush while the stream continues
-      // (the kernel syncer's behavior); the commit rides outside the window.
-      if (params_.commit_every > 0 && offset / params_.commit_every !=
-                                          (offset + n) / params_.commit_every) {
-        client_.Commit(file_, 0, 0, [](Status, const CommitRes&) {});
-      }
-    } else {
-      client_.Read(file_, offset, n, [this, n, issued](Status st, const ReadResView& res) {
-        latency_.Record(queue_.now() - issued);
-        OnComplete(n, st.ok() && res.status == Nfsstat3::kOk && res.count == n);
-      });
+  // {this, offset} is 16 trivially-copyable bytes, so the event's closure
+  // sits in std::function's inline buffer.
+  queue_.ScheduleAt(cpu_done, [this, offset]() { SendBlock(offset); });
+}
+
+uint32_t SeqIoProcess::BlockAt(uint64_t offset) const {
+  return static_cast<uint32_t>(std::min<uint64_t>(params_.block_size, params_.file_bytes - offset));
+}
+
+void SeqIoProcess::SendBlock(uint64_t offset) {
+  const uint32_t n = BlockAt(offset);
+  const SimTime issued = queue_.now();
+  if (params_.write) {
+    // Write encodes the data before it returns, so one buffer serves
+    // every block of the stream.
+    write_buf_.assign(n, static_cast<uint8_t>(offset >> 15));
+    client_.Write(file_, offset, write_buf_, params_.stable,
+                  [this, n, issued](Status st, const WriteRes& res) {
+                    latency_.Record(queue_.now() - issued);
+                    OnComplete(n, st.ok() && res.status == Nfsstat3::kOk);
+                  });
+    // Periodic commits let the servers flush while the stream continues
+    // (the kernel syncer's behavior); the commit rides outside the window.
+    if (params_.commit_every > 0 &&
+        offset / params_.commit_every != (offset + n) / params_.commit_every) {
+      client_.Commit(file_, 0, 0, [](Status, const CommitRes&) {});
     }
-  });
+  } else {
+    client_.Read(file_, offset, n, [this, n, issued](Status st, const ReadResView& res) {
+      latency_.Record(queue_.now() - issued);
+      OnComplete(n, st.ok() && res.status == Nfsstat3::kOk && res.count == n);
+    });
+  }
 }
 
 void SeqIoProcess::OnComplete(uint64_t bytes, bool ok) {

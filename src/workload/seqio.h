@@ -46,6 +46,10 @@ class SeqIoProcess {
  private:
   void Pump();
   void IssueNext();
+  // Sends the READ or WRITE of the block at `offset`.
+  void SendBlock(uint64_t offset);
+  // The size of the request at `offset`: a block, or the file's tail.
+  uint32_t BlockAt(uint64_t offset) const;
   void OnComplete(uint64_t bytes, bool ok);
   void MaybeFinish();
 

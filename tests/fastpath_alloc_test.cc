@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/uproxy.h"
+#include "src/dir/dir_server.h"
 #include "src/net/packet_pool.h"
 #include "src/nfs/nfs_client.h"
 #include "src/nfs/nfs_xdr.h"
@@ -399,10 +400,11 @@ TEST(FastPathAllocTest, SteadyStateWriteAndCommitThroughStorageNodeDoNotAllocate
 // real storage node. Every call is encoded once, straight into a pooled
 // frame (the WRITE's payload from the caller's span); the server encodes its
 // reply into a pooled frame and fills the envelope in place; the READ
-// callback gets a view of the reply packet. What a round trip still
-// allocates is the client's per-call state: the retained exact-size wire,
-// the pending-table node and the handler's std::function, 3 per call. The
-// server and the µproxy allocate nothing.
+// callback gets a view of the reply packet. The client keeps each pending
+// call in a reused slot with its handler inline, and retains a message of
+// at most 512 bytes in the slot's own buffer: a READ allocates nothing. A
+// WRITE's 32 KB message is retained as an exact-size copy, its one
+// allocation. The server and the µproxy allocate nothing.
 TEST(FastPathAllocTest, SteadyStateNfsClientBulkRoundTripsAllocateOnlyPerCallState) {
   EventQueue queue;
   Network net(queue, NetworkParams{});
@@ -480,14 +482,96 @@ TEST(FastPathAllocTest, SteadyStateNfsClientBulkRoundTripsAllocateOnlyPerCallSta
     read_allocs += AllocCount() - before;
   }
 
-  EXPECT_EQ(write_allocs, 3u * kTrips)
+  EXPECT_EQ(write_allocs, 1u * kTrips)
       << "a 32 KB NfsClient WRITE round trip allocated "
       << static_cast<double>(write_allocs) / kTrips << " times on average";
-  EXPECT_EQ(read_allocs, 3u * kTrips)
+  EXPECT_EQ(read_allocs, 0u)
       << "a 32 KB NfsClient READ round trip allocated "
       << static_cast<double>(read_allocs) / kTrips << " times on average";
   EXPECT_EQ(writes_ok, static_cast<uint64_t>(kWarmup + kTrips));
   EXPECT_EQ(reads_ok, static_cast<uint64_t>(kWarmup + kTrips));
+  EXPECT_EQ(uproxy.pending_count(), 0u);
+  EXPECT_EQ(client.rpc().retransmissions(), 0u);
+}
+
+// A warmed NfsClient's name and attribute calls through the µproxy to a
+// real directory server: the calls are small, so their retained messages
+// sit in the slots' own buffers, and LOOKUP and GETATTR round trips
+// allocate nothing anywhere.
+TEST(FastPathAllocTest, SteadyStateNfsClientGetattrAndLookupRoundTripsDoNotAllocate) {
+  EventQueue queue;
+  Network net(queue, NetworkParams{});
+  Host client_host(net, kClientAddr);
+
+  UproxyConfig config;
+  config.virtual_server = Endpoint{0x0a0000fe, kNfsPort};
+  config.dir_servers = {Endpoint{kDirAddr, kNfsPort}};
+  config.storage_nodes = {Endpoint{kStorageAddr, kNfsPort}};
+  Uproxy uproxy(net, queue, client_host, config);
+  DirServer dir(net, queue, kDirAddr, DirServerParams{});
+
+  SyncNfsClient setup(client_host, queue, config.virtual_server);
+  const FileHandle root = dir.RootHandle();
+  Result<CreateRes> created = setup.Create(root, "file");
+  ASSERT_TRUE(created.ok() && created->status == Nfsstat3::kOk && created->object.has_value());
+  const FileHandle file = *created->object;
+
+  NfsClient client(client_host, queue, config.virtual_server);
+  uint64_t getattrs_ok = 0;
+  uint64_t lookups_ok = 0;
+  auto finish = [&queue](const uint64_t& counter, uint64_t want) {
+    while (counter < want && queue.RunOne()) {
+    }
+    queue.RunUntil(queue.now() + FromMillis(500));
+  };
+  auto getattr_trip = [&]() {
+    const uint64_t want = getattrs_ok + 1;
+    client.Getattr(file, [&getattrs_ok, &file](Status st, const GetattrRes& res) {
+      if (st.ok() && res.status == Nfsstat3::kOk && res.attributes.fileid == file.fileid()) {
+        ++getattrs_ok;
+      }
+    });
+    finish(getattrs_ok, want);
+  };
+  auto lookup_trip = [&]() {
+    const uint64_t want = lookups_ok + 1;
+    client.Lookup(root, "file", [&lookups_ok, &file](Status st, const LookupRes& res) {
+      if (st.ok() && res.status == Nfsstat3::kOk && res.object == file) {
+        ++lookups_ok;
+      }
+    });
+    finish(lookups_ok, want);
+  };
+
+  // Warm-up: runs the directory server's DRC ring to its steady state.
+  constexpr int kWarmup = 4096 / 2 + 128;
+  for (int i = 0; i < kWarmup; ++i) {
+    getattr_trip();
+    lookup_trip();
+  }
+  ASSERT_EQ(getattrs_ok, static_cast<uint64_t>(kWarmup));
+  ASSERT_EQ(lookups_ok, static_cast<uint64_t>(kWarmup));
+
+  constexpr int kTrips = 256;
+  uint64_t getattr_allocs = 0;
+  uint64_t lookup_allocs = 0;
+  for (int i = 0; i < kTrips; ++i) {
+    uint64_t before = AllocCount();
+    getattr_trip();
+    getattr_allocs += AllocCount() - before;
+    before = AllocCount();
+    lookup_trip();
+    lookup_allocs += AllocCount() - before;
+  }
+
+  EXPECT_EQ(getattr_allocs, 0u) << "an NfsClient GETATTR round trip allocated "
+                                << static_cast<double>(getattr_allocs) / kTrips
+                                << " times on average";
+  EXPECT_EQ(lookup_allocs, 0u) << "an NfsClient LOOKUP round trip allocated "
+                               << static_cast<double>(lookup_allocs) / kTrips
+                               << " times on average";
+  EXPECT_EQ(getattrs_ok, static_cast<uint64_t>(kWarmup + kTrips));
+  EXPECT_EQ(lookups_ok, static_cast<uint64_t>(kWarmup + kTrips));
   EXPECT_EQ(uproxy.pending_count(), 0u);
   EXPECT_EQ(client.rpc().retransmissions(), 0u);
 }

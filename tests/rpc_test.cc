@@ -288,6 +288,40 @@ TEST_F(RpcEndToEndTest, DestroyedClientNeverRunsItsHandlerAndItsTimerIsACountedN
   EXPECT_EQ(server_.calls, 1);  // and it retransmitted nothing
 }
 
+// An answered call frees its slot, and the next call takes it while the
+// answered call's retransmit timer is still queued. That timer must find
+// its own call gone: it neither retransmits the call now in the slot nor
+// answers it.
+TEST_F(RpcEndToEndTest, AnsweredCallsTimerLeavesTheCallReusingItsSlotAlone) {
+  int first_replies = 0;
+  client_.Call(server_.endpoint(), kTestProg, kTestVers, 1, Bytes(4, 1),
+               [&](Status st, const RpcMessageView&) { first_replies += st.ok() ? 1 : 0; });
+  queue_.RunUntil(FromMillis(1));
+  ASSERT_EQ(first_replies, 1);
+  ASSERT_EQ(client_.pending(), 0u);
+
+  // The server drops the second call's first transmission, so only a
+  // retransmission can get it answered: its own at 401 ms, or, wrongly, one
+  // by the first call's timer at 400 ms.
+  server_.Fail();
+  int second_replies = 0;
+  client_.Call(server_.endpoint(), kTestProg, kTestVers, 1, Bytes(4, 2),
+               [&](Status st, const RpcMessageView&) { second_replies += st.ok() ? 1 : 0; });
+  queue_.RunUntil(FromMillis(400.5));
+  EXPECT_EQ(client_.calls_sent(), 2u);
+  EXPECT_EQ(client_.retransmissions(), 0u);
+  EXPECT_EQ(second_replies, 0);
+  EXPECT_EQ(client_.pending(), 1u);
+
+  server_.Restart();
+  queue_.RunUntilIdle();
+  EXPECT_EQ(second_replies, 1);
+  EXPECT_EQ(first_replies, 1);
+  EXPECT_EQ(client_.retransmissions(), 1u);
+  EXPECT_EQ(client_.pending(), 0u);
+  EXPECT_EQ(server_.calls, 2);
+}
+
 TEST_F(RpcEndToEndTest, TotalLossGivesUpInBoundedTime) {
   // Regression: the exponential backoff used to scale without bound, so a
   // generous retry budget against a black-holed server pushed the next

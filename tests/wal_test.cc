@@ -23,7 +23,12 @@ class WalTest : public ::testing::Test {
     wal_ = std::make_unique<WriteAheadLog>(*host_, queue_, storage_->endpoint(), object_);
   }
 
-  Bytes Record(const std::string& text) { return Bytes(text.begin(), text.end()); }
+  // A raw record: Append's encoder copies its bytes into the log as they are.
+  static auto Record(std::string text) {
+    return [text = std::move(text)](XdrEncoder& enc) {
+      enc.PutRawBytes(ByteSpan(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+    };
+  }
 
   std::vector<std::string> ReplayAll() {
     std::vector<std::string> records;
