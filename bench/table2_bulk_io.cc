@@ -6,12 +6,17 @@
 //
 // Configuration mirrors §5: eight storage nodes (8 disks each), 32KB NFS
 // block size, read-ahead depth 4, striped (or 2-way mirrored) large files.
-// Absolute numbers depend on calibration; the shape to check is: writes are
-// client-CPU-bound near 40 MB/s, reads run faster per client, saturation
-// scales with storage nodes, and mirroring costs roughly half the saturation
-// bandwidth (and some single-client bandwidth).
+// Absolute numbers depend on calibration; the shape is checked, and written
+// to BENCH_table2.json's "shape": writes are client-CPU-bound near 40 MB/s,
+// reads run faster per client, and 8-client saturation is at least 4x a
+// single client. The run exits nonzero when one of those fails. Two more of
+// the paper's claims, mirroring costing about half the saturation bandwidth
+// and some single-client read bandwidth, do not hold here; they are checked
+// and listed as expected-false with their reasons.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -109,7 +114,17 @@ RunResult RunStreams(bool write, bool mirrored, int num_clients, uint64_t bytes_
   return result;
 }
 
-// Returns false when BENCH_table2.json could not be written.
+// One of the paper's shape claims, checked against the measured rows.
+struct ShapeClaim {
+  const char* key;
+  bool holds;
+  // Why the reproduction does not stand behind the claim; null when it
+  // does, and then a false claim fails the run.
+  const char* expected_false_because;
+};
+
+// Returns false when BENCH_table2.json could not be written or a claim the
+// reproduction stands behind fails.
 bool RunTable2() {
   std::printf("Table 2: bulk I/O bandwidth (MB/s)\n");
   std::printf("%-18s %14s %14s %14s\n", "workload", "paper", "measured", "ratio");
@@ -136,8 +151,11 @@ bool RunTable2() {
   w.BeginObject();
   w.Key("bench").String("table2");
   w.Key("rows").BeginArray();
-  for (const Row& row : rows) {
+  double mb[std::size(rows)] = {};
+  for (size_t i = 0; i < std::size(rows); ++i) {
+    const Row& row = rows[i];
     const RunResult result = RunStreams(row.write, row.mirrored, row.clients, row.bytes);
+    mb[i] = result.mb_per_sec;
     std::printf("%-18s %14.1f %14.1f %14.2f\n", row.name, row.paper, result.mb_per_sec,
                 result.mb_per_sec / row.paper);
     std::fflush(stdout);
@@ -152,15 +170,47 @@ bool RunTable2() {
     w.EndObject();
   }
   w.EndArray();
+
+  const double read1 = mb[0], write1 = mb[1], read_mirror1 = mb[2];
+  const double read8 = mb[4], write8 = mb[5], read_mirror8 = mb[6], write_mirror8 = mb[7];
+  const ShapeClaim claims[] = {
+      {"single_client_write_near_40_mb_per_sec", std::abs(write1 - 40.0) <= 4.0, nullptr},
+      {"reads_beat_writes_per_client", read1 > write1, nullptr},
+      {"saturation_at_least_4x_single_client", read8 >= 4 * read1 && write8 >= 4 * write1,
+       nullptr},
+      {"mirrored_saturation_at_most_0_6x_plain",
+       read_mirror8 <= 0.6 * read8 && write_mirror8 <= 0.6 * write8,
+       "mirrored 8-client saturation lands within 4% of the paper's, but plain 8-client "
+       "saturation sits 23-30% below it, so the ratios come out near 0.7 (paper 0.51/0.52)"},
+      {"mirrored_single_client_read_penalty", read_mirror1 < 0.95 * read1,
+       "with one client the storage arms have the headroom to absorb the prefetch that "
+       "alternating mirrored reads waste; the penalty appears at saturation"},
+  };
+  bool stood_behind_hold = true;
+  w.Key("shape").BeginObject();
+  for (const ShapeClaim& claim : claims) {
+    w.Key(claim.key).Bool(claim.holds);
+  }
+  w.EndObject();
+  w.Key("shape_expected_false").BeginObject();
+  for (const ShapeClaim& claim : claims) {
+    if (claim.expected_false_because != nullptr) {
+      w.Key(claim.key).String(claim.expected_false_because);
+    }
+  }
+  w.EndObject();
   w.EndObject();
   if (!obs::WriteArtifact("BENCH_table2.json", w.str() + "\n")) {
     return false;
   }
-  std::printf("wrote BENCH_table2.json\n");
-  std::printf(
-      "\nshape checks: writes client-CPU-bound near 40 MB/s; saturation >> single\n"
-      "client; mirroring roughly halves saturation bandwidth.\n");
-  return true;
+  std::printf("wrote BENCH_table2.json\n\nshape checks:\n");
+  for (const ShapeClaim& claim : claims) {
+    const bool stood_behind = claim.expected_false_because == nullptr;
+    std::printf("  %s: %s%s\n", claim.key, claim.holds ? "holds" : "fails",
+                stood_behind ? "" : " (expected false, see shape_expected_false)");
+    stood_behind_hold = stood_behind_hold && (claim.holds || !stood_behind);
+  }
+  return stood_behind_hold;
 }
 
 }  // namespace

@@ -376,12 +376,13 @@ struct ServerPathFixture {
   void EncodeStage(uint32_t xid) {
     PacketPool::Default().Release(std::move(reply_frame));
     XdrEncoder reply = NewReplyEncoder();
-    ReadRes res;
+    ReadResPieces res;
     res.status = Nfsstat3::kOk;
     res.file_attributes = attr;
     res.count = read_extent.length;
     res.eof = false;
-    res.Encode(reply, read_segments);
+    res.data = read_segments;
+    res.Encode(reply);
     reply_frame = reply.Take();
     reply_msg = SealReplyFrame(reply_frame, xid, RpcAcceptStat::kSuccess);
   }

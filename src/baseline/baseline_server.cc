@@ -163,7 +163,7 @@ void BaselineServer::DoReadlink(const GetattrArgs& args, XdrEncoder& reply) {
 }
 
 void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost& cost) {
-  ReadRes res;
+  ReadResPieces res;
   Fattr3* attr = FindAttr(args.file.fileid());
   if (attr == nullptr) {
     res.status = Nfsstat3::kErrStale;
@@ -181,7 +181,8 @@ void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost
   res.count = read.length;
   // eof reflects the attribute size (data_ may be sparse/short).
   res.eof = args.offset + res.count >= attr->size;
-  res.Encode(reply, read_segments_);
+  res.data = read_segments_;
+  res.Encode(reply);
 }
 
 void BaselineServer::DoWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {

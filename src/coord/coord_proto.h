@@ -34,26 +34,48 @@ struct LogIntentArgs {
   IntentOp op = IntentOp::kRemove;
   FileHandle file;
   uint64_t arg = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<LogIntentArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.op, IntentOp::kRemove, IntentOp::kMirrorWrite);
+    XdrField(io, s.file);
+    XdrField(io, s.arg);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<LogIntentArgs> Decode(XdrDecoder& dec) { return XdrDecode<LogIntentArgs>(dec); }
 };
 
 struct LogIntentRes {
   uint64_t intent_id = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<LogIntentRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.intent_id);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<LogIntentRes> Decode(XdrDecoder& dec) { return XdrDecode<LogIntentRes>(dec); }
 };
 
 struct CompleteArgs {
   uint64_t intent_id = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CompleteArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.intent_id);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CompleteArgs> Decode(XdrDecoder& dec) { return XdrDecode<CompleteArgs>(dec); }
 };
 
 struct CompleteRes {
   bool acknowledged = true;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CompleteRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.acknowledged);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CompleteRes> Decode(XdrDecoder& dec) { return XdrDecode<CompleteRes>(dec); }
 };
 
 struct GetMapArgs {
@@ -61,16 +83,30 @@ struct GetMapArgs {
   uint64_t first_block = 0;
   uint32_t count = 0;
   bool allocate = false;  // assign placements for unmapped blocks (writes)
-  void Encode(XdrEncoder& enc) const;
-  static Result<GetMapArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.first_block);
+    XdrField(io, s.count);
+    XdrField(io, s.allocate);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<GetMapArgs> Decode(XdrDecoder& dec) { return XdrDecode<GetMapArgs>(dec); }
 };
 
 struct GetMapRes {
   uint64_t first_block = 0;
   // Storage-node index per block; 0xffffffff = unmapped (read of a hole).
   std::vector<uint32_t> sites;
-  void Encode(XdrEncoder& enc) const;
-  static Result<GetMapRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.first_block);
+    XdrField(io, s.sites, 65536);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<GetMapRes> Decode(XdrDecoder& dec) { return XdrDecode<GetMapRes>(dec); }
 };
 
 // A mirrored write that could not reach a (dead) replica: the µproxy reports
@@ -81,14 +117,27 @@ struct DegradedArgs {
   uint64_t offset = 0;
   uint32_t count = 0;
   uint32_t node = 0;  // storage node missing the data
-  void Encode(XdrEncoder& enc) const;
-  static Result<DegradedArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.offset);
+    XdrField(io, s.count);
+    XdrField(io, s.node);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<DegradedArgs> Decode(XdrDecoder& dec) { return XdrDecode<DegradedArgs>(dec); }
 };
 
 struct DegradedRes {
   bool acknowledged = true;
-  void Encode(XdrEncoder& enc) const;
-  static Result<DegradedRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.acknowledged);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<DegradedRes> Decode(XdrDecoder& dec) { return XdrDecode<DegradedRes>(dec); }
 };
 
 constexpr uint32_t kUnmappedBlock = 0xffffffff;

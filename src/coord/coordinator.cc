@@ -5,14 +5,6 @@
 namespace slice {
 namespace {
 
-enum class CoordLogOp : uint32_t {
-  kIntent = 1,
-  kComplete = 2,
-  kMapAssign = 3,
-  kDegraded = 4,
-  kRepaired = 5,
-};
-
 constexpr NetPort kCoordPort = 3049;
 
 }  // namespace
@@ -42,13 +34,7 @@ uint64_t Coordinator::LogIntent(const LogIntentArgs& args, bool log) {
   const uint64_t id = next_intent_id_++;
   intents_[id] = Intent{args.op, args.file, args.arg, now()};
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kIntent));
-      rec.PutUint64(id);
-      rec.PutEnum(static_cast<uint32_t>(args.op));
-      rec.PutOpaqueVar(args.file.bytes());
-      rec.PutUint64(args.arg);
-    });
+    wal_->Append(LogOp::kIntent, IntentRecord{id, args});
   }
   ArmProbe(id);
   return id;
@@ -59,10 +45,7 @@ void Coordinator::Complete(uint64_t intent_id, bool log) {
     return;
   }
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kComplete));
-      rec.PutUint64(intent_id);
-    });
+    wal_->Append(LogOp::kComplete, CompleteArgs{intent_id});
   }
 }
 
@@ -136,13 +119,7 @@ void Coordinator::LogDegraded(const DegradedArgs& args, bool log) {
   }
   regions.push_back(DegradedRegion{args.file, args.offset, args.count});
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kDegraded));
-      rec.PutOpaqueVar(args.file.bytes());
-      rec.PutUint64(args.offset);
-      rec.PutUint32(args.count);
-      rec.PutUint32(args.node);
-    });
+    wal_->Append(LogOp::kDegraded, args);
   }
 }
 
@@ -150,13 +127,7 @@ void Coordinator::LogRepaired(uint32_t node, const DegradedRegion& region) {
   if (!wal_) {
     return;
   }
-  wal_->Append([&](XdrEncoder& rec) {
-    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kRepaired));
-    rec.PutOpaqueVar(region.file.bytes());
-    rec.PutUint64(region.offset);
-    rec.PutUint32(region.count);
-    rec.PutUint32(node);
-  });
+  wal_->Append(LogOp::kRepaired, DegradedArgs{region.file, region.offset, region.count, node});
 }
 
 void Coordinator::RepairNode(uint32_t node) {
@@ -247,79 +218,54 @@ void Coordinator::LogMapAssignment(uint64_t fileid, uint64_t block, uint32_t sit
   if (!wal_) {
     return;
   }
-  wal_->Append([&](XdrEncoder& rec) {
-    rec.PutEnum(static_cast<uint32_t>(CoordLogOp::kMapAssign));
-    rec.PutUint64(fileid);
-    rec.PutUint64(block);
-    rec.PutUint32(site);
-  });
+  wal_->Append(LogOp::kMapAssign, MapAssignRecord{fileid, block, site});
 }
 
 void Coordinator::ReplayRecord(ByteSpan record) {
   XdrDecoder dec(record);
-  Result<uint32_t> op = dec.GetUint32();
-  if (!op.ok()) {
+  LogOp op{};
+  XdrField(dec, op);
+  if (!dec.ok()) {
     return;
   }
-  switch (static_cast<CoordLogOp>(*op)) {
-    case CoordLogOp::kIntent: {
-      Result<uint64_t> id = dec.GetUint64();
-      Result<uint32_t> intent_op = dec.GetUint32();
-      Result<Bytes> fh = dec.GetOpaqueVar(64);
-      Result<uint64_t> arg = dec.GetUint64();
-      if (id.ok() && intent_op.ok() && fh.ok() && arg.ok() &&
-          fh->size() == FileHandle::kSize) {
-        intents_[*id] = Intent{static_cast<IntentOp>(*intent_op),
-                               FileHandle::FromBytes(*fh), *arg, now()};
-        next_intent_id_ = std::max(next_intent_id_, *id + 1);
+  switch (op) {
+    case LogOp::kIntent:
+      if (const auto r = XdrDecode<IntentRecord>(dec); r.ok()) {
+        intents_[r->intent_id] = Intent{r->args.op, r->args.file, r->args.arg, now()};
+        next_intent_id_ = std::max(next_intent_id_, r->intent_id + 1);
       }
       break;
-    }
-    case CoordLogOp::kComplete: {
-      Result<uint64_t> id = dec.GetUint64();
-      if (id.ok()) {
-        intents_.erase(*id);
-        next_intent_id_ = std::max(next_intent_id_, *id + 1);
+    case LogOp::kComplete:
+      if (const auto r = XdrDecode<CompleteArgs>(dec); r.ok()) {
+        intents_.erase(r->intent_id);
+        next_intent_id_ = std::max(next_intent_id_, r->intent_id + 1);
       }
       break;
-    }
-    case CoordLogOp::kMapAssign: {
-      Result<uint64_t> fileid = dec.GetUint64();
-      Result<uint64_t> block = dec.GetUint64();
-      Result<uint32_t> site = dec.GetUint32();
-      if (fileid.ok() && block.ok() && site.ok()) {
-        std::vector<uint32_t>& map = block_maps_[*fileid];
-        if (map.size() <= *block) {
-          map.resize(*block + 1, kUnmappedBlock);
+    case LogOp::kMapAssign:
+      if (const auto r = XdrDecode<MapAssignRecord>(dec); r.ok()) {
+        std::vector<uint32_t>& map = block_maps_[r->fileid];
+        if (map.size() <= r->block) {
+          map.resize(r->block + 1, kUnmappedBlock);
         }
-        map[*block] = *site;
+        map[r->block] = r->site;
       }
       break;
-    }
-    case CoordLogOp::kDegraded:
-    case CoordLogOp::kRepaired: {
-      Result<Bytes> fh = dec.GetOpaqueVar(64);
-      Result<uint64_t> offset = dec.GetUint64();
-      Result<uint32_t> count = dec.GetUint32();
-      Result<uint32_t> node = dec.GetUint32();
-      if (!fh.ok() || !offset.ok() || !count.ok() || !node.ok() ||
-          fh->size() != FileHandle::kSize) {
-        break;
+    case LogOp::kDegraded:
+      if (const auto r = XdrDecode<DegradedArgs>(dec); r.ok()) {
+        LogDegraded(*r, /*log=*/false);
       }
-      const FileHandle file = FileHandle::FromBytes(*fh);
-      if (static_cast<CoordLogOp>(*op) == CoordLogOp::kDegraded) {
-        LogDegraded(DegradedArgs{file, *offset, *count, *node}, /*log=*/false);
-      } else {
-        std::vector<DegradedRegion>& regions = degraded_[*node];
-        std::erase_if(regions, [&](const DegradedRegion& r) {
-          return r.file == file && r.offset == *offset && r.count == *count;
+      break;
+    case LogOp::kRepaired:
+      if (const auto r = XdrDecode<DegradedArgs>(dec); r.ok()) {
+        std::vector<DegradedRegion>& regions = degraded_[r->node];
+        std::erase_if(regions, [&](const DegradedRegion& region) {
+          return region.file == r->file && region.offset == r->offset && region.count == r->count;
         });
         if (regions.empty()) {
-          degraded_.erase(*node);
+          degraded_.erase(r->node);
         }
       }
       break;
-    }
   }
 }
 

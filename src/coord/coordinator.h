@@ -48,6 +48,39 @@ class Coordinator : public RpcServerNode {
               std::vector<Endpoint> storage_nodes, std::vector<Endpoint> small_file_servers,
               const obs::Sinks& sinks = {});
 
+  // Write-ahead-log records, each appended behind its LogOp tag. kComplete
+  // logs CompleteArgs; kDegraded and kRepaired log the region as
+  // DegradedArgs.
+  enum class LogOp : uint32_t {
+    kIntent = 1,
+    kComplete = 2,
+    kMapAssign = 3,
+    kDegraded = 4,
+    kRepaired = 5,
+  };
+  struct IntentRecord {
+    uint64_t intent_id = 0;
+    LogIntentArgs args;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.intent_id);
+      XdrField(io, s.args);
+    }
+  };
+  struct MapAssignRecord {
+    uint64_t fileid = 0;
+    uint64_t block = 0;
+    uint32_t site = 0;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fileid);
+      XdrField(io, s.block);
+      XdrField(io, s.site);
+    }
+  };
+
   size_t pending_intents() const { return intents_.size(); }
   uint64_t recoveries_run() const { return recoveries_run_; }
   uint64_t maps_assigned() const { return maps_assigned_; }

@@ -3,8 +3,12 @@
 namespace slice {
 namespace {
 
-// Records where a zero-copy string view lives relative to the payload start.
+// Records where a zero-copy string view lives relative to the payload
+// start; a name the call does not carry stays (0, 0).
 void NoteName(ByteSpan payload, std::string_view sv, uint32_t* off, uint32_t* len) {
+  if (sv.data() == nullptr) {
+    return;
+  }
   *off = static_cast<uint32_t>(reinterpret_cast<const uint8_t*>(sv.data()) - payload.data());
   *len = static_cast<uint32_t>(sv.size());
 }
@@ -25,7 +29,11 @@ Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
   out->body_offset = static_cast<uint32_t>(call->body_offset);
   out->tenant = call->uid;
 
+  // The routing fields of the args, read through the same field overloads
+  // as every src/nfs struct. A name is a view into the payload.
   XdrDecoder dec(call->body);
+  std::string_view name;
+  std::string_view name2;
   switch (out->proc) {
     case NfsProc::kNull:
     case NfsProc::kMknod:
@@ -37,16 +45,24 @@ Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
     case NfsProc::kFsstat:
     case NfsProc::kFsinfo:
     case NfsProc::kAccess:
+    case NfsProc::kReaddir:
+    case NfsProc::kReaddirplus:
+      XdrField(dec, out->fh);
+      break;
+
     case NfsProc::kSetattr: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
+      XdrField(dec, out->fh);
+      if (!dec.ok()) {
+        return dec.status();
+      }
       out->has_fh = 1;
-      if (out->proc == NfsProc::kSetattr) {
-        // Pull the size field (if being set) so truncates can fan out.
-        Result<Sattr3> sattr = DecodeSattr3(dec);
-        if (sattr.ok() && sattr->size.has_value()) {
-          out->offset = *sattr->size;
-          out->count = 1;  // marks "size change present"
-        }
+      // Pull the size field (if being set) so truncates can fan out. The
+      // handle alone routes a call whose sattr3 does not decode.
+      Sattr3 sattr;
+      XdrField(dec, sattr);
+      if (dec.ok() && sattr.size.has_value()) {
+        out->offset = *sattr.size;
+        out->count = 1;  // marks "size change present"
       }
       return OkStatus();
     }
@@ -56,65 +72,49 @@ Status DecodeNfsRequestView(ByteSpan payload, DecodedView* out) {
     case NfsProc::kRmdir:
     case NfsProc::kCreate:
     case NfsProc::kMkdir:
-    case NfsProc::kSymlink: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-      out->has_fh = 1;
-      SLICE_ASSIGN_OR_RETURN(std::string_view name, dec.GetStringView(255));
-      NoteName(payload, name, &out->name_off, &out->name_len);
-      return OkStatus();
-    }
+    case NfsProc::kSymlink:
+      XdrField(dec, out->fh);
+      XdrField(dec, name, kNfsMaxName);
+      break;
 
-    case NfsProc::kRename: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-      out->has_fh = 1;
-      SLICE_ASSIGN_OR_RETURN(std::string_view name, dec.GetStringView(255));
-      NoteName(payload, name, &out->name_off, &out->name_len);
-      SLICE_ASSIGN_OR_RETURN(out->fh2, DecodeFileHandle(dec));
-      SLICE_ASSIGN_OR_RETURN(std::string_view name2, dec.GetStringView(255));
-      NoteName(payload, name2, &out->name2_off, &out->name2_len);
-      return OkStatus();
-    }
+    case NfsProc::kRename:
+      XdrField(dec, out->fh);
+      XdrField(dec, name, kNfsMaxName);
+      XdrField(dec, out->fh2);
+      XdrField(dec, name2, kNfsMaxName);
+      break;
 
-    case NfsProc::kLink: {
+    case NfsProc::kLink:
       // link(file, dir, name): route by the (dir, name) entry placement.
-      SLICE_ASSIGN_OR_RETURN(out->fh2, DecodeFileHandle(dec));  // file
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));   // dir
-      out->has_fh = 1;
-      SLICE_ASSIGN_OR_RETURN(std::string_view name, dec.GetStringView(255));
-      NoteName(payload, name, &out->name_off, &out->name_len);
-      return OkStatus();
-    }
+      XdrField(dec, out->fh2);  // file
+      XdrField(dec, out->fh);   // dir
+      XdrField(dec, name, kNfsMaxName);
+      break;
 
     case NfsProc::kRead:
-    case NfsProc::kCommit: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-      out->has_fh = 1;
-      SLICE_ASSIGN_OR_RETURN(out->offset, dec.GetUint64());
-      SLICE_ASSIGN_OR_RETURN(out->count, dec.GetUint32());
-      return OkStatus();
-    }
+    case NfsProc::kCommit:
+      XdrField(dec, out->fh);
+      XdrField(dec, out->offset);
+      XdrField(dec, out->count);
+      break;
 
-    case NfsProc::kWrite: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-      out->has_fh = 1;
-      SLICE_ASSIGN_OR_RETURN(out->offset, dec.GetUint64());
-      SLICE_ASSIGN_OR_RETURN(out->count, dec.GetUint32());
-      SLICE_ASSIGN_OR_RETURN(uint32_t stable, dec.GetUint32());
-      if (stable > 2) {
-        return Status(StatusCode::kCorrupt, "uproxy: bad stable_how");
-      }
-      out->stable = static_cast<StableHow>(stable);
-      return OkStatus();
-    }
+    case NfsProc::kWrite:
+      XdrField(dec, out->fh);
+      XdrField(dec, out->offset);
+      XdrField(dec, out->count);
+      XdrField(dec, out->stable, StableHow::kUnstable, StableHow::kFileSync);
+      break;
 
-    case NfsProc::kReaddir:
-    case NfsProc::kReaddirplus: {
-      SLICE_ASSIGN_OR_RETURN(out->fh, DecodeFileHandle(dec));
-      out->has_fh = 1;
-      return OkStatus();
-    }
+    default:
+      return Status(StatusCode::kCorrupt, "uproxy: unknown procedure");
   }
-  return Status(StatusCode::kCorrupt, "uproxy: unknown procedure");
+  if (!dec.ok()) {
+    return dec.status();
+  }
+  out->has_fh = 1;
+  NoteName(payload, name, &out->name_off, &out->name_len);
+  NoteName(payload, name2, &out->name2_off, &out->name2_len);
+  return OkStatus();
 }
 
 }  // namespace slice

@@ -820,7 +820,7 @@ void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, size_t body_of
   }
   ByteSpan attr_bytes = pkt.payload().subspan(*attr_offset, kFattr3WireSize);
   XdrDecoder dec(attr_bytes);
-  Result<Fattr3> server_attr = DecodeFattr3(dec);
+  Result<Fattr3> server_attr = XdrDecode<Fattr3>(dec);
   if (!server_attr.ok()) {
     return;
   }
@@ -837,7 +837,7 @@ void Uproxy::PatchReplyAttrs(Packet& pkt, const Pending& pending, size_t body_of
     return;  // nothing to patch
   }
   patch_enc_.Clear();
-  EncodeFattr3(patch_enc_, entry->attr);
+  XdrField(patch_enc_, entry->attr);
   pkt.RewriteBytes(kPacketHeaderSize + *attr_offset, patch_enc_.bytes());
   counters_.Add("attrs_patched");
 }
@@ -1044,23 +1044,25 @@ bool Uproxy::InstallTables(const MgmtTableSet& tables, bool force) {
 
 void Uproxy::HandleControl(ByteSpan payload) {
   XdrDecoder dec(payload);
-  Result<uint32_t> magic = dec.GetUint32();
-  if (!magic.ok()) {
+  uint32_t magic = 0;
+  XdrField(dec, magic);
+  if (!dec.ok()) {
     return;
   }
-  if (*magic == kTablePushMagic) {
+  if (magic == kTablePushMagic) {
     Result<MgmtTableSet> tables = MgmtTableSet::Decode(dec);
     if (tables.ok()) {
       InstallTables(*tables);
     }
-  } else if (*magic == kMisdirectMagic) {
-    Result<uint64_t> epoch = dec.GetUint64();
-    if (epoch.ok() && *epoch > table_epoch_) {
+  } else if (magic == kMisdirectMagic) {
+    uint64_t epoch = 0;
+    XdrField(dec, epoch);
+    if (dec.ok() && epoch > table_epoch_) {
       counters_.Add("misdirect_notices");
       obs::LogEvent(eventlog_, client_host_.addr(), queue_.now(), obs::EventSev::kWarn,
                     obs::EventCat::kRoute, obs::EventCode::kMisdirectNotice, /*trace_id=*/0,
                     nullptr,
-                    {{"epoch", static_cast<int64_t>(*epoch)},
+                    {{"epoch", static_cast<int64_t>(epoch)},
                      {"have", static_cast<int64_t>(table_epoch_)}});
       FetchTables();
     }

@@ -7,22 +7,6 @@
 #include "src/mgmt/mgmt_proto.h"
 
 namespace slice {
-namespace {
-
-// WAL record opcodes.
-enum class DirLogOp : uint32_t {
-  kInsertEntry = 1,
-  kEraseEntry = 2,
-  kUpsertAttr = 3,
-  kEraseAttr = 4,
-};
-
-void EncodeAttrForLog(XdrEncoder& enc, const Fattr3& attr, const std::string& symlink) {
-  EncodeFattr3(enc, attr);
-  enc.PutString(symlink);
-}
-
-}  // namespace
 
 DirServer::DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params,
                      const obs::Sinks& sinks)
@@ -76,23 +60,14 @@ void DirServer::ApplyInsertEntry(uint64_t parent, const std::string& name,
                                  const FileHandle& child, bool log) {
   (void)store_.InsertEntry(parent, name, child);
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kInsertEntry));
-      rec.PutUint64(parent);
-      rec.PutString(name);
-      rec.PutOpaqueVar(child.bytes());
-    });
+    wal_->Append(LogOp::kInsertEntry, InsertEntryRecord{parent, name, child});
   }
 }
 
 void DirServer::ApplyEraseEntry(uint64_t parent, const std::string& name, bool log) {
   (void)store_.EraseEntry(parent, name);
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseEntry));
-      rec.PutUint64(parent);
-      rec.PutString(name);
-    });
+    wal_->Append(LogOp::kEraseEntry, EraseEntryRecord{parent, name});
   }
 }
 
@@ -109,69 +84,50 @@ void DirServer::ApplyUpsertAttr(uint64_t fileid, const Fattr3& attr, const std::
     cell->symlink_target = symlink;
   }
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kUpsertAttr));
-      rec.PutUint64(fileid);
-      EncodeAttrForLog(rec, cell->attr, cell->symlink_target);
-    });
+    wal_->Append(LogOp::kUpsertAttr, UpsertAttrRecord{fileid, cell->attr, cell->symlink_target});
   }
 }
 
 void DirServer::ApplyEraseAttr(uint64_t fileid, bool log) {
   (void)store_.EraseAttr(fileid);
   if (log && wal_) {
-    wal_->Append([&](XdrEncoder& rec) {
-      rec.PutEnum(static_cast<uint32_t>(DirLogOp::kEraseAttr));
-      rec.PutUint64(fileid);
-    });
+    wal_->Append(LogOp::kEraseAttr, EraseAttrRecord{fileid});
   }
 }
 
 void DirServer::ReplayRecord(ByteSpan record, bool relog) {
   XdrDecoder dec(record);
-  Result<uint32_t> op = dec.GetUint32();
-  if (!op.ok()) {
+  LogOp op{};
+  XdrField(dec, op);
+  if (!dec.ok()) {
     SLICE_WLOG << "dir: bad log record";
     return;
   }
-  switch (static_cast<DirLogOp>(*op)) {
-    case DirLogOp::kInsertEntry: {
-      Result<uint64_t> parent = dec.GetUint64();
-      Result<std::string> name = dec.GetString(255);
-      Result<Bytes> raw = dec.GetOpaqueVar(64);
-      if (parent.ok() && name.ok() && raw.ok() && raw->size() == FileHandle::kSize) {
-        ApplyInsertEntry(*parent, *name, FileHandle::FromBytes(*raw), /*log=*/relog);
+  switch (op) {
+    case LogOp::kInsertEntry:
+      if (const auto r = XdrDecode<InsertEntryRecord>(dec); r.ok()) {
+        ApplyInsertEntry(r->parent, std::string(r->name), r->child, /*log=*/relog);
       }
       break;
-    }
-    case DirLogOp::kEraseEntry: {
-      Result<uint64_t> parent = dec.GetUint64();
-      Result<std::string> name = dec.GetString(255);
-      if (parent.ok() && name.ok()) {
-        ApplyEraseEntry(*parent, *name, /*log=*/relog);
+    case LogOp::kEraseEntry:
+      if (const auto r = XdrDecode<EraseEntryRecord>(dec); r.ok()) {
+        ApplyEraseEntry(r->parent, std::string(r->name), /*log=*/relog);
       }
       break;
-    }
-    case DirLogOp::kUpsertAttr: {
-      Result<uint64_t> fileid = dec.GetUint64();
-      Result<Fattr3> attr = DecodeFattr3(dec);
-      Result<std::string> symlink = dec.GetString(1024);
-      if (fileid.ok() && attr.ok() && symlink.ok()) {
-        ApplyUpsertAttr(*fileid, *attr, *symlink, /*log=*/relog);
-        if (SiteOfFileid(*fileid) == params_.site) {
-          const uint64_t counter = *fileid & ((1ull << 48) - 1);
+    case LogOp::kUpsertAttr:
+      if (const auto r = XdrDecode<UpsertAttrRecord>(dec); r.ok()) {
+        ApplyUpsertAttr(r->fileid, r->attr, std::string(r->symlink), /*log=*/relog);
+        if (SiteOfFileid(r->fileid) == params_.site) {
+          const uint64_t counter = r->fileid & ((1ull << 48) - 1);
           next_counter_ = std::max(next_counter_, counter + 1);
         }
       }
       break;
-    }
-    case DirLogOp::kEraseAttr: {
-      Result<uint64_t> fileid = dec.GetUint64();
-      if (fileid.ok()) {
-        ApplyEraseAttr(*fileid, /*log=*/relog);
+    case LogOp::kEraseAttr:
+      if (const auto r = XdrDecode<EraseAttrRecord>(dec); r.ok()) {
+        ApplyEraseAttr(r->fileid, /*log=*/relog);
       }
       break;
-    }
   }
 }
 

@@ -75,6 +75,57 @@ class DirServer : public RpcServerNode {
   DirServer(Network& net, EventQueue& queue, NetAddr addr, DirServerParams params,
             const obs::Sinks& sinks = {});
 
+  // Write-ahead-log records, each appended behind its LogOp tag. An appended
+  // record views the names it logs; a replayed one views the log.
+  enum class LogOp : uint32_t {
+    kInsertEntry = 1,
+    kEraseEntry = 2,
+    kUpsertAttr = 3,
+    kEraseAttr = 4,
+  };
+  struct InsertEntryRecord {
+    uint64_t parent = 0;
+    std::string_view name;
+    FileHandle child;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.parent);
+      XdrField(io, s.name, kNfsMaxName);
+      XdrField(io, s.child);
+    }
+  };
+  struct EraseEntryRecord {
+    uint64_t parent = 0;
+    std::string_view name;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.parent);
+      XdrField(io, s.name, kNfsMaxName);
+    }
+  };
+  struct UpsertAttrRecord {
+    uint64_t fileid = 0;
+    Fattr3 attr;
+    std::string_view symlink;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fileid);
+      XdrField(io, s.attr);
+      XdrField(io, s.symlink, kNfsMaxPath);
+    }
+  };
+  struct EraseAttrRecord {
+    uint64_t fileid = 0;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fileid);
+    }
+  };
+
   // Wires up the peer-protocol targets; peers[i] owns logical site i.
   void SetPeers(std::vector<DirServer*> peers) { peers_ = std::move(peers); }
 

@@ -7,7 +7,9 @@
 // group-commit buffer that is reused from one flush to the next and that
 // flushes to the backing storage node on a short timer (matching
 // the prototype's asynchronous journaling; the paper notes ~0.5 MB/s of log
-// traffic per directory server at saturation).
+// traffic per directory server at saturation). A server's record is an op
+// tag and a struct with a field list (src/xdr/xdr.h); its replay reads the
+// tag, then decodes the same struct.
 #ifndef SLICE_DIR_WAL_H_
 #define SLICE_DIR_WAL_H_
 
@@ -43,6 +45,16 @@ class WriteAheadLog {
     encode(enc);
     buffer_ = enc.Take();
     EndRecord(at);
+  }
+  // Appends `record` behind its op tag: the tag's word, then the record's
+  // field list. A replay reads the tag, then decodes the same struct.
+  template <typename Op, XdrStruct Record>
+    requires std::is_enum_v<Op>
+  void Append(Op op, const Record& record) {
+    Append([&](XdrEncoder& enc) {
+      XdrField(enc, op);
+      XdrField(enc, record);
+    });
   }
 
   // Pushes any buffered records to the backing object now.

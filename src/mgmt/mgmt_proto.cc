@@ -1,134 +1,58 @@
 #include "src/mgmt/mgmt_proto.h"
 
+#include <algorithm>
+
 namespace slice {
 
-namespace {
-
-void EncodeEndpointList(XdrEncoder& enc, const std::vector<Endpoint>& eps) {
-  enc.PutUint32(static_cast<uint32_t>(eps.size()));
-  for (const Endpoint& ep : eps) {
-    enc.PutUint32(ep.addr);
-    enc.PutUint32(ep.port);
-  }
+void XdrField(XdrEncoder& enc, const Endpoint& ep) {
+  enc.PutUint32(ep.addr);
+  enc.PutUint32(ep.port);
 }
 
-Result<std::vector<Endpoint>> DecodeEndpointList(XdrDecoder& dec) {
-  SLICE_ASSIGN_OR_RETURN(uint32_t n, dec.GetUint32());
-  if (n > 4096) {
-    return Status(StatusCode::kCorrupt, "mgmt: oversized endpoint list");
-  }
-  std::vector<Endpoint> eps;
-  eps.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Endpoint ep;
-    SLICE_ASSIGN_OR_RETURN(ep.addr, dec.GetUint32());
-    SLICE_ASSIGN_OR_RETURN(uint32_t port, dec.GetUint32());
+void XdrField(XdrDecoder& dec, Endpoint& ep) {
+  uint32_t port = 0;
+  XdrField(dec, ep.addr);
+  XdrField(dec, port);
+  if (dec.ok()) {
     ep.port = static_cast<NetPort>(port);
-    eps.push_back(ep);
-  }
-  return eps;
-}
-
-void EncodeU32List(XdrEncoder& enc, const std::vector<uint32_t>& v) {
-  enc.PutUint32(static_cast<uint32_t>(v.size()));
-  for (uint32_t x : v) {
-    enc.PutUint32(x);
   }
 }
 
-Result<std::vector<uint32_t>> DecodeU32List(XdrDecoder& dec) {
-  SLICE_ASSIGN_OR_RETURN(uint32_t n, dec.GetUint32());
-  if (n > 65536) {
-    return Status(StatusCode::kCorrupt, "mgmt: oversized slot list");
-  }
-  std::vector<uint32_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SLICE_ASSIGN_OR_RETURN(uint32_t x, dec.GetUint32());
-    v.push_back(x);
-  }
-  return v;
-}
-
-void EncodeBoolList(XdrEncoder& enc, const std::vector<uint8_t>& v) {
-  enc.PutUint32(static_cast<uint32_t>(v.size()));
-  for (uint8_t x : v) {
-    enc.PutBool(x != 0);
+void XdrAliveList(XdrEncoder& enc, const std::vector<uint8_t>& alive) {
+  enc.PutUint32(static_cast<uint32_t>(alive.size()));
+  for (uint8_t bit : alive) {
+    enc.PutBool(bit != 0);
   }
 }
 
-Result<std::vector<uint8_t>> DecodeBoolList(XdrDecoder& dec) {
-  SLICE_ASSIGN_OR_RETURN(uint32_t n, dec.GetUint32());
+void XdrAliveList(XdrDecoder& dec, std::vector<uint8_t>& alive) {
+  uint32_t n = 0;
+  XdrField(dec, n);
   if (n > 4096) {
-    return Status(StatusCode::kCorrupt, "mgmt: oversized liveness list");
+    dec.Fail("mgmt: oversized liveness list");
   }
-  std::vector<uint8_t> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SLICE_ASSIGN_OR_RETURN(bool x, dec.GetBool());
-    v.push_back(x ? 1 : 0);
+  if (!dec.ok()) {
+    return;
   }
-  return v;
-}
-
-}  // namespace
-
-void HeartbeatArgs::Encode(XdrEncoder& enc) const {
-  enc.PutEnum(static_cast<uint32_t>(node_class));
-  enc.PutUint32(index);
-  enc.PutUint64(known_epoch);
-}
-
-Result<HeartbeatArgs> HeartbeatArgs::Decode(XdrDecoder& dec) {
-  HeartbeatArgs args;
-  SLICE_ASSIGN_OR_RETURN(uint32_t cls, dec.GetUint32());
-  if (cls > 3) {
-    return Status(StatusCode::kCorrupt, "mgmt: bad node class");
+  alive.reserve(n);
+  for (uint32_t i = 0; i < n && dec.ok(); ++i) {
+    bool bit = false;
+    XdrField(dec, bit);
+    alive.push_back(bit ? 1 : 0);
   }
-  args.node_class = static_cast<NodeClass>(cls);
-  SLICE_ASSIGN_OR_RETURN(args.index, dec.GetUint32());
-  SLICE_ASSIGN_OR_RETURN(args.known_epoch, dec.GetUint64());
-  return args;
-}
-
-void HeartbeatRes::Encode(XdrEncoder& enc) const { enc.PutUint64(current_epoch); }
-
-Result<HeartbeatRes> HeartbeatRes::Decode(XdrDecoder& dec) {
-  HeartbeatRes res;
-  SLICE_ASSIGN_OR_RETURN(res.current_epoch, dec.GetUint64());
-  return res;
-}
-
-void MgmtTableSet::Encode(XdrEncoder& enc) const {
-  enc.PutUint64(epoch);
-  EncodeEndpointList(enc, dir_servers);
-  EncodeU32List(enc, dir_slots);
-  EncodeBoolList(enc, dir_alive);
-  EncodeEndpointList(enc, sfs_servers);
-  EncodeU32List(enc, sfs_slots);
-  EncodeBoolList(enc, sfs_alive);
-  EncodeBoolList(enc, storage_alive);
 }
 
 Result<MgmtTableSet> MgmtTableSet::Decode(XdrDecoder& dec) {
-  MgmtTableSet t;
-  SLICE_ASSIGN_OR_RETURN(t.epoch, dec.GetUint64());
-  SLICE_ASSIGN_OR_RETURN(t.dir_servers, DecodeEndpointList(dec));
-  SLICE_ASSIGN_OR_RETURN(t.dir_slots, DecodeU32List(dec));
-  SLICE_ASSIGN_OR_RETURN(t.dir_alive, DecodeBoolList(dec));
-  SLICE_ASSIGN_OR_RETURN(t.sfs_servers, DecodeEndpointList(dec));
-  SLICE_ASSIGN_OR_RETURN(t.sfs_slots, DecodeU32List(dec));
-  SLICE_ASSIGN_OR_RETURN(t.sfs_alive, DecodeBoolList(dec));
-  SLICE_ASSIGN_OR_RETURN(t.storage_alive, DecodeBoolList(dec));
-  for (uint32_t s : t.dir_slots) {
-    if (s >= t.dir_servers.size()) {
-      return Status(StatusCode::kCorrupt, "mgmt: dir slot out of range");
-    }
+  Result<MgmtTableSet> t = XdrDecode<MgmtTableSet>(dec);
+  if (!t.ok()) {
+    return t;
   }
-  for (uint32_t s : t.sfs_slots) {
-    if (s >= t.sfs_servers.size()) {
-      return Status(StatusCode::kCorrupt, "mgmt: sfs slot out of range");
-    }
+  const auto names_a_server = [](const std::vector<uint32_t>& slots, size_t servers) {
+    return std::all_of(slots.begin(), slots.end(), [servers](uint32_t s) { return s < servers; });
+  };
+  if (!names_a_server(t->dir_slots, t->dir_servers.size()) ||
+      !names_a_server(t->sfs_slots, t->sfs_servers.size())) {
+    return Status(StatusCode::kCorrupt, "mgmt: slot out of range");
   }
   return t;
 }

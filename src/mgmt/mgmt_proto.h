@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/net/packet.h"
 #include "src/xdr/xdr.h"
 
@@ -51,15 +52,35 @@ struct HeartbeatArgs {
   NodeClass node_class = NodeClass::kStorage;
   uint32_t index = 0;
   uint64_t known_epoch = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<HeartbeatArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.node_class, NodeClass::kStorage, NodeClass::kCoord);
+    XdrField(io, s.index);
+    XdrField(io, s.known_epoch);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<HeartbeatArgs> Decode(XdrDecoder& dec) { return XdrDecode<HeartbeatArgs>(dec); }
 };
 
 struct HeartbeatRes {
   uint64_t current_epoch = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<HeartbeatRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.current_epoch);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<HeartbeatRes> Decode(XdrDecoder& dec) { return XdrDecode<HeartbeatRes>(dec); }
 };
+
+// An endpoint on the wire: its address, then its port widened to a word.
+void XdrField(XdrEncoder& enc, const Endpoint& ep);
+void XdrField(XdrDecoder& dec, Endpoint& ep);
+// Liveness bits: a counted array of at most 4,096 XDR bools, a byte each in
+// memory.
+void XdrAliveList(XdrEncoder& enc, const std::vector<uint8_t>& alive);
+void XdrAliveList(XdrDecoder& dec, std::vector<uint8_t>& alive);
 
 // The manager's complete epoch-stamped view: slot assignments for the
 // directory and small-file classes plus liveness bits for every class.
@@ -75,7 +96,20 @@ struct MgmtTableSet {
   std::vector<uint32_t> sfs_slots;
   std::vector<uint8_t> sfs_alive;
   std::vector<uint8_t> storage_alive;
-  void Encode(XdrEncoder& enc) const;
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.epoch);
+    XdrField(io, s.dir_servers, 4096);
+    XdrField(io, s.dir_slots, 65536);
+    XdrAliveList(io, s.dir_alive);
+    XdrField(io, s.sfs_servers, 4096);
+    XdrField(io, s.sfs_slots, 65536);
+    XdrAliveList(io, s.sfs_alive);
+    XdrAliveList(io, s.storage_alive);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  // The field list, then a check that every slot names a listed server.
   static Result<MgmtTableSet> Decode(XdrDecoder& dec);
 };
 

@@ -170,10 +170,10 @@ Result<AccessRes> SyncNfsClient::Access(const FileHandle& object, uint32_t acces
 }
 
 Result<ReadRes> SyncNfsClient::Read(const FileHandle& file, uint64_t offset, uint32_t count) {
+  // The reply decodes straight into owned data.
   return Wait<ReadRes>([&](NfsClient::Callback<ReadRes> cb) {
-    client_.Read(file, offset, count, [cb = std::move(cb)](Status st, const ReadResView& view) {
-      cb(st, ReadRes::Materialize(view));
-    });
+    CallNfs<ReadRes>(client_.rpc(), client_.server(), NfsProc::kRead,
+                     ReadArgs{file, offset, count}, std::move(cb));
   });
 }
 

@@ -95,6 +95,29 @@ bool FileHandle::VerifyCapability(uint64_t volume_secret) const {
   return capability() == ComputeCapability(ByteSpan(bytes_.data(), 20), volume_secret);
 }
 
+void XdrSetTime(XdrEncoder& enc, const std::optional<NfsTime>& t) {
+  enc.PutUint32(t.has_value() ? 2 : 0);
+  if (t.has_value()) {
+    XdrField(enc, *t);
+  }
+}
+
+void XdrSetTime(XdrDecoder& dec, std::optional<NfsTime>& t) {
+  uint32_t how = 0;
+  XdrField(dec, how);
+  if (how > 2) {
+    dec.Fail("nfs: bad time_how");
+  }
+  if (!dec.ok()) {
+    return;
+  }
+  if (how == 2) {
+    XdrField(dec, t.emplace());
+  } else {
+    t.reset();
+  }
+}
+
 bool FileHandle::empty() const {
   for (uint8_t b : bytes_) {
     if (b != 0) {

@@ -3,7 +3,8 @@
 // file type, replication degree — at fixed offsets so the µproxy can route
 // on them, and carries a NASD-style capability tag that storage nodes verify
 // (paper §2.2: object protection lets the µproxy live outside the trust
-// boundary).
+// boundary). Each type that appears on the wire states its XDR layout once,
+// as a field list (src/xdr/xdr.h).
 #ifndef SLICE_NFS_NFS_TYPES_H_
 #define SLICE_NFS_NFS_TYPES_H_
 
@@ -15,6 +16,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
+#include "src/xdr/xdr.h"
 
 namespace slice {
 
@@ -96,6 +98,11 @@ enum class FileType3 : uint32_t {
 enum class StableHow : uint32_t { kUnstable = 0, kDataSync = 1, kFileSync = 2 };
 enum class CreateMode : uint32_t { kUnchecked = 0, kGuarded = 1, kExclusive = 2 };
 
+// Decode bounds: a name component, a symlink target, READ/WRITE data.
+inline constexpr size_t kNfsMaxName = 255;
+inline constexpr size_t kNfsMaxPath = 1024;
+inline constexpr size_t kNfsMaxData = 1 << 20;
+
 struct NfsTime {
   uint32_t seconds = 0;
   uint32_t nseconds = 0;
@@ -104,7 +111,19 @@ struct NfsTime {
   bool operator<(const NfsTime& other) const {
     return seconds != other.seconds ? seconds < other.seconds : nseconds < other.nseconds;
   }
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.seconds);
+    XdrField(io, s.nseconds);
+  }
 };
+
+// sattr3's set_atime/set_mtime (RFC 1813 time_how): SET_TO_CLIENT_TIME (2)
+// and the time when one is set, else DONT_CHANGE (0). SET_TO_SERVER_TIME (1)
+// decodes as no change; anything above 2 fails.
+void XdrSetTime(XdrEncoder& enc, const std::optional<NfsTime>& t);
+void XdrSetTime(XdrDecoder& dec, std::optional<NfsTime>& t);
 
 // Full RFC 1813 fattr3: 84 bytes on the wire, fixed layout — the µproxy's
 // attribute-patching relies on the fixed size.
@@ -125,6 +144,24 @@ struct Fattr3 {
   NfsTime ctime;
 
   bool operator==(const Fattr3&) const = default;
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.type);
+    XdrField(io, s.mode);
+    XdrField(io, s.nlink);
+    XdrField(io, s.uid);
+    XdrField(io, s.gid);
+    XdrField(io, s.size);
+    XdrField(io, s.used);
+    XdrField(io, s.rdev_major);
+    XdrField(io, s.rdev_minor);
+    XdrField(io, s.fsid);
+    XdrField(io, s.fileid);
+    XdrField(io, s.atime);
+    XdrField(io, s.mtime);
+    XdrField(io, s.ctime);
+  }
 };
 
 constexpr size_t kFattr3WireSize = 84;
@@ -137,6 +174,16 @@ struct Sattr3 {
   std::optional<uint64_t> size;
   std::optional<NfsTime> atime;  // SET_TO_CLIENT_TIME only
   std::optional<NfsTime> mtime;
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.mode);
+    XdrField(io, s.uid);
+    XdrField(io, s.gid);
+    XdrField(io, s.size);
+    XdrSetTime(io, s.atime);
+    XdrSetTime(io, s.mtime);
+  }
 };
 
 // Weak cache consistency attributes.
@@ -144,11 +191,24 @@ struct WccAttr {
   uint64_t size = 0;
   NfsTime mtime;
   NfsTime ctime;
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.size);
+    XdrField(io, s.mtime);
+    XdrField(io, s.ctime);
+  }
 };
 
 struct WccData {
   std::optional<WccAttr> before;
   std::optional<Fattr3> after;
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.before);
+    XdrField(io, s.after);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -200,6 +260,19 @@ class FileHandle {
   std::array<uint8_t, kSize> bytes_;
 };
 
+// On the wire a handle is an opaque of exactly FileHandle::kSize bytes.
+inline void XdrField(XdrEncoder& enc, const FileHandle& fh) { enc.PutOpaqueVar(fh.bytes()); }
+inline void XdrField(XdrDecoder& dec, FileHandle& fh) {
+  ByteSpan raw;
+  XdrField(dec, raw, FileHandle::kSize);
+  if (raw.size() != FileHandle::kSize) {
+    dec.Fail("nfs: bad fhandle size");
+  }
+  if (dec.ok()) {
+    fh = FileHandle::FromBytes(raw);
+  }
+}
+
 // Storage-node index for (file, byte offset) under static mirrored striping:
 // stripe blocks of `stripe_unit` bytes round-robin across `num_nodes` nodes
 // starting at a per-file hash base; `replica` < fh.replication() selects a
@@ -220,6 +293,18 @@ struct DirEntry {
   // readdirplus extras:
   std::optional<Fattr3> attr;
   std::optional<FileHandle> handle;
+
+  // entry3, or entryplus3 when `plus`.
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s, bool plus) {
+    XdrField(io, s.fileid);
+    XdrField(io, s.name, kNfsMaxName);
+    XdrField(io, s.cookie);
+    if (plus) {
+      XdrField(io, s.attr);
+      XdrField(io, s.handle);
+    }
+  }
 };
 
 }  // namespace slice

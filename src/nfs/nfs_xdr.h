@@ -1,10 +1,13 @@
 // XDR codecs for NFSv3 procedure arguments and results (RFC 1813 wire
-// layout). Every request/result is a plain struct with Encode/Decode; the
-// µproxy, servers, and client library all share these.
+// layout). Every request and result is a plain struct whose layout is one
+// field list, its static `Xdr` (src/xdr/xdr.h): Encode runs the list over
+// an encoder, Decode over a decoder. The µproxy, servers, and client
+// library all share these.
 #ifndef SLICE_NFS_NFS_XDR_H_
 #define SLICE_NFS_NFS_XDR_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,106 +17,138 @@
 
 namespace slice {
 
-// --- shared helpers ---
-
-void EncodeFileHandle(XdrEncoder& enc, const FileHandle& fh);
-Result<FileHandle> DecodeFileHandle(XdrDecoder& dec);
-
-void EncodeFattr3(XdrEncoder& enc, const Fattr3& attr);
-Result<Fattr3> DecodeFattr3(XdrDecoder& dec);
-
-void EncodePostOpAttr(XdrEncoder& enc, const std::optional<Fattr3>& attr);
-Result<std::optional<Fattr3>> DecodePostOpAttr(XdrDecoder& dec);
-
-void EncodeWccData(XdrEncoder& enc, const WccData& wcc);
-Result<WccData> DecodeWccData(XdrDecoder& dec);
-
-void EncodeSattr3(XdrEncoder& enc, const Sattr3& sattr);
-Result<Sattr3> DecodeSattr3(XdrDecoder& dec);
-
-void EncodePostOpFh(XdrEncoder& enc, const std::optional<FileHandle>& fh);
-Result<std::optional<FileHandle>> DecodePostOpFh(XdrDecoder& dec);
-
 // --- per-procedure argument structs ---
 
 struct GetattrArgs {
   FileHandle object;
-  void Encode(XdrEncoder& enc) const;
-  static Result<GetattrArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.object);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<GetattrArgs> Decode(XdrDecoder& dec) { return XdrDecode<GetattrArgs>(dec); }
 };
 
 struct SetattrArgs {
   FileHandle object;
   Sattr3 new_attributes;
   std::optional<NfsTime> guard_ctime;
-  void Encode(XdrEncoder& enc) const;
-  static Result<SetattrArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.object);
+    XdrField(io, s.new_attributes);
+    XdrField(io, s.guard_ctime);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<SetattrArgs> Decode(XdrDecoder& dec) { return XdrDecode<SetattrArgs>(dec); }
 };
 
 // lookup / create-style (dir, name) arguments.
 struct DirOpArgs {
   FileHandle dir;
   std::string name;
-  void Encode(XdrEncoder& enc) const;
-  static Result<DirOpArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.dir);
+    XdrField(io, s.name, kNfsMaxName);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<DirOpArgs> Decode(XdrDecoder& dec) { return XdrDecode<DirOpArgs>(dec); }
 };
 
 struct AccessArgs {
   FileHandle object;
   uint32_t access = 0x3f;
-  void Encode(XdrEncoder& enc) const;
-  static Result<AccessArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.object);
+    XdrField(io, s.access);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<AccessArgs> Decode(XdrDecoder& dec) { return XdrDecode<AccessArgs>(dec); }
 };
 
 struct ReadArgs {
   FileHandle file;
   uint64_t offset = 0;
   uint32_t count = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<ReadArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.offset);
+    XdrField(io, s.count);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<ReadArgs> Decode(XdrDecoder& dec) { return XdrDecode<ReadArgs>(dec); }
 };
 
-struct WriteArgs {
+// WRITE args over their data's type. WriteArgs owns the data. WriteArgsView
+// views it: the decoder's buffer (the request packet) after Decode, so a
+// server that applies the write before its handler returns copies the data
+// once, into its own store; the caller's buffer when encoding, so
+// NfsClient::Write encodes the caller's span straight into the call's frame.
+template <class Data>
+struct BasicWriteArgs {
   FileHandle file;
   uint64_t offset = 0;
   uint32_t count = 0;
   StableHow stable = StableHow::kUnstable;
-  Bytes data;
-  void Encode(XdrEncoder& enc) const;
-  static Result<WriteArgs> Decode(XdrDecoder& dec);
-};
+  Data data{};
 
-// WRITE args whose data is a view: into the decoder's buffer (the request
-// packet) after Decode, or into the caller's buffer when encoding. A server
-// that applies the write before its handler returns decodes this and copies
-// the data once, into its own store; WriteArgs::Decode materializes the same
-// decode. NfsClient::Write encodes the caller's span through this straight
-// into the call's frame, and WriteArgs::Encode delegates to it.
-struct WriteArgsView {
-  FileHandle file;
-  uint64_t offset = 0;
-  uint32_t count = 0;
-  StableHow stable = StableHow::kUnstable;
-  ByteSpan data;
-  void Encode(XdrEncoder& enc) const;
-  static Result<WriteArgsView> Decode(XdrDecoder& dec);
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.offset);
+    XdrField(io, s.count);
+    XdrField(io, s.stable, StableHow::kUnstable, StableHow::kFileSync);
+    XdrField(io, s.data, kNfsMaxData);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<BasicWriteArgs> Decode(XdrDecoder& dec) { return XdrDecode<BasicWriteArgs>(dec); }
 };
+using WriteArgs = BasicWriteArgs<Bytes>;
+using WriteArgsView = BasicWriteArgs<ByteSpan>;
 
 struct CreateArgs {
   FileHandle dir;
   std::string name;
   CreateMode mode = CreateMode::kUnchecked;
   Sattr3 attributes;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CreateArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.dir);
+    XdrField(io, s.name, kNfsMaxName);
+    XdrField(io, s.mode, CreateMode::kUnchecked, CreateMode::kExclusive);
+    if (s.mode != CreateMode::kExclusive) {
+      XdrField(io, s.attributes);
+    } else {
+      uint64_t verf = 0;  // createverf3: sent as zero, not kept
+      XdrField(io, verf);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CreateArgs> Decode(XdrDecoder& dec) { return XdrDecode<CreateArgs>(dec); }
 };
 
 struct MkdirArgs {
   FileHandle dir;
   std::string name;
   Sattr3 attributes;
-  void Encode(XdrEncoder& enc) const;
-  static Result<MkdirArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.dir);
+    XdrField(io, s.name, kNfsMaxName);
+    XdrField(io, s.attributes);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<MkdirArgs> Decode(XdrDecoder& dec) { return XdrDecode<MkdirArgs>(dec); }
 };
 
 struct SymlinkArgs {
@@ -121,8 +156,16 @@ struct SymlinkArgs {
   std::string name;
   Sattr3 attributes;
   std::string target;
-  void Encode(XdrEncoder& enc) const;
-  static Result<SymlinkArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.dir);
+    XdrField(io, s.name, kNfsMaxName);
+    XdrField(io, s.attributes);
+    XdrField(io, s.target, kNfsMaxPath);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<SymlinkArgs> Decode(XdrDecoder& dec) { return XdrDecode<SymlinkArgs>(dec); }
 };
 
 struct RenameArgs {
@@ -130,27 +173,57 @@ struct RenameArgs {
   std::string from_name;
   FileHandle to_dir;
   std::string to_name;
-  void Encode(XdrEncoder& enc) const;
-  static Result<RenameArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.from_dir);
+    XdrField(io, s.from_name, kNfsMaxName);
+    XdrField(io, s.to_dir);
+    XdrField(io, s.to_name, kNfsMaxName);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<RenameArgs> Decode(XdrDecoder& dec) { return XdrDecode<RenameArgs>(dec); }
 };
 
 struct LinkArgs {
   FileHandle file;
   FileHandle dir;
   std::string name;
-  void Encode(XdrEncoder& enc) const;
-  static Result<LinkArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.dir);
+    XdrField(io, s.name, kNfsMaxName);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<LinkArgs> Decode(XdrDecoder& dec) { return XdrDecode<LinkArgs>(dec); }
 };
 
 struct ReaddirArgs {
   FileHandle dir;
   uint64_t cookie = 0;
   uint64_t cookieverf = 0;
-  uint32_t count = 4096;
-  bool plus = false;  // READDIRPLUS (adds maxcount on the wire)
+  uint32_t count = 4096;  // READDIRPLUS's dircount
+  bool plus = false;      // READDIRPLUS (adds maxcount on the wire)
   uint32_t maxcount = 8192;
-  void Encode(XdrEncoder& enc) const;
-  static Result<ReaddirArgs> Decode(XdrDecoder& dec, bool plus);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.dir);
+    XdrField(io, s.cookie);
+    XdrField(io, s.cookieverf);
+    XdrField(io, s.count);
+    if (s.plus) {
+      XdrField(io, s.maxcount);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<ReaddirArgs> Decode(XdrDecoder& dec, bool plus) {
+    ReaddirArgs args;
+    args.plus = plus;
+    return XdrDecode(dec, std::move(args));
+  }
   // DecodeBody's form: READDIRPLUS decodes with `plus`.
   static Result<ReaddirArgs> DecodeForProc(XdrDecoder& dec, uint32_t proc) {
     return Decode(dec, proc == static_cast<uint32_t>(NfsProc::kReaddirplus));
@@ -161,8 +234,15 @@ struct CommitArgs {
   FileHandle file;
   uint64_t offset = 0;
   uint32_t count = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CommitArgs> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.file);
+    XdrField(io, s.offset);
+    XdrField(io, s.count);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CommitArgs> Decode(XdrDecoder& dec) { return XdrDecode<CommitArgs>(dec); }
 };
 
 // --- per-procedure result structs ---
@@ -172,15 +252,29 @@ struct CommitArgs {
 struct GetattrRes {
   Nfsstat3 status = Nfsstat3::kOk;
   Fattr3 attributes;
-  void Encode(XdrEncoder& enc) const;
-  static Result<GetattrRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.attributes);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<GetattrRes> Decode(XdrDecoder& dec) { return XdrDecode<GetattrRes>(dec); }
 };
 
 struct SetattrRes {
   Nfsstat3 status = Nfsstat3::kOk;
   WccData wcc;
-  void Encode(XdrEncoder& enc) const;
-  static Result<SetattrRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.wcc);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<SetattrRes> Decode(XdrDecoder& dec) { return XdrDecode<SetattrRes>(dec); }
 };
 
 struct LookupRes {
@@ -188,56 +282,84 @@ struct LookupRes {
   FileHandle object;                  // ok only
   std::optional<Fattr3> obj_attributes;
   std::optional<Fattr3> dir_attributes;
-  void Encode(XdrEncoder& enc) const;
-  static Result<LookupRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.object);
+      XdrField(io, s.obj_attributes);
+    }
+    XdrField(io, s.dir_attributes);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<LookupRes> Decode(XdrDecoder& dec) { return XdrDecode<LookupRes>(dec); }
 };
 
 struct AccessRes {
   Nfsstat3 status = Nfsstat3::kOk;
   std::optional<Fattr3> obj_attributes;
   uint32_t access = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<AccessRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.obj_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.access);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<AccessRes> Decode(XdrDecoder& dec) { return XdrDecode<AccessRes>(dec); }
 };
 
 struct ReadlinkRes {
   Nfsstat3 status = Nfsstat3::kOk;
   std::optional<Fattr3> symlink_attributes;
   std::string target;
-  void Encode(XdrEncoder& enc) const;
-  static Result<ReadlinkRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.symlink_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.target, kNfsMaxPath);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<ReadlinkRes> Decode(XdrDecoder& dec) { return XdrDecode<ReadlinkRes>(dec); }
 };
 
-// READ result whose data is a view into the decoder's buffer (the reply
-// packet), valid only while that buffer lives: NfsClient::Read hands its
-// callback this, and a callback that keeps the bytes copies them.
-struct ReadResView {
+// READ result over its data's type. ReadRes owns the data: what a caller
+// keeps (SyncNfsClient::Read returns it). ReadResView views the decoder's
+// buffer (the reply packet) and is valid only while that buffer lives:
+// NfsClient::Read hands its callback this, and a callback that keeps the
+// bytes copies them. ReadResPieces encodes its data gathered from pieces,
+// so a server copies straight from its store's pages into the reply.
+template <class Data>
+struct BasicReadRes {
   Nfsstat3 status = Nfsstat3::kOk;
   std::optional<Fattr3> file_attributes;
   uint32_t count = 0;
   bool eof = false;
-  ByteSpan data;
-  static Result<ReadResView> Decode(XdrDecoder& dec);
-};
+  Data data{};
 
-// READ result with owned data: what a caller keeps (SyncNfsClient::Read
-// returns it). Decode materializes ReadResView::Decode.
-struct ReadRes {
-  Nfsstat3 status = Nfsstat3::kOk;
-  std::optional<Fattr3> file_attributes;
-  uint32_t count = 0;
-  bool eof = false;
-  Bytes data;
-  void Encode(XdrEncoder& enc) const;
-  // Encodes with the concatenation of `payload` as the data body instead of
-  // `data`, so the storage node's READ path copies straight from its store's
-  // pages into the reply without materializing a Bytes per request.
-  // Byte-identical to Encode(enc) when the pieces join to `data`.
-  void Encode(XdrEncoder& enc, std::span<const ByteSpan> payload) const;
-  static Result<ReadRes> Decode(XdrDecoder& dec);
-  // Copies a view's data into an owned result.
-  static ReadRes Materialize(const ReadResView& view);
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.file_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.count);
+      XdrField(io, s.eof);
+      XdrField(io, s.data, kNfsMaxData);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<BasicReadRes> Decode(XdrDecoder& dec) { return XdrDecode<BasicReadRes>(dec); }
 };
+using ReadRes = BasicReadRes<Bytes>;
+using ReadResView = BasicReadRes<ByteSpan>;
+using ReadResPieces = BasicReadRes<std::span<const ByteSpan>>;
 
 struct WriteRes {
   Nfsstat3 status = Nfsstat3::kOk;
@@ -245,8 +367,19 @@ struct WriteRes {
   uint32_t count = 0;
   StableHow committed = StableHow::kUnstable;
   uint64_t verf = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<WriteRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.wcc);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.count);
+      XdrField(io, s.committed);
+      XdrField(io, s.verf);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<WriteRes> Decode(XdrDecoder& dec) { return XdrDecode<WriteRes>(dec); }
 };
 
 // create / mkdir / symlink share this shape.
@@ -255,32 +388,67 @@ struct CreateRes {
   std::optional<FileHandle> object;
   std::optional<Fattr3> obj_attributes;
   WccData dir_wcc;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CreateRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.object);
+      XdrField(io, s.obj_attributes);
+    }
+    XdrField(io, s.dir_wcc);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CreateRes> Decode(XdrDecoder& dec) { return XdrDecode<CreateRes>(dec); }
 };
 
 struct RemoveRes {
   Nfsstat3 status = Nfsstat3::kOk;
   WccData dir_wcc;
-  void Encode(XdrEncoder& enc) const;
-  static Result<RemoveRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.dir_wcc);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<RemoveRes> Decode(XdrDecoder& dec) { return XdrDecode<RemoveRes>(dec); }
 };
 
 struct RenameRes {
   Nfsstat3 status = Nfsstat3::kOk;
   WccData from_dir_wcc;
   WccData to_dir_wcc;
-  void Encode(XdrEncoder& enc) const;
-  static Result<RenameRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.from_dir_wcc);
+    XdrField(io, s.to_dir_wcc);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<RenameRes> Decode(XdrDecoder& dec) { return XdrDecode<RenameRes>(dec); }
 };
 
 struct LinkRes {
   Nfsstat3 status = Nfsstat3::kOk;
   std::optional<Fattr3> file_attributes;
   WccData dir_wcc;
-  void Encode(XdrEncoder& enc) const;
-  static Result<LinkRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.file_attributes);
+    XdrField(io, s.dir_wcc);
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<LinkRes> Decode(XdrDecoder& dec) { return XdrDecode<LinkRes>(dec); }
 };
+
+// READDIR's entry chain (RFC 1813 dirlist3): each entry (entryplus3 with
+// `plus`) behind a true, the chain closed by a false.
+void XdrEntries(XdrEncoder& enc, const std::vector<DirEntry>& entries, bool plus);
+void XdrEntries(XdrDecoder& dec, std::vector<DirEntry>& entries, bool plus);
 
 struct ReaddirRes {
   Nfsstat3 status = Nfsstat3::kOk;
@@ -289,8 +457,23 @@ struct ReaddirRes {
   std::vector<DirEntry> entries;
   bool eof = true;
   bool plus = false;
-  void Encode(XdrEncoder& enc) const;
-  static Result<ReaddirRes> Decode(XdrDecoder& dec, bool plus);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.dir_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.cookieverf);
+      XdrEntries(io, s.entries, s.plus);
+      XdrField(io, s.eof);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<ReaddirRes> Decode(XdrDecoder& dec, bool plus) {
+    ReaddirRes res;
+    res.plus = plus;
+    return XdrDecode(dec, std::move(res));
+  }
   // DecodeBody's form: READDIRPLUS entries carry attributes and handles.
   static Result<ReaddirRes> DecodeForProc(XdrDecoder& dec, uint32_t proc) {
     return Decode(dec, proc == static_cast<uint32_t>(NfsProc::kReaddirplus));
@@ -303,8 +486,23 @@ struct FsstatRes {
   uint64_t tbytes = 0, fbytes = 0, abytes = 0;
   uint64_t tfiles = 0, ffiles = 0, afiles = 0;
   uint32_t invarsec = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<FsstatRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.obj_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.tbytes);
+      XdrField(io, s.fbytes);
+      XdrField(io, s.abytes);
+      XdrField(io, s.tfiles);
+      XdrField(io, s.ffiles);
+      XdrField(io, s.afiles);
+      XdrField(io, s.invarsec);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<FsstatRes> Decode(XdrDecoder& dec) { return XdrDecode<FsstatRes>(dec); }
 };
 
 struct FsinfoRes {
@@ -316,16 +514,43 @@ struct FsinfoRes {
   uint64_t maxfilesize = ~0ull;
   NfsTime time_delta{0, 1000000};
   uint32_t properties = 0x1b;
-  void Encode(XdrEncoder& enc) const;
-  static Result<FsinfoRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.obj_attributes);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.rtmax);
+      XdrField(io, s.rtpref);
+      XdrField(io, s.rtmult);
+      XdrField(io, s.wtmax);
+      XdrField(io, s.wtpref);
+      XdrField(io, s.wtmult);
+      XdrField(io, s.dtpref);
+      XdrField(io, s.maxfilesize);
+      XdrField(io, s.time_delta);
+      XdrField(io, s.properties);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<FsinfoRes> Decode(XdrDecoder& dec) { return XdrDecode<FsinfoRes>(dec); }
 };
 
 struct CommitRes {
   Nfsstat3 status = Nfsstat3::kOk;
   WccData wcc;
   uint64_t verf = 0;
-  void Encode(XdrEncoder& enc) const;
-  static Result<CommitRes> Decode(XdrDecoder& dec);
+
+  template <class Io, class S>
+  static void Xdr(Io& io, S& s) {
+    XdrField(io, s.status);
+    XdrField(io, s.wcc);
+    if (s.status == Nfsstat3::kOk) {
+      XdrField(io, s.verf);
+    }
+  }
+  void Encode(XdrEncoder& enc) const { Xdr(enc, *this); }
+  static Result<CommitRes> Decode(XdrDecoder& dec) { return XdrDecode<CommitRes>(dec); }
 };
 
 // Encodes the RFC 1813 failure arm of `proc`'s result: `status` followed by

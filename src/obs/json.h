@@ -27,6 +27,7 @@ class JsonWriter {
   JsonWriter& String(std::string_view value);
   JsonWriter& Int(int64_t value) { return Scalar(std::to_string(value)); }
   JsonWriter& UInt(uint64_t value) { return Scalar(std::to_string(value)); }
+  JsonWriter& Bool(bool value) { return Scalar(value ? "true" : "false"); }
   // `units` scaled down by 10^decimals, with exactly `decimals` fraction
   // digits: Decimal(1500, 3) is 1.500 and Decimal(5, 3) is 0.005. decimals is
   // clamped to [0, 9].

@@ -56,7 +56,7 @@ Bytes EncodeAuthSysCred(const AuthSysCred& cred) {
     body.PutUint32(g);
   }
   XdrEncoder enc;
-  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  enc.PutUint32(static_cast<uint32_t>(RpcAuthFlavor::kSys));
   enc.PutOpaqueVar(body.bytes());
   return enc.Take();
 }
@@ -64,14 +64,14 @@ Bytes EncodeAuthSysCred(const AuthSysCred& cred) {
 void EncodeCallHeader(XdrEncoder& enc, uint32_t xid, uint32_t prog, uint32_t vers,
                       uint32_t proc, ByteSpan cred) {
   enc.PutUint32(xid);
-  enc.PutEnum(static_cast<uint32_t>(RpcMsgType::kCall));
+  enc.PutUint32(static_cast<uint32_t>(RpcMsgType::kCall));
   enc.PutUint32(kRpcVersion);
   enc.PutUint32(prog);
   enc.PutUint32(vers);
   enc.PutUint32(proc);
   enc.PutRawBytes(cred);
-  enc.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kNone));  // null verifier
-  enc.PutUint32(0);                                          //   (empty body)
+  enc.PutUint32(static_cast<uint32_t>(RpcAuthFlavor::kNone));  // null verifier
+  enc.PutUint32(0);                                            //   (empty body)
 }
 
 Bytes RpcCall::Encode() const {

@@ -14,8 +14,6 @@ namespace {
 constexpr uint64_t kMapZoneBaseBlock = 1ull << 33;
 constexpr uint32_t kMapRecordSize = 64;
 
-enum class SfsLogOp : uint32_t { kUpsertMap = 1, kRemoveMap = 2 };
-
 // Lazy write-back cadence for dirty pages not covered by a commit (map
 // descriptor pages, unstable stragglers) — the kernel syncer's job.
 const SimTime kSyncerInterval = FromSeconds(1);
@@ -28,14 +26,6 @@ uint64_t MapSlotFor(uint64_t fileid) {
 
 // What a READ reply views for holes and for zone pages no longer resident.
 constexpr std::array<uint8_t, kStoreBlockSize> kZeroPage{};
-
-// A READ result whose data is its pieces joined: ReplyFn encodes it straight
-// into the reply frame, gathering the pieces (ReadRes::Encode(enc, pieces)).
-struct GatheredReadRes {
-  const ReadRes& res;
-  std::span<const ByteSpan> pieces;
-  void Encode(XdrEncoder& enc) const { res.Encode(enc, pieces); }
-};
 
 }  // namespace
 
@@ -306,18 +296,9 @@ void SmallFileServer::LogMapRecord(uint64_t fileid) {
   if (!wal_) {
     return;
   }
-  const MapRecord& record = maps_[fileid];
-  wal_->Append([&](XdrEncoder& rec) {
-    rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kUpsertMap));
-    rec.PutUint64(fileid);
-    rec.PutUint64(record.size);
-    rec.PutUint32(static_cast<uint32_t>(record.blocks.size()));
-    for (const BlockExtent& extent : record.blocks) {
-      rec.PutUint64(extent.fragment.offset);
-      rec.PutUint32(extent.fragment.alloc_size);
-      rec.PutUint32(extent.length);
-    }
-  });
+  const MapRecord& map = maps_[fileid];
+  wal_->Append(LogOp::kUpsertMap, MapUpsertRecord<std::span<const BlockExtent>>{
+                                       fileid, map.size, map.blocks});
 }
 
 void SmallFileServer::LogMapRemove(uint64_t fileid) {
@@ -328,43 +309,25 @@ void SmallFileServer::LogMapRemove(uint64_t fileid) {
   if (!wal_) {
     return;
   }
-  wal_->Append([&](XdrEncoder& rec) {
-    rec.PutEnum(static_cast<uint32_t>(SfsLogOp::kRemoveMap));
-    rec.PutUint64(fileid);
-  });
+  wal_->Append(LogOp::kRemoveMap, MapRemoveRecord{fileid});
 }
 
 void SmallFileServer::ReplayRecord(ByteSpan record) {
   XdrDecoder dec(record);
-  Result<uint32_t> op = dec.GetUint32();
-  if (!op.ok()) {
+  LogOp op{};
+  XdrField(dec, op);
+  if (!dec.ok()) {
     return;
   }
-  if (static_cast<SfsLogOp>(*op) == SfsLogOp::kRemoveMap) {
-    Result<uint64_t> fileid = dec.GetUint64();
-    if (fileid.ok()) {
-      maps_.erase(*fileid);
+  if (op == LogOp::kRemoveMap) {
+    if (const auto r = XdrDecode<MapRemoveRecord>(dec); r.ok()) {
+      maps_.erase(r->fileid);
     }
     return;
   }
-  Result<uint64_t> fileid = dec.GetUint64();
-  Result<uint64_t> size = dec.GetUint64();
-  Result<uint32_t> nblocks = dec.GetUint32();
-  if (!fileid.ok() || !size.ok() || !nblocks.ok() || *nblocks > 4096) {
-    return;
+  if (auto r = XdrDecode<MapUpsertRecord<std::vector<BlockExtent>>>(dec); r.ok()) {
+    maps_[r->fileid] = MapRecord{r->size, std::move(r.value().blocks)};
   }
-  MapRecord map;
-  map.size = *size;
-  for (uint32_t i = 0; i < *nblocks; ++i) {
-    Result<uint64_t> offset = dec.GetUint64();
-    Result<uint32_t> alloc = dec.GetUint32();
-    Result<uint32_t> length = dec.GetUint32();
-    if (!offset.ok() || !alloc.ok() || !length.ok()) {
-      return;
-    }
-    map.blocks.push_back(BlockExtent{Fragment{*offset, *alloc}, *length});
-  }
-  maps_[*fileid] = std::move(map);
 }
 
 void SmallFileServer::OnRestart() {
@@ -439,7 +402,7 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
   const uint64_t offset = args.offset;
   const uint32_t count = args.count;
   EnsureResident([this, fh, fileid, offset, count, cost, size, done]() mutable {
-    ReadRes res;
+    ReadResPieces res;
     read_pieces_.clear();
     const auto it = maps_.find(fileid);
     if (it == maps_.end() || offset >= size) {
@@ -472,7 +435,9 @@ void SmallFileServer::DoRead(const ReadArgs& args, ReplyFn done) {
     }
     res.file_attributes = MakeAttr(fh);
     cost.AddCpu(static_cast<SimTime>(static_cast<double>(res.count) * params_.cpu_ns_per_byte));
-    done(RpcAcceptStat::kSuccess, GatheredReadRes{res, read_pieces_}, cost);
+    // ReplyFn encodes the pieces straight into the reply frame.
+    res.data = read_pieces_;
+    done(RpcAcceptStat::kSuccess, res, cost);
   });
 }
 

@@ -45,6 +45,45 @@ class SmallFileServer : public RpcServerNode {
   SmallFileServer(Network& net, EventQueue& queue, NetAddr addr, SmallFileServerParams params,
                   std::vector<Endpoint> storage_nodes, const obs::Sinks& sinks = {});
 
+  // Where a file's logical block lives in the zone.
+  struct BlockExtent {
+    Fragment fragment;
+    uint32_t length = 0;  // valid bytes within the logical block
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fragment.offset);
+      XdrField(io, s.fragment.alloc_size);
+      XdrField(io, s.length);
+    }
+  };
+
+  // Write-ahead-log records, each appended behind its LogOp tag. An
+  // appended map record views the file's extents; a replayed one owns
+  // them.
+  enum class LogOp : uint32_t { kUpsertMap = 1, kRemoveMap = 2 };
+  template <class Extents>
+  struct MapUpsertRecord {
+    uint64_t fileid = 0;
+    uint64_t size = 0;
+    Extents blocks{};
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fileid);
+      XdrField(io, s.size);
+      XdrField(io, s.blocks, 4096);
+    }
+  };
+  struct MapRemoveRecord {
+    uint64_t fileid = 0;
+
+    template <class Io, class S>
+    static void Xdr(Io& io, S& s) {
+      XdrField(io, s.fileid);
+    }
+  };
+
   size_t file_count() const { return maps_.size(); }
   const BlockCache& cache() const { return cache_; }
   const FragmentAllocator& allocator() const { return alloc_; }
@@ -67,10 +106,6 @@ class SmallFileServer : public RpcServerNode {
   void OnRestart() override;
 
  private:
-  struct BlockExtent {
-    Fragment fragment;
-    uint32_t length = 0;  // valid bytes within the logical block
-  };
   struct MapRecord {
     uint64_t size = 0;
     std::vector<BlockExtent> blocks;

@@ -225,7 +225,7 @@ void StorageNode::MaybePrefetch(ObjectId id, uint64_t offset, uint32_t count) {
 }
 
 void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost& cost) {
-  ReadRes res;
+  ReadResPieces res;
   if (!CheckHandle(args.file)) {
     res.status = Nfsstat3::kErrBadhandle;
     res.Encode(reply);
@@ -243,9 +243,10 @@ void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCos
   res.file_attributes = MakeAttr(args.file);
   res.count = read.length;
   res.eof = read.eof;
-  // Copy straight from the store's pages into the reply; res.data stays
-  // empty (no per-request buffer on the READ fast path).
-  res.Encode(reply, read_segments_);
+  // Copy straight from the store's pages into the reply (no per-request
+  // buffer on the READ fast path).
+  res.data = read_segments_;
+  res.Encode(reply);
 }
 
 void StorageNode::HandleWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {

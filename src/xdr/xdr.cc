@@ -31,73 +31,54 @@ void XdrEncoder::PutOpaqueVar(std::span<const ByteSpan> pieces) {
   buf_.insert(buf_.end(), XdrPad(len), 0);
 }
 
-Result<uint32_t> XdrDecoder::GetUint32() {
-  SLICE_RETURN_IF_ERROR(Need(4));
-  const uint32_t v = GetU32(data_.data() + pos_);
-  pos_ += 4;
-  return v;
+Status XdrDecoder::status() const {
+  return ok() ? OkStatus() : Status(StatusCode::kCorrupt, error_);
 }
 
-Result<uint64_t> XdrDecoder::GetUint64() {
-  SLICE_RETURN_IF_ERROR(Need(8));
-  const uint64_t v = GetU64(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
-Result<bool> XdrDecoder::GetBool() {
-  SLICE_ASSIGN_OR_RETURN(uint32_t v, GetUint32());
-  if (v > 1) {
-    return Status(StatusCode::kCorrupt, "xdr: bad bool");
+void XdrField(XdrDecoder& dec, bool& v) {
+  uint32_t word = 0;
+  XdrField(dec, word);
+  if (word > 1) {
+    dec.Fail("xdr: bad bool");
   }
-  return v == 1;
-}
-
-Result<Bytes> XdrDecoder::GetOpaqueFixed(size_t len) {
-  const size_t padded = len + XdrPad(len);
-  SLICE_RETURN_IF_ERROR(Need(padded));
-  Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-            data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-  pos_ += padded;
-  return out;
-}
-
-Result<Bytes> XdrDecoder::GetOpaqueVar(size_t max_len) {
-  SLICE_ASSIGN_OR_RETURN(ByteSpan view, GetOpaqueVarView(max_len));
-  return Bytes(view.begin(), view.end());
-}
-
-Result<ByteSpan> XdrDecoder::GetOpaqueVarView(size_t max_len) {
-  SLICE_ASSIGN_OR_RETURN(uint32_t len, GetUint32());
-  if (len > max_len) {
-    return Status(StatusCode::kCorrupt, "xdr: opaque too long");
+  if (dec.ok()) {
+    v = word == 1;
   }
-  SLICE_ASSIGN_OR_RETURN(ByteSpan padded, GetRawView(len + XdrPad(len)));
-  return padded.first(len);
 }
 
-Result<std::string> XdrDecoder::GetString(size_t max_len) {
-  SLICE_ASSIGN_OR_RETURN(std::string_view view, GetStringView(max_len));
-  return std::string(view);
-}
-
-Result<std::string_view> XdrDecoder::GetStringView(size_t max_len) {
-  SLICE_ASSIGN_OR_RETURN(uint32_t len, GetUint32());
-  if (len > max_len) {
-    return Status(StatusCode::kCorrupt, "xdr: string too long");
+void XdrField(XdrDecoder& dec, ByteSpan& v, size_t max) {
+  uint32_t len = 0;
+  XdrField(dec, len);
+  if (len > max) {
+    dec.Fail("xdr: opaque too long");
   }
-  const size_t padded = len + XdrPad(len);
-  SLICE_RETURN_IF_ERROR(Need(padded));
-  std::string_view view(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += padded;
-  return view;
+  if (const uint8_t* p = dec.Take(len + XdrPad(len)); p != nullptr) {
+    v = ByteSpan(p, len);
+  }
 }
 
-Result<ByteSpan> XdrDecoder::GetRawView(size_t n) {
-  SLICE_RETURN_IF_ERROR(Need(n));
-  ByteSpan view = data_.subspan(pos_, n);
-  pos_ += n;
-  return view;
+void XdrField(XdrDecoder& dec, std::string_view& v, size_t max) {
+  ByteSpan view;
+  XdrField(dec, view, max);
+  if (dec.ok()) {
+    v = std::string_view(reinterpret_cast<const char*>(view.data()), view.size());
+  }
+}
+
+void XdrField(XdrDecoder& dec, std::string& v, size_t max) {
+  std::string_view view;
+  XdrField(dec, view, max);
+  if (dec.ok()) {
+    v.assign(view);
+  }
+}
+
+void XdrField(XdrDecoder& dec, Bytes& v, size_t max) {
+  ByteSpan view;
+  XdrField(dec, view, max);
+  if (dec.ok()) {
+    v.assign(view.begin(), view.end());
+  }
 }
 
 }  // namespace slice

@@ -176,7 +176,7 @@ TEST(RequestDecodeTest, NonNfsRejected) {
 // A GETATTR call whose AUTH_SYS credential body is `body`, built by hand.
 Bytes GetattrCallWithAuthSysBody(const Bytes& body) {
   XdrEncoder cred;
-  cred.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  cred.PutUint32(static_cast<uint32_t>(RpcAuthFlavor::kSys));
   cred.PutOpaqueVar(body);
   XdrEncoder enc;
   EncodeCallHeader(enc, 9, kNfsProgram, kNfsVersion, static_cast<uint32_t>(NfsProc::kGetattr),

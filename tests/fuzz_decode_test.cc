@@ -1,13 +1,15 @@
 // Decoder robustness ("poor man's fuzzing", deterministic): every wire
-// decoder — XDR, RPC, NFS args/results, µproxy request decode, packet
-// parsing — must survive arbitrary bytes and systematic corruption of valid
-// messages without crashing, over-reading, or claiming success on garbage
-// it cannot have parsed.
+// decoder — XDR, RPC, every NFS, coordinator and manager struct and every
+// write-ahead-log record (tests/wire_samples.h lists them), µproxy request
+// decode, packet parsing — must survive arbitrary bytes and systematic
+// corruption of valid messages without crashing, over-reading, or claiming
+// success on garbage it cannot have parsed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "src/nfs/nfs_xdr.h"
 #include "src/obs/trace.h"
 #include "src/rpc/rpc_message.h"
+#include "tests/wire_samples.h"
 
 namespace slice {
 namespace {
@@ -64,47 +67,20 @@ TEST_P(FuzzSeedTest, RandomBytesThroughEveryDecoder) {
     (void)DecodeReplyResult<LookupRes>(data);
     (void)DecodeReplyResult<GetattrRes>(data);
 
-    // NFS procedure codecs.
-    {
+    // Every wire struct (as each of its samples' procedures decodes it:
+    // READDIRPLUS too), the READ result's view form, and every log record
+    // after its op tag.
+    wire_samples::ForEachWireSample([&](const char*, uint32_t proc, const auto& sample) {
+      using T = std::decay_t<decltype(sample)>;
+      (void)DecodeBody<T>(data, proc);
+    });
+    (void)DecodeBody<ReadResView>(data, 0);
+    wire_samples::ForEachLogRecordSample([&](const char*, auto op, const auto& sample) {
+      using T = std::decay_t<decltype(sample)>;
       XdrDecoder dec(data);
-      (void)GetattrArgs::Decode(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)WriteArgs::Decode(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)RenameArgs::Decode(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)ReaddirArgs::Decode(dec, true);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)ReadRes::Decode(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)ReaddirRes::Decode(dec, true);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)LookupRes::Decode(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)DecodeFattr3(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)DecodeSattr3(dec);
-    }
-    {
-      XdrDecoder dec(data);
-      (void)DecodeWccData(dec);
-    }
+      XdrField(dec, op);
+      (void)XdrDecode<T>(dec);
+    });
   }
   SUCCEED();  // the assertion is "no crash, no UB under ASAN-style checks"
 }
@@ -266,29 +242,31 @@ TEST_P(FuzzSeedTest, TruncationsOfValidMessagesFailCleanly) {
   SUCCEED();
 }
 
-// Builds a READ reply wire exactly as the server does: the ReadRes result
-// gathered from the payload's pieces (the storage node's page views) straight
-// into a reply frame, whose envelope is then filled in place
-// (RpcServerNode::SendReply), with no intermediate Bytes copy.
+// Builds a READ reply wire exactly as the server does: the result's data
+// gathered from the payload's pieces (the storage node's page views,
+// ReadResPieces) straight into a reply frame, whose envelope is then filled
+// in place (RpcServerNode::SendReply), with no intermediate Bytes copy.
 Bytes ServerShapedReadReply(uint32_t xid, const Fattr3& attr,
                             std::span<const ByteSpan> pieces, bool eof) {
-  ReadRes res;
+  ReadResPieces res;
   res.status = Nfsstat3::kOk;
   res.file_attributes = attr;
   for (ByteSpan piece : pieces) {
     res.count += static_cast<uint32_t>(piece.size());
   }
   res.eof = eof;
+  res.data = pieces;
   XdrEncoder reply = NewReplyEncoder();
-  res.Encode(reply, pieces);
+  res.Encode(reply);
   Bytes frame = reply.Take();
   const ByteSpan message = SealReplyFrame(frame, xid, RpcAcceptStat::kSuccess);
   return Bytes(message.begin(), message.end());
 }
 
-// The client decodes READ replies as views (ReadResView); ReadRes::Decode
-// materializes the same decode. Both must accept and reject the same bodies,
-// with equal fields and the same bytes consumed.
+// The client decodes READ replies as views (ReadResView), a caller that
+// keeps them as owned data (ReadRes): one field list over two data types.
+// Both must accept and reject the same bodies, with equal fields and the
+// same bytes consumed.
 void ExpectReadDecodersAgree(ByteSpan body, const std::string& what) {
   XdrDecoder owned_dec(body);
   const Result<ReadRes> owned = ReadRes::Decode(owned_dec);
@@ -359,8 +337,8 @@ TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {
                                whole.subspan(cut2)};
     const Bytes wire = ServerShapedReadReply(xid, attr, pieces, eof);
 
-    // The gather overload must be byte-identical to the materializing
-    // encoder — this is the contract the zero-copy reply path stands on.
+    // The gathered encoding must be byte-identical to the owned one — this
+    // is the contract the zero-copy reply path stands on.
     {
       ReadRes res;
       res.status = Nfsstat3::kOk;
@@ -370,8 +348,9 @@ TEST_P(FuzzSeedTest, ServerEncodedReadReplyRoundTrips) {
       res.data = payload;
       XdrEncoder materialized;
       res.Encode(materialized);
+      const ReadResPieces gathered{res.status, res.file_attributes, res.count, res.eof, pieces};
       XdrEncoder spanned;
-      res.Encode(spanned, pieces);
+      gathered.Encode(spanned);
       EXPECT_EQ(materialized.bytes().size(), spanned.bytes().size());
       EXPECT_TRUE(std::memcmp(materialized.bytes().data(), spanned.bytes().data(),
                               spanned.bytes().size()) == 0);

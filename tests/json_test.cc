@@ -30,6 +30,12 @@ TEST(JsonWriterTest, SeparatesNestedValuesAndKeys) {
   EXPECT_EQ(w.str(), R"({"a":1,"b":[-2,{},[3,4]],"c":{"d":"e","f":[]}})");
 }
 
+TEST(JsonWriterTest, BoolsAreJsonLiterals) {
+  obs::JsonWriter w;
+  w.BeginObject().Key("yes").Bool(true).Key("no").Bool(false).EndObject();
+  EXPECT_EQ(w.str(), R"({"yes":true,"no":false})");
+}
+
 TEST(JsonWriterTest, EscapesKeysAndStrings) {
   const std::string raw = "q\"b\\n\nt\tc\x01\x1f";
   const std::string escaped = R"(q\"b\\n\nt\tc\u0001\u001f)";

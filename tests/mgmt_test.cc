@@ -109,13 +109,19 @@ TEST(MgmtProtoTest, ControlMessagesCarryMagicAndEpoch) {
   tables.dir_slots = {0};
   Bytes push = EncodeTablePush(tables);
   XdrDecoder push_dec(push);
-  EXPECT_EQ(*push_dec.GetUint32(), kTablePushMagic);
+  uint32_t magic = 0;
+  XdrField(push_dec, magic);
+  EXPECT_EQ(magic, kTablePushMagic);
   ASSERT_TRUE(MgmtTableSet::Decode(push_dec).ok());
 
   Bytes notice = EncodeMisdirectNotice(9);
   XdrDecoder notice_dec(notice);
-  EXPECT_EQ(*notice_dec.GetUint32(), kMisdirectMagic);
-  EXPECT_EQ(*notice_dec.GetUint64(), 9u);
+  uint64_t epoch = 0;
+  XdrField(notice_dec, magic);
+  XdrField(notice_dec, epoch);
+  EXPECT_TRUE(notice_dec.ok());
+  EXPECT_EQ(magic, kMisdirectMagic);
+  EXPECT_EQ(epoch, 9u);
 }
 
 // --- end-to-end scenarios ---

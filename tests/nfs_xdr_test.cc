@@ -78,10 +78,13 @@ TEST(FileHandleTest, EmptyAndEquality) {
 TEST(FileHandleTest, RoundTripsThroughXdr) {
   FileHandle fh = TestFh(77);
   XdrEncoder enc;
-  EncodeFileHandle(enc, fh);
+  XdrField(enc, fh);
   EXPECT_EQ(enc.size(), 4 + FileHandle::kSize);
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(DecodeFileHandle(dec).value(), fh);
+  FileHandle out;
+  XdrField(dec, out);
+  EXPECT_TRUE(dec.ok());
+  EXPECT_EQ(out, fh);
 }
 
 TEST(FileHandleTest, WrongSizeRejected) {
@@ -89,28 +92,34 @@ TEST(FileHandleTest, WrongSizeRejected) {
   Bytes short_handle(16, 0xaa);
   enc.PutOpaqueVar(short_handle);
   XdrDecoder dec(enc.bytes());
-  EXPECT_FALSE(DecodeFileHandle(dec).ok());
+  FileHandle out;
+  XdrField(dec, out);
+  EXPECT_FALSE(dec.ok());
 }
 
 TEST(Fattr3Test, WireSizeIsFixed) {
   XdrEncoder enc;
-  EncodeFattr3(enc, TestAttr());
+  XdrField(enc, TestAttr());
   EXPECT_EQ(enc.size(), kFattr3WireSize);
 }
 
 TEST(Fattr3Test, RoundTrip) {
   XdrEncoder enc;
-  EncodeFattr3(enc, TestAttr());
+  XdrField(enc, TestAttr());
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(DecodeFattr3(dec).value(), TestAttr());
+  EXPECT_EQ(XdrDecode<Fattr3>(dec).value(), TestAttr());
 }
 
 TEST(Fattr3Test, PostOpAttrAbsent) {
   XdrEncoder enc;
-  EncodePostOpAttr(enc, std::nullopt);
+  const std::optional<Fattr3> absent;
+  XdrField(enc, absent);
   EXPECT_EQ(enc.size(), 4u);
   XdrDecoder dec(enc.bytes());
-  EXPECT_FALSE(DecodePostOpAttr(dec).value().has_value());
+  std::optional<Fattr3> out = TestAttr();
+  XdrField(dec, out);
+  EXPECT_TRUE(dec.ok());
+  EXPECT_FALSE(out.has_value());
 }
 
 TEST(Sattr3Test, RoundTripAllSet) {
@@ -122,9 +131,9 @@ TEST(Sattr3Test, RoundTripAllSet) {
   sattr.atime = NfsTime{10, 0};
   sattr.mtime = NfsTime{20, 0};
   XdrEncoder enc;
-  EncodeSattr3(enc, sattr);
+  XdrField(enc, sattr);
   XdrDecoder dec(enc.bytes());
-  Sattr3 out = DecodeSattr3(dec).value();
+  Sattr3 out = XdrDecode<Sattr3>(dec).value();
   EXPECT_EQ(out.mode, 0600u);
   EXPECT_EQ(out.size, 4096u);
   EXPECT_EQ(out.mtime->seconds, 20u);
@@ -132,9 +141,10 @@ TEST(Sattr3Test, RoundTripAllSet) {
 
 TEST(Sattr3Test, RoundTripNoneSet) {
   XdrEncoder enc;
-  EncodeSattr3(enc, Sattr3{});
+  const Sattr3 none;
+  XdrField(enc, none);
   XdrDecoder dec(enc.bytes());
-  Sattr3 out = DecodeSattr3(dec).value();
+  Sattr3 out = XdrDecode<Sattr3>(dec).value();
   EXPECT_FALSE(out.mode.has_value());
   EXPECT_FALSE(out.size.has_value());
   EXPECT_FALSE(out.mtime.has_value());
@@ -145,9 +155,9 @@ TEST(WccDataTest, RoundTrip) {
   wcc.before = WccAttr{100, {1, 0}, {2, 0}};
   wcc.after = TestAttr();
   XdrEncoder enc;
-  EncodeWccData(enc, wcc);
+  XdrField(enc, wcc);
   XdrDecoder dec(enc.bytes());
-  WccData out = DecodeWccData(dec).value();
+  WccData out = XdrDecode<WccData>(dec).value();
   EXPECT_EQ(out.before->size, 100u);
   EXPECT_EQ(*out.after, TestAttr());
 }

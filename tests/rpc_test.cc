@@ -43,7 +43,10 @@ TEST(RpcMessageTest, CallRoundTrip) {
   EXPECT_EQ(view->uid, 100u);
 
   XdrDecoder body(view->body);
-  EXPECT_EQ(body.GetUint64().value(), 0xfeedfaceull);
+  uint64_t arg = 0;
+  XdrField(body, arg);
+  EXPECT_TRUE(body.ok());
+  EXPECT_EQ(arg, 0xfeedfaceull);
   EXPECT_EQ(view->body.data(), wire.data() + view->body_offset);
 }
 
@@ -61,7 +64,10 @@ TEST(RpcMessageTest, ReplyRoundTrip) {
   EXPECT_EQ(view->xid, 88u);
   EXPECT_EQ(view->accept_stat, RpcAcceptStat::kSuccess);
   XdrDecoder body(view->body);
-  EXPECT_EQ(body.GetUint32().value(), 123u);
+  uint32_t result_word = 0;
+  XdrField(body, result_word);
+  EXPECT_TRUE(body.ok());
+  EXPECT_EQ(result_word, 123u);
 }
 
 TEST(RpcMessageTest, ErrorReplyHasNoBody) {
@@ -88,7 +94,7 @@ TEST(RpcMessageTest, VariableCredLengthsShiftBodyOffset) {
 // A call whose credential is AUTH_SYS around `body`, a hand-built opaque.
 Bytes CallWithAuthSysBody(const Bytes& body) {
   XdrEncoder cred;
-  cred.PutEnum(static_cast<uint32_t>(RpcAuthFlavor::kSys));
+  cred.PutUint32(static_cast<uint32_t>(RpcAuthFlavor::kSys));
   cred.PutOpaqueVar(body);
   XdrEncoder enc;
   EncodeCallHeader(enc, 5, kTestProg, kTestVers, 1, cred.bytes());
@@ -197,7 +203,8 @@ TEST_F(RpcEndToEndTest, CallAndReply) {
                  got_status = st;
                  if (st.ok()) {
                    XdrDecoder dec(reply.body);
-                   got_value = dec.GetUint32().value();
+                   XdrField(dec, got_value);
+                   EXPECT_TRUE(dec.ok());
                  }
                });
   queue_.RunUntilIdle();
@@ -366,7 +373,8 @@ TEST_F(RpcEndToEndTest, ConcurrentCallsMatchByXid) {
                  [&results, i](Status st, const RpcMessageView& reply) {
                    ASSERT_TRUE(st.ok());
                    XdrDecoder dec(reply.body);
-                   results[i] = dec.GetUint32().value();
+                   XdrField(dec, results[i]);
+                   EXPECT_TRUE(dec.ok());
                  });
   }
   queue_.RunUntilIdle();

@@ -10,20 +10,25 @@ namespace {
 TEST(XdrTest, ScalarRoundTrip) {
   XdrEncoder enc;
   enc.PutUint32(0xdeadbeef);
-  enc.PutInt32(-5);
   enc.PutUint64(0x0123456789abcdefull);
-  enc.PutInt64(-123456789012345ll);
   enc.PutBool(true);
   enc.PutBool(false);
 
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.GetUint32().value(), 0xdeadbeefu);
-  EXPECT_EQ(dec.GetInt32().value(), -5);
-  EXPECT_EQ(dec.GetUint64().value(), 0x0123456789abcdefull);
-  EXPECT_EQ(dec.GetInt64().value(), -123456789012345ll);
-  EXPECT_TRUE(dec.GetBool().value());
-  EXPECT_FALSE(dec.GetBool().value());
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  bool yes = false;
+  bool no = true;
+  XdrField(dec, u32);
+  XdrField(dec, u64);
+  XdrField(dec, yes);
+  XdrField(dec, no);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0123456789abcdefull);
+  EXPECT_TRUE(yes);
+  EXPECT_FALSE(no);
   EXPECT_TRUE(dec.exhausted());
+  EXPECT_TRUE(dec.ok());
 }
 
 TEST(XdrTest, BigEndianWire) {
@@ -41,7 +46,9 @@ TEST(XdrTest, StringPadding) {
   EXPECT_EQ(enc.bytes()[4 + 5], 0);
 
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.GetString().value(), "abcde");
+  std::string out;
+  XdrField(dec, out, 255);
+  EXPECT_EQ(out, "abcde");
   EXPECT_TRUE(dec.exhausted());
 }
 
@@ -50,18 +57,17 @@ TEST(XdrTest, EmptyString) {
   enc.PutString("");
   EXPECT_EQ(enc.size(), 4u);
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.GetString().value(), "");
+  std::string out = "stale";
+  XdrField(dec, out, 255);
+  EXPECT_TRUE(dec.ok());
+  EXPECT_EQ(out, "");
 }
 
 TEST(XdrTest, OpaqueFixedAlignment) {
   XdrEncoder enc;
   const uint8_t data[] = {1, 2, 3};
   enc.PutOpaqueFixed(ByteSpan(data, 3));
-  EXPECT_EQ(enc.size(), 4u);
-  XdrDecoder dec(enc.bytes());
-  Bytes out = dec.GetOpaqueFixed(3).value();
-  EXPECT_EQ(out, Bytes({1, 2, 3}));
-  EXPECT_TRUE(dec.exhausted());
+  EXPECT_EQ(enc.bytes(), Bytes({1, 2, 3, 0}));
 }
 
 TEST(XdrTest, OpaqueVarRoundTrip) {
@@ -75,7 +81,11 @@ TEST(XdrTest, OpaqueVarRoundTrip) {
     enc.PutOpaqueVar(data);
     EXPECT_EQ(enc.size() % 4, 0u);
     XdrDecoder dec(enc.bytes());
-    EXPECT_EQ(dec.GetOpaqueVar().value(), data);
+    Bytes out;
+    XdrField(dec, out, 1000);
+    EXPECT_TRUE(dec.ok());
+    EXPECT_TRUE(dec.exhausted());
+    EXPECT_EQ(out, data);
   }
 }
 
@@ -83,32 +93,55 @@ TEST(XdrTest, ShortBufferIsCorrupt) {
   XdrEncoder enc;
   enc.PutUint32(7);
   XdrDecoder dec(enc.bytes());
-  EXPECT_TRUE(dec.GetUint64().status().code() == StatusCode::kCorrupt);
+  uint64_t v = 9;
+  XdrField(dec, v);
+  EXPECT_EQ(v, 9u);
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(XdrTest, OversizeOpaqueRejected) {
   XdrEncoder enc;
   enc.PutUint32(1 << 30);  // absurd length word
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.GetOpaqueVar().status().code(), StatusCode::kCorrupt);
+  Bytes out;
+  XdrField(dec, out, 1 << 22);
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(XdrTest, BadBoolRejected) {
   XdrEncoder enc;
   enc.PutUint32(2);
   XdrDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.GetBool().status().code(), StatusCode::kCorrupt);
+  bool v = false;
+  XdrField(dec, v);
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(XdrTest, RawViewZeroCopy) {
   XdrEncoder enc;
-  enc.PutUint32(0x11223344);
-  enc.PutUint32(0x55667788);
+  const uint8_t data[] = {1, 2, 3, 4, 5};
+  enc.PutOpaqueVar(ByteSpan(data, 5));
   XdrDecoder dec(enc.bytes());
-  ByteSpan view = dec.GetRawView(8).value();
-  EXPECT_EQ(view.size(), 8u);
-  EXPECT_EQ(view.data(), enc.bytes().data());
-  EXPECT_TRUE(dec.exhausted());
+  ByteSpan view;
+  XdrField(dec, view, 8);
+  EXPECT_EQ(view.size(), 5u);
+  EXPECT_EQ(view.data(), enc.bytes().data() + 4);  // past the length word
+  EXPECT_TRUE(dec.exhausted());                     // padding read too
+}
+
+TEST(XdrTest, FirstFailureSticks) {
+  XdrEncoder enc;
+  enc.PutUint32(7);  // not a bool
+  enc.PutUint32(8);
+  XdrDecoder dec(enc.bytes());
+  bool flag = false;
+  uint32_t next = 0;
+  XdrField(dec, flag);
+  XdrField(dec, next);  // a word is there, but the decode has failed
+  EXPECT_EQ(next, 0u);
+  EXPECT_EQ(dec.position(), 4u);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().message(), "xdr: bad bool");
 }
 
 TEST(XdrTest, PositionTracking) {
@@ -117,7 +150,9 @@ TEST(XdrTest, PositionTracking) {
   enc.PutUint64(2);
   XdrDecoder dec(enc.bytes());
   EXPECT_EQ(dec.position(), 0u);
-  ASSERT_TRUE(dec.GetUint32().ok());
+  uint32_t v = 0;
+  XdrField(dec, v);
+  ASSERT_TRUE(dec.ok());
   EXPECT_EQ(dec.position(), 4u);
   EXPECT_EQ(dec.remaining(), 8u);
 }
@@ -161,13 +196,20 @@ TEST(XdrTest, PropertyRandomRoundTrip) {
     size_t si = 0;
     for (int kind : kinds) {
       if (kind == 0) {
-        EXPECT_EQ(dec.GetUint32().value(), static_cast<uint32_t>(ints[ii++]));
+        uint32_t v = 0;
+        XdrField(dec, v);
+        EXPECT_EQ(v, static_cast<uint32_t>(ints[ii++]));
       } else if (kind == 1) {
-        EXPECT_EQ(dec.GetUint64().value(), ints[ii++]);
+        uint64_t v = 0;
+        XdrField(dec, v);
+        EXPECT_EQ(v, ints[ii++]);
       } else {
-        EXPECT_EQ(dec.GetString().value(), strs[si++]);
+        std::string v;
+        XdrField(dec, v, 40);
+        EXPECT_EQ(v, strs[si++]);
       }
     }
+    EXPECT_TRUE(dec.ok());
     EXPECT_TRUE(dec.exhausted());
   }
 }
