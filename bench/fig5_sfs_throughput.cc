@@ -38,7 +38,10 @@
 // per-line points (offered, delivered, mean, p50/p95/p99 ms), the <40ms
 // saturation per line, and — when --metrics ran — ensemble-wide counter
 // totals from the metered run (under --proxy-cache these include the
-// in-proxy cache hit counters and the reduced dir-tier op counts).
+// in-proxy cache hit counters and the reduced dir-tier op counts). The full
+// sweep also writes its shape claims (bench/shape_claims.h): it exits
+// nonzero when saturation does not grow with storage nodes, and lists
+// "Slice-1 > NFS baseline" as expected-false, with the measured saturations.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "bench/sfs_harness.h"
+#include "bench/shape_claims.h"
 #include "src/common/hash.h"
 #include "src/core/uproxy.h"
 #include "src/net/network.h"
@@ -148,7 +152,8 @@ struct BenchLine {
   std::vector<SfsPoint> points;
 };
 
-// Returns false when an artifact could not be written.
+// Returns false when an artifact could not be written or a shape claim the
+// reproduction stands behind fails.
 bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char* flight_path,
              const char* profile_path, uint32_t tenants) {
   std::printf("Figure 5: SFS97-like delivered throughput (IOPS) vs offered load%s%s\n\n",
@@ -194,6 +199,8 @@ bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     });
   };
   double s2 = 0;
+  std::vector<ShapeClaim> claims;  // full sweep only
+  bool stood_behind_hold = true;
   if (smoke) {
     s2 = slice_line("Slice-2", 2);
     std::printf("\nsaturation ratio vs baseline: Slice-2 %.1fx\n", s2 / base);
@@ -205,13 +212,20 @@ bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     std::printf("\nsaturation ratios vs baseline (paper: Slice-8/NFS = 6600/850 = 7.8x):\n");
     std::printf("  Slice-1 %.1fx  Slice-2 %.1fx  Slice-4 %.1fx  Slice-8 %.1fx\n", s1 / base,
                 s2 / base, s4 / base, s8 / base);
-    auto verdict = [](bool holds) { return holds ? "holds" : "fails"; };
-    std::printf("shape checks:\n");
-    std::printf("  saturation grows with storage nodes (%.0f < %.0f < %.0f < %.0f): %s\n", s1, s2,
-                s4, s8, verdict(s1 < s2 && s2 < s4 && s4 < s8));
-    std::printf("  Slice-1 > NFS baseline (%.0f vs %.0f): %s — a known deviation at this\n"
-                "    scale, see EXPERIMENTS.md, Figure 5, \"Known deviations\"\n",
-                s1, base, verdict(s1 > base));
+    char slice1_below_nfs[320];
+    std::snprintf(slice1_below_nfs, sizeof(slice1_below_nfs),
+                  "Slice-1 saturates at %.0f IOPS and the NFS baseline at %.0f: at this scale "
+                  "Slice-1's I/O takes an extra network hop (client, small-file server, storage "
+                  "array), while the paper's Slice-1 won on 1 GB of small-file cache against "
+                  "the baseline's 256 MB",
+                  s1, base);
+    claims = {
+        {"saturation_grows_with_storage_nodes", s1 < s2 && s2 < s4 && s4 < s8, ""},
+        {"slice1_above_nfs_baseline", s1 > base, slice1_below_nfs},
+    };
+    std::printf("shape checks (saturation NFS %.0f, Slice-1/2/4/8 %.0f/%.0f/%.0f/%.0f):\n", base,
+                s1, s2, s4, s8);
+    stood_behind_hold = PrintShapeClaims(claims);
     std::printf("every Slice line serves one unified volume (no volume partitioning).\n");
   }
 
@@ -337,6 +351,9 @@ bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     w.EndObject();
   }
   w.EndArray();
+  if (!claims.empty()) {
+    WriteShapeClaims(w, claims);
+  }
   if (!counter_totals.empty()) {
     w.Key("metrics_counter_totals").BeginObject();
     for (const auto& [name, value] : counter_totals) {
@@ -364,7 +381,7 @@ bool RunFig5(bool smoke, bool proxy_cache, const char* metrics_path, const char*
     return false;
   }
   std::printf("wrote %s\n", bench_file.c_str());
-  return true;
+  return stood_behind_hold;
 }
 
 }  // namespace

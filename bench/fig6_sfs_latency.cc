@@ -56,8 +56,9 @@ bool RunFig6(bool smoke) {
     lines.push_back(std::move(line));
   };
 
-  std::printf("%-10s  (delivered IOPS, mean latency) per offered point %s\n", "line",
-              smoke ? "[400, 800]" : "[400..9600]");
+  std::printf(smoke ? "%-10s  (delivered IOPS, mean latency) per offered point [%.0f, %.0f]\n"
+                    : "%-10s  (delivered IOPS, mean latency) per offered point [%.0f..%.0f]\n",
+              "line", offered_loads.front(), offered_loads.back());
   run_line("NFS", [](double o) { return RunBaselinePoint(o); });
   if (smoke) {
     run_line("Slice-2", [](double o) { return RunSlicePoint(2, o).point; });

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/shape_claims.h"
 #include "src/obs/json.h"
 #include "src/slice/ensemble.h"
 #include "src/workload/seqio.h"
@@ -114,15 +115,6 @@ RunResult RunStreams(bool write, bool mirrored, int num_clients, uint64_t bytes_
   return result;
 }
 
-// One of the paper's shape claims, checked against the measured rows.
-struct ShapeClaim {
-  const char* key;
-  bool holds;
-  // Why the reproduction does not stand behind the claim; null when it
-  // does, and then a false claim fails the run.
-  const char* expected_false_because;
-};
-
 // Returns false when BENCH_table2.json could not be written or a claim the
 // reproduction stands behind fails.
 bool RunTable2() {
@@ -174,10 +166,9 @@ bool RunTable2() {
   const double read1 = mb[0], write1 = mb[1], read_mirror1 = mb[2];
   const double read8 = mb[4], write8 = mb[5], read_mirror8 = mb[6], write_mirror8 = mb[7];
   const ShapeClaim claims[] = {
-      {"single_client_write_near_40_mb_per_sec", std::abs(write1 - 40.0) <= 4.0, nullptr},
-      {"reads_beat_writes_per_client", read1 > write1, nullptr},
-      {"saturation_at_least_4x_single_client", read8 >= 4 * read1 && write8 >= 4 * write1,
-       nullptr},
+      {"single_client_write_near_40_mb_per_sec", std::abs(write1 - 40.0) <= 4.0, ""},
+      {"reads_beat_writes_per_client", read1 > write1, ""},
+      {"saturation_at_least_4x_single_client", read8 >= 4 * read1 && write8 >= 4 * write1, ""},
       {"mirrored_saturation_at_most_0_6x_plain",
        read_mirror8 <= 0.6 * read8 && write_mirror8 <= 0.6 * write8,
        "mirrored 8-client saturation lands within 4% of the paper's, but plain 8-client "
@@ -186,31 +177,13 @@ bool RunTable2() {
        "with one client the storage arms have the headroom to absorb the prefetch that "
        "alternating mirrored reads waste; the penalty appears at saturation"},
   };
-  bool stood_behind_hold = true;
-  w.Key("shape").BeginObject();
-  for (const ShapeClaim& claim : claims) {
-    w.Key(claim.key).Bool(claim.holds);
-  }
-  w.EndObject();
-  w.Key("shape_expected_false").BeginObject();
-  for (const ShapeClaim& claim : claims) {
-    if (claim.expected_false_because != nullptr) {
-      w.Key(claim.key).String(claim.expected_false_because);
-    }
-  }
-  w.EndObject();
+  WriteShapeClaims(w, claims);
   w.EndObject();
   if (!obs::WriteArtifact("BENCH_table2.json", w.str() + "\n")) {
     return false;
   }
   std::printf("wrote BENCH_table2.json\n\nshape checks:\n");
-  for (const ShapeClaim& claim : claims) {
-    const bool stood_behind = claim.expected_false_because == nullptr;
-    std::printf("  %s: %s%s\n", claim.key, claim.holds ? "holds" : "fails",
-                stood_behind ? "" : " (expected false, see shape_expected_false)");
-    stood_behind_hold = stood_behind_hold && (claim.holds || !stood_behind);
-  }
-  return stood_behind_hold;
+  return PrintShapeClaims(claims);
 }
 
 }  // namespace

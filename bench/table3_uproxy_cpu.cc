@@ -289,7 +289,8 @@ BENCHMARK(BM_Total_RequestPath);
 // flat-index duplicate-request cache, cache-hit read gathered as views of the
 // store's pages, ReadRes encoded from those views straight into a pooled
 // reply frame, the envelope filled in place (SealReplyFrame), and the DRC
-// reply ring recording the sealed message. The frame then goes back to the
+// reply ring recording the sealed message with its data's pages pinned
+// rather than copied. The frame then goes back to the
 // pool, where the live server's packet would return it after delivery. In
 // steady state none of it touches the heap — the same claim the full-path
 // alloc test pins against the real nodes; here we put a ns/pkt number on it.
@@ -304,10 +305,13 @@ struct ServerPathFixture {
   Fattr3 attr;
   // Per-request scratch, mirroring the node members it models.
   std::vector<ByteSpan> read_segments;
+  std::vector<PageId> read_pages;
   std::vector<PhysBlock> read_blocks;
   StoreReadExtent read_extent;
   Bytes reply_frame;  // the last reply, sealed
   ByteSpan reply_msg;  // its RPC message (what the DRC records)
+  ReplyPages reply_pages;  // its READ data's pages (what the DRC pins)
+  Bytes replay;  // a DRC hit's frame (the served keys are all new: never filled)
   uint32_t next_xid = 1;
   size_t next_wire = 0;
 
@@ -358,16 +362,18 @@ struct ServerPathFixture {
   }
 
   void DrcStage(const DrcKey& key) {
-    benchmark::DoNotOptimize(drc.FindReply(key));
+    benchmark::DoNotOptimize(drc.Replay(key, &replay));
     benchmark::DoNotOptimize(drc.InProgress(key));
     drc.BeginCall(key);
-    drc.CompleteCall(key, reply_msg);
+    drc.CompleteCall(key, reply_msg, reply_pages);
   }
 
   void ReadStage(const ReadArgs& args) {
     read_segments.clear();
+    read_pages.clear();
     read_blocks.clear();
-    read_extent = store.ReadGather(kObject, args.offset, args.count, &read_segments, &read_blocks);
+    read_extent = store.ReadGather(kObject, args.offset, args.count, &read_segments, &read_pages,
+                                   &read_blocks);
     for (PhysBlock b : read_blocks) {
       cache.Access(b);  // warm: every block is a hit
     }
@@ -385,6 +391,7 @@ struct ServerPathFixture {
     res.Encode(reply);
     reply_frame = reply.Take();
     reply_msg = SealReplyFrame(reply_frame, xid, RpcAcceptStat::kSuccess);
+    reply_pages = ReplyPages{&store.pages(), read_segments, read_pages};
   }
 
   // The whole dispatch: what one served READ costs the server in CPU.
@@ -397,12 +404,12 @@ struct ServerPathFixture {
     DecodeStage(wire, &msg, &args);
     const DrcKey key{(static_cast<uint64_t>(0x0a000901) << 16) | 800, msg.xid, msg.prog,
                      msg.vers, msg.proc};
-    benchmark::DoNotOptimize(drc.FindReply(key));
+    benchmark::DoNotOptimize(drc.Replay(key, &replay));
     benchmark::DoNotOptimize(drc.InProgress(key));
     drc.BeginCall(key);
     ReadStage(args);
     EncodeStage(xid);
-    drc.CompleteCall(key, reply_msg);
+    drc.CompleteCall(key, reply_msg, reply_pages);
   }
 };
 

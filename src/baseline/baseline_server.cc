@@ -13,6 +13,9 @@ BaselineServer::BaselineServer(Network& net, EventQueue& queue, NetAddr addr,
       disks_(params.num_disks, params.disk, params.channel_mb_per_s),
       write_verifier_(Fnv1a64(std::string_view("baseline")) ^ addr) {
   attrs_[kRootBaselineFileid] = NewAttr(kRootBaselineFileid, FileType3::kDir);
+  // Sized for the largest READ, so serving one never grows them.
+  read_segments_.reserve(MaxGatherPieces(kNfsMaxData));
+  read_pages_.reserve(MaxGatherPieces(kNfsMaxData));
 }
 
 FileHandle BaselineServer::RootHandle() const {
@@ -171,9 +174,10 @@ void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost
     return;
   }
   read_segments_.clear();
+  read_pages_.clear();
   io_blocks_.clear();
   const StoreReadExtent read = data_.ReadGather(args.file.fileid(), args.offset, args.count,
-                                                &read_segments_, &io_blocks_);
+                                                &read_segments_, &read_pages_, &io_blocks_);
   ChargeDisk(io_blocks_, /*write=*/false, cost);
   cost.AddCpu(static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));
   attr->atime = Now();
@@ -183,6 +187,7 @@ void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost
   res.eof = args.offset + res.count >= attr->size;
   res.data = read_segments_;
   res.Encode(reply);
+  PinReplyData(data_.pages(), read_segments_, read_pages_);
 }
 
 void BaselineServer::DoWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {

@@ -49,6 +49,7 @@ class BaselineServer : public RpcServerNode {
 
   FileHandle RootHandle() const;
   size_t file_count() const { return attrs_.size(); }
+  const ObjectStore& store() const { return data_; }
   const BlockCache& cache() const { return cache_; }
 
  protected:
@@ -104,9 +105,10 @@ class BaselineServer : public RpcServerNode {
   Rng rng_{0xba5e};
   double meta_debt_ = 0.0;
   // Per-request scratch (capacities reused): the READ payload as views of
-  // the store's pages, and the physical blocks a READ, WRITE or COMMIT
-  // touches.
+  // the store's pages and the pages they lie in, and the physical blocks a
+  // READ, WRITE or COMMIT touches.
   std::vector<ByteSpan> read_segments_;
+  std::vector<PageId> read_pages_;
   std::vector<PhysBlock> io_blocks_;
 };
 

@@ -2,10 +2,109 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "src/common/logging.h"
 
 namespace slice {
+
+bool DuplicateRequestCache::Replay(const DrcKey& key, Bytes* frame) const {
+  const uint32_t* slot = index_.Find(key);
+  if (slot == nullptr || *slot == kInProgress) {
+    return false;
+  }
+  const Entry& e = ring_[*slot];
+  const uint32_t count = PieceCount(e);
+  const size_t head = e.wire.size() - sizeof(count) - count * sizeof(Piece);
+  size_t data = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    data += PieceAt(e, count, i).length;
+  }
+  *frame = Packet::AcquireFrame(head + data + XdrPad(data));
+  uint8_t* out = std::copy_n(e.wire.data(), head, frame->data() + kPacketHeaderSize);
+  for (uint32_t i = 0; i < count; ++i) {
+    const Piece piece = PieceAt(e, count, i);
+    out = std::copy_n(piece.bytes, piece.length, out);
+  }
+  std::fill_n(out, XdrPad(data), 0);
+  return true;
+}
+
+void DuplicateRequestCache::CompleteCall(const DrcKey& key, ByteSpan message,
+                                         const ReplyPages& data) {
+  index_.Erase(key);  // clear the in-progress marker
+  Entry& e = ring_[head_];
+  if (count_ == ring_.size()) {
+    index_.Erase(e.key);  // FIFO eviction of the oldest entry
+    Unpin(e);
+  } else {
+    ++count_;
+  }
+  e.key = key;
+  size_t length = 0;
+  for (ByteSpan segment : data.segments) {
+    length += segment.size();
+  }
+  SLICE_CHECK(data.pages.size() == data.segments.size() &&
+              message.size() >= length + XdrPad(length));
+  const size_t head = message.size() - length - XdrPad(length);
+  const auto count = static_cast<uint32_t>(data.segments.size());
+  e.wire.clear();
+  e.wire.reserve(head + count * sizeof(Piece) + sizeof(count));
+  e.wire.insert(e.wire.end(), message.begin(), message.begin() + static_cast<ptrdiff_t>(head));
+  if (count > 0) {
+    SLICE_CHECK(slab_ == nullptr || slab_ == data.slab);
+    slab_ = data.slab;
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    const Piece piece{data.segments[i].data(), static_cast<uint32_t>(data.segments[i].size()),
+                      data.pages[i]};
+    if (piece.page != kNoPage) {
+      slab_->Ref(piece.page);
+    }
+    const auto* raw = reinterpret_cast<const uint8_t*>(&piece);
+    e.wire.insert(e.wire.end(), raw, raw + sizeof(piece));
+  }
+  const auto* raw = reinterpret_cast<const uint8_t*>(&count);
+  e.wire.insert(e.wire.end(), raw, raw + sizeof(count));
+  *index_.Insert(key).first = static_cast<uint32_t>(head_);
+  head_ = (head_ + 1) % ring_.size();
+}
+
+void DuplicateRequestCache::Clear() {
+  index_.Clear();
+  for (Entry& e : ring_) {
+    Unpin(e);
+  }
+  head_ = 0;
+  count_ = 0;
+}
+
+uint32_t DuplicateRequestCache::PieceCount(const Entry& e) {
+  uint32_t count = 0;
+  if (!e.wire.empty()) {
+    std::memcpy(&count, e.wire.data() + e.wire.size() - sizeof(count), sizeof(count));
+  }
+  return count;
+}
+
+DuplicateRequestCache::Piece DuplicateRequestCache::PieceAt(const Entry& e, uint32_t count,
+                                                            uint32_t i) {
+  Piece piece;
+  std::memcpy(&piece, e.wire.data() + e.wire.size() - sizeof(count) - (count - i) * sizeof(Piece),
+              sizeof(Piece));
+  return piece;
+}
+
+void DuplicateRequestCache::Unpin(Entry& e) {
+  const uint32_t count = PieceCount(e);
+  for (uint32_t i = 0; i < count; ++i) {
+    if (const PageId page = PieceAt(e, count, i).page; page != kNoPage) {
+      slab_->Unref(page);
+    }
+  }
+  e.wire.clear();  // keeps its capacity for reuse
+}
 
 RpcServerNode::RpcServerNode(Network& net, EventQueue& queue, NetAddr addr, NetPort port,
                              uint32_t prog, uint32_t vers, RpcServerParams params,
@@ -97,9 +196,9 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
   const DrcKey key{(static_cast<uint64_t>(client.addr) << 16) | client.port, decoded->xid,
                    decoded->prog, decoded->vers, decoded->proc};
 
-  if (const Bytes* cached = drc_.FindReply(key)) {
+  if (Bytes replay; drc_.Replay(key, &replay)) {
     ++duplicates_answered_;
-    Packet out = Packet::MakeUdp(endpoint(), client, *cached);
+    Packet out = Packet::MakeUdpFramed(endpoint(), client, std::move(replay));
     if (tracer_ != nullptr && trace.valid()) {
       tracer_->RecordInstant(addr(), trace, "drc_replay", queue_.now());
       out.AttachTrace(trace.trace_id, trace.span_id);
@@ -140,7 +239,9 @@ void RpcServerNode::OnPacket(Packet&& pkt) {
 void RpcServerNode::SendReply(const DrcKey& key, const Endpoint& client,
                               const obs::TraceContext& trace, RpcAcceptStat stat,
                               Bytes&& frame, const ServiceCost& cost) {
-  drc_.CompleteCall(key, SealReplyFrame(frame, key.xid, stat));
+  drc_.CompleteCall(key, SealReplyFrame(frame, key.xid, stat),
+                    stat == RpcAcceptStat::kSuccess ? reply_pages_ : ReplyPages{});
+  reply_pages_ = {};
   ++requests_served_;
 
   const SimTime ready_at = queue_.now();

@@ -2,24 +2,29 @@
 // dispatches to a subclass handler, charges simulated service time (CPU +
 // any disk completions the handler reports), and replies.
 //
-// Includes a duplicate-request cache so retransmitted non-idempotent calls
-// (create, remove, rename...) return the original reply instead of
-// re-executing — standard NFS/UDP server behavior that the loss-injection
-// tests depend on.
+// Includes a duplicate-request cache (DRC) that answers a retransmitted call
+// by replaying its first reply instead of re-executing it: standard NFS/UDP
+// server behavior for non-idempotent calls (create, remove, rename...), which
+// the loss-injection tests depend on. Every reply is replayed, READs
+// included, so a retransmitted READ costs no disk time.
 //
 // Fast-path discipline (DESIGN.md §7.1): a handler encodes its result
 // straight into a pooled packet frame with the reply envelope reserved, the
 // envelope is filled in place and the frame itself becomes the reply packet;
-// the DRC is a fixed reply ring plus a flat open-addressing index that keeps
-// its own copy of each reply; the completion token is a concrete value (not
-// a std::function); and the deferred reply send waits in the network's
-// flight table — so a steady-state served request never touches the heap.
+// the DRC is a fixed reply ring plus a flat open-addressing index, and each
+// slot keeps one reused buffer with the reply's bytes, except that a READ's
+// data stays in the object store's pages, pinned, rather than copied; the
+// completion token is a concrete value (not a std::function); and the
+// deferred reply send waits in the network's flight table — so a
+// steady-state served request never touches the heap.
 #ifndef SLICE_RPC_RPC_SERVER_H_
 #define SLICE_RPC_RPC_SERVER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "src/common/page_slab.h"
 #include "src/core/pending_map.h"
 #include "src/net/host.h"
 #include "src/obs/eventlog.h"
@@ -75,27 +80,40 @@ struct DrcKeyHash {
   }
 };
 
+// Page data that ends a reply (before its XDR padding), held as views of
+// slab pages rather than as the reply's own bytes: segments[i] lies in
+// `slab`'s page pages[i] (kNoPage: zeros, nothing to pin). A null slab means
+// the reply has no such data.
+struct ReplyPages {
+  PageSlab* slab = nullptr;
+  std::span<const ByteSpan> segments;
+  std::span<const PageId> pages;
+};
+
 // Duplicate-request cache: a fixed FIFO ring of completed replies plus a
-// flat open-addressing index, replacing the unordered_map + deque +
-// unordered_set trio. In steady state a completing call reuses the evicted
-// ring slot's wire buffer and the flat index never allocates. Semantics are
-// unchanged: completed entries are evicted FIFO in completion order, an
-// evicted key that re-executes re-enters the FIFO as a fresh entry, and
-// calls still executing are marked in-progress so their duplicates can be
-// dropped.
+// flat open-addressing index. Completed entries are evicted FIFO in
+// completion order, an evicted key that re-executes re-enters the FIFO as a
+// fresh entry, and calls still executing are marked in-progress so their
+// duplicates can be dropped.
+//
+// Every entry has one shape, in its slot's one buffer, which keeps its
+// capacity when the slot is reused: the reply's bytes before any page data,
+// the pieces of that data as {bytes, length, page}, each page pinned
+// (PageSlab::Ref), and the number of pieces. Page data never changes while
+// pinned (the store copies a pinned page before writing it), so a replay
+// that gathers the bytes, the pieces and the XDR padding is byte-identical
+// to the first reply. Eviction and Clear() unpin; the destructor does not,
+// because a server's DRC outlives the store whose pages it pins (the store
+// is a member of the derived node) and the pages die with it.
 class DuplicateRequestCache {
  public:
   explicit DuplicateRequestCache(size_t capacity)
       : ring_(capacity > 0 ? capacity : 1), index_(2 * ring_.size()) {}
 
-  // The cached reply wire for `key`, or null (unknown, or still executing).
-  const Bytes* FindReply(const DrcKey& key) const {
-    const uint32_t* slot = index_.Find(key);
-    if (slot == nullptr || *slot == kInProgress) {
-      return nullptr;
-    }
-    return &ring_[*slot].wire;
-  }
+  // Gathers the cached reply for `key` into `*frame`, a pooled frame
+  // (Packet::AcquireFrame) whose payload is the reply. False when `key` is
+  // unknown or still executing.
+  bool Replay(const DrcKey& key, Bytes* frame) const;
 
   bool InProgress(const DrcKey& key) const {
     const uint32_t* slot = index_.Find(key);
@@ -106,27 +124,12 @@ class DuplicateRequestCache {
   // CompleteCall via InProgress().
   void BeginCall(const DrcKey& key) { *index_.Insert(key).first = kInProgress; }
 
-  // Records the encoded reply, evicting the oldest completed entry when the
-  // ring is full. The victim's wire buffer keeps its capacity.
-  void CompleteCall(const DrcKey& key, ByteSpan wire) {
-    index_.Erase(key);  // clear the in-progress marker
-    Entry& e = ring_[head_];
-    if (count_ == ring_.size()) {
-      index_.Erase(e.key);  // FIFO eviction of the oldest entry
-    } else {
-      ++count_;
-    }
-    e.key = key;
-    e.wire.assign(wire.begin(), wire.end());
-    *index_.Insert(key).first = static_cast<uint32_t>(head_);
-    head_ = (head_ + 1) % ring_.size();
-  }
+  // Records the sealed reply `message`, which ends with `data` and its XDR
+  // padding when `data.slab` is set, evicting the oldest completed entry
+  // when the ring is full.
+  void CompleteCall(const DrcKey& key, ByteSpan message, const ReplyPages& data = {});
 
-  void Clear() {
-    index_.Clear();
-    head_ = 0;
-    count_ = 0;  // ring buffers keep their capacity for reuse
-  }
+  void Clear();
 
   size_t size() const { return count_; }
 
@@ -134,12 +137,24 @@ class DuplicateRequestCache {
   // Ring capacities sit far below 2^32-1, so the top value is a free
   // in-progress sentinel in the slot index.
   static constexpr uint32_t kInProgress = 0xffffffffu;
+  // A pinned run of a reply's page data, stored as raw bytes in its entry's
+  // buffer.
+  struct Piece {
+    const uint8_t* bytes;
+    uint32_t length;
+    PageId page;
+  };
   struct Entry {
     DrcKey key{};
-    Bytes wire;
+    Bytes wire;  // reply bytes before the page data, the Pieces, their count
   };
+  static uint32_t PieceCount(const Entry& e);
+  static Piece PieceAt(const Entry& e, uint32_t count, uint32_t i);
+  void Unpin(Entry& e);
+
   std::vector<Entry> ring_;
   FlatMap<DrcKey, uint32_t, DrcKeyHash> index_;
+  PageSlab* slab_ = nullptr;  // the one slab every pinned page lives in
   size_t head_ = 0;
   size_t count_ = 0;
 };
@@ -254,15 +269,24 @@ class RpcServerNode {
   // Recovery hook; default does nothing.
   virtual void OnRestart() {}
 
+  // Called by a HandleCall whose reply ends with `segments` (then their XDR
+  // padding), views of `slab`'s pages `pages` (kNoPage for zeros). The DRC
+  // records the reply with those pages pinned instead of copying the data.
+  // A reply that is not a success pins nothing.
+  void PinReplyData(PageSlab& slab, std::span<const ByteSpan> segments,
+                    std::span<const PageId> pages) {
+    reply_pages_ = ReplyPages{&slab, segments, pages};
+  }
+
   // For subclasses that originate their own traffic (e.g. log writes).
   void SendPacket(Packet&& pkt) { host_->Send(std::move(pkt)); }
 
  private:
   void OnPacket(Packet&& pkt);
   // The single completion point: fills the envelope of the reply frame in
-  // place (SealReplyFrame), records the reply in the DRC, charges CPU/queue
-  // time, and sends the frame itself as the reply packet at the
-  // service-done instant.
+  // place (SealReplyFrame), records the reply in the DRC (with the page data
+  // PinReplyData named), charges CPU/queue time, and sends the frame itself
+  // as the reply packet at the service-done instant.
   void SendReply(const DrcKey& key, const Endpoint& client, const obs::TraceContext& trace,
                  RpcAcceptStat stat, Bytes&& frame, const ServiceCost& cost);
 
@@ -288,6 +312,7 @@ class RpcServerNode {
   std::vector<uint64_t> tenant_requests_;
 
   DuplicateRequestCache drc_;
+  ReplyPages reply_pages_;  // from PinReplyData, for the reply SendReply seals next
 };
 
 }  // namespace slice

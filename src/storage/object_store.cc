@@ -35,18 +35,6 @@ void ZeroAround(uint8_t* page, size_t within, size_t len) {
 
 }  // namespace
 
-PageId ObjectStore::PageSlab::Allocate() {
-  if (!free_.empty()) {
-    const PageId page = free_.back();
-    free_.pop_back();
-    return page;
-  }
-  if (next_ % kPagesPerChunk == 0) {
-    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(kPagesPerChunk * kStoreBlockSize));
-  }
-  return next_++;
-}
-
 ObjectStore::ObjectStore(uint64_t capacity_bytes)
     : capacity_blocks_(capacity_bytes / kStoreBlockSize),
       allocated_(capacity_blocks_, false) {}
@@ -78,7 +66,20 @@ void ObjectStore::Release(const StoreBlock& block) {
   SLICE_CHECK(block.phys < capacity_blocks_ && allocated_[block.phys]);
   allocated_[block.phys] = false;
   --used_blocks_;
-  pages_.Free(block.page);
+  pages_.Unref(block.page);
+}
+
+uint8_t* ObjectStore::Writable(PageId* page, size_t len) {
+  if (pages_.shared(*page)) {
+    const PageId copy = pages_.Allocate();
+    if (len < kStoreBlockSize) {
+      std::memcpy(pages_.data(copy), pages_.data(*page), kStoreBlockSize);
+    }
+    pages_.Unref(*page);
+    *page = copy;
+    ++cow_copies_;
+  }
+  return pages_.data(*page);
 }
 
 PhysBlock ObjectStore::HintFor(const Object& obj, std::vector<StoreBlock>::const_iterator pos,
@@ -110,12 +111,12 @@ Status ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data, bool stab
       if (blocks_written != nullptr) {
         blocks_written->push_back(it->phys);
       }
-      std::memcpy(pages_.data(it->page) + within, src, take);
+      std::memcpy(Writable(&it->page, take) + within, src, take);
       // If a dirty overlay exists for this block, the stable write supersedes
       // the overlapped range; fold the stable bytes into the overlay so reads
       // stay coherent.
-      if (const DirtyBlock* dirty = FindBlock(obj.dirty, block); dirty != nullptr) {
-        std::memcpy(pages_.data(dirty->page) + within, src, take);
+      if (DirtyBlock* dirty = FindBlock(obj.dirty, block); dirty != nullptr) {
+        std::memcpy(Writable(&dirty->page, take) + within, src, take);
       }
     } else {
       auto it = LowerBound(obj.dirty, block);
@@ -130,7 +131,7 @@ Status ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data, bool stab
         }
         it = obj.dirty.insert(it, DirtyBlock{block, page});
       }
-      std::memcpy(pages_.data(it->page) + within, src, take);
+      std::memcpy(Writable(&it->page, take) + within, src, take);
     }
     consumed += take;
   }
@@ -145,6 +146,7 @@ Status ObjectStore::Write(ObjectId id, uint64_t offset, ByteSpan data, bool stab
 
 StoreReadExtent ObjectStore::ReadGather(ObjectId id, uint64_t offset, uint32_t count,
                                         std::vector<ByteSpan>* segments,
+                                        std::vector<PageId>* pages,
                                         std::vector<PhysBlock>* blocks_read) const {
   const auto obj_it = objects_.find(id);
   if (obj_it == objects_.end()) {
@@ -174,14 +176,18 @@ StoreReadExtent ObjectStore::ReadGather(ObjectId id, uint64_t offset, uint32_t c
     while (stable != obj.blocks.end() && stable->block < block) {
       ++stable;
     }
-    const uint8_t* page = kZeroPage;
+    PageId page = kNoPage;
     if (dirty != obj.dirty.end() && dirty->block == block) {
-      page = pages_.data(dirty->page);
+      page = dirty->page;
     } else if (stable != obj.blocks.end() && stable->block == block) {
       blocks_read->push_back(stable->phys);
-      page = pages_.data(stable->page);
+      page = stable->page;
     }
-    segments->push_back(ByteSpan(page + within, take));
+    const uint8_t* bytes = page == kNoPage ? kZeroPage : pages_.data(page);
+    segments->push_back(ByteSpan(bytes + within, take));
+    if (pages != nullptr) {
+      pages->push_back(page);
+    }
     produced += take;
   }
   return {static_cast<uint32_t>(n), offset + n >= size};
@@ -190,7 +196,7 @@ StoreReadExtent ObjectStore::ReadGather(ObjectId id, uint64_t offset, uint32_t c
 StoreReadResult ObjectStore::Read(ObjectId id, uint64_t offset, uint32_t count) const {
   StoreReadResult result;
   std::vector<ByteSpan> segments;
-  result.eof = ReadGather(id, offset, count, &segments, &result.blocks_read).eof;
+  result.eof = ReadGather(id, offset, count, &segments, nullptr, &result.blocks_read).eof;
   for (ByteSpan segment : segments) {
     result.data.insert(result.data.end(), segment.begin(), segment.end());
   }
@@ -210,7 +216,7 @@ Status ObjectStore::Commit(ObjectId id, std::vector<PhysBlock>* written) {
     auto it = LowerBound(obj.blocks, dirty.block);
     if (it != obj.blocks.end() && it->block == dirty.block) {
       // Committed over: the dirty page becomes the stable one.
-      pages_.Free(it->page);
+      pages_.Unref(it->page);
       it->page = dirty.page;
     } else {
       Result<PhysBlock> phys = AllocBlock(HintFor(obj, it, dirty.block));
@@ -254,7 +260,7 @@ Status ObjectStore::Truncate(ObjectId id, uint64_t size) {
   obj.blocks.erase(stable_cut, obj.blocks.end());
   const auto dirty_cut = LowerBound(obj.dirty, keep);
   for (auto it = dirty_cut; it != obj.dirty.end(); ++it) {
-    pages_.Free(it->page);
+    pages_.Unref(it->page);
   }
   obj.dirty.erase(dirty_cut, obj.dirty.end());
   // Zero the tail of the boundary block so a later size extension exposes
@@ -262,11 +268,13 @@ Status ObjectStore::Truncate(ObjectId id, uint64_t size) {
   const size_t tail = size % kStoreBlockSize;
   if (tail != 0 && size < std::max(obj.size, obj.unstable_size)) {
     const BlockIndex boundary = size / kStoreBlockSize;
-    if (const StoreBlock* stable = FindBlock(obj.blocks, boundary); stable != nullptr) {
-      std::memset(pages_.data(stable->page) + tail, 0, kStoreBlockSize - tail);
+    if (StoreBlock* stable = FindBlock(obj.blocks, boundary); stable != nullptr) {
+      std::memset(Writable(&stable->page, kStoreBlockSize - tail) + tail, 0,
+                  kStoreBlockSize - tail);
     }
-    if (const DirtyBlock* dirty = FindBlock(obj.dirty, boundary); dirty != nullptr) {
-      std::memset(pages_.data(dirty->page) + tail, 0, kStoreBlockSize - tail);
+    if (DirtyBlock* dirty = FindBlock(obj.dirty, boundary); dirty != nullptr) {
+      std::memset(Writable(&dirty->page, kStoreBlockSize - tail) + tail, 0,
+                  kStoreBlockSize - tail);
     }
   }
   // setattr(size) is durable metadata: both shrink and extension survive a
@@ -285,7 +293,7 @@ Status ObjectStore::Remove(ObjectId id) {
     Release(block);
   }
   for (const DirtyBlock& dirty : obj_it->second.dirty) {
-    pages_.Free(dirty.page);
+    pages_.Unref(dirty.page);
   }
   objects_.erase(obj_it);
   return OkStatus();
@@ -295,7 +303,7 @@ void ObjectStore::CrashDiscardDirty() {
   for (auto& [id, obj] : objects_) {
     (void)id;
     for (const DirtyBlock& dirty : obj.dirty) {
-      pages_.Free(dirty.page);
+      pages_.Unref(dirty.page);
     }
     obj.dirty.clear();
     obj.unstable_size = obj.size;

@@ -10,37 +10,44 @@
 // Commit() pushes it to "disk" (the stable image); CrashDiscardDirty() models
 // a power failure, dropping uncommitted data exactly as a real server would.
 //
-// Block contents live in one slab of 8KB pages with a free list, so a freed
-// page is reused by the next allocation. Each object keeps two flat tables
-// sorted by logical block: the stable image as {logical, physical, page} and
-// the dirty overlay as {logical, page}. Commit moves a dirty page into its
-// stable entry instead of copying it, and reads hand out views of the pages.
+// Block contents live in one slab of 8KB pages with a free list
+// (src/common/page_slab.h), so a freed page is reused by the next
+// allocation. Each object keeps two flat tables sorted by logical block: the
+// stable image as {logical, physical, page} and the dirty overlay as
+// {logical, page}. Commit moves a dirty page into its stable entry instead of
+// copying it, and reads hand out views of the pages with the page each view
+// lies in, so a caller can pin a page (PageSlab::Ref) and keep its view past
+// later mutations: the duplicate-request cache replays READ replies from
+// pinned pages. A pinned page is never written in place; a stable write, an
+// unstable write into an existing overlay page, a stable write's fold into the
+// overlay and truncate's tail zeroing each write a copy instead
+// (copy-on-write). A freed pinned page returns to the slab with its last pin.
 //
 // Ownership: a table-entry pointer or span (BlocksFrom) is valid until the
 // next insert into or erase from that object's table; a page id, and a view
-// of its bytes (ReadGather), until its block is freed, truncated away or
-// committed over.
+// of its bytes (ReadGather), until its block is next written, freed,
+// truncated away or committed over, or, for a pinned page, until it is
+// unpinned.
 #ifndef SLICE_STORAGE_OBJECT_STORE_H_
 #define SLICE_STORAGE_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/page_slab.h"
 #include "src/common/status.h"
 
 namespace slice {
 
-constexpr size_t kStoreBlockSize = 8192;
+constexpr size_t kStoreBlockSize = kPageSize;
 
 using ObjectId = uint64_t;
 using BlockIndex = uint64_t;   // logical block within an object
 using PhysBlock = uint64_t;    // physical block within the node's disk space
-using PageId = uint32_t;       // a page of the store's slab
 
 // One block of an object's stable image.
 struct StoreBlock {
@@ -55,6 +62,10 @@ struct StoreReadExtent {
   uint32_t length = 0;
   bool eof = false;
 };
+
+// The most pieces ReadGather appends for a read of `count` bytes: one per
+// block the read touches.
+constexpr size_t MaxGatherPieces(uint64_t count) { return count / kStoreBlockSize + 2; }
 
 struct StoreReadResult {
   Bytes data;
@@ -79,10 +90,12 @@ class ObjectStore {
   // Reads up to `count` bytes at `offset`, merging the dirty overlay over
   // the stable image, without copying: the read's bytes are appended to
   // `segments` in order as views of the store's pages (holes as views of a
-  // shared zero page), and the stable blocks backing it to `blocks_read`.
-  // The storage node's READ path encodes the views straight into its reply.
+  // shared zero page), the page each view lies in to `pages` (when given;
+  // kNoPage for a hole), and the stable blocks backing it to `blocks_read`.
+  // The storage node's READ path encodes the views straight into its reply
+  // and pins the pages for its duplicate-request cache.
   StoreReadExtent ReadGather(ObjectId id, uint64_t offset, uint32_t count,
-                             std::vector<ByteSpan>* segments,
+                             std::vector<ByteSpan>* segments, std::vector<PageId>* pages,
                              std::vector<PhysBlock>* blocks_read) const;
   // ReadGather copied into one buffer.
   StoreReadResult Read(ObjectId id, uint64_t offset, uint32_t count) const;
@@ -101,6 +114,12 @@ class ObjectStore {
 
   // Models a crash: all dirty (uncommitted) data is lost.
   void CrashDiscardDirty();
+
+  // The slab the pages live in, for pinning the pages ReadGather reports.
+  PageSlab& pages() { return pages_; }
+  const PageSlab& pages() const { return pages_; }
+  // Pages copied because a write found them pinned.
+  uint64_t cow_copies() const { return cow_copies_; }
 
   bool Exists(ObjectId id) const { return objects_.contains(id); }
   Result<uint64_t> Size(ObjectId id) const;
@@ -133,27 +152,13 @@ class ObjectStore {
     std::vector<DirtyBlock> dirty;   // overlay, sorted by block
   };
 
-  // 8KB pages in fixed chunks that never move. Allocate() prefers the most
-  // recently freed page; a fresh page's contents are unspecified.
-  class PageSlab {
-   public:
-    PageId Allocate();
-    void Free(PageId page) { free_.push_back(page); }
-    uint8_t* data(PageId page) {
-      return chunks_[page / kPagesPerChunk].get() + (page % kPagesPerChunk) * kStoreBlockSize;
-    }
-    const uint8_t* data(PageId page) const { return const_cast<PageSlab*>(this)->data(page); }
-
-   private:
-    static constexpr PageId kPagesPerChunk = 64;
-    std::vector<std::unique_ptr<uint8_t[]>> chunks_;
-    std::vector<PageId> free_;
-    PageId next_ = 0;  // first page never handed out
-  };
-
   Result<PhysBlock> AllocBlock(PhysBlock hint);
   // Frees a stable block: its physical slot and its page.
   void Release(const StoreBlock& block);
+  // The bytes of `*page` for an in-place write of `len` bytes: a pinned page
+  // is first replaced by a copy of it (a fresh page when the write covers the
+  // whole page), so a pinned view never changes.
+  uint8_t* Writable(PageId* page, size_t len);
   // Contiguity hint for a new stable block inserted at `pos` in `obj`'s
   // table: one past the previous logical block's physical slot.
   PhysBlock HintFor(const Object& obj, std::vector<StoreBlock>::const_iterator pos,
@@ -164,6 +169,7 @@ class ObjectStore {
   PhysBlock alloc_cursor_ = 0;
   std::unordered_map<ObjectId, Object> objects_;
   PageSlab pages_;
+  uint64_t cow_copies_ = 0;
   std::vector<bool> allocated_;
 };
 

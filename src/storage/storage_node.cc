@@ -30,6 +30,9 @@ StorageNode::StorageNode(Network& net, EventQueue& queue, NetAddr addr,
       disks_(params.num_disks, params.disk, params.channel_mb_per_s),
       rng_(seed ^ addr),
       write_verifier_(rng_.NextU64()) {
+  // Sized for the largest READ, so serving one never grows them.
+  read_segments_.reserve(MaxGatherPieces(kNfsMaxData));
+  read_pages_.reserve(MaxGatherPieces(kNfsMaxData));
   // A pending-ready entry is only meaningful while its block is cached: if
   // capacity pressure evicts the block before its prefetch I/O lands, a
   // later re-fetch must charge fresh disk time, not inherit the stale ready
@@ -233,9 +236,10 @@ void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCos
   }
   const ObjectId id = ObjectIdFor(args.file);
   read_segments_.clear();
+  read_pages_.clear();
   io_blocks_.clear();
-  const StoreReadExtent read =
-      store_.ReadGather(id, args.offset, args.count, &read_segments_, &io_blocks_);
+  const StoreReadExtent read = store_.ReadGather(id, args.offset, args.count, &read_segments_,
+                                                 &read_pages_, &io_blocks_);
   cost.MergeCompletion(ChargeReads(io_blocks_));
   MaybePrefetch(id, args.offset, args.count);
   cost.AddCpu(FromMicros(params_.op_cpu_us) +
@@ -244,9 +248,11 @@ void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCos
   res.count = read.length;
   res.eof = read.eof;
   // Copy straight from the store's pages into the reply (no per-request
-  // buffer on the READ fast path).
+  // buffer on the READ fast path); the DRC pins the pages instead of copying
+  // the data again.
   res.data = read_segments_;
   res.Encode(reply);
+  PinReplyData(store_.pages(), read_segments_, read_pages_);
 }
 
 void StorageNode::HandleWrite(const WriteArgsView& args, XdrEncoder& reply, ServiceCost& cost) {

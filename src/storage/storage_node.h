@@ -119,9 +119,11 @@ class StorageNode : public RpcServerNode {
   // table is bounded by the cache size, not by an episodic clear.
   FlatU64Map<SimTime> pending_ready_;
   // Per-request scratch (capacities reused): the READ payload as views of
-  // the store's pages, the physical blocks a READ, WRITE or COMMIT touches,
-  // the miss list ChargeReads feeds to the disks, and the prefetch batch.
+  // the store's pages and the pages they lie in, the physical blocks a READ,
+  // WRITE or COMMIT touches, the miss list ChargeReads feeds to the disks,
+  // and the prefetch batch.
   std::vector<ByteSpan> read_segments_;
+  std::vector<PageId> read_pages_;
   std::vector<PhysBlock> io_blocks_;
   std::vector<PhysBlock> read_misses_;
   std::vector<PhysBlock> prefetch_batch_;

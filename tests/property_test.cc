@@ -52,6 +52,14 @@ uint64_t FoldBlocks(uint64_t hash, const std::vector<PhysBlock>& blocks) {
   return hash;
 }
 
+Bytes Join(const std::vector<ByteSpan>& segments) {
+  Bytes out;
+  for (ByteSpan segment : segments) {
+    out.insert(out.end(), segment.begin(), segment.end());
+  }
+  return out;
+}
+
 class ObjectStoreModelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
@@ -68,6 +76,25 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
   std::map<ObjectId, Ref> model;
   uint64_t placement = kFnvOffsetBasis;
   std::vector<PhysBlock> blocks;
+  // Random reads stay pinned for a while, as the duplicate-request cache
+  // pins a READ reply's pages; whatever the store does meanwhile, a pinned
+  // read keeps its bytes. A second generator picks the pinned reads and
+  // when they are unpinned, so the op sequence, and with it the placement
+  // hash, is the one without pins.
+  struct PinnedRead {
+    std::vector<ByteSpan> segments;
+    std::vector<PageId> pages;
+    Bytes snapshot;
+  };
+  std::vector<PinnedRead> pins;
+  Rng pin_rng(GetParam() ^ 0x5eed);
+  auto unpin = [&](const PinnedRead& read) {
+    for (PageId page : read.pages) {
+      if (page != kNoPage) {
+        store.pages().Unref(page);
+      }
+    }
+  };
 
   for (int step = 0; step < 400; ++step) {
     const ObjectId id = 1 + rng.NextBelow(4);
@@ -170,7 +197,40 @@ TEST_P(ObjectStoreModelTest, RandomOpsMatchReferenceModel) {
     }
     ASSERT_EQ(store.used_blocks(), used) << "step " << step;
     ASSERT_EQ(store.dirty_blocks(), dirty) << "step " << step;
+
+    for (const PinnedRead& read : pins) {
+      ASSERT_EQ(Join(read.segments), read.snapshot) << "step " << step;
+    }
+    if (pin_rng.NextBool(0.5)) {
+      const ObjectId pin_id = 1 + pin_rng.NextBelow(4);
+      const uint64_t offset = pin_rng.NextBelow(64 << 10);
+      PinnedRead read;
+      std::vector<PhysBlock> pin_blocks;
+      store.ReadGather(pin_id, offset, static_cast<uint32_t>(1 + pin_rng.NextBelow(16 << 10)),
+                       &read.segments, &read.pages, &pin_blocks);
+      for (PageId page : read.pages) {
+        if (page != kNoPage) {
+          store.pages().Ref(page);
+        }
+      }
+      read.snapshot = Join(read.segments);
+      pins.push_back(std::move(read));
+    }
+    while (!pins.empty() && pin_rng.NextBool(0.2)) {
+      const size_t victim = pin_rng.NextBelow(pins.size());
+      unpin(pins[victim]);
+      pins.erase(pins.begin() + static_cast<ptrdiff_t>(victim));
+    }
   }
+
+  // With every pin dropped, the slab holds exactly the store's pages, one
+  // reference each: no page leaked, none freed twice.
+  for (const PinnedRead& read : pins) {
+    unpin(read);
+  }
+  EXPECT_EQ(store.pages().live_pages(), store.used_blocks() + store.dirty_blocks());
+  EXPECT_EQ(store.pages().references(), store.used_blocks() + store.dirty_blocks());
+  EXPECT_GT(store.cow_copies(), 0u) << "no write found a pinned page";
 
   // The final block map over a window covering every offset the run wrote.
   for (ObjectId id = 1; id <= 4; ++id) {

@@ -208,6 +208,187 @@ TEST(ObjectStoreTest, ManyObjectsIndependent) {
   }
 }
 
+// --- pinned pages: every mutation path leaves a pinned view intact ---
+//
+// A pin is what the duplicate-request cache holds on a READ's pages
+// (PageSlab::Ref). Each test pins a read, runs one mutation, and checks
+// PinsHold: the pinned bytes did not change, the store reads the mutated
+// bytes, no later allocation hands a pinned page out while it is pinned, and
+// unpinning frees exactly the pages the store no longer names.
+
+// A ReadGather result with its pages pinned, and a copy of its bytes.
+struct PinnedRead {
+  std::vector<ByteSpan> segments;
+  std::vector<PageId> pages;
+  Bytes snapshot;
+};
+
+Bytes Join(const std::vector<ByteSpan>& segments) {
+  Bytes out;
+  for (ByteSpan segment : segments) {
+    out.insert(out.end(), segment.begin(), segment.end());
+  }
+  return out;
+}
+
+PinnedRead PinRead(ObjectStore& store, ObjectId id, uint64_t offset, uint32_t count) {
+  PinnedRead read;
+  std::vector<PhysBlock> blocks;
+  store.ReadGather(id, offset, count, &read.segments, &read.pages, &blocks);
+  for (PageId page : read.pages) {
+    if (page != kNoPage) {
+      store.pages().Ref(page);
+    }
+  }
+  read.snapshot = Join(read.segments);
+  return read;
+}
+
+void Unpin(ObjectStore& store, const PinnedRead& read) {
+  for (PageId page : read.pages) {
+    if (page != kNoPage) {
+      store.pages().Unref(page);
+    }
+  }
+}
+
+// The pages a read of object `id` gathers now.
+std::vector<PageId> PagesOf(const ObjectStore& store, ObjectId id, uint32_t count) {
+  std::vector<ByteSpan> segments;
+  std::vector<PageId> pages;
+  std::vector<PhysBlock> blocks;
+  store.ReadGather(id, 0, count, &segments, &pages, &blocks);
+  return pages;
+}
+
+// The store's own references: one per stable and per dirty block.
+uint64_t OwnedPages(const ObjectStore& store) {
+  return store.used_blocks() + store.dirty_blocks();
+}
+
+constexpr ObjectId kPinned = 1;
+constexpr ObjectId kFiller = 2;
+constexpr ObjectId kReuser = 3;
+
+// Checks a pinned read after a mutation that made the store drop (free or
+// copy away) its reference to every page the read pinned.
+void PinsHold(ObjectStore& store, const PinnedRead& read) {
+  EXPECT_EQ(Join(read.segments), read.snapshot);
+  const size_t pinned = read.pages.size();
+  EXPECT_EQ(store.pages().live_pages(), OwnedPages(store) + pinned);
+  // New data elsewhere gets fresh pages, never a pinned one.
+  ASSERT_TRUE(store.Write(kFiller, 0, Pattern(8 * kStoreBlockSize, 9), true).ok());
+  for (PageId page : PagesOf(store, kFiller, 8 * kStoreBlockSize)) {
+    EXPECT_EQ(std::count(read.pages.begin(), read.pages.end(), page), 0) << "page " << page;
+  }
+  EXPECT_EQ(Join(read.segments), read.snapshot);
+  // Unpinned, the pages are free: nothing leaked, nothing freed twice, and
+  // the next allocation takes the most recently unpinned page.
+  Unpin(store, read);
+  EXPECT_EQ(store.pages().live_pages(), OwnedPages(store));
+  EXPECT_EQ(store.pages().references(), OwnedPages(store));
+  ASSERT_TRUE(store.Write(kReuser, 0, Pattern(100), true).ok());
+  EXPECT_EQ(PagesOf(store, kReuser, 100), std::vector<PageId>{read.pages.back()});
+}
+
+TEST(ObjectStorePinTest, StableWriteCopiesAPinnedPage) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), true).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, kStoreBlockSize);
+  ASSERT_TRUE(store.Write(kPinned, 100, Bytes(50, 0xee), true).ok());
+  EXPECT_EQ(store.cow_copies(), 1u);
+  Bytes expect = Pattern(kStoreBlockSize, 1);
+  std::fill_n(expect.begin() + 100, 50, 0xee);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, expect);
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, UnstableWriteCopiesAPinnedOverlayPage) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), false).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, kStoreBlockSize);
+  ASSERT_TRUE(store.Write(kPinned, 100, Bytes(50, 0xee), false).ok());
+  EXPECT_EQ(store.cow_copies(), 1u);
+  EXPECT_EQ(store.dirty_blocks(), 1u);
+  Bytes expect = Pattern(kStoreBlockSize, 1);
+  std::fill_n(expect.begin() + 100, 50, 0xee);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, expect);
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, StableWriteFoldCopiesAPinnedOverlayPage) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), true).ok());
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 2), false).ok());
+  // Reads prefer the overlay, so the pin is on the overlay page.
+  const PinnedRead read = PinRead(store, kPinned, 0, kStoreBlockSize);
+  ASSERT_EQ(read.snapshot, Pattern(kStoreBlockSize, 2));
+  ASSERT_TRUE(store.Write(kPinned, 100, Bytes(50, 0xee), true).ok());
+  EXPECT_EQ(store.cow_copies(), 1u) << "only the pinned overlay page is copied";
+  Bytes expect = Pattern(kStoreBlockSize, 2);
+  std::fill_n(expect.begin() + 100, 50, 0xee);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, expect);
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, CommitOverAPinnedStablePageFreesItOnUnpin) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), true).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, kStoreBlockSize);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 2), false).ok());
+  ASSERT_TRUE(store.Commit(kPinned).ok());
+  EXPECT_EQ(store.cow_copies(), 0u);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, Pattern(kStoreBlockSize, 2));
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, TruncateCopiesAPinnedTailPageAndKeepsCutPages) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(2 * kStoreBlockSize, 1), true).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, 2 * kStoreBlockSize);
+  ASSERT_EQ(read.pages.size(), 2u);
+  // Block 1 is cut away; block 0's tail past byte 100 is zeroed.
+  ASSERT_TRUE(store.Truncate(kPinned, 100).ok());
+  EXPECT_EQ(store.cow_copies(), 1u);
+  ASSERT_TRUE(store.Truncate(kPinned, kStoreBlockSize).ok());
+  Bytes expect = Pattern(kStoreBlockSize, 1);
+  std::fill(expect.begin() + 100, expect.end(), 0);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, expect);
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, RemoveKeepsPinnedPages) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(2 * kStoreBlockSize, 1), true).ok());
+  ASSERT_TRUE(store.Write(kPinned, 2 * kStoreBlockSize, Pattern(100, 2), false).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, 2 * kStoreBlockSize + 100);
+  ASSERT_EQ(read.pages.size(), 3u);
+  ASSERT_TRUE(store.Remove(kPinned).ok());
+  EXPECT_EQ(store.used_blocks(), 0u);
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, CrashDiscardKeepsPinnedOverlayPages) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), true).ok());
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 2), false).ok());
+  const PinnedRead read = PinRead(store, kPinned, 0, kStoreBlockSize);
+  store.CrashDiscardDirty();
+  EXPECT_EQ(store.dirty_blocks(), 0u);
+  EXPECT_EQ(store.Read(kPinned, 0, kStoreBlockSize).data, Pattern(kStoreBlockSize, 1));
+  PinsHold(store, read);
+}
+
+TEST(ObjectStorePinTest, UnpinnedPagesAreWrittenInPlace) {
+  ObjectStore store(1 << 20);
+  ASSERT_TRUE(store.Write(kPinned, 0, Pattern(kStoreBlockSize, 1), false).ok());
+  ASSERT_TRUE(store.Write(kPinned, 100, Bytes(50, 0xee), false).ok());
+  ASSERT_TRUE(store.Write(kPinned, 100, Bytes(50, 0xdd), true).ok());
+  ASSERT_TRUE(store.Truncate(kPinned, 100).ok());
+  EXPECT_EQ(store.cow_copies(), 0u);
+  EXPECT_EQ(store.pages().live_pages(), OwnedPages(store));
+}
+
 TEST(BlockCacheTest, HitAfterInsert) {
   BlockCache cache(10 * kStoreBlockSize);
   EXPECT_FALSE(cache.Access(1));  // miss inserts
