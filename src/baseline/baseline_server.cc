@@ -176,7 +176,9 @@ void BaselineServer::DoRead(const ReadArgs& args, XdrEncoder& reply, ServiceCost
   read_segments_.clear();
   read_pages_.clear();
   io_blocks_.clear();
-  const StoreReadExtent read = data_.ReadGather(args.file.fileid(), args.offset, args.count,
+  // Past kNfsMaxData (ReadRes's decode bound), the reply is a short read.
+  const auto count = static_cast<uint32_t>(std::min<size_t>(args.count, kNfsMaxData));
+  const StoreReadExtent read = data_.ReadGather(args.file.fileid(), args.offset, count,
                                                 &read_segments_, &read_pages_, &io_blocks_);
   ChargeDisk(io_blocks_, /*write=*/false, cost);
   cost.AddCpu(static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "src/common/logging.h"
 
@@ -251,76 +252,53 @@ void Network::Transmit(Packet&& pkt) {
 
   // Receiver-side serialization is applied at arrival time; until then the
   // packet waits in the flight table.
-  Flight f;
-  f.due = arrival;
-  f.stage = FlightStage::kArrive;
+  Flight& f = PushFlight(FlightStage::kArrive, arrival, std::move(pkt));
   f.wire = wire;
   f.ctx = ctx;
-  f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
 }
 
-void Network::PushFlight(Flight&& f) {
-  if (f.due < queue_.now()) {
-    f.due = queue_.now();  // the queue clamps the same way; RunFlight checks it
+Network::Flight& Network::PushFlight(FlightStage stage, SimTime due, Packet&& pkt,
+                                     EventQueue::OwnerId owner) {
+  if (due < queue_.now()) {
+    due = queue_.now();  // the queue clamps the same way; RunFlight checks it
   }
-  const SimTime due = f.due;
   uint32_t slot = free_head_;
+  Flight* f;
   if (slot == kNoSlot) {
     slot = static_cast<uint32_t>(flights_.size());
-    flights_.push_back(std::move(f));
+    f = &flights_.emplace_back(stage, due, owner, std::move(pkt));
   } else {
-    free_head_ = flights_[slot].next_free;
-    flights_[slot] = std::move(f);
+    f = &flights_[slot];
+    free_head_ = f->next_free;
+    std::destroy_at(f);
+    std::construct_at(f, stage, due, owner, std::move(pkt));
   }
   queue_.ScheduleAt(due, [this, slot] { RunFlight(slot); });
+  return *f;
 }
 
 void Network::RunFlight(uint32_t slot) {
+  Flight& parked = flights_[slot];
+  SLICE_CHECK(parked.due == queue_.now());
+  // Arrival (never owned: only Transmit makes it) hands the packet to no
+  // one, so the flight waits in its slot again, for its receive
+  // serialization.
+  if (parked.stage == FlightStage::kArrive && Arrive(parked)) {
+    queue_.ScheduleAt(parked.due, [this, slot] { RunFlight(slot); });
+    return;
+  }
   // Move out first: the stage below may push flights, which can grow the
   // table and reuse this slot.
-  Flight f = std::move(flights_[slot]);
-  flights_[slot].next_free = free_head_;
+  Flight f = std::move(parked);
+  parked.next_free = free_head_;
   free_head_ = slot;
-  SLICE_CHECK(f.due == queue_.now());
   if (!queue_.live(f.owner)) {
     return;  // whoever deferred this flight died before it came due
   }
 
   switch (f.stage) {
-    case FlightStage::kArrive: {
-      const NetAddr dst = f.pkt.dst_addr();
-      if (failed_.contains(dst)) {
-        ++packets_dropped_;
-        if (tracer_ != nullptr) {
-          tracer_->RecordInstant(dst, f.ctx, "drop:dst_dead", queue_.now());
-        }
-        obs::LogEvent(eventlog_, dst, queue_.now(), obs::EventSev::kWarn, obs::EventCat::kNet,
-                      obs::EventCode::kPacketDrop, f.ctx.trace_id, "dst_dead",
-                      {{"src", f.pkt.src_addr()}, {"bytes", static_cast<int64_t>(f.pkt.size())}});
-        return;
-      }
-      auto it = hosts_.find(dst);
-      if (it == hosts_.end()) {
-        ++packets_dropped_;
-        return;
-      }
-      const SimTime rx_start = std::max(it->second.rx.busy_until(), queue_.now());
-      const SimTime rx_done = it->second.rx.Acquire(queue_.now(), f.wire);
-      obs::ChargeSim(it->second.prof_ledger, obs::LedgerCat::kQueue, rx_start - queue_.now());
-      obs::ChargeSim(it->second.prof_ledger, obs::LedgerCat::kWire, f.wire);
-      if (tracer_ != nullptr && f.ctx.valid()) {
-        if (rx_start > queue_.now()) {
-          tracer_->RecordSpan(dst, f.ctx, obs::SpanCat::kQueue, "nic_rx_wait", queue_.now(),
-                              rx_start);
-        }
-        tracer_->RecordSpan(dst, f.ctx, obs::SpanCat::kWire, "wire_rx", rx_start, rx_done);
-      }
-      f.due = rx_done;
-      f.stage = FlightStage::kDeliver;
-      PushFlight(std::move(f));
-      return;
-    }
+    case FlightStage::kArrive:
+      return;  // Arrive dropped it
     case FlightStage::kDeliver: {
       const NetAddr addr = f.pkt.dst_addr();
       auto host_it = hosts_.find(addr);
@@ -354,33 +332,50 @@ void Network::RunFlight(uint32_t slot) {
   }
 }
 
+bool Network::Arrive(Flight& f) {
+  const NetAddr dst = f.pkt.dst_addr();
+  if (failed_.contains(dst)) {
+    ++packets_dropped_;
+    if (tracer_ != nullptr) {
+      tracer_->RecordInstant(dst, f.ctx, "drop:dst_dead", queue_.now());
+    }
+    obs::LogEvent(eventlog_, dst, queue_.now(), obs::EventSev::kWarn, obs::EventCat::kNet,
+                  obs::EventCode::kPacketDrop, f.ctx.trace_id, "dst_dead",
+                  {{"src", f.pkt.src_addr()}, {"bytes", static_cast<int64_t>(f.pkt.size())}});
+    return false;
+  }
+  auto it = hosts_.find(dst);
+  if (it == hosts_.end()) {
+    ++packets_dropped_;
+    return false;
+  }
+  const SimTime rx_start = std::max(it->second.rx.busy_until(), queue_.now());
+  const SimTime rx_done = it->second.rx.Acquire(queue_.now(), f.wire);
+  obs::ChargeSim(it->second.prof_ledger, obs::LedgerCat::kQueue, rx_start - queue_.now());
+  obs::ChargeSim(it->second.prof_ledger, obs::LedgerCat::kWire, f.wire);
+  if (tracer_ != nullptr && f.ctx.valid()) {
+    if (rx_start > queue_.now()) {
+      tracer_->RecordSpan(dst, f.ctx, obs::SpanCat::kQueue, "nic_rx_wait", queue_.now(),
+                          rx_start);
+    }
+    tracer_->RecordSpan(dst, f.ctx, obs::SpanCat::kWire, "wire_rx", rx_start, rx_done);
+  }
+  f.due = rx_done;
+  f.stage = FlightStage::kDeliver;
+  return true;
+}
+
 void Network::InjectAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner) {
-  Flight f;
-  f.due = ready;
-  f.stage = FlightStage::kInject;
-  f.owner = owner;
-  f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(FlightStage::kInject, ready, std::move(pkt), owner);
 }
 
 void Network::SendAt(Packet&& pkt, SimTime ready, EventQueue::OwnerId owner) {
-  Flight f;
-  f.due = ready;
-  f.stage = FlightStage::kSend;
-  f.owner = owner;
-  f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(FlightStage::kSend, ready, std::move(pkt), owner);
 }
 
 void Network::DeliverLocalAt(NetAddr addr, Packet&& pkt, SimTime ready,
                              EventQueue::OwnerId owner) {
-  Flight f;
-  f.due = ready;
-  f.stage = FlightStage::kLocal;
-  f.local_addr = addr;
-  f.owner = owner;
-  f.pkt = std::move(pkt);
-  PushFlight(std::move(f));
+  PushFlight(FlightStage::kLocal, ready, std::move(pkt), owner).local_addr = addr;
 }
 
 void Network::DeliverLocal(NetAddr addr, Packet&& pkt) {

@@ -159,7 +159,9 @@ class Network {
   // An in-flight packet and the stage it runs next. Flights live in a slot
   // table; each stage is one ordinary event-queue event at the flight's due
   // time whose closure carries only {this, slot}, so the queue alone orders
-  // them and scheduling allocates nothing.
+  // them and scheduling allocates nothing. A flight is built in its slot and
+  // keeps it from the wire to delivery: it moves out only when a stage hands
+  // its packet on.
   enum class FlightStage : uint8_t {
     kArrive,   // switch hop done; acquire receiver NIC
     kDeliver,  // receiver serialization done; hand to tap/handler
@@ -168,20 +170,29 @@ class Network {
     kSend,     // deferred host send (SendAt): outbound tap, then the wire
   };
   struct Flight {
-    SimTime due = 0;
-    FlightStage stage = FlightStage::kArrive;
+    Flight(FlightStage first_stage, SimTime first_due, EventQueue::OwnerId deferred_by,
+           Packet&& packet)
+        : due(first_due), stage(first_stage), owner(deferred_by), pkt(std::move(packet)) {}
+
+    SimTime due;
+    FlightStage stage;
     SimTime wire = 0;        // serialization time, reused for the rx side
     NetAddr local_addr = 0;  // kLocal destination
     obs::TraceContext ctx;
-    EventQueue::OwnerId owner = EventQueue::kNoOwner;  // dead: dropped silently
+    EventQueue::OwnerId owner;  // dead: dropped silently
     Packet pkt;
     uint32_t next_free = 0;  // while the slot is free: the next free slot
   };
   static constexpr uint32_t kNoSlot = UINT32_MAX;
-  // Parks the flight in a free slot and schedules its stage at `f.due`.
-  void PushFlight(Flight&& f);
-  // Runs the stage of the flight parked in `slot` and frees the slot.
+  // Builds a flight in a free slot and schedules its stage at `due`. The
+  // returned flight is the caller's to fill in until the next PushFlight.
+  Flight& PushFlight(FlightStage stage, SimTime due, Packet&& pkt,
+                     EventQueue::OwnerId owner = EventQueue::kNoOwner);
+  // Runs the stage of the flight parked in `slot`.
   void RunFlight(uint32_t slot);
+  // kArrive: acquires the receiver's NIC and sets the flight up for
+  // kDeliver; false when the packet is dropped instead.
+  bool Arrive(Flight& f);
 
   void Transmit(Packet&& pkt);
   void RegisterHostMetrics(NetAddr addr, Host& host);

@@ -68,18 +68,23 @@ class Packet {
   explicit Packet(Bytes data) : data_(std::move(data)) {}
 
   // Value semantics: copies are deep (slow paths and tests only); moves
-  // transfer the pooled buffer and the cached decode state.
+  // transfer the pooled buffer and the cached decode state. A move
+  // assignment returns the buffer it overwrites to the pool, as the
+  // destructor does, and copies the view slot with one memcpy.
   Packet(const Packet&) = default;
   Packet& operator=(const Packet&) = default;
   Packet(Packet&&) noexcept = default;
-  Packet& operator=(Packet&&) noexcept = default;
-  ~Packet() {
-    // Capacity gate up front so moved-from and external-buffer packets skip
-    // the call entirely; the pool re-checks before recycling.
-    if (data_.capacity() >= PacketPool::kBufferCapacity) {
-      PacketPool::Default().Release(std::move(data_));
+  Packet& operator=(Packet&& other) noexcept {
+    if (this != &other) {
+      ReleaseBuffer();
+      data_ = std::move(other.data_);
+      trace_state_ = other.trace_state_;
+      view_tag_ = other.view_tag_;
+      std::memcpy(view_storage_, other.view_storage_, kViewSlotCap);
     }
+    return *this;
   }
+  ~Packet() { ReleaseBuffer(); }
 
   // A pooled buffer (PacketPool::Default()) sized kPacketHeaderSize +
   // `reserved`: the header bytes are left for MakeUdpFramed to write, and
@@ -198,6 +203,14 @@ class Packet {
 
  private:
   enum : uint8_t { kTraceUnknown = 0, kTraceAbsent = 1, kTracePresent = 2 };
+
+  void ReleaseBuffer() {
+    // Capacity gate up front so moved-from and external-buffer packets skip
+    // the call entirely; the pool re-checks before recycling.
+    if (data_.capacity() >= PacketPool::kBufferCapacity) {
+      PacketPool::Default().Release(std::move(data_));
+    }
+  }
 
   // Rewrites a 16-bit-aligned region and patches both checksums.
   void RewriteField(size_t offset, ByteSpan new_bytes, bool in_udp_pseudo_header);

@@ -6,12 +6,16 @@
 // the only thing that orders simulated time: components that keep their own
 // pending work (the network's in-flight packets) schedule one ordinary event
 // per unit of it here rather than keeping a second ordered structure.
+//
+// Layout (DESIGN.md §7): a 4-ary min-heap of 24-byte {when, seq, slot} keys,
+// and a slab of slots, threaded by a free list, that holds each queued
+// event's action, owner and background bit. A sift moves keys only;
+// an action is written once when scheduled and moved out once when it runs.
 #ifndef SLICE_SIM_EVENT_QUEUE_H_
 #define SLICE_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/status.h"
@@ -121,25 +125,33 @@ class EventQueue {
   }
 
  private:
-  struct Event {
+  // A queued event's place in the heap. Keys are unique (seq counts every
+  // schedule), so events pop in (when, seq) order whatever the heap's shape.
+  struct Key {
     SimTime when;
     uint64_t seq;
-    OwnerId owner;
-    bool background;
+    uint32_t slot;
+  };
+  static bool Earlier(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  // What a key stands for. While the slot is free, next_free links it to the
+  // next free slot.
+  struct Slot {
     Action action;
+    OwnerId owner = kNoOwner;
+    bool background = false;
+    uint32_t next_free = 0;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   void Push(SimTime when, Action action, OwnerId owner, bool background);
+  // Removes and returns the least key.
+  Key PopMin();
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Key> heap_;  // 4-ary: the children of i are 4i+1 .. 4i+4
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNoSlot;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;

@@ -238,10 +238,12 @@ void StorageNode::HandleRead(const ReadArgs& args, XdrEncoder& reply, ServiceCos
   read_segments_.clear();
   read_pages_.clear();
   io_blocks_.clear();
-  const StoreReadExtent read = store_.ReadGather(id, args.offset, args.count, &read_segments_,
+  // Past kNfsMaxData (ReadRes's decode bound), the reply is a short read.
+  const auto count = static_cast<uint32_t>(std::min<size_t>(args.count, kNfsMaxData));
+  const StoreReadExtent read = store_.ReadGather(id, args.offset, count, &read_segments_,
                                                  &read_pages_, &io_blocks_);
   cost.MergeCompletion(ChargeReads(io_blocks_));
-  MaybePrefetch(id, args.offset, args.count);
+  MaybePrefetch(id, args.offset, count);
   cost.AddCpu(FromMicros(params_.op_cpu_us) +
               static_cast<SimTime>(static_cast<double>(read.length) * params_.cpu_ns_per_byte));
   res.file_attributes = MakeAttr(args.file);

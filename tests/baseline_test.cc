@@ -53,6 +53,24 @@ TEST_F(BaselineTest, CreateWriteReadRemove) {
   EXPECT_EQ(client_->Lookup(root_, "f").value().status, Nfsstat3::kErrNoent);
 }
 
+// A READ asking for more than kNfsMaxData, the bound of the client's ReadRes
+// decode, gets a short read of the first kNfsMaxData bytes.
+TEST_F(BaselineTest, ReadPastMaxDataIsShort) {
+  const FileHandle fh = *client_->Create(root_, "big").value().object;
+  const Bytes data = Pattern(2 * kNfsMaxData);
+  for (size_t offset = 0; offset < data.size(); offset += kNfsMaxData) {
+    const ByteSpan piece = ByteSpan(data).subspan(offset, kNfsMaxData);
+    ASSERT_EQ(client_->Write(fh, offset, piece, StableHow::kFileSync).value().status,
+              Nfsstat3::kOk);
+  }
+  const Result<ReadRes> read = client_->Read(fh, 0, 2 * kNfsMaxData);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  EXPECT_EQ(read.value().status, Nfsstat3::kOk);
+  EXPECT_EQ(read.value().count, kNfsMaxData);
+  EXPECT_FALSE(read.value().eof);
+  EXPECT_TRUE(read.value().data == Bytes(data.begin(), data.begin() + kNfsMaxData));
+}
+
 TEST_F(BaselineTest, DirectoryTreeOperations) {
   CreateRes dir = client_->Mkdir(root_, "sub").value();
   ASSERT_EQ(dir.status, Nfsstat3::kOk);

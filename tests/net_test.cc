@@ -132,6 +132,37 @@ TEST(PacketTest, GrownFrameKeepsItsBufferAcrossAttachTrace) {
   EXPECT_TRUE(pkt.VerifyChecksums());
 }
 
+// Moves carry the cached decode state with the buffer, and a move
+// assignment hands the buffer it overwrites back to the pool.
+TEST(PacketTest, MoveAssignmentReturnsTheOverwrittenBufferToThePool) {
+  struct View {
+    uint64_t offset;
+    uint32_t proc;
+  };
+  Packet src = TestPacket(64);
+  src.AttachTrace(7, 9);
+  src.set_view(42, View{0x1122334455667788, 6});
+  const Bytes src_bytes = src.bytes();
+  Packet dst = TestPacket(32);
+  const size_t free_before = PacketPool::Default().free_buffers();
+  ASSERT_LT(free_before, PacketPool::kMaxFreeBuffers);
+
+  dst = std::move(src);
+  EXPECT_EQ(PacketPool::Default().free_buffers(), free_before + 1);
+  EXPECT_EQ(dst.bytes(), src_bytes);
+  View view{};
+  ASSERT_TRUE(dst.get_view(42, &view));
+  EXPECT_EQ(view.offset, 0x1122334455667788u);
+  EXPECT_EQ(view.proc, 6u);
+  uint64_t trace_id = 0;
+  uint64_t span_id = 0;
+  ASSERT_TRUE(dst.PeekTrace(&trace_id, &span_id));
+  EXPECT_EQ(trace_id, 7u);
+  EXPECT_EQ(span_id, 9u);
+  EXPECT_EQ(dst.payload().size(), 64u);
+  EXPECT_TRUE(dst.VerifyChecksums());
+}
+
 TEST(PacketTest, AddrFormatting) {
   EXPECT_EQ(AddrToString(0x0a000001), "10.0.0.1");
   EXPECT_EQ(EndpointToString(Endpoint{0x0a000001, 2049}), "10.0.0.1:2049");
@@ -353,6 +384,28 @@ TEST_F(NetworkTest, TapBurstGrowsFlightTableMidDispatch) {
     EXPECT_EQ(a_inbox_[i].src_port(), i) << "delivery " << i;
     EXPECT_TRUE(a_inbox_[i].VerifyChecksums());
   }
+}
+
+// Arrival and delivery are two events on one flight; a destination that
+// fails in between loses the packet at delivery, and the flight's slot and
+// buffer come free.
+TEST_F(NetworkTest, DestinationFailingAfterArrivalDropsAtDelivery) {
+  net_.Send(TestPacket(9000));
+  ASSERT_TRUE(queue_.RunOne());  // arrival at B's receive NIC
+  ASSERT_EQ(queue_.pending(), 1u);
+  net_.SetHostFailed(kHostB, true);
+  const size_t free_before = PacketPool::Default().free_buffers();
+  ASSERT_LT(free_before, PacketPool::kMaxFreeBuffers);
+  queue_.RunUntilIdle();
+  EXPECT_TRUE(b_inbox_.empty());
+  EXPECT_EQ(net_.packets_dropped(), 1u);
+  EXPECT_EQ(PacketPool::Default().free_buffers(), free_before + 1);
+
+  net_.SetHostFailed(kHostB, false);
+  net_.Send(TestPacket());
+  queue_.RunUntilIdle();
+  EXPECT_EQ(b_inbox_.size(), 1u);
+  EXPECT_EQ(net_.packets_dropped(), 1u);
 }
 
 // Simulation digests hash executed(), so a delivered packet must stay

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/disk.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/stats.h"
@@ -187,6 +190,258 @@ TEST(EventQueueTest, QueueMustOutliveItsOwners) {
         delete q;
       },
       "live_owners_");
+}
+
+// Model test: a seeded generator makes the same calls on an EventQueue and on a
+// plain reference, a std::map keyed by (when, schedule order) holding each
+// event's label, owner and background bit, and compares the two after every
+// step and at every action. Actions schedule from inside (so the slab can
+// grow and a freed slot be reused while an action runs) and read their own
+// captures after scheduling.
+class EventQueueModel {
+ public:
+  explicit EventQueueModel(uint64_t seed) : rng_(seed) {}
+
+  // Runs the three phases; returns the first mismatch, or "".
+  std::string Run() {
+    // Mixed: every call at a shallow depth.
+    for (int step = 0; step < 20000 && failure_.empty(); ++step) {
+      RandomStep(/*child_mean=*/0.9, /*deep=*/false);
+    }
+    // Deep: actions spawn more than they consume until over 20k are pending.
+    while (q_.pending() <= 20000 && failure_.empty()) {
+      if (q_.empty()) {
+        ScheduleFromOutside();
+      }
+      RandomStep(/*child_mean=*/1.6, /*deep=*/true);
+    }
+    // Drain.
+    for (int step = 0; step < 2000 && failure_.empty(); ++step) {
+      RandomStep(/*child_mean=*/0.5, /*deep=*/true);
+    }
+    Drain(q_.foreground_pending() > 0 ? kRunUntilIdle : kRunUntil);
+    while (!q_.empty() && failure_.empty()) {
+      Drain(kRunOne);
+    }
+    owners_.clear();
+    return failure_;
+  }
+
+  uint64_t executed() const { return q_.executed(); }
+  size_t max_pending() const { return max_pending_; }
+
+ private:
+  enum Kind { kAt, kAfter, kBackgroundAt, kBackgroundAfter };
+  enum RunCall { kRunOne, kRunUntil, kRunUntilIdle };
+  struct RefEvent {
+    int label;
+    EventQueue::OwnerId owner;
+    bool background;
+  };
+
+  void RandomStep(double child_mean, bool deep) {
+    child_mean_ = child_mean;
+    const uint64_t r = rng_.NextBelow(100);
+    if (r < 30) {
+      ScheduleFromOutside();
+    } else if (r < 33) {
+      owners_.push_back(std::make_unique<EventQueue::Owner>(q_));
+      Expect(owners_.back()->id() == ref_live_.size(), "owner ids count up");
+      ref_live_.push_back(true);
+    } else if (r < 35 && !owners_.empty()) {
+      const size_t i = rng_.NextBelow(owners_.size());
+      ref_live_[owners_[i]->id()] = false;
+      owners_.erase(owners_.begin() + static_cast<ptrdiff_t>(i));
+    } else if (r < 85) {
+      Drain(kRunOne);
+    } else if (r < 97 || deep) {
+      Drain(kRunUntil);
+    } else {
+      Drain(kRunUntilIdle);
+    }
+  }
+
+  // Past (clamped), equal and future times on a 10 ns grid, so ties abound.
+  SimTime DrawWhen() {
+    const uint64_t r = rng_.NextBelow(8);
+    if (r == 0) {
+      return ref_now_ - std::min<SimTime>(ref_now_, 10 * rng_.NextBelow(4));
+    }
+    if (r <= 2) {
+      return ref_now_;
+    }
+    return ref_now_ + 10 * rng_.NextBelow(200);
+  }
+  EventQueue::OwnerId DrawOwner() {
+    return static_cast<EventQueue::OwnerId>(
+        rng_.NextBool(0.5) ? EventQueue::kNoOwner : rng_.NextBelow(ref_live_.size()));
+  }
+
+  void ScheduleFromOutside() {
+    Schedule(static_cast<Kind>(rng_.NextBelow(4)), DrawWhen(), DrawOwner());
+  }
+
+  void Schedule(Kind kind, SimTime when, EventQueue::OwnerId owner) {
+    const int label = next_label_++;
+    auto action = [this, label] {
+      OnRun(label);
+      ran_.push_back(label);  // reads the capture after the action scheduled
+    };
+    const SimTime delay = when - ref_now_;
+    bool background = ref_in_background_;
+    switch (kind) {
+      case kAt:
+        q_.ScheduleAt(when, action, owner);
+        break;
+      case kAfter:
+        q_.ScheduleAfter(delay, action, owner);
+        break;
+      case kBackgroundAt:
+        q_.ScheduleBackgroundAt(when, action, owner);
+        background = true;
+        break;
+      case kBackgroundAfter:
+        q_.ScheduleBackgroundAfter(delay, action, owner);
+        background = true;
+        break;
+    }
+    ref_.emplace(std::pair{std::max(when, ref_now_), ref_order_++},
+                 RefEvent{label, owner, background});
+    if (!background) {
+      ++ref_foreground_;
+    }
+    max_pending_ = std::max(max_pending_, ref_.size());
+  }
+
+  // Pops the reference's least event, as the queue is about to run it.
+  RefEvent PopRef() {
+    const auto it = ref_.begin();
+    const RefEvent ev = it->second;
+    ref_now_ = it->first.first;
+    ref_.erase(it);
+    ++ref_executed_;
+    if (!ev.background) {
+      --ref_foreground_;
+    }
+    return ev;
+  }
+
+  // Dead owners' events run no action, so the reference skips them up to the
+  // live event whose action is running now.
+  void OnRun(int label) {
+    if (!failure_.empty()) {
+      return;
+    }
+    for (;;) {
+      if (ref_.empty()) {
+        Fail("an action ran with the reference empty");
+        return;
+      }
+      const RefEvent ev = PopRef();
+      if (ref_live_[ev.owner]) {
+        Expect(ev.label == label, "action order");
+        ref_in_background_ = ev.background;
+        break;
+      }
+    }
+    Compare("in action");
+    // Children: the whole part of child_mean_, plus one at its fraction.
+    const int whole = static_cast<int>(child_mean_);
+    const int children = whole + (rng_.NextBool(child_mean_ - whole) ? 1 : 0);
+    for (int i = 0; i < children; ++i) {
+      ScheduleFromOutside();
+    }
+  }
+
+  // Makes one run call on both sides and compares.
+  void Drain(RunCall call) {
+    if (!failure_.empty()) {
+      return;
+    }
+    const size_t ran_before = ran_.size();
+    switch (call) {
+      case kRunOne: {
+        const bool queued = !ref_.empty();
+        Expect(q_.RunOne() == queued, "RunOne's result");
+        if (ran_.size() == ran_before && queued) {
+          const RefEvent ev = PopRef();
+          Expect(!ref_live_[ev.owner], "a live owner's action did not run");
+        }
+        Expect(ran_.size() <= ran_before + 1, "RunOne ran one event");
+        break;
+      }
+      case kRunUntil: {
+        const SimTime deadline = ref_now_ + 10 * rng_.NextBelow(60);
+        q_.RunUntil(deadline);
+        while (!ref_.empty() && ref_.begin()->first.first <= deadline) {
+          Expect(!ref_live_[PopRef().owner], "RunUntil skipped a live action");
+        }
+        ref_now_ = std::max(ref_now_, deadline);
+        break;
+      }
+      case kRunUntilIdle: {
+        q_.RunUntilIdle();
+        while (ref_foreground_ > 0) {
+          Expect(!ref_live_[PopRef().owner], "RunUntilIdle skipped a live action");
+        }
+        break;
+      }
+    }
+    ref_in_background_ = false;
+    Compare("after a run call");
+  }
+
+  void Compare(const char* where) {
+    Expect(q_.now() == ref_now_, "now()");
+    Expect(q_.executed() == ref_executed_, "executed()");
+    Expect(q_.pending() == ref_.size(), "pending()");
+    Expect(q_.foreground_pending() == ref_foreground_, "foreground_pending()");
+    Expect(q_.empty() == ref_.empty(), "empty()");
+    if (!failure_.empty() && failure_.find(" (") == std::string::npos) {
+      failure_ += std::string(" (") + where + ", after " + std::to_string(ref_executed_) +
+                  " events)";
+    }
+  }
+
+  void Expect(bool ok, const char* what) {
+    if (!ok) {
+      Fail(what);
+    }
+  }
+  void Fail(const char* what) {
+    if (failure_.empty()) {
+      failure_ = std::string("mismatch: ") + what;
+    }
+  }
+
+  EventQueue q_;
+  std::vector<std::unique_ptr<EventQueue::Owner>> owners_;  // destroyed before q_
+  Rng rng_;
+  double child_mean_ = 0;
+  int next_label_ = 0;
+  std::vector<int> ran_;
+  std::string failure_;
+  size_t max_pending_ = 0;
+  // The reference.
+  std::map<std::pair<SimTime, uint64_t>, RefEvent> ref_;
+  uint64_t ref_order_ = 0;
+  SimTime ref_now_ = 0;
+  uint64_t ref_executed_ = 0;
+  size_t ref_foreground_ = 0;
+  bool ref_in_background_ = false;
+  std::vector<bool> ref_live_{true};  // indexed by OwnerId; kNoOwner is live
+};
+
+TEST(EventQueueTest, MatchesReferenceModel) {
+  uint64_t executed = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    EventQueueModel model(seed);
+    const std::string failure = model.Run();
+    ASSERT_EQ(failure, "") << "seed " << seed;
+    EXPECT_GT(model.max_pending(), 20000u) << "seed " << seed;
+    executed += model.executed();
+  }
+  EXPECT_GE(executed, 200000u);
 }
 
 TEST(BusyResourceTest, IdleResourceStartsImmediately) {

@@ -587,6 +587,23 @@ TEST_F(StorageNodeTest, WriteThenRead) {
   EXPECT_EQ(r.file_attributes->size, 32768u);
 }
 
+// A READ asking for more than kNfsMaxData, the bound of the client's ReadRes
+// decode, gets a short read of the first kNfsMaxData bytes.
+TEST_F(StorageNodeTest, ReadPastMaxDataIsShort) {
+  const Bytes data = Pattern(2 * kNfsMaxData);
+  for (size_t offset = 0; offset < data.size(); offset += kNfsMaxData) {
+    const ByteSpan piece = ByteSpan(data).subspan(offset, kNfsMaxData);
+    ASSERT_EQ(client_.Write(Fh(), offset, piece, StableHow::kFileSync).value().status,
+              Nfsstat3::kOk);
+  }
+  const Result<ReadRes> r = client_.Read(Fh(), 0, 2 * kNfsMaxData);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().status, Nfsstat3::kOk);
+  EXPECT_EQ(r.value().count, kNfsMaxData);
+  EXPECT_FALSE(r.value().eof);
+  EXPECT_TRUE(r.value().data == Bytes(data.begin(), data.begin() + kNfsMaxData));
+}
+
 TEST_F(StorageNodeTest, BadCapabilityRejected) {
   FileHandle forged = FileHandle::Make(1, 1, 1, FileType3::kReg, 1, kSecret + 1);
   WriteRes w = client_.Write(forged, 0, Pattern(100), StableHow::kFileSync).value();
